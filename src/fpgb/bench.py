@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .bulk import merge_join_index, radix_pass_count, radix_sort, unique_sorted
+from .bulk import exclusive_scan, merge_join_index, radix_pass_count, radix_sort, unique_sorted
 from .errors import PreconditionError, PropertyViolationError
 from .fp import Backend, FieldModulus, KernelArith
 from .groebner import (
@@ -35,6 +35,7 @@ from .groebner import (
 )
 from .monomials import mon_divides, key_unpack_vec
 from .polynomials import poly_monic, poly_mul_mon
+from .sparselin import DENSE_CAP, csr_from_arrays, dense_rank, psge_reduce
 from .symbolic import decode_row, plan_stats, row_lead_cols
 from .systems import format_system, gen_cyclic, gen_katsura, gen_random_quadratic
 
@@ -86,8 +87,7 @@ class BenchReport:
                 yield f"batch.{i}.{k}", b[k]
             for k in ("dict_build", "row_assemble", "numeric_core"):
                 yield f"batch.{i}.timings_ns.{k}", b["timings_ns"][k]
-            if "fill_generated" in b["timings_ns"]:
-                yield f"batch.{i}.fill_generated", b["timings_ns"]["fill_generated"]
+            yield f"batch.{i}.fill_generated", b["fill_generated"]
         for k, v in sorted(self.totals.items()):
             yield f"totals.{k}", v
         yield "digest", self.digest
@@ -162,6 +162,7 @@ def run_pipeline(ring, polys, config: PipelineConfig, instance: dict | None = No
                     "new_polys": st.new_polys,
                     "zero_reductions": st.zero_reductions,
                     "closure_rounds": st.closure_rounds,
+                    "fill_generated": st.fill_generated,
                     "timings_ns": dict(st.timings_ns),
                 }
             )
@@ -182,9 +183,7 @@ def run_pipeline(ring, polys, config: PipelineConfig, instance: dict | None = No
         "numeric_core_ns": sum(b["timings_ns"]["numeric_core"] for b in batches),
     }
     if config.engine == "f4" and config.numeric in ("psge", "wiedemann"):
-        totals["fill_generated"] = sum(
-            b["timings_ns"].get("fill_generated", 0) for b in batches
-        )
+        totals["fill_generated"] = sum(b["fill_generated"] for b in batches)
     report = BenchReport(
         instance=dict(instance or {}),
         config={
@@ -230,7 +229,7 @@ def make_instance(family: str, config: PipelineConfig, **params):
 
 
 # ---------------------------------------------------------------------------
-# Microbenchmarks for the three timed kernels
+# Microbenchmarks for the timed kernels
 # ---------------------------------------------------------------------------
 
 
@@ -239,6 +238,46 @@ def _synth_keys(rng, size: int, duplicate_rate: float, words: int = 2):
     pool = rng.integers(0, 1 << 48, (n_unique, words)).astype(np.uint64)
     picks = rng.integers(0, n_unique, size)
     return pool[picks]
+
+
+def _synth_batch(rng, n_cols: int, m: FieldModulus):
+    """An F4-shaped batch: monic known-pivot rows plus remainder rows.
+
+    Three quarters of the columns lead a known-pivot row (about 8 tail
+    entries to its right).  There are n_cols/8 remainder rows: half hold
+    about 16 random entries, half are random combinations of three
+    known-pivot rows, so they reduce to zero as F4's redundant rows do.
+    """
+    p = np.uint64(m.p)
+    leads = np.sort(rng.choice(n_cols, max(1, 3 * n_cols // 4), replace=False))
+    rows = []
+    for c in leads.tolist():
+        tail = c + 1 + rng.integers(0, max(1, n_cols - c - 1), 8) if c + 1 < n_cols else []
+        cols = np.unique(np.concatenate([[c], tail])).astype(np.int64)
+        vals = rng.integers(1, m.p, len(cols), dtype=np.uint64)
+        vals[0] = 1
+        rows.append((cols, vals))
+    n_known = len(rows)
+    for k in range(max(2, n_cols // 8)):
+        if k % 2:
+            picks = rng.choice(n_known, min(3, n_known), replace=False)
+            coefs = rng.integers(1, m.p, len(picks), dtype=np.uint64)
+            cols = np.concatenate([rows[i][0] for i in picks])
+            terms = np.concatenate([rows[i][1] * c % p for i, c in zip(picks, coefs)])
+            cols, inv = np.unique(cols, return_inverse=True)
+            vals = np.zeros(len(cols), dtype=np.uint64)
+            np.add.at(vals, inv, terms)  # at most three terms below p each
+            vals %= p
+            keep = vals != 0
+            if keep.any():
+                rows.append((cols[keep], vals[keep]))
+        else:
+            cols = np.unique(rng.integers(0, n_cols, 16)).astype(np.int64)
+            rows.append((cols, rng.integers(1, m.p, len(cols), dtype=np.uint64)))
+    row_ptr = exclusive_scan(np.array([len(c) for c, _ in rows], dtype=np.int64))
+    col_ind = np.concatenate([c for c, _ in rows])
+    val = np.concatenate([v for _, v in rows])
+    return csr_from_arrays(len(rows), n_cols, row_ptr, col_ind, val, m)
 
 
 def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0) -> dict:
@@ -307,6 +346,30 @@ def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0)
             dt = time.monotonic_ns() - t0
             out[f"updates_per_s.{backend.value}"] = size / max(dt, 1) * 1e9
             out[f"elapsed_ns.{backend.value}"] = dt
+    elif kind == "numeric":
+        m = FieldModulus(65537)
+        A = _synth_batch(rng, size, m)
+        got = psge_reduce(A, back_reduce=False)
+        full = psge_reduce(A, back_reduce=True)
+        same_rows = len(got.nonpivot_rows) == len(full.nonpivot_rows) and all(
+            a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+            for a, b in zip(got.nonpivot_rows, full.nonpivot_rows)
+        )
+        if got.rank != full.rank or not same_rows:
+            raise PropertyViolationError("F4 mode disagrees with the full RREF")
+        if max(A.n_rows, A.n_cols) <= DENSE_CAP and got.rank != dense_rank(A.to_dense(), m):
+            raise PropertyViolationError("known-pivot rank disagrees with dense_gauss")
+        t0 = time.monotonic_ns()
+        got = psge_reduce(A, back_reduce=False)
+        dt = time.monotonic_ns() - t0
+        out.update(
+            rows=A.n_rows,
+            cols=A.n_cols,
+            nnz=A.nnz(),
+            rank=got.rank,
+            fill_generated=got.fill_generated,
+            elapsed_ns=dt,
+        )
     else:
         raise PreconditionError(f"unknown microbench kind {kind!r}")
     return out

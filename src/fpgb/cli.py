@@ -19,7 +19,9 @@ from .bench import (
     verify_instance,
 )
 from .errors import (
+    DivisionError,
     FpgbError,
+    LaneOverflowError,
     MissingKeyError,
     NonterminationError,
     PolyParseError,
@@ -27,6 +29,7 @@ from .errors import (
     ProbabilisticFailureError,
     PropertyViolationError,
     SizeCapError,
+    UncoverableTargetError,
 )
 from .systems import parse_system
 
@@ -79,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--report", help="report path; <path>.flat gets the key=value form")
 
     mb = sub.add_parser("microbench", help="time one isolated kernel")
-    mb.add_argument("--kind", choices=["dict_build", "row_assemble", "mod_fma"], required=True)
+    mb.add_argument(
+        "--kind", choices=["dict_build", "row_assemble", "mod_fma", "numeric"], required=True
+    )
     mb.add_argument("--size", type=int, required=True)
     mb.add_argument("--duplicate-rate", type=float, default=0.5)
     mb.add_argument("--seed", type=int, default=0)
@@ -193,10 +198,14 @@ def main(argv=None) -> int:
     except (PolyParseError, PreconditionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
-    except (NonterminationError, SizeCapError, ProbabilisticFailureError) as exc:
+    except (
+        NonterminationError, SizeCapError, ProbabilisticFailureError, LaneOverflowError
+    ) as exc:
         sys.stderr.write(f"guard: {exc}\n")
         return EXIT_GUARD
-    except (PropertyViolationError, MissingKeyError) as exc:
+    except (
+        PropertyViolationError, MissingKeyError, DivisionError, UncoverableTargetError
+    ) as exc:
         sys.stderr.write(f"internal property violation: {exc}\n")
         return EXIT_PROPERTY
     except FpgbError as exc:

@@ -2,8 +2,8 @@
 
 The F4 path runs: select the minimal-degree critical pairs, expand them into
 shifted reducer rows, compile the batch into a sparse plan (with one-step
-reduction closure), eliminate with the panel engine, and harvest reduced
-rows whose leading columns are new.  The reference path is a textbook
+reduction closure), eliminate with the known-pivot engine, and harvest
+reduced rows whose leading columns are new.  The reference path is a textbook
 Buchberger loop (product criterion only, scalar normal-form reduction) that
 shares nothing with the batch machinery beyond the polynomial primitives.
 Both finish with the same interreduction, so a reduced basis is canonical
@@ -128,6 +128,7 @@ class BatchStats:
     new_polys: int
     zero_reductions: int
     closure_rounds: int
+    fill_generated: int
     timings_ns: dict
 
 
@@ -236,7 +237,7 @@ def _decode_sparse(plan: LayoutPlan, cols: np.ndarray, vals: np.ndarray) -> Poly
 
 
 def _dense_echelon(plan: LayoutPlan, m: FieldModulus) -> EchelonResult:
-    """Dense-oracle stand-in for the panel engine (small batches only)."""
+    """Dense-oracle stand-in for the known-pivot engine (small batches only)."""
     A = csr_from_plan(plan, m)
     rank, rref, pivots = dense_gauss(A.to_dense(), m)
     from .symbolic import row_lead_cols
@@ -269,13 +270,14 @@ def f4_step(state: GroebnerState, config: F4Config | None = None):
         ech = _dense_echelon(plan, ring.modulus)
     else:
         A = csr_from_plan(plan, ring.modulus)
-        ech = psge_reduce(A, config.panel_width)
+        ech = psge_reduce(A, config.panel_width, back_reduce=False)
     numeric_ns = time.monotonic_ns() - t0
 
     kernel = None
     if config.numeric == "wiedemann":
-        A = csr_from_plan(plan, ring.modulus)
-        kernel = left_kernel(A, count=max(1, A.n_rows), seed=config.seed)
+        kernel = left_kernel(
+            A, count=max(1, A.n_rows), seed=config.seed, block_width=config.block_width
+        )
         report = verify_kernel_syzygy(plan, basis_snapshot, kernel)
         if not report.ok:
             from .errors import PropertyViolationError
@@ -300,11 +302,11 @@ def f4_step(state: GroebnerState, config: F4Config | None = None):
             new_polys=len(new_polys),
             zero_reductions=ech.zero_row_count,
             closure_rounds=plan.counters.closure_rounds,
+            fill_generated=ech.fill_generated,
             timings_ns={
                 "dict_build": plan.timings_ns["dict_build_ns"],
                 "row_assemble": plan.timings_ns["row_assemble_ns"],
                 "numeric_core": numeric_ns,
-                "fill_generated": ech.fill_generated,
             },
         )
     )

@@ -3,9 +3,13 @@
 CSR matrices materialize directly from layout plans.  Three engines work on
 them:
 
-- ``psge_reduce``: structured Gaussian elimination scheduled over contiguous
-  column panels, with a sparsity-first pivot rule and full back-reduction,
-  so its nonzero output rows coincide with the reduced row echelon form;
+- ``psge_reduce``: known-pivot elimination in the style of Faugere-Lachartre.
+  One sparsest row per distinct input leading column is a known pivot; the
+  other rows, ``panel_width`` at a time in a dense block, have the pivot
+  columns swept out in ascending order, and the small remainder is brought
+  to echelon form by its own code.  Its new rows are reduced row echelon
+  form (RREF) rows; ``back_reduce=True`` also back-substitutes the known
+  pivots, so the output is the whole RREF;
 - ``dense_gauss``: the brute-force oracle (size-capped) used to cross-check
   ranks, row spaces, and null spaces;
 - ``wiedemann_solve``: black-box kernel extraction from Krylov sequences
@@ -241,7 +245,7 @@ def dense_right_nullspace(mat: np.ndarray, m: FieldModulus):
 
 
 # ---------------------------------------------------------------------------
-# Panel-structured elimination
+# Known-pivot elimination
 # ---------------------------------------------------------------------------
 
 
@@ -249,11 +253,13 @@ def dense_right_nullspace(mat: np.ndarray, m: FieldModulus):
 class EchelonResult:
     """Echelon form of a batch matrix, split by leading-column provenance.
 
-    ``pivot_cols`` lists the leading columns of all nonzero output rows
-    (ascending); rows whose leading column coincides with some input row's
-    leading column land in ``pivot_rows``, rows with new leading columns in
-    ``nonpivot_rows``.  Rows are (lead_col, col_array, val_array), monic,
-    fully reduced against each other.
+    ``pivot_cols`` lists the leading columns of all rows of the reduced row
+    echelon form (ascending).  Rows are (lead_col, col_array, val_array) and
+    monic.  ``nonpivot_rows`` are the RREF rows whose leading columns no
+    input row led at; they are fully reduced in either mode.  ``pivot_rows``
+    hold one row per distinct input leading column: the RREF rows when the
+    engine ran with ``back_reduce=True``, otherwise the chosen known-pivot
+    input rows, only made monic.
     """
 
     pivot_cols: list
@@ -264,103 +270,166 @@ class EchelonResult:
     fill_generated: int
 
 
-def _sparse_axpy(cols_a, vals_a, coef, cols_b, vals_b, ar, p):
-    """a - coef*b over sparse rows; returns (cols, vals, created_nonzeros)."""
-    union = np.union1d(cols_a, cols_b)
-    va = np.zeros(len(union), dtype=np.uint64)
-    va[np.searchsorted(union, cols_a)] = vals_a
-    vb = np.zeros(len(union), dtype=np.uint64)
-    vb[np.searchsorted(union, cols_b)] = vals_b
-    prod = ar.mul(vb, np.uint64(coef))
-    out = (va + (np.uint64(p) - prod)) % np.uint64(p)
-    keep = out != 0
-    created = int((keep & (va == 0)).sum())
-    return union[keep], out[keep], created
+def _addmod(a: np.ndarray, b: np.ndarray, p: np.uint64) -> np.ndarray:
+    s = a + b
+    return np.where(s >= p, s - p, s)
 
 
-def psge_reduce(A: CsrMatrix, panel_width: int = 256) -> EchelonResult:
-    """Panel-scheduled structured elimination to fully reduced echelon form.
+def _sweep(B, own, pivot_cols, pivots, ar):
+    """Zero every pivot column of the dense block B in place.
 
-    Pivot rule: among rows leading at the panel's current column, take the
-    one with the fewest nonzeros (lowest row index on ties).  The trailing
-    update stays sparse; per-step fill is accumulated in fill_generated.
+    Pivot columns are visited in ascending order; each pivot row is monic
+    and leads at its column, so an update never touches a column already
+    visited.  When ``own`` is given, ``own[i]`` is the pivot column row i
+    itself leads at, and that entry is kept.  Only columns that hold a
+    nonzero or that some update reached are inspected.
+    """
+    p = ar.m._p_u64
+    queued = B.any(axis=0)
+    for c in pivot_cols:
+        if not queued[c]:
+            continue
+        col = B[:, c]
+        nz = np.flatnonzero(col)
+        if own is not None:
+            nz = nz[own[nz] != c]
+        if len(nz) == 0:
+            continue
+        pc, pv = pivots[c]
+        coef = p - col[nz]
+        if len(nz) == 1:
+            r = int(nz[0])
+            B[r, pc] = _addmod(B[r, pc], ar.mul(pv, coef[0]), p)
+        else:
+            ix = np.ix_(nz, pc)
+            B[ix] = _addmod(B[ix], ar.mul(coef[:, None], pv[None, :]), p)
+        queued[pc] = True
+
+
+def _row_echelon(R, ar):
+    """Forward elimination of a small dense block, in place.
+
+    Returns [(local_lead, monic_row)] with distinct, ascending leads; the
+    other rows of R end up zero.
+    """
+    p = ar.m._p_u64
+    alive = np.ones(R.shape[0], dtype=bool)
+    found = []
+    for j in range(R.shape[1]):
+        cand = np.flatnonzero((R[:, j] != 0) & alive)
+        if len(cand) == 0:
+            continue
+        r, rest = int(cand[0]), cand[1:]
+        row = ar.mul(R[r], np.uint64(ar.inv(int(R[r, j]))))
+        alive[r] = False
+        if len(rest):
+            coef = p - R[rest, j]
+            R[rest] = _addmod(R[rest], ar.mul(coef[:, None], row[None, :]), p)
+        found.append((j, row))
+        if not alive.any():
+            break
+    return found
+
+
+def _entry_positions(A: CsrMatrix, rows: np.ndarray):
+    """Positions of the entries of the given rows in A's arrays, row by row."""
+    lens = A.row_ptr[rows + 1] - A.row_ptr[rows]
+    offsets = np.repeat(A.row_ptr[rows] - exclusive_scan(lens)[:-1], lens)
+    return offsets + np.arange(int(lens.sum()), dtype=np.int64), lens
+
+
+def _dense_block(A: CsrMatrix, rows: np.ndarray, vals: np.ndarray):
+    """Rows of A (values already in the working domain) as a dense block."""
+    at, lens = _entry_positions(A, rows)
+    local = np.repeat(np.arange(len(rows)), lens)
+    B = np.zeros((len(rows), A.n_cols), dtype=np.uint64)
+    B[local, A.col_ind[at]] = vals[at]
+    return B, local, A.col_ind[at]
+
+
+def psge_reduce(A: CsrMatrix, panel_width: int = 256, back_reduce: bool = True) -> EchelonResult:
+    """Known-pivot elimination of an F4 batch matrix.
+
+    1. Known pivots: one row per distinct input leading column, the one
+       with the fewest nonzeros (lowest row index on ties), made monic.
+    2. Sweep: the remaining rows, ``panel_width`` at a time as a dense block
+       (at most panel_width x n_cols words), have every pivot column
+       cleared in ascending order.  Entries that were zero in the input row
+       and are nonzero after the sweep count as ``fill_generated``.
+    3. Remainder: forward elimination of each swept block finds the new
+       leading columns; their rows join the known pivots for later blocks.
+       A final back-substitution among the new rows makes them RREF rows.
+
+    With ``back_reduce=True`` the known-pivot rows are back-substituted as
+    well, so ``pivot_rows`` + ``nonpivot_rows`` are the full RREF.  The F4
+    driver reads only ``nonpivot_rows`` and passes ``back_reduce=False``.
     """
     if panel_width < 1:
         raise PreconditionError("panel_width must be >= 1")
     m = A.modulus
     ar = KernelArith(m)
-    p = m.p
-    rows = []
-    orig_leads = set()
-    by_lead: dict = {}
-    zero_rows = 0
-    for i in range(A.n_rows):
-        cols, vals = A.row(i)
-        if len(cols) == 0:
-            zero_rows += 1
-            rows.append(None)
-            continue
-        rows.append([cols.copy(), ar.enter(vals.copy())])
-        orig_leads.add(int(cols[0]))
-        by_lead.setdefault(int(cols[0]), []).append(i)
+    n_cols = A.n_cols
+    vals = ar.enter(A.val)
+    lens = np.diff(A.row_ptr)
+    live = np.flatnonzero(lens)
+    leads = A.col_ind[A.row_ptr[live]]
+    order = np.lexsort((live, lens[live], leads))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = leads[order][1:] != leads[order][:-1]
+    known_rows = live[order[first]]
+    known_cols = leads[order[first]]
+    rest = np.sort(live[order[~first]])
 
+    # monic known pivots, as views into one scaled copy of their entries
+    at, known_lens = _entry_positions(A, known_rows)
+    invs = [ar.inv(x) for x in vals[A.row_ptr[known_rows]].tolist()]
+    scaled = vals.copy()
+    scaled[at] = ar.mul(vals[at], np.repeat(np.array(invs, dtype=np.uint64), known_lens))
     pivots: dict = {}
+    for i, c in zip(known_rows.tolist(), known_cols.tolist()):
+        s, e = int(A.row_ptr[i]), int(A.row_ptr[i + 1])
+        pivots[c] = (A.col_ind[s:e], scaled[s:e])
+    pivot_cols = known_cols.tolist()
+
     fill = 0
-    for panel_start in range(0, max(A.n_cols, 1), panel_width):
-        panel_end = min(A.n_cols, panel_start + panel_width)
-        for col in range(panel_start, panel_end):
-            cand = by_lead.pop(col, None)
-            if not cand:
-                continue
-            cand.sort()
-            pv = min(cand, key=lambda i: (len(rows[i][0]), i))
-            pcols, pvals = rows[pv]
-            inv = ar.inv(int(pvals[0]))
-            rows[pv][1] = ar.mul(pvals, np.uint64(inv))
-            pivots[col] = pv
-            for i in cand:
-                if i == pv:
-                    continue
-                cols_i, vals_i = rows[i]
-                ncols, nvals, created = _sparse_axpy(
-                    cols_i, vals_i, int(vals_i[0]), rows[pv][0], rows[pv][1], ar, p
-                )
-                fill += created
-                if len(ncols) == 0:
-                    rows[i] = None
-                    zero_rows += 1
-                else:
-                    rows[i] = [ncols, nvals]
-                    by_lead.setdefault(int(ncols[0]), []).append(i)
+    new_cols: list = []
+    for k in range(0, len(rest), panel_width):
+        B, local, cols = _dense_block(A, rest[k : k + panel_width], vals)
+        _sweep(B, None, pivot_cols, pivots, ar)
+        nonzero = B != 0
+        fill += int(nonzero.sum()) - int(nonzero[local, cols].sum())
+        alive = np.flatnonzero(nonzero.any(axis=1))
+        if len(alive) == 0:
+            continue
+        support = np.flatnonzero(nonzero[alive].any(axis=0))
+        for j, row in _row_echelon(B[np.ix_(alive, support)], ar):
+            nz = np.flatnonzero(row)
+            pivots[int(support[j])] = (support[nz], row[nz])
+            new_cols.append(int(support[j]))
+        pivot_cols = sorted(pivots)
 
-    # back-reduction: clear every pivot column from the other rows' tails
-    for col in sorted(pivots, reverse=True):
-        pv = pivots[col]
-        for qcol, q in pivots.items():
-            if q == pv or qcol >= col:
-                continue
-            cols_q, vals_q = rows[q]
-            at = np.searchsorted(cols_q, col)
-            if at < len(cols_q) and cols_q[at] == col:
-                ncols, nvals, created = _sparse_axpy(
-                    cols_q, vals_q, int(vals_q[at]), rows[pv][0], rows[pv][1], ar, p
-                )
-                fill += created
-                rows[q] = [ncols, nvals]
+    # back-substitution: each pivot row loses every other pivot column
+    reduced = dict(pivots)
+    targets = sorted(pivots) if back_reduce else sorted(new_cols)
+    for k in range(0, len(targets), panel_width):
+        chunk = targets[k : k + panel_width]
+        B = np.zeros((len(chunk), n_cols), dtype=np.uint64)
+        for r, c in enumerate(chunk):
+            pc, pv = pivots[c]
+            B[r, pc] = pv
+        _sweep(B, np.array(chunk), pivot_cols if back_reduce else targets, pivots, ar)
+        for r, c in enumerate(chunk):
+            nz = np.flatnonzero(B[r])
+            reduced[c] = (nz, B[r, nz])
 
-    pivot_rows = []
-    nonpivot_rows = []
-    for col in sorted(pivots):
-        i = pivots[col]
-        cols_i, vals_i = rows[i]
-        entry = (col, cols_i, ar.leave(vals_i))
-        if col in orig_leads:
-            pivot_rows.append(entry)
-        else:
-            nonpivot_rows.append(entry)
-    rank = len(pivots)
+    new = set(new_cols)
+    pivot_rows, nonpivot_rows = [], []
+    for c in pivot_cols:
+        pc, pv = reduced[c]
+        (nonpivot_rows if c in new else pivot_rows).append((c, pc, ar.leave(pv)))
+    rank = len(pivot_cols)
     return EchelonResult(
-        pivot_cols=sorted(pivots),
+        pivot_cols=pivot_cols,
         pivot_rows=pivot_rows,
         nonpivot_rows=nonpivot_rows,
         zero_row_count=A.n_rows - rank,
@@ -548,11 +617,12 @@ def wiedemann_solve(
     return KernelBasis("right", vectors, len(vectors), tuple(trail))
 
 
-def left_kernel(A: CsrMatrix, count: int, seed: int) -> KernelBasis:
+def left_kernel(A: CsrMatrix, count: int, seed: int, block_width: int = 4) -> KernelBasis:
     """Up to ``count`` independent vectors v with v^T A = 0.
 
     Size-dispatched: the dense oracle engine below the cap, Wiedemann on the
-    transpose above it.  Every vector is re-verified by one SpMV on A^T.
+    transpose (``block_width`` probe vectors per round) above it.  Every
+    vector is re-verified by one SpMV on A^T.
     """
     if count < 1:
         raise PreconditionError("count must be >= 1")
@@ -561,7 +631,9 @@ def left_kernel(A: CsrMatrix, count: int, seed: int) -> KernelBasis:
         vectors = dense_right_nullspace(At.to_dense(), A.modulus)[:count]
         trail = ()
     else:
-        kb = wiedemann_solve(At, KernelMode.RIGHT_KERNEL, seed, max_vectors=count)
+        kb = wiedemann_solve(
+            At, KernelMode.RIGHT_KERNEL, seed, block_width=block_width, max_vectors=count
+        )
         vectors, trail = kb.vectors, kb.seed_trail
     for v in vectors:
         if (spmv(At, v) != 0).any():

@@ -1,7 +1,10 @@
 """CLI and pipeline surface: reports, digests, exit codes, microbench."""
 
+import pytest
+
 from fpgb.bench import PipelineConfig, make_instance, microbench, run_pipeline, verify_instance
 from fpgb.cli import main
+from fpgb.errors import DivisionError, LaneOverflowError, UncoverableTargetError
 from fpgb.systems import parse_system
 
 
@@ -68,6 +71,15 @@ def test_microbench_kinds():
     assert all(f[f"updates_per_s.{b}"] > 0 for b in ("naive", "barrett", "montgomery"))
 
 
+def test_microbench_numeric():
+    small = microbench("numeric", 300, seed=5)  # within DENSE_CAP: also checked by dense_gauss
+    assert small["rows"] > small["rank"] > 0
+    assert small["fill_generated"] > 0 and small["elapsed_ns"] > 0
+    assert small == {**microbench("numeric", 300, seed=5), "elapsed_ns": small["elapsed_ns"]}
+    big = microbench("numeric", 1200, seed=6)  # past DENSE_CAP: checked by back_reduce only
+    assert big["cols"] == 1200 and big["rank"] > 0
+
+
 def test_cli_gen_gb_bench(tmp_path):
     sys_file = tmp_path / "sys.txt"
     assert main(["gen", "--family", "cyclic", "--n", "3", "--p", "101",
@@ -102,6 +114,23 @@ def test_cli_exit_codes(tmp_path):
                  "--max-steps", "2"]) == 3
     assert main(["gb", "--input", str(tmp_path / "missing.txt")]) == 2
     assert main(["gb", "--family", "cyclic"]) == 2  # missing --n/--p
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (LaneOverflowError("exponent does not fit a 16-bit lane"), 3),
+        (DivisionError("x does not divide y"), 4),
+        (UncoverableTargetError("pair 0 has no covering row"), 4),
+    ],
+)
+def test_cli_exit_codes_for_run_errors(monkeypatch, exc, code):
+    def failing_run(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("fpgb.cli.run_pipeline", failing_run)
+    assert main(["gb", "--family", "cyclic", "--n", "3", "--p", "101"]) == code
+    assert main(["bench", "--family", "cyclic", "--n", "3", "--p", "101"]) == code
 
 
 def test_cli_random_family(tmp_path):

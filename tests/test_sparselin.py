@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from fpgb import groebner, sparselin
+from fpgb.bench import PipelineConfig, make_instance, run_pipeline
 from fpgb.errors import PreconditionError, SizeCapError
 from fpgb.fp import Backend, FieldModulus
 from fpgb.monomials import Ring
@@ -219,6 +221,66 @@ def test_psge_backend_agreement():
         got = assemble_rows(res, 20).tobytes()
         base = got if base is None else base
         assert got == base
+
+
+def same_rows(a, b):
+    return len(a) == len(b) and all(
+        x[0] == y[0] and np.array_equal(x[1], y[1]) and np.array_equal(x[2], y[2])
+        for x, y in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize("p", [7, 101, 2147483629])
+@pytest.mark.parametrize("density", [0.01, 0.05, 0.2])
+@pytest.mark.parametrize("panel_width", [1, 3, 256])
+def test_f4_mode_matches_back_reduced_engine(p, density, panel_width):
+    m = FieldModulus(p)
+    rng = np.random.default_rng(p % 997 + int(density * 100) + panel_width)
+    for _ in range(4):
+        r, c = (int(x) for x in rng.integers(5, 60, 2))
+        mat = random_sparse(rng, r, c, density, m)
+        # repeat some rows so leading columns are shared, as F4 batches share them
+        mat = np.vstack([mat, mat[rng.integers(0, r, r // 3)]])
+        A = csr_from_dense(mat, m)
+        f4 = psge_reduce(A, panel_width=panel_width, back_reduce=False)
+        full = psge_reduce(A, panel_width=panel_width, back_reduce=True)
+        assert f4.rank == full.rank == dense_rank(mat, m)
+        assert f4.zero_row_count == full.zero_row_count
+        assert f4.pivot_cols == full.pivot_cols
+        assert f4.fill_generated == full.fill_generated
+        assert same_rows(f4.nonpivot_rows, full.nonpivot_rows)
+
+
+def test_f4_mode_never_calls_dense_gauss(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense_gauss called on the F4 path")
+
+    rng = np.random.default_rng(4242)
+    mats = [random_sparse(rng, 40, 30, 0.1, M101) for _ in range(5)]
+    want = [dense_rank(mat, M101) for mat in mats]
+    cfg = PipelineConfig()
+    ring, polys, _ = make_instance("katsura", cfg, n=3, p=101, seed=0)
+    monkeypatch.setattr(sparselin, "dense_gauss", forbidden)
+    monkeypatch.setattr(groebner, "dense_gauss", forbidden)
+    for mat, rank in zip(mats, want):
+        assert psge_reduce(csr_from_dense(mat, M101), back_reduce=False).rank == rank
+    assert run_pipeline(ring, polys, cfg)[0].batches
+
+
+@pytest.mark.parametrize("family, n", [("cyclic", 5), ("katsura", 5)])
+def test_driver_digest_matches_back_reduced_engine(monkeypatch, family, n):
+    cfg = PipelineConfig()
+    ring, polys, desc = make_instance(family, cfg, n=n, p=65537, seed=0)
+    f4_report, f4_text, _ = run_pipeline(ring, polys, cfg, desc)
+
+    def full_rref(A, panel_width=256, back_reduce=True):
+        return psge_reduce(A, panel_width, back_reduce=True)
+
+    monkeypatch.setattr(groebner, "psge_reduce", full_rref)
+    full_report, full_text, _ = run_pipeline(ring, polys, cfg, desc)
+    assert f4_report.digest == full_report.digest
+    assert f4_text == full_text
+    assert [b["rank"] for b in f4_report.batches] == [b["rank"] for b in full_report.batches]
 
 
 def test_berlekamp_massey_examples():
