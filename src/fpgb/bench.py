@@ -6,6 +6,11 @@ text.  Stage timings split the work into the three kernels the engine is
 built around: dictionary build (key emission + sort + unique), row assembly
 (dictionary join), and the numeric core (elimination or kernel solve).
 
+The F4 loop itself is ``groebner.f4_groebner``: ``run_pipeline`` and
+``verify_instance`` call it once each and read every batch through its
+``on_batch`` callback.  ``PipelineConfig`` is defined in ``groebner`` and
+re-exported here.
+
 Reports serialize two ways: a human-readable table and a flat
 ``key=value`` form for scripts.  Digests are sha256 over the canonical
 basis text and must be identical for every worker-lane count.
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -24,42 +29,17 @@ from .bulk import exclusive_scan, merge_join_index, radix_pass_count, radix_sort
 from .errors import PreconditionError, PropertyViolationError
 from .fp import Backend, FieldModulus, KernelArith
 from .groebner import (
-    F4Config,
-    GroebnerState,
+    PipelineConfig,
     buchberger_reference,
-    f4_step,
+    f4_groebner,
     groebner_kernel_checks,
     is_groebner,
-    reduce_basis,
-    update_pairs,
 )
 from .monomials import mon_divides, key_unpack_vec
-from .polynomials import poly_monic, poly_mul_mon
+from .polynomials import poly_mul_mon
 from .sparselin import DENSE_CAP, csr_from_arrays, dense_rank, psge_reduce
 from .symbolic import decode_row, plan_stats, row_lead_cols
 from .systems import format_system, gen_cyclic, gen_katsura, gen_random_quadratic
-
-
-@dataclass
-class PipelineConfig:
-    engine: str = "f4"  # f4 | buchberger
-    numeric: str = "psge"  # psge | wiedemann | dense
-    backend: str = "naive"  # naive | barrett | montgomery
-    panel_width: int = 256
-    block_width: int = 4
-    seed: int = 0
-    workers: int = 1
-    max_steps: int = 10_000
-
-    def f4_config(self) -> F4Config:
-        return F4Config(
-            numeric=self.numeric,
-            panel_width=self.panel_width,
-            block_width=self.block_width,
-            seed=self.seed,
-            workers=self.workers,
-            max_steps=self.max_steps,
-        )
 
 
 @dataclass
@@ -126,47 +106,16 @@ def basis_digest(text: str) -> str:
 
 def run_pipeline(ring, polys, config: PipelineConfig, instance: dict | None = None):
     """Run the configured engine; returns (report, basis_text, basis)."""
-    if config.engine not in ("f4", "buchberger"):
-        raise PreconditionError(f"unknown engine {config.engine!r}")
-    if config.numeric not in ("psge", "dense", "wiedemann"):
-        raise PreconditionError(f"unknown numeric engine {config.numeric!r}")
     t_start = time.monotonic_ns()
     batches = []
     if config.engine == "f4":
-        state = GroebnerState(ring)
-        f4cfg = config.f4_config()
-        for f in polys:
-            if f.is_zero():
-                raise PreconditionError("zero polynomial in input system")
-        for f in polys:
-            update_pairs(state, poly_monic(f))
-        steps = 0
-        while state.pairs:
-            if steps >= config.max_steps:
-                from .errors import NonterminationError
 
-                raise NonterminationError(f"f4 exceeded {config.max_steps} batches")
-            plan, ech, _ = f4_step(state, f4cfg)
-            steps += 1
-            st = state.stats[-1]
+        def on_batch(basis_before, plan, ech, st):
             if st.M != plan_stats(plan)["M"] or st.M != plan.counters.keys_emitted:
                 raise PropertyViolationError("batch M disagrees with instrumented key count")
-            batches.append(
-                {
-                    "degree": st.degree,
-                    "r": st.r,
-                    "N": st.N,
-                    "M": st.M,
-                    "nnz": st.nnz,
-                    "rank": st.rank,
-                    "new_polys": st.new_polys,
-                    "zero_reductions": st.zero_reductions,
-                    "closure_rounds": st.closure_rounds,
-                    "fill_generated": st.fill_generated,
-                    "timings_ns": dict(st.timings_ns),
-                }
-            )
-        basis = reduce_basis(state.basis, ring)
+            batches.append(asdict(st))
+
+        basis = f4_groebner(polys, ring, config, on_batch)
     else:
         basis = buchberger_reference(polys, ring, config.max_steps)
     total_ns = time.monotonic_ns() - t_start
@@ -395,13 +344,7 @@ def verify_instance(ring, polys, config: PipelineConfig):
     def record(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
-    state = GroebnerState(ring)
-    for f in polys:
-        update_pairs(state, poly_monic(f))
-    f4cfg = config.f4_config()
-    while state.pairs:
-        basis_before = list(state.basis)
-        plan, ech, _ = f4_step(state, f4cfg)
+    def on_batch(basis_before, plan, ech, st):
         try:
             plan.validate()
             record("plan_structure", True)
@@ -441,7 +384,8 @@ def verify_instance(ring, polys, config: PipelineConfig):
             plan.counters.keys_emitted == plan.counters.M
             and plan.counters.keys_generated_total >= plan.counters.M,
         )
-    gb_f4 = reduce_basis(state.basis, ring)
+
+    gb_f4 = f4_groebner(polys, ring, config, on_batch)
     gb_oracle = buchberger_reference(polys, ring, config.max_steps)
     record(
         "engine_agreement",
@@ -450,8 +394,7 @@ def verify_instance(ring, polys, config: PipelineConfig):
     record("buchberger_criterion", is_groebner(gb_f4, ring).ok)
     digests = set()
     for workers in (1, 2, 4, 8):
-        cfg = PipelineConfig(**{**config.__dict__, "workers": workers})
-        rep, _, _ = run_pipeline(ring, polys, cfg)
+        rep, _, _ = run_pipeline(ring, polys, replace(config, workers=workers))
         digests.add(rep.digest)
     record("digest_worker_stability", len(digests) == 1, f"{len(digests)} distinct digests")
     return checks

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .bench import (
     BenchReport,
@@ -31,7 +32,7 @@ from .errors import (
     SizeCapError,
     UncoverableTargetError,
 )
-from .systems import parse_system
+from .systems import format_system, parse_system
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -66,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(g, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", help="output path (default stdout)")
+    g.set_defaults(input=None)  # gen always builds from a family
 
     b = sub.add_parser("gb", help="compute a reduced Groebner basis")
     b.add_argument("--input", help="system file path")
@@ -97,16 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    return PipelineConfig(
-        engine=args.engine,
-        numeric=args.numeric,
-        backend=args.backend,
-        panel_width=args.panel_width,
-        block_width=args.block_width,
-        seed=args.seed,
-        workers=args.workers,
-        max_steps=args.max_steps,
-    )
+    return PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
 
 
 def _load_instance(args, config: PipelineConfig):
@@ -153,10 +146,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gen":
-            from .systems import format_system
-
             config = PipelineConfig(seed=args.seed)
-            ring, polys, _ = _load_instance_gen(args, config)
+            ring, polys, _ = _load_instance(args, config)
             _emit(format_system(ring, polys), args.out)
             return EXIT_OK
 
@@ -215,19 +206,6 @@ def main(argv=None) -> int:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_PARSE
     return EXIT_OK
-
-
-def _load_instance_gen(args, config: PipelineConfig):
-    params = {"p": args.p, "n": args.n, "seed": args.seed}
-    if args.family == "random":
-        params["m"] = args.m
-        params["density"] = args.density
-    missing = [k for k, v in params.items() if v is None]
-    if missing:
-        raise PolyParseError(f"missing flags for family {args.family}: {missing}")
-    from .bench import make_instance as mk
-
-    return mk(args.family, config, **params)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,14 @@
 The F4 path runs: select the minimal-degree critical pairs, expand them into
 shifted reducer rows, compile the batch into a sparse plan (with one-step
 reduction closure), eliminate with the known-pivot engine, and harvest
-reduced rows whose leading columns are new.  The reference path is a textbook
-Buchberger loop (product criterion only, scalar normal-form reduction) that
-shares nothing with the batch machinery beyond the polynomial primitives.
+reduced rows whose leading columns are new.  ``f4_step`` is one batch and
+``f4_groebner`` is the only loop over batches; the pipeline runner, the
+invariant verifier and the tests observe its batches through ``on_batch``.
+``PipelineConfig`` is the one config type, validated when it is built.
+
+The reference path is a textbook Buchberger loop (product criterion only,
+scalar normal-form reduction) that shares nothing with the batch machinery
+beyond the polynomial primitives.
 Both finish with the same interreduction, so a reduced basis is canonical
 and the two drivers must agree byte for byte.
 """
@@ -215,17 +220,27 @@ def select_batch(state: GroebnerState):
 
 
 @dataclass
-class F4Config:
+class PipelineConfig:
+    """Every setting of a run; checked once, when it is built."""
+
+    engine: str = "f4"  # f4 | buchberger
     numeric: str = "psge"  # psge | dense | wiedemann
+    backend: str = "naive"  # naive | barrett | montgomery
     panel_width: int = 256
     block_width: int = 4
     seed: int = 0
     workers: int = 1
     max_steps: int = MAX_STEPS_DEFAULT
-    policy: ExecPolicy | None = None
 
-    def exec_policy(self) -> ExecPolicy:
-        return self.policy if self.policy is not None else ExecPolicy(self.workers)
+    def __post_init__(self):
+        if self.engine not in ("f4", "buchberger"):
+            raise PreconditionError(f"unknown engine {self.engine!r}")
+        if self.numeric not in ("psge", "dense", "wiedemann"):
+            raise PreconditionError(f"unknown numeric engine {self.numeric!r}")
+        if self.workers < 1:
+            raise PreconditionError("workers must be >= 1")
+        if self.block_width < 1:
+            raise PreconditionError("block_width must be >= 1")
 
 
 def _decode_sparse(plan: LayoutPlan, cols: np.ndarray, vals: np.ndarray) -> Poly:
@@ -251,19 +266,19 @@ def _dense_echelon(plan: LayoutPlan, m: FieldModulus) -> EchelonResult:
     return EchelonResult(list(pivots), pivot_rows, nonpivot_rows, A.n_rows - rank, rank, 0)
 
 
-def f4_step(state: GroebnerState, config: F4Config | None = None):
+def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
     """One batch: select, compile, eliminate, harvest new basis polynomials.
 
     Returns (plan, echelon, kernel) for instrumentation; kernel is None
     unless the config requests the relation-discovery pass.
     """
-    config = config or F4Config()
+    config = config or PipelineConfig()
     ring = state.ring
     spec, degree = select_batch(state)
     basis_snapshot = list(state.basis)
     soa = state.soa()
     rows = select_rows(spec, soa)
-    plan = compile_batch(rows, soa, Closure.ONE_STEP_REDUCTION, config.exec_policy())
+    plan = compile_batch(rows, soa, Closure.ONE_STEP_REDUCTION, ExecPolicy(config.workers))
 
     t0 = time.monotonic_ns()
     if config.numeric == "dense":
@@ -334,9 +349,16 @@ def reduce_basis(polys: list, ring: Ring) -> list:
     return minimal
 
 
-def f4_groebner(system: list, ring: Ring, config: F4Config | None = None) -> list:
-    """Reduced Groebner basis via the batched driver."""
-    config = config or F4Config()
+def f4_groebner(
+    system: list, ring: Ring, config: PipelineConfig | None = None, on_batch=None
+) -> list:
+    """Reduced Groebner basis via the batched driver: the one F4 loop.
+
+    ``on_batch(basis_before, plan, echelon, stats)``, when given, is called
+    after every batch with the basis the batch was compiled from, its plan,
+    its elimination result and its BatchStats.
+    """
+    config = config or PipelineConfig()
     state = GroebnerState(ring)
     for f in system:
         if f.is_zero():
@@ -347,8 +369,11 @@ def f4_groebner(system: list, ring: Ring, config: F4Config | None = None) -> lis
     while state.pairs:
         if steps >= config.max_steps:
             raise NonterminationError(f"f4 exceeded {config.max_steps} batches")
-        f4_step(state, config)
+        basis_before = list(state.basis)
+        plan, ech, _ = f4_step(state, config)
         steps += 1
+        if on_batch is not None:
+            on_batch(basis_before, plan, ech, state.stats[-1])
     return reduce_basis(state.basis, ring)
 
 

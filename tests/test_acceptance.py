@@ -23,12 +23,9 @@ from fpgb.fp import (
     naive_mul_vec,
 )
 from fpgb.groebner import (
-    GroebnerState,
     buchberger_reference,
-    f4_step,
+    f4_groebner,
     is_groebner,
-    reduce_basis,
-    update_pairs,
     verify_kernel_syzygy,
 )
 from fpgb.bench import PipelineConfig, make_instance, run_pipeline
@@ -40,7 +37,7 @@ from fpgb.monomials import (
     key_pack_vec,
     mon_compare_vec,
 )
-from fpgb.polynomials import poly_format, poly_monic, poly_mul_mon, soa_pack
+from fpgb.polynomials import poly_format, poly_mul_mon, soa_pack
 from fpgb.sparselin import (
     KernelBasis,
     KernelMode,
@@ -93,15 +90,11 @@ def criterion7_instances():
 
 
 def drive_f4_capturing(ring, polys):
-    state = GroebnerState(ring)
-    for f in polys:
-        update_pairs(state, poly_monic(f))
     captures = []
-    while state.pairs:
-        basis_before = list(state.basis)
-        plan, ech, _ = f4_step(state)
-        captures.append((basis_before, plan, ech))
-    return reduce_basis(state.basis, ring), captures
+    gb = f4_groebner(
+        polys, ring, on_batch=lambda basis, plan, ech, _: captures.append((basis, plan, ech))
+    )
+    return gb, captures
 
 
 @pytest.fixture(scope="module")

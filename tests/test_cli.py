@@ -4,7 +4,12 @@ import pytest
 
 from fpgb.bench import PipelineConfig, make_instance, microbench, run_pipeline, verify_instance
 from fpgb.cli import main
-from fpgb.errors import DivisionError, LaneOverflowError, UncoverableTargetError
+from fpgb.errors import (
+    DivisionError,
+    LaneOverflowError,
+    NonterminationError,
+    UncoverableTargetError,
+)
 from fpgb.systems import parse_system
 
 
@@ -56,6 +61,17 @@ def test_verify_instance_all_pass():
     names = {name for name, _, _ in checks}
     assert {"plan_structure", "dictionary_oracle", "row_decode_oracle",
             "closure_soundness", "engine_agreement", "digest_worker_stability"} <= names
+
+
+def test_verify_instance_honours_max_steps(monkeypatch):
+    def oracle_must_not_run(*args, **kwargs):
+        raise AssertionError("buchberger_reference called past the batch cap")
+
+    monkeypatch.setattr("fpgb.bench.buchberger_reference", oracle_must_not_run)
+    cfg = PipelineConfig(max_steps=1)
+    ring, polys, _ = make_instance("katsura", cfg, n=3, p=101, seed=0)
+    with pytest.raises(NonterminationError, match="f4 exceeded 1 batches"):
+        verify_instance(ring, polys, cfg)
 
 
 def test_microbench_kinds():
@@ -114,6 +130,11 @@ def test_cli_exit_codes(tmp_path):
                  "--max-steps", "2"]) == 3
     assert main(["gb", "--input", str(tmp_path / "missing.txt")]) == 2
     assert main(["gb", "--family", "cyclic"]) == 2  # missing --n/--p
+    assert main(["gen", "--family", "random", "--n", "3", "--p", "101"]) == 2  # missing --m
+    assert main(["bench", "--family", "cyclic", "--n", "3", "--p", "101",
+                 "--workers", "-3"]) == 2
+    assert main(["bench", "--family", "katsura", "--n", "2", "--p", "101",
+                 "--numeric", "wiedemann", "--block-width", "0"]) == 2
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,9 @@ from fpgb.fp import FieldModulus
 from fpgb.monomials import Ring
 from fpgb.polynomials import Poly, poly_format, poly_monic, poly_parse, soa_pack
 from fpgb.groebner import (
-    F4Config,
     GroebnerState,
     Pair,
+    PipelineConfig,
     buchberger_reference,
     f4_groebner,
     f4_step,
@@ -172,6 +172,11 @@ def test_f4_groebner_rejects_zero_input():
         f4_groebner([Poly(R2)], R2)
 
 
+def test_f4_groebner_rejects_unknown_numeric():
+    with pytest.raises(PreconditionError, match="unknown numeric engine"):
+        f4_groebner([poly_parse("x^2 - y", R2)], R2, PipelineConfig(numeric="bogus"))
+
+
 def test_oracle_equivalence_toy():
     f = poly_parse("x^2 - y", R2)
     g = poly_parse("x*y - 1", R2)
@@ -193,7 +198,7 @@ def test_engine_variants_agree():
     ring, polys = gen_katsura(2, 101)
     base = gb_text(f4_groebner(polys, ring))
     for numeric in ("dense", "wiedemann"):
-        assert gb_text(f4_groebner(polys, ring, F4Config(numeric=numeric))) == base
+        assert gb_text(f4_groebner(polys, ring, PipelineConfig(numeric=numeric))) == base
 
 
 def test_idempotence_on_reduced_basis():
