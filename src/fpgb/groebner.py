@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bulk import ExecPolicy
-from .errors import NonterminationError, PreconditionError
-from .fp import FieldModulus
+from .errors import NonterminationError, PreconditionError, ProbabilisticFailureError
+from .fp import Backend, FieldModulus
 from .monomials import Ring, mon_div, mon_divides, mon_lcm, mon_mul, key_unpack_vec
 from .polynomials import (
     Poly,
@@ -39,7 +39,7 @@ from .sparselin import (
     KernelBasis,
     KernelMode,
     csr_from_plan,
-    csr_from_dense,
+    csr_transpose,
     dense_gauss,
     left_kernel,
     psge_reduce,
@@ -215,7 +215,7 @@ def select_batch(state: GroebnerState):
     chosen = [q for q in state.pairs if q.degree == d]
     state.pairs = state.pairs[len(chosen):]
     targets = [PairTarget(q.lcm, pid, q.i, q.j) for pid, q in enumerate(chosen)]
-    spec = BatchSpec(targets=targets, candidates=tuple(range(len(state.basis))))
+    spec = BatchSpec(targets=targets)
     return spec, d
 
 
@@ -237,6 +237,8 @@ class PipelineConfig:
             raise PreconditionError(f"unknown engine {self.engine!r}")
         if self.numeric not in ("psge", "dense", "wiedemann"):
             raise PreconditionError(f"unknown numeric engine {self.numeric!r}")
+        if self.backend not in {b.value for b in Backend}:
+            raise PreconditionError(f"unknown backend {self.backend!r}")
         if self.workers < 1:
             raise PreconditionError("workers must be >= 1")
         if self.block_width < 1:
@@ -359,6 +361,8 @@ def f4_groebner(
     its elimination result and its BatchStats.
     """
     config = config or PipelineConfig()
+    if config.engine != "f4":
+        raise PreconditionError(f"f4_groebner cannot run engine {config.engine!r}")
     state = GroebnerState(ring)
     for f in system:
         if f.is_zero():
@@ -461,18 +465,10 @@ def groebner_kernel_checks(plan: LayoutPlan, basis: list, m: FieldModulus, seed:
     reports = []
     dense_kb = left_kernel(A, count=max(1, A.n_rows), seed=seed)
     reports.append(("dense", verify_kernel_syzygy(plan, basis, dense_kb), dense_kb))
-    At_dense = A.to_dense().T
     try:
-        wk = wiedemann_solve(
-            csr_from_dense(At_dense, m), KernelMode.RIGHT_KERNEL, seed=seed
-        )
+        wk = wiedemann_solve(csr_transpose(A), KernelMode.RIGHT_KERNEL, seed=seed)
         kb = KernelBasis("left", wk.vectors, wk.dimension_found, wk.seed_trail)
         reports.append(("wiedemann", verify_kernel_syzygy(plan, basis, kb), kb))
-    except Exception as exc:  # probabilistic failure is reported, never hidden
-        from .errors import ProbabilisticFailureError
-
-        if isinstance(exc, ProbabilisticFailureError):
-            reports.append(("wiedemann", GroebnerReport(False, str(exc)), None))
-        else:
-            raise
+    except ProbabilisticFailureError as exc:  # reported, never hidden
+        reports.append(("wiedemann", GroebnerReport(False, str(exc)), None))
     return reports

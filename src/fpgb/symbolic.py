@@ -1,7 +1,7 @@
 """Batch compilation: from selected reduction targets to a static sparse plan.
 
-The compiler turns a batch specification (targets, candidate reducers, an
-admissibility filter) into three outputs:
+The compiler turns a batch specification (targets and an admissibility
+filter) into three outputs:
 
 - a sorted monomial dictionary (the matrix column space),
 - a deterministic row list of shifted reducers (t_i, g_{k_i}),
@@ -13,7 +13,10 @@ the write plan, fill flat key/value streams, canonicalize the dictionary by
 radix sort + unique, then join every row segment against the dictionary to
 produce column indices.  Optionally the dictionary is closed under one-step
 reductions: any dictionary monomial divisible by a basis leading monomial
-gains a reducer row, iterated to a fixed point.
+gains a reducer row, iterated to a fixed point over a frontier.  Round 1
+scans the monomials no row leads; each later round scans only the monomials
+the previous round's rows added, which are sorted and deduplicated once,
+looked up once and inserted into the dictionary in place.
 
 Everything is deterministic: row order is fixed by (role, provenance,
 shift key, basis index), closure rows append in discovery-round order, and
@@ -78,10 +81,9 @@ class PairTarget:
 
 @dataclass
 class BatchSpec:
-    """Inputs to symbolic preprocessing: targets, reducer pool, admissibility."""
+    """Inputs to symbolic preprocessing: targets and admissibility."""
 
     targets: list
-    candidates: tuple
     adm: object = None  # callable (shift, basis_index, role, provenance) -> bool
 
 
@@ -225,69 +227,37 @@ def _materialize(rows, basis: SoaPolySet, policy: ExecPolicy):
     return lens, keys, vals, lead_keys
 
 
-def _reducer_preference(basis: SoaPolySet, candidates) -> list:
-    """Candidate order for closure: smallest leading monomial first, then index."""
-    order = []
-    for k in candidates:
-        lead = basis.exps[int(basis.offset[k])]
-        order.append((tuple(int(w) for w in key_pack_vec(lead[None, :], basis.ring)[0]), k))
-    order.sort()
-    return [k for _, k in order]
+def _reducer_preference(basis: SoaPolySet) -> np.ndarray:
+    """Closure reducer order: smallest leading monomial first, then lowest index."""
+    leads = basis.mon_key[basis.offset[:-1]]
+    return np.lexsort(leads.T[::-1])
 
 
-def closure_expand(
-    dict_keys_desc: np.ndarray,
-    basis: SoaPolySet,
-    done: np.ndarray | None = None,
-    candidates=None,
-    round_id: int = 1,
-) -> list:
-    """One round of one-step reduction closure over a descending dictionary.
+def closure_expand(keys_desc: np.ndarray, basis: SoaPolySet, round_id: int = 1) -> list:
+    """One round of one-step reduction closure over a frontier of monomials.
 
-    For every dictionary monomial not marked done, pick the preferred basis
-    divisor (smallest leading monomial, then lowest index) and emit the
-    reducer row whose lead is exactly that monomial.  Returns [] at a fixed
-    point.
+    For every given monomial (keys in descending order) pick the preferred
+    basis divisor (smallest leading monomial, then lowest index) and emit
+    the reducer row whose lead is exactly that monomial, in ascending key
+    order.  The caller passes only monomials that no row leads yet: the
+    uncovered dictionary in round 1, and afterwards the monomials the
+    previous round's rows added.  Returns [] when none has a divisor.
     """
-    ring = basis.ring
-    n = len(dict_keys_desc)
-    if n == 0:
+    if len(keys_desc) == 0:
         return []
-    if done is None:
-        done = np.zeros(n, dtype=bool)
-    if candidates is None:
-        candidates = range(len(basis))
-    scan = np.flatnonzero(~done)
-    if len(scan) == 0:
-        return []
-    exps = key_unpack_vec(dict_keys_desc[scan], ring)
-    reducer = np.full(len(scan), -1, dtype=np.int64)
-    for k in _reducer_preference(basis, candidates):
+    exps = key_unpack_vec(keys_desc, basis.ring)
+    reducer = np.full(len(exps), -1, dtype=np.int64)
+    for k in _reducer_preference(basis).tolist():
         lm = basis.exps[int(basis.offset[k])]
         hit = (reducer < 0) & (exps >= lm[None, :]).all(axis=1)
         reducer[hit] = k
     rows = []
-    # ascending key(m) within the round: walk the descending dictionary backwards
-    for j in range(len(scan) - 1, -1, -1):
+    for j in np.flatnonzero(reducer >= 0)[::-1].tolist():
         k = int(reducer[j])
-        if k < 0:
-            continue
         lead = tuple(int(x) for x in basis.exps[int(basis.offset[k])])
         m = tuple(int(x) for x in exps[j])
         rows.append(Row(mon_div(m, lead), k, RowRole.REDUCER, round_id))
     return rows
-
-
-def _merge_dict(dict_asc, done, new_keys_sorted_unique):
-    """Union of two strictly ascending key sets, carrying the done flags."""
-    merged = np.vstack([dict_asc, new_keys_sorted_unique])
-    srt, _ = radix_sort(merged)
-    out, _ = unique_sorted(srt, check=False)
-    new_done = np.zeros(len(out), dtype=bool)
-    if len(dict_asc):
-        pos = lower_bound(out, dict_asc)
-        new_done[pos] = done
-    return out, new_done
 
 
 def compile_batch(
@@ -295,7 +265,6 @@ def compile_batch(
     basis: SoaPolySet,
     closure: Closure = Closure.ONE_STEP_REDUCTION,
     policy: ExecPolicy = DEFAULT_POLICY,
-    candidates=None,
 ) -> LayoutPlan:
     """Compile a deterministic row list into a layout plan.
 
@@ -326,36 +295,33 @@ def compile_batch(
     len_parts, key_parts, val_parts = [lens], [keys], [vals]
     counters.keys_emitted += len(keys)
     counters.keys_generated_total += len(keys)
-
-    srt, _ = radix_sort(keys, policy)
-    dict_asc, _ = unique_sorted(srt, policy, check=False)
-    done = np.zeros(len(dict_asc), dtype=bool)
-    all_lead_keys = [lead_keys]
+    dict_asc, _ = unique_sorted(radix_sort(keys, policy)[0], policy, check=False)
 
     if closure is Closure.ONE_STEP_REDUCTION:
+        # the frontier: round 1 scans the monomials no row leads; later rounds
+        # scan only what the previous round added, which no row can lead
+        # because every closure row leads at a monomial already present
+        uncovered = np.ones(len(dict_asc), dtype=bool)
+        uncovered[lower_bound(dict_asc, lead_keys)] = False
+        frontier = dict_asc[uncovered]
         while True:
-            # leads of existing rows are covered; everything scanned below
-            # is settled one way or the other after this round
-            done[lower_bound(dict_asc, np.vstack(all_lead_keys))] = True
-            new_rows = closure_expand(
-                dict_asc[::-1], basis, done[::-1].copy(), candidates,
-                round_id=counters.closure_rounds + 1,
-            )
-            done[:] = True
+            new_rows = closure_expand(frontier[::-1], basis, counters.closure_rounds + 1)
             if not new_rows:
                 break
             counters.closure_rounds += 1
             rows.extend(new_rows)
-            nlens, nkeys, nvals, nleads = _materialize(new_rows, basis, policy)
+            nlens, nkeys, nvals, _ = _materialize(new_rows, basis, policy)
             counters.keys_emitted += len(nkeys)
             counters.keys_generated_total += len(nkeys)
             len_parts.append(nlens)
             key_parts.append(nkeys)
             val_parts.append(nvals)
-            all_lead_keys.append(nleads)
-            nsrt, _ = radix_sort(nkeys, policy)
-            nuniq, _ = unique_sorted(nsrt, policy, check=False)
-            dict_asc, done = _merge_dict(dict_asc, done, nuniq)
+            nuniq, _ = unique_sorted(radix_sort(nkeys, policy)[0], policy, check=False)
+            pos = lower_bound(dict_asc, nuniq)
+            present = pos < len(dict_asc)
+            present[present] = (dict_asc[pos[present]] == nuniq[present]).all(axis=1)
+            frontier = nuniq[~present]
+            dict_asc = np.insert(dict_asc, pos[~present], frontier, axis=0)
             if len(dict_asc) > DICT_CAP:
                 raise SizeCapError(
                     f"dictionary exceeded {DICT_CAP} entries after "

@@ -195,7 +195,7 @@ def synthetic_batches(count=100):
             i, j = int(rng.integers(0, 4)), int(rng.integers(0, 4))
             lcm = mon_lcm(polys[i].lm(), polys[j].lm())
             targets.append(PairTarget(lcm, pid, i, j))
-        rows = select_rows(BatchSpec(targets, tuple(range(4))), basis)
+        rows = select_rows(BatchSpec(targets), basis)
         out.append((rows, basis, polys))
         made += 1
     return out

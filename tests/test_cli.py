@@ -74,6 +74,24 @@ def test_verify_instance_honours_max_steps(monkeypatch):
         verify_instance(ring, polys, cfg)
 
 
+def test_verify_instance_reruns_only_the_other_worker_counts(monkeypatch):
+    import fpgb.bench
+
+    reruns = []
+    real_run = fpgb.bench.run_pipeline
+
+    def counting_run(ring, polys, config, instance=None):
+        reruns.append(config.workers)
+        return real_run(ring, polys, config, instance)
+
+    monkeypatch.setattr("fpgb.bench.run_pipeline", counting_run)
+    cfg = PipelineConfig(workers=2)
+    ring, polys, _ = make_instance("katsura", cfg, n=2, p=101, seed=0)
+    checks = verify_instance(ring, polys, cfg)
+    assert reruns == [1, 4, 8]
+    assert ("digest_worker_stability", True, "1 distinct digests") in checks
+
+
 def test_microbench_kinds():
     d = microbench("dict_build", 5000, duplicate_rate=1.0, seed=1)
     assert d["unique_out"] == 1  # all keys equal
@@ -135,6 +153,8 @@ def test_cli_exit_codes(tmp_path):
                  "--workers", "-3"]) == 2
     assert main(["bench", "--family", "katsura", "--n", "2", "--p", "101",
                  "--numeric", "wiedemann", "--block-width", "0"]) == 2
+    assert main(["verify", "--family", "katsura", "--n", "2", "--p", "101",
+                 "--engine", "buchberger"]) == 2
 
 
 @pytest.mark.parametrize(

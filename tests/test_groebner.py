@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fpgb.errors import PreconditionError
+from fpgb.errors import PreconditionError, ProbabilisticFailureError
 from fpgb.fp import FieldModulus
 from fpgb.monomials import Ring
 from fpgb.polynomials import Poly, poly_format, poly_monic, poly_parse, soa_pack
@@ -177,6 +177,18 @@ def test_f4_groebner_rejects_unknown_numeric():
         f4_groebner([poly_parse("x^2 - y", R2)], R2, PipelineConfig(numeric="bogus"))
 
 
+def test_pipeline_config_rejects_unknown_backend():
+    with pytest.raises(PreconditionError, match="unknown backend"):
+        PipelineConfig(backend="bogus")
+    for backend in ("naive", "barrett", "montgomery"):
+        assert PipelineConfig(backend=backend).backend == backend
+
+
+def test_f4_groebner_rejects_other_engines():
+    with pytest.raises(PreconditionError, match="cannot run engine 'buchberger'"):
+        f4_groebner([poly_parse("x^2 - y", R2)], R2, PipelineConfig(engine="buchberger"))
+
+
 def test_oracle_equivalence_toy():
     f = poly_parse("x^2 - y", R2)
     g = poly_parse("x*y - 1", R2)
@@ -267,6 +279,24 @@ def test_kernel_checks_both_paths_on_batches():
             if kb is not None and kb.dimension_found:
                 seen_kernel_vector = True
     assert seen_kernel_vector
+
+
+def test_kernel_checks_report_only_probabilistic_failures(monkeypatch):
+    f, g = poly_parse("x^2 - y", R2), poly_parse("x*y - 1", R2)
+    plan = compile_batch([Row((0, 1), 0, RowRole.SPOLY_HALF, 0)], soa_pack([f, g], R2))
+
+    def failing(exc):
+        def solve(*args, **kwargs):
+            raise exc
+        return solve
+
+    monkeypatch.setattr("fpgb.groebner.wiedemann_solve", failing(ProbabilisticFailureError("short")))
+    engine, report, kb = groebner_kernel_checks(plan, [f, g], R2.modulus)[1]
+    assert engine == "wiedemann" and not report.ok and kb is None
+    assert report.detail.startswith("short")
+    monkeypatch.setattr("fpgb.groebner.wiedemann_solve", failing(ValueError("bug")))
+    with pytest.raises(ValueError, match="bug"):
+        groebner_kernel_checks(plan, [f, g], R2.modulus)
 
 
 def test_random_quadratic_oracle_sample():

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from fpgb.bench import PipelineConfig, basis_digest
 from fpgb.bulk import ExecPolicy
 from fpgb.errors import SizeCapError, UncoverableTargetError
 from fpgb.fp import FieldModulus
+from fpgb.groebner import f4_groebner
 from fpgb.monomials import Ring, mon_key_pack
 from fpgb.polynomials import poly_eq, poly_mul_mon, poly_parse, soa_pack, soa_slice
 from fpgb.symbolic import (
@@ -23,6 +25,7 @@ from fpgb.symbolic import (
     row_lead_cols,
     select_rows,
 )
+from fpgb.systems import format_system, gen_cyclic, gen_katsura
 
 M7 = FieldModulus(7)
 R2 = Ring(["x", "y"], "grevlex", M7)
@@ -45,7 +48,7 @@ def two_poly_basis():
 
 def spoly_pair_spec():
     # lcm(x^2, x*y) = x^2*y
-    return BatchSpec(targets=[PairTarget((2, 1), 0, 0, 1)], candidates=(0, 1))
+    return BatchSpec(targets=[PairTarget((2, 1), 0, 0, 1)])
 
 
 def test_select_rows_example():
@@ -57,7 +60,7 @@ def test_select_rows_example():
 
 def test_select_rows_empty_targets():
     basis = two_poly_basis()
-    assert select_rows(BatchSpec(targets=[], candidates=(0, 1)), basis) == []
+    assert select_rows(BatchSpec(targets=[]), basis) == []
 
 
 def test_select_rows_reject_all_is_uncoverable():
@@ -114,9 +117,7 @@ def test_closure_expand_fixed_point_example():
     rows = select_rows(spoly_pair_spec(), basis)
     plan = compile_batch(rows, basis, Closure.SUPPORT_ONLY)
     # x^2 y leads an existing row; y^2 and x have no divisor among {x^2, x y}
-    done = np.zeros(3, dtype=bool)
-    done[0] = True  # x^2 y covered by the S-poly halves
-    assert closure_expand(plan.dict_keys, basis, done) == []
+    assert closure_expand(plan.dict_keys[1:], basis) == []
 
 
 def test_closure_expand_chain_example():
@@ -231,3 +232,56 @@ def test_dict_cap_guard():
             compile_batch(seed_rows, gb, Closure.ONE_STEP_REDUCTION)
     finally:
         sym.DICT_CAP = old
+
+
+# sha256 of plan_to_text for every batch, then of the reduced basis text:
+# pins the compiler's output bytes across code versions, not only across
+# worker counts within one version
+GOLDEN_PLANS = {
+    ("cyclic", 5, 65537): (
+        [
+            "cfb075cf537c18bb7cf887c7b030c9e7b36a857f8f5102eeadac51695da18c5f",
+            "035f3a4dfd9c71c509a9612e0cb24ad018903c1db1c6dbec55571b1809af0fe9",
+            "a80695c4afbfaa05f4687d116cb92bb3129ef127057553fbebd62e9220c7780b",
+            "3d3399d0c3000fb82a44e664a6b04a7463da7731d4866db8fc1007b8aed2f11f",
+            "7ab30c7ad3e288d1a1bad9527d6fc90154617dd171244cddd6f5e682be5251c3",
+            "00ccbce80d8a9a800af76f96f46af7afb2b2216800ca5143448db21ef9ddf2de",
+            "e6030ffca47dfb3e19ba3f1b6755cbda0fe41f96b87b1bf1e6cb6af694b26062",
+            "14cc3fc35d47e3f4193e88ea8a9eab3d65c201d71bf5a5e4e5297b55112f4550",
+            "5b38f08abf14f56567acfec4e5c178a18ec7b2f272ea6eea7bfa96b739118684",
+            "23aaf5f842791e48d9e08bfb74c007678c4b3511fb2f9646ab3bc73d7c25415f",
+            "7b71a0d3c1fdfce013c155293ab62f34c00e3c2dd517f682219242fb79c4f6ac",
+            "6865005e65e4d72c1e35e11137a32819b0aeb2f6b7ca355adaeedc48dba15b94",
+            "b4dc6597d3cee6d9ecf42e612534a3575851041d4adc3b20087e1c0c72cdfe0a",
+            "432b405065d44aa1dd7f37e2dbd0776e62d305221c6fdc8d311a8f7b9e3c35ed",
+        ],
+        "52d0ca1f26d2c4a993d9757686f11143b3aa5fdb7657d04986604b86f278f2f6",
+    ),
+    ("katsura", 4, 2147483629): (
+        [
+            "62eedf7c79c221d519024df4f520ed7ace7bd472c7e1ce8acec37514186deaed",
+            "545571cb50586c5e358ceeaee7d11b2ea30816b4a0e700dd488c642677b0cf2b",
+            "36a06158c61358da6dfedce140bd333cc63dc77bb1d1d6e89abdaeb92f344cbc",
+            "de732c8bced8efeb5089df727d1c2eb2a3f1eb24343afd090d1222c312dd6052",
+            "1b503e6a87e272f926f555990c32466162f5ac2b7afd6af0562b9c68f321a255",
+        ],
+        "ecc270704456c7842bea938f4e93f40485bdc83c6956a38c1942f888d8f46862",
+    ),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(GOLDEN_PLANS))
+def test_golden_plan_and_basis_digests(instance):
+    family, n, p = instance
+    ring, polys = {"cyclic": gen_cyclic, "katsura": gen_katsura}[family](n, p)
+    digests, rounds = [], []
+
+    def on_batch(basis_before, plan, ech, stats):
+        digests.append(plan_digest(plan))
+        rounds.append(plan.counters.closure_rounds)
+
+    basis = f4_groebner(polys, ring, PipelineConfig(), on_batch)
+    want_plans, want_basis = GOLDEN_PLANS[instance]
+    assert digests == want_plans
+    assert basis_digest(format_system(ring, basis)) == want_basis
+    assert max(rounds) >= 2  # the closure runs past its first round
