@@ -25,7 +25,14 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .bulk import exclusive_scan, merge_join_index, radix_pass_count, radix_sort, unique_sorted
+from .bulk import (
+    exclusive_scan,
+    merge_join_index,
+    radix_digits,
+    radix_pass_count,
+    radix_sort,
+    unique_sorted,
+)
 from .errors import PreconditionError, PropertyViolationError
 from .fp import Backend, FieldModulus, KernelArith
 from .groebner import (
@@ -253,6 +260,7 @@ def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0)
             duplicate_rate=duplicate_rate,
             unique_out=len(uniq),
             radix_passes=radix_pass_count(keys.shape[1]),
+            radix_passes_run=len(radix_digits(keys)),
             keys_total=size,
             keys_per_s=size / max(dt, 1) * 1e9,
             bytes_per_s=keys.nbytes / max(dt, 1) * 1e9,

@@ -9,7 +9,9 @@ witness of race-freedom, not a simulation detail.
 
 Keys are rows of fixed-width uint64 word vectors compared lexicographically
 most-significant word first.  Sorting is a stable byte-wise radix sort with
-8 * n_words passes regardless of data.
+one pass per byte that varies across the keys (at most 8 * n_words passes;
+``radix_digits`` lists them), and searching is one ``np.searchsorted`` over
+a big-endian byte view of the keys, which orders like the words.
 """
 
 from __future__ import annotations
@@ -59,7 +61,27 @@ def _lane_order(policy: ExecPolicy, n_lanes: int):
 
 
 def radix_pass_count(n_words: int) -> int:
+    """Most passes a sort of n_words-word keys can take: one per byte."""
     return 8 * n_words
+
+
+def radix_digits(keys: np.ndarray) -> list:
+    """The (word, byte) digits radix_sort passes over, in pass order.
+
+    Least-significant byte first over all words, keeping only the bytes that
+    differ between some two keys: a stable counting pass over a digit that
+    every key shares is the identity permutation.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    if len(keys) <= 1:
+        return []
+    varying = np.bitwise_or.reduce(keys ^ keys[0], axis=0).tolist()
+    return [
+        (word, byte)
+        for word in range(keys.shape[1] - 1, -1, -1)
+        for byte in range(8)
+        if (varying[word] >> (8 * byte)) & 0xFF
+    ]
 
 
 def exclusive_scan(lengths, policy: ExecPolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -67,60 +89,57 @@ def exclusive_scan(lengths, policy: ExecPolicy = DEFAULT_POLICY) -> np.ndarray:
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.size and lengths.min() < 0:
         raise PreconditionError("lengths must be non-negative")
-    if int(np.sum(lengths, dtype=object) if lengths.size else 0) >= 1 << 63:
-        raise PreconditionError("scan total overflows 64 bits")
+    # the exact (object) sum only when the int64 total could overflow
+    if lengths.size and int(lengths.max()) * lengths.size >= 1 << 63:
+        if int(np.sum(lengths, dtype=object)) >= 1 << 63:
+            raise PreconditionError("scan total overflows 64 bits")
     out = np.zeros(len(lengths) + 1, dtype=np.int64)
     bounds = _lane_bounds(len(lengths), policy.lanes)
     lane_totals = np.array([int(lengths[lo:hi].sum()) for lo, hi in bounds], dtype=np.int64)
-    lane_base = np.concatenate([[0], np.cumsum(lane_totals)[:-1]]) if bounds else np.zeros(0)
+    lane_base = np.cumsum(lane_totals) - lane_totals
     for c in _lane_order(policy, len(bounds)):
         lo, hi = bounds[c]
         out[lo + 1 : hi + 1] = lane_base[c] + np.cumsum(lengths[lo:hi])
     return out
 
 
-def _digit(keys: np.ndarray, word: int, byte: int) -> np.ndarray:
-    return ((keys[:, word] >> np.uint64(8 * byte)) & np.uint64(0xFF)).astype(np.int64)
-
-
 def radix_sort(keys: np.ndarray, policy: ExecPolicy = DEFAULT_POLICY):
     """Stable ascending sort of multi-word keys.
 
     Returns (sorted_keys, perm) where perm is the stable permutation taking
-    input positions to sorted order; apply it to any payload arrays.
+    input positions to sorted order; apply it to any payload arrays.  Runs
+    one counting pass per digit of ``radix_digits(keys)``, so a byte every
+    key shares costs nothing.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     if keys.ndim != 2:
         raise PreconditionError("keys must be a 2-D word matrix")
-    n, n_words = keys.shape
+    n = len(keys)
     perm = np.arange(n, dtype=np.int64)
     if n <= 1:
         return keys.copy(), perm
     bounds = _lane_bounds(n, policy.lanes)
     n_lanes = len(bounds)
-    # least-significant byte first over all words; each pass is a stable
-    # counting sort with per-lane histograms and disjoint scatter regions
-    for word in range(n_words - 1, -1, -1):
-        for byte in range(8):
-            dig = _digit(keys[perm], word, byte)
-            counts = np.zeros((n_lanes, 256), dtype=np.int64)
-            for c in range(n_lanes):
-                lo, hi = bounds[c]
-                counts[c] = np.bincount(dig[lo:hi], minlength=256)
-            totals = counts.sum(axis=0)
-            digit_base = np.concatenate([[0], np.cumsum(totals)[:-1]])
-            lane_prefix = np.cumsum(counts, axis=0) - counts
-            start = digit_base[None, :] + lane_prefix
-            new_perm = np.empty_like(perm)
-            for c in _lane_order(policy, n_lanes):
-                lo, hi = bounds[c]
-                d = dig[lo:hi]
-                order = np.argsort(d, kind="stable")
-                d_sorted = d[order]
-                chunk_base = np.concatenate([[0], np.cumsum(np.bincount(d, minlength=256))[:-1]])
-                within = np.arange(hi - lo, dtype=np.int64) - chunk_base[d_sorted]
-                new_perm[start[c, d_sorted] + within] = perm[lo:hi][order]
-            perm = new_perm
+    # least-significant digit first; each pass is a stable counting sort
+    # with per-lane histograms and disjoint scatter regions
+    for word, byte in radix_digits(keys):
+        dig = ((keys[perm, word] >> np.uint64(8 * byte)) & np.uint64(0xFF)).astype(np.uint8)
+        counts = np.zeros((n_lanes, 256), dtype=np.int64)
+        for c in range(n_lanes):
+            lo, hi = bounds[c]
+            counts[c] = np.bincount(dig[lo:hi], minlength=256)
+        totals = counts.sum(axis=0)
+        digit_base = np.cumsum(totals) - totals
+        lane_prefix = np.cumsum(counts, axis=0) - counts
+        # slot of the k-th key of lane c's stable digit order: its digit's
+        # region start plus its rank among the lane's keys of that digit
+        shift = digit_base[None, :] + lane_prefix - (np.cumsum(counts, axis=1) - counts)
+        new_perm = np.empty_like(perm)
+        for c in _lane_order(policy, n_lanes):
+            lo, hi = bounds[c]
+            order = np.argsort(dig[lo:hi], kind="stable")
+            new_perm[shift[c, dig[lo:hi][order]] + np.arange(hi - lo)] = perm[lo:hi][order]
+        perm = new_perm
     return keys[perm], perm
 
 
@@ -158,7 +177,7 @@ def stream_compact(items: np.ndarray, keep: np.ndarray, policy: ExecPolicy = DEF
         raise PreconditionError("items and mask must have equal length")
     bounds = _lane_bounds(len(items), policy.lanes)
     lane_counts = np.array([int(keep[lo:hi].sum()) for lo, hi in bounds], dtype=np.int64)
-    lane_base = np.concatenate([[0], np.cumsum(lane_counts)[:-1]])
+    lane_base = np.cumsum(lane_counts) - lane_counts
     out = np.empty((int(lane_counts.sum()),) + items.shape[1:], dtype=items.dtype)
     for c in _lane_order(policy, len(bounds)):
         lo, hi = bounds[c]
@@ -166,22 +185,35 @@ def stream_compact(items: np.ndarray, keep: np.ndarray, policy: ExecPolicy = DEF
     return out
 
 
+def segment_defects(row_ptr: np.ndarray, col_ind: np.ndarray, n_cols: int):
+    """Per-segment flags of a row-pointer layout: (empty, unordered, outside).
+
+    ``unordered`` marks segments whose columns do not strictly ascend and
+    ``outside`` those whose first or last column lies outside [0, n_cols);
+    ``row_ptr`` must be non-decreasing and end at ``len(col_ind)``.
+    """
+    lens = np.diff(row_ptr)
+    empty = lens < 1
+    row_of = np.repeat(np.arange(len(lens)), lens)
+    step_bad = np.diff(col_ind) <= 0
+    same_row = row_of[1:] == row_of[:-1]
+    unordered = np.zeros(len(lens), dtype=bool)
+    unordered[row_of[1:][step_bad & same_row]] = True
+    outside = np.zeros(len(lens), dtype=bool)
+    full = ~empty
+    outside[full] = (col_ind[row_ptr[:-1][full]] < 0) | (col_ind[row_ptr[1:][full] - 1] >= n_cols)
+    return empty, unordered, outside
+
+
+def _byte_view(keys: np.ndarray) -> np.ndarray:
+    """One opaque big-endian byte string per key; compares like the words."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    return np.ascontiguousarray(keys, dtype=">u8").view(f"V{8 * keys.shape[1]}")[:, 0]
+
+
 def lower_bound(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Vectorized first-position binary search over multi-word keys."""
-    n = len(sorted_keys)
-    lo = np.zeros(len(queries), dtype=np.int64)
-    hi = np.full(len(queries), n, dtype=np.int64)
-    while True:
-        open_mask = lo < hi
-        if not open_mask.any():
-            break
-        mid = (lo + hi) >> 1
-        cmp = key_cmp_rows(sorted_keys[mid[open_mask]], queries[open_mask])
-        less = np.zeros(len(queries), dtype=bool)
-        less[np.flatnonzero(open_mask)[cmp < 0]] = True
-        lo = np.where(open_mask & less, mid + 1, lo)
-        hi = np.where(open_mask & ~less, mid, hi)
-    return lo
+    """First position at which each query could be inserted, keeping order."""
+    return np.searchsorted(_byte_view(sorted_keys), _byte_view(queries)).astype(np.int64)
 
 
 def _merge_path_splits(seg: np.ndarray, dic: np.ndarray, grain: int):

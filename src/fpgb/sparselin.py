@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bulk import exclusive_scan, radix_sort
+from .bulk import exclusive_scan, radix_sort, segment_defects
 from .errors import (
     PreconditionError,
     ProbabilisticFailureError,
@@ -49,6 +49,7 @@ class CsrMatrix:
     col_ind: np.ndarray  # (nnz,) int64, ascending within each row
     val: np.ndarray  # (nnz,) uint64, nonzero residues
     modulus: FieldModulus
+    _chunks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def nnz(self) -> int:
         return int(self.row_ptr[-1])
@@ -61,13 +62,30 @@ class CsrMatrix:
         p = self.modulus.p
         if len(self.val) and (self.val.min() < 1 or self.val.max() >= p):
             raise PropertyViolationError("CSR values outside [1, p)")
-        for i in range(self.n_rows):
-            seg = self.col_ind[self.row_ptr[i] : self.row_ptr[i + 1]]
-            if len(seg):
-                if seg[0] < 0 or seg[-1] >= self.n_cols:
-                    raise PropertyViolationError(f"column out of range in row {i}")
-                if (np.diff(seg) <= 0).any():
-                    raise PropertyViolationError(f"row {i} columns not strictly ascending")
+        _, unordered, outside = segment_defects(self.row_ptr, self.col_ind, self.n_cols)
+        bad = unordered | outside
+        if bad.any():
+            i = int(np.argmax(bad))
+            if outside[i]:
+                raise PropertyViolationError(f"column out of range in row {i}")
+            raise PropertyViolationError(f"row {i} columns not strictly ascending")
+
+    def spmm_chunks(self):
+        """spmm's split of the value stream into lazy-window chunks.
+
+        Returns (nchunks, chunk_base, starts): chunks per row, their
+        exclusive prefix, and the first entry of every chunk.  It depends
+        only on the matrix, so it is built on first use and kept; a
+        CsrMatrix is not changed once it is made.
+        """
+        if self._chunks is None:
+            k = KernelArith(self.modulus).lazy_window()
+            nchunks = -(-np.diff(self.row_ptr) // k)
+            chunk_base = exclusive_scan(nchunks)
+            row_of_chunk = np.repeat(np.arange(self.n_rows), nchunks)
+            within = np.arange(int(chunk_base[-1]), dtype=np.int64) - np.repeat(chunk_base[:-1], nchunks)
+            self._chunks = (nchunks, chunk_base, self.row_ptr[row_of_chunk] + k * within)
+        return self._chunks
 
     def row(self, i: int):
         s, e = int(self.row_ptr[i]), int(self.row_ptr[i + 1])
@@ -162,13 +180,7 @@ def spmm(A: CsrMatrix, X: np.ndarray) -> np.ndarray:
     vals_d = ar.enter(A.val)
     x_d = ar.enter(X)
     prods = ar.mul_lazy(vals_d[:, None], x_d[A.col_ind])
-    k = ar.lazy_window()
-    lens = np.diff(A.row_ptr)
-    nchunks = -(-lens // k)
-    chunk_base = exclusive_scan(nchunks)
-    row_of_chunk = np.repeat(np.arange(A.n_rows), nchunks)
-    within = np.arange(int(chunk_base[-1]), dtype=np.int64) - np.repeat(chunk_base[:-1], nchunks)
-    starts = A.row_ptr[row_of_chunk] + k * within
+    nchunks, chunk_base, starts = A.spmm_chunks()
     partials = ar.reduce_acc(np.add.reduceat(prods, starts, axis=0))
     nonempty = nchunks > 0
     first_chunk = chunk_base[:-1][nonempty]

@@ -39,6 +39,7 @@ from .bulk import (
     lower_bound,
     merge_join_index,
     radix_sort,
+    segment_defects,
     unique_sorted,
     stream_compact,
 )
@@ -140,15 +141,15 @@ class LayoutPlan:
             raise PropertyViolationError("negative row segment length")
         if len(self.row_meta) != self.n_rows:
             raise PropertyViolationError("row_meta length mismatch")
-        for i in range(self.n_rows):
-            s, e = int(self.row_ptr[i]), int(self.row_ptr[i + 1])
-            if e - s < 1:
+        empty, unordered, outside = segment_defects(self.row_ptr, self.col_ind, self.n_cols)
+        bad = empty | unordered | outside
+        if bad.any():
+            i = int(np.argmax(bad))
+            if empty[i]:
                 raise PropertyViolationError(f"empty row {i} (basis members are nonzero)")
-            seg = self.col_ind[s:e]
-            if (np.diff(seg) <= 0).any():
+            if unordered[i]:
                 raise PropertyViolationError(f"row {i} columns not strictly ascending")
-            if seg[0] < 0 or seg[-1] >= self.n_cols:
-                raise PropertyViolationError(f"row {i} column out of range")
+            raise PropertyViolationError(f"row {i} column out of range")
         if len(self.val) and (self.val == 0).any():
             raise PropertyViolationError("zero value stored in plan")
         if len(self.dict_keys) > 1:

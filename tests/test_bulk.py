@@ -1,5 +1,7 @@
 """Bulk primitive contracts: results, stability, and schedule independence."""
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fpgb.bulk import (
     is_sorted_ascending,
     lower_bound,
     merge_join_index,
+    radix_digits,
     radix_sort,
     stream_compact,
     unique_sorted,
@@ -210,3 +213,96 @@ def test_all_primitives_schedule_independent():
             base = blob
         else:
             assert blob == base
+
+
+def test_exclusive_scan_rejects_total_overflow():
+    half = 1 << 62
+    assert exclusive_scan([half, half - 1])[-1] == (1 << 63) - 1
+    assert exclusive_scan([(1 << 63) - 1, 0])[-1] == (1 << 63) - 1
+    for lens in ([half, half], [(1 << 63) - 1, 1], [half // 2] * 4, [1 << 61] * 5):
+        for policy in POLICIES:
+            with pytest.raises(PreconditionError, match="overflows"):
+                exclusive_scan(lens, policy)
+
+
+def masked_keys(rng, n, free_bytes, base=None):
+    """Keys equal to ``base`` except in the free (word, byte) digits."""
+    words = len(free_bytes)
+    mask = np.array(
+        [sum(0xFF << (8 * b) for b in free) for free in free_bytes], dtype=np.uint64
+    )
+    base = rng.integers(0, 1 << 64, words, dtype=np.uint64) if base is None else base
+    noise = rng.integers(0, 1 << 64, (n, words), dtype=np.uint64)
+    return (base & ~mask) | (noise & mask)
+
+
+def check_sort_and_search(keys):
+    """radix_sort against np.lexsort and lower_bound against bisect."""
+    want_perm = np.lexsort(keys.T[::-1]) if len(keys) else np.zeros(0, dtype=np.int64)
+    for policy in POLICIES:
+        srt, perm = radix_sort(keys, policy)
+        assert np.array_equal(perm, want_perm)
+        assert np.array_equal(srt, keys[want_perm])
+    table = sorted({tuple(k) for k in keys.tolist()})
+    dic = np.array(table, dtype=np.uint64).reshape(len(table), keys.shape[1])
+    rng = np.random.default_rng(len(keys))
+    queries = np.vstack([keys, keys ^ np.uint64(1), rng.integers(0, 1 << 64, keys.shape, dtype=np.uint64)])
+    want_pos = [bisect.bisect_left(table, tuple(q)) for q in queries.tolist()]
+    assert lower_bound(dic, queries).tolist() == want_pos
+    if len(dic):
+        srt = keys[want_perm]
+        assert merge_join_index(srt, dic).tolist() == [bisect.bisect_left(table, tuple(k)) for k in srt.tolist()]
+
+
+@pytest.mark.parametrize(
+    "free_bytes, passes",
+    [
+        ([range(8)], 8),  # every byte varies
+        ([range(4)], 4),  # constant high bytes
+        ([range(4, 8)], 4),  # constant low bytes
+        ([[0, 7]], 2),  # constant middle bytes
+        ([[], range(8)], 8),  # constant high word
+        ([range(8), []], 8),  # constant low word
+        ([[6, 7], [], [0, 1]], 4),  # middle word and the inner bytes constant
+        ([[], [], []], 0),  # all keys equal
+    ],
+)
+def test_radix_sort_skips_constant_digits(free_bytes, passes):
+    rng = np.random.default_rng(passes + 10 * len(free_bytes))
+    for base in (None, np.zeros(len(free_bytes), dtype=np.uint64)):  # zero: trailing zero bytes
+        keys = masked_keys(rng, 300, free_bytes, base)
+        digits = radix_digits(keys)
+        assert len(digits) == passes
+        words = len(free_bytes)
+        assert digits == [(w, b) for w in range(words - 1, -1, -1) for b in range(8) if b in free_bytes[w]]
+        check_sort_and_search(keys)
+
+
+def test_radix_digits_of_trivial_inputs():
+    assert radix_digits(np.zeros((0, 2), dtype=np.uint64)) == []
+    assert radix_digits(np.array([[5, 6]], dtype=np.uint64)) == []
+    assert radix_digits(np.array([[1 << 63], [0]], dtype=np.uint64)) == [(0, 7)]
+
+
+def test_radix_sort_and_lower_bound_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        words=st.integers(1, 3),
+        n=st.integers(0, 120),
+        free=st.lists(st.lists(st.integers(0, 7), max_size=8), min_size=3, max_size=3),
+        zero_base=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(words, n, free, zero_base, seed):
+        rng = np.random.default_rng(seed)
+        free_bytes = [set(f) for f in free[:words]]
+        base = np.zeros(words, dtype=np.uint64) if zero_base else None
+        keys = masked_keys(rng, n, free_bytes, base)
+        if n > 1:  # a few exact repeats, so stability is exercised
+            keys[rng.integers(0, n, n // 4)] = keys[0]
+        check_sort_and_search(keys)
+
+    check()

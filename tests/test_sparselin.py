@@ -5,7 +5,7 @@ import pytest
 
 from fpgb import groebner, sparselin
 from fpgb.bench import PipelineConfig, make_instance, run_pipeline
-from fpgb.errors import PreconditionError, SizeCapError
+from fpgb.errors import PreconditionError, PropertyViolationError, SizeCapError
 from fpgb.fp import Backend, FieldModulus
 from fpgb.monomials import Ring
 from fpgb.polynomials import poly_parse, soa_pack
@@ -368,6 +368,23 @@ def test_wiedemann_kernel_matches_dense_nullity():
             assert (spmv(A, v) == 0).all()
 
 
+@pytest.mark.parametrize("shape", [(40, 40), (30, 40)])
+def test_wiedemann_builds_each_spmm_chunk_layout_once(monkeypatch, shape):
+    rng = np.random.default_rng(shape[0])
+    A = csr_from_dense(random_sparse(rng, *shape, 0.1, M101), M101)
+    want = wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=2)
+    A = csr_from_dense(A.to_dense(), M101)  # a fresh matrix, no layout built yet
+    scans = []
+    real_scan = sparselin.exclusive_scan
+    monkeypatch.setattr(sparselin, "exclusive_scan", lambda lens: scans.append(len(lens)) or real_scan(lens))
+    kb = wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=2)
+    assert kb.dimension_found == want.dimension_found > 0 and kb.seed_trail == want.seed_trail
+    assert all(np.array_equal(v, w) for v, w in zip(kb.vectors, want.vectors))
+    # one layout per operator (A, and A^T when A is not square) and the
+    # transpose's own row pointers, however many Krylov steps ran
+    assert len(scans) == (1 if shape[0] == shape[1] else 3)
+
+
 def test_left_kernel_duplicate_row():
     mat = np.array([[1, 2, 3], [1, 2, 3]], dtype=np.uint64)
     kb = left_kernel(csr_from_dense(mat, M7), count=4, seed=0)
@@ -391,3 +408,48 @@ def test_matrix_market_dump():
     assert lines[1] == "2 3 4"
     assert lines[2] == "1 1 1"
     assert len(lines) == 6
+
+
+def hand_csr(row_cols, n_cols=4, vals=None):
+    """An unvalidated CSR matrix over F_7 with the given row columns."""
+    lens = [len(c) for c in row_cols]
+    row_ptr = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+    col_ind = np.array([c for cols in row_cols for c in cols], dtype=np.int64)
+    val = np.ones(len(col_ind), dtype=np.uint64) if vals is None else np.array(vals, dtype=np.uint64)
+    return CsrMatrix(len(row_cols), n_cols, row_ptr, col_ind, val, M7)
+
+
+def test_csr_validate_accepts_empty_rows():
+    hand_csr([[0, 3], [], [1, 2], []]).validate()  # zero rows are legal matrix rows
+    hand_csr([[], []]).validate()
+
+
+@pytest.mark.parametrize(
+    "row_cols, vals, message",
+    [
+        ([[0, 2], [3, 1]], None, "row 1 columns not strictly ascending"),
+        ([[0], [], [2, 2]], None, "row 2 columns not strictly ascending"),
+        ([[0, 2], [1, 4]], None, "column out of range in row 1"),
+        ([[0], [-1, 3]], None, "column out of range in row 1"),
+        # several bad rows: the first one is named, by its own defect
+        ([[0], [], [3, 1], [0, 7]], None, "row 2 columns not strictly ascending"),
+        ([[0], [0, 7], [3, 1]], None, "column out of range in row 1"),
+        ([[0, 2], [1, 3]], [1, 0, 1, 1], r"CSR values outside \[1, p\)"),
+        ([[0, 2], [1, 3]], [1, 7, 1, 1], r"CSR values outside \[1, p\)"),
+    ],
+)
+def test_csr_validate_rejects_one_broken_invariant(row_cols, vals, message):
+    A = hand_csr(row_cols, vals=vals)
+    with pytest.raises(PropertyViolationError, match=message):
+        A.validate()
+
+
+def test_csr_validate_rejects_bad_pointers():
+    A = hand_csr([[0, 2], [1, 3]])
+    A.row_ptr[-1] = 3
+    with pytest.raises(PropertyViolationError, match="CSR pointers inconsistent"):
+        A.validate()
+    B = hand_csr([[0, 2], [1], [3]])
+    B.row_ptr[1:3] = [3, 2]
+    with pytest.raises(PropertyViolationError, match="CSR row_ptr not monotone"):
+        B.validate()

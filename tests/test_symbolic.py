@@ -5,7 +5,7 @@ import pytest
 
 from fpgb.bench import PipelineConfig, basis_digest
 from fpgb.bulk import ExecPolicy
-from fpgb.errors import SizeCapError, UncoverableTargetError
+from fpgb.errors import PropertyViolationError, SizeCapError, UncoverableTargetError
 from fpgb.fp import FieldModulus
 from fpgb.groebner import f4_groebner
 from fpgb.monomials import Ring, mon_key_pack
@@ -13,7 +13,9 @@ from fpgb.polynomials import poly_eq, poly_mul_mon, poly_parse, soa_pack, soa_sl
 from fpgb.symbolic import (
     BatchSpec,
     Closure,
+    LayoutPlan,
     PairTarget,
+    PlanCounters,
     Row,
     RowRole,
     closure_expand,
@@ -285,3 +287,78 @@ def test_golden_plan_and_basis_digests(instance):
     assert digests == want_plans
     assert basis_digest(format_system(ring, basis)) == want_basis
     assert max(rounds) >= 2  # the closure runs past its first round
+
+
+def hand_plan(row_cols, n_dict=4):
+    """A plan over R2's dictionary {x^2*y > y^2 > x > 1} with the given rows.
+
+    Values are all 1 and the counters agree with the arrays, so the only
+    defects are the ones the row columns carry.
+    """
+    lens = [len(c) for c in row_cols]
+    row_ptr = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+    col_ind = np.array([c for cols in row_cols for c in cols], dtype=np.int64)
+    dict_keys = np.array(
+        [mon_key_pack(m, R2) for m in [(2, 1), (0, 2), (1, 0), (0, 0)][:n_dict]],
+        dtype=np.uint64,
+    )
+    M = int(row_ptr[-1])
+    rows = tuple(Row((0, 0), 0, RowRole.REDUCER, 1) for _ in row_cols)
+    counters = PlanCounters(len(row_cols), n_dict, M, M, 0, M, M)
+    return LayoutPlan(R2, row_ptr, col_ind, np.ones(M, dtype=np.uint64), dict_keys, rows, counters)
+
+
+def test_layout_plan_validate_accepts_hand_plan():
+    hand_plan([[0, 2], [1, 3], [3]]).validate()
+
+
+def _zero_value(plan):
+    plan.val[1] = 0
+
+
+def _swap_dict(plan):
+    plan.dict_keys[[1, 2]] = plan.dict_keys[[2, 1]]
+
+
+def _repeat_dict(plan):
+    plan.dict_keys[2] = plan.dict_keys[1]
+
+
+def _wrong_n(plan):
+    plan.counters.N += 1
+
+
+def _wrong_keys_emitted(plan):
+    plan.counters.keys_emitted -= 1
+
+
+def _short_tiling(plan):
+    plan.row_ptr[-1] -= 1
+
+
+@pytest.mark.parametrize(
+    "row_cols, breaker, message",
+    [
+        ([[0, 2], [], [1, 3]], None, "empty row 1 "),
+        ([[], [0]], None, "empty row 0 "),
+        ([[0, 2], [3, 1]], None, "row 1 columns not strictly ascending"),
+        ([[0], [1, 1], [2]], None, "row 1 columns not strictly ascending"),
+        ([[0, 2], [1, 4]], None, "row 1 column out of range"),
+        ([[0], [2], [-1, 3]], None, "row 2 column out of range"),
+        # several bad rows: the first one is named, by its own defect
+        ([[0], [1, 5], [2, 0], []], None, "row 1 column out of range"),
+        ([[0], [], [2, 0], [1, 5]], None, "empty row 1 "),
+        ([[0, 2], [1, 3]], _zero_value, "zero value stored in plan"),
+        ([[0, 2], [1, 3]], _swap_dict, "dictionary keys not strictly descending"),
+        ([[0, 2], [1, 3]], _repeat_dict, "dictionary keys not strictly descending"),
+        ([[0, 2], [1, 3]], _wrong_n, "counters inconsistent"),
+        ([[0, 2], [1, 3]], _wrong_keys_emitted, "counters inconsistent"),
+        ([[0, 2], [1, 3]], _short_tiling, "row_ptr does not tile"),
+    ],
+)
+def test_layout_plan_validate_rejects_one_broken_invariant(row_cols, breaker, message):
+    plan = hand_plan(row_cols)
+    if breaker is not None:
+        breaker(plan)
+    with pytest.raises(PropertyViolationError, match=message):
+        plan.validate()
