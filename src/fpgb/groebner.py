@@ -6,13 +6,16 @@ reduction closure), eliminate with the known-pivot engine, and harvest
 reduced rows whose leading columns are new.  ``f4_step`` is one batch and
 ``f4_groebner`` is the only loop over batches; the pipeline runner, the
 invariant verifier and the tests observe its batches through ``on_batch``.
+F4 then interreduces its basis as one more batch through the same engine:
+the minimal members as rows, their tail reducers from the closure, and the
+fully back-substituted echelon form.
 ``PipelineConfig`` is the one config type, validated when it is built.
 
 The reference path is a textbook Buchberger loop (product criterion only,
 scalar normal-form reduction) that shares nothing with the batch machinery
-beyond the polynomial primitives.
-Both finish with the same interreduction, so a reduced basis is canonical
-and the two drivers must agree byte for byte.
+beyond the polynomial primitives; it interreduces with scalar normal forms
+(``reduce_basis``).  A reduced basis is canonical, so the two drivers must
+agree byte for byte, and that check covers both interreductions.
 """
 
 from __future__ import annotations
@@ -50,7 +53,10 @@ from .symbolic import (
     Closure,
     LayoutPlan,
     PairTarget,
+    Row,
+    RowRole,
     compile_batch,
+    row_lead_cols,
     select_rows,
 )
 
@@ -247,18 +253,13 @@ class PipelineConfig:
 
 def _decode_sparse(plan: LayoutPlan, cols: np.ndarray, vals: np.ndarray) -> Poly:
     exps = key_unpack_vec(plan.dict_keys[cols], plan.ring)
-    terms = tuple(
-        (tuple(int(x) for x in exps[k]), int(vals[k])) for k in range(len(cols))
-    )
-    return Poly(plan.ring, terms)
+    return Poly(plan.ring, tuple(zip(map(tuple, exps.tolist()), vals.tolist())))
 
 
 def _dense_echelon(plan: LayoutPlan, m: FieldModulus) -> EchelonResult:
     """Dense-oracle stand-in for the known-pivot engine (small batches only)."""
     A = csr_from_plan(plan, m)
     rank, rref, pivots = dense_gauss(A.to_dense(), m)
-    from .symbolic import row_lead_cols
-
     orig = set(row_lead_cols(plan).tolist())
     pivot_rows, nonpivot_rows = [], []
     for r_i, col in enumerate(pivots):
@@ -331,7 +332,11 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
 
 
 def reduce_basis(polys: list, ring: Ring) -> list:
-    """Canonical reduced basis: minimal, tail-reduced, monic, sorted by lead."""
+    """Canonical reduced basis: minimal, tail-reduced, monic, sorted by lead.
+
+    Scalar normal-form loops; only the Buchberger oracle uses it, so F4's
+    batch-engine interreduction is checked against an independent route.
+    """
     work = [poly_monic(f) for f in polys if not f.is_zero()]
     work.sort(key=lambda f: ring.sort_key(f.lm()))
     minimal = []
@@ -349,6 +354,35 @@ def reduce_basis(polys: list, ring: Ring) -> list:
                 changed = True
     minimal.sort(key=lambda f: ring.sort_key(f.lm()), reverse=True)
     return minimal
+
+
+def _interreduce(basis: list, ring: Ring, config: PipelineConfig) -> list:
+    """Reduced basis of a Groebner basis as one batch through the F4 engine.
+
+    One row per minimal member (shift 1); the one-step closure supplies a
+    reducer row for every tail monomial some lead divides, and the fully
+    back-substituted echelon form leaves each member's row free of every
+    such monomial.  For a Groebner basis that row is the unique reduced
+    member with its lead.
+    """
+    work = [poly_monic(f) for f in basis if not f.is_zero()]
+    if not work:
+        return []
+    work.sort(key=lambda f: ring.sort_key(f.lm()))
+    leads = np.array([f.lm() for f in work], dtype=np.int64)
+    # a member is minimal when no member before it (a smaller or equal lead)
+    # divides its lead; a dropped divisor has a kept divisor of its own
+    minimal = [f for i, f in enumerate(work) if not (leads[:i] <= leads[i]).all(axis=1).any()]
+    soa = soa_pack(minimal, ring)
+    # equal role, provenance and shift: row_sort_key order is member order
+    rows = [Row(ring.one(), k, RowRole.REDUCER, 0) for k in range(len(minimal))]
+    plan = compile_batch(rows, soa, Closure.ONE_STEP_REDUCTION, ExecPolicy(config.workers))
+    ech = psge_reduce(csr_from_plan(plan, ring.modulus), config.panel_width, back_reduce=True)
+    # every row leads its own column, so every row is a known pivot
+    rref = {c: (cols, vals) for c, cols, vals in ech.pivot_rows}
+    member_cols = row_lead_cols(plan)[: len(rows)].tolist()
+    # members ascend by lead; the reduced basis lists leads descending
+    return [_decode_sparse(plan, *rref[c]) for c in reversed(member_cols)]
 
 
 def f4_groebner(
@@ -378,7 +412,7 @@ def f4_groebner(
         steps += 1
         if on_batch is not None:
             on_batch(basis_before, plan, ech, state.stats[-1])
-    return reduce_basis(state.basis, ring)
+    return _interreduce(state.basis, ring, config)
 
 
 def buchberger_reference(system: list, ring: Ring, max_steps: int = MAX_STEPS_DEFAULT) -> list:

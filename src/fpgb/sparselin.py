@@ -373,8 +373,9 @@ def psge_reduce(A: CsrMatrix, panel_width: int = 256, back_reduce: bool = True) 
        A final back-substitution among the new rows makes them RREF rows.
 
     With ``back_reduce=True`` the known-pivot rows are back-substituted as
-    well, so ``pivot_rows`` + ``nonpivot_rows`` are the full RREF.  The F4
-    driver reads only ``nonpivot_rows`` and passes ``back_reduce=False``.
+    well, so ``pivot_rows`` + ``nonpivot_rows`` are the full RREF.  F4
+    batches read only ``nonpivot_rows`` and pass ``back_reduce=False``; the
+    final interreduction passes ``back_reduce=True``.
     """
     if panel_width < 1:
         raise PreconditionError("panel_width must be >= 1")

@@ -48,6 +48,8 @@ from .monomials import Ring, key_cmp_rows, key_pack_vec, key_unpack_vec, mon_div
 from .polynomials import Poly, SoaPolySet
 
 DICT_CAP = 10**6
+# entries of one frontier x leads x n_vars divisibility temporary
+_DIVISOR_MASK_CELLS = 1 << 20
 
 
 class RowRole(enum.Enum):
@@ -243,22 +245,27 @@ def closure_expand(keys_desc: np.ndarray, basis: SoaPolySet, round_id: int = 1) 
     order.  The caller passes only monomials that no row leads yet: the
     uncovered dictionary in round 1, and afterwards the monomials the
     previous round's rows added.  Returns [] when none has a divisor.
+
+    The search is one divisibility mask per chunk of the frontier against
+    all leads in preference order; the first hit of each row is its reducer.
     """
-    if len(keys_desc) == 0:
+    if len(keys_desc) == 0 or len(basis) == 0:
         return []
     exps = key_unpack_vec(keys_desc, basis.ring)
+    pref = _reducer_preference(basis)
+    leads = basis.exps[basis.offset[pref]]
     reducer = np.full(len(exps), -1, dtype=np.int64)
-    for k in _reducer_preference(basis).tolist():
-        lm = basis.exps[int(basis.offset[k])]
-        hit = (reducer < 0) & (exps >= lm[None, :]).all(axis=1)
-        reducer[hit] = k
-    rows = []
-    for j in np.flatnonzero(reducer >= 0)[::-1].tolist():
-        k = int(reducer[j])
-        lead = tuple(int(x) for x in basis.exps[int(basis.offset[k])])
-        m = tuple(int(x) for x in exps[j])
-        rows.append(Row(mon_div(m, lead), k, RowRole.REDUCER, round_id))
-    return rows
+    step = max(1, _DIVISOR_MASK_CELLS // leads.size)
+    for s in range(0, len(exps), step):
+        divides = (exps[s : s + step, None, :] >= leads[None, :, :]).all(axis=2)
+        reducer[s : s + step] = np.where(divides.any(axis=1), pref[divides.argmax(axis=1)], -1)
+    hit = np.flatnonzero(reducer >= 0)[::-1]
+    ks = reducer[hit]
+    shifts = exps[hit] - basis.exps[basis.offset[ks]]
+    return [
+        Row(tuple(shift), k, RowRole.REDUCER, round_id)
+        for shift, k in zip(shifts.tolist(), ks.tolist())
+    ]
 
 
 def compile_batch(
@@ -362,10 +369,7 @@ def decode_row(plan: LayoutPlan, i: int) -> Poly:
     s, e = int(plan.row_ptr[i]), int(plan.row_ptr[i + 1])
     cols = plan.col_ind[s:e]
     exps = key_unpack_vec(plan.dict_keys[cols], plan.ring)
-    terms = tuple(
-        (tuple(int(x) for x in exps[j]), int(plan.val[s + j])) for j in range(e - s)
-    )
-    return Poly(plan.ring, terms)
+    return Poly(plan.ring, tuple(zip(map(tuple, exps.tolist()), plan.val[s:e].tolist())))
 
 
 def row_lead_cols(plan: LayoutPlan) -> np.ndarray:

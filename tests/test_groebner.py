@@ -6,9 +6,19 @@ import pytest
 from fpgb.errors import PreconditionError, ProbabilisticFailureError
 from fpgb.fp import FieldModulus
 from fpgb.monomials import Ring
-from fpgb.polynomials import Poly, poly_format, poly_monic, poly_parse, soa_pack
+from fpgb.polynomials import (
+    Poly,
+    poly_add_scaled,
+    poly_format,
+    poly_monic,
+    poly_mul_mon,
+    poly_parse,
+    poly_scale,
+    soa_pack,
+)
 from fpgb.groebner import (
     GroebnerState,
+    _interreduce,
     Pair,
     PipelineConfig,
     buchberger_reference,
@@ -25,7 +35,13 @@ from fpgb.groebner import (
 )
 from fpgb.sparselin import left_kernel, csr_from_plan
 from fpgb.symbolic import Closure, Row, RowRole, compile_batch
-from fpgb.systems import gen_cyclic, gen_katsura, gen_random_quadratic
+from fpgb.systems import (
+    format_system,
+    gen_cyclic,
+    gen_katsura,
+    gen_random_quadratic,
+    parse_system,
+)
 
 M7 = FieldModulus(7)
 R2 = Ring(["x", "y"], "grevlex", M7)
@@ -248,6 +264,71 @@ def test_reduce_basis_canonical():
     f = poly_parse("x^2 - y", R2)
     rb = reduce_basis([f, poly_parse("2*x^2 - 2*y", R2)], R2)
     assert gb_text(rb) == ["x^2 + 6*y"]
+
+
+def criterion7_named_instances():
+    for p in (7, 101, 65537):
+        for n in (2, 3, 4):
+            yield f"cyclic-{n}/F{p}", gen_cyclic(n, p)
+        for n in (1, 2, 3):
+            yield f"katsura-{n}/F{p}", gen_katsura(n, p)
+
+
+def test_f4_interreduces_without_scalar_reduce_basis(monkeypatch):
+    named = list(criterion7_named_instances())
+    want = {name: buchberger_reference(polys, ring) for name, (ring, polys) in named}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reduce_basis called on the F4 path")
+
+    monkeypatch.setattr("fpgb.groebner.reduce_basis", forbidden)
+    for name, (ring, polys) in named:
+        got = f4_groebner(polys, ring)
+        assert [f.terms for f in got] == [f.terms for f in want[name]], name
+
+
+def in_order(ring, polys, order):
+    text = format_system(ring, polys).replace(f"order {ring.order}\n", f"order {order}\n", 1)
+    return parse_system(text)
+
+
+def perturbed(G, rng):
+    """G (descending leads) rewritten without changing its ideal or lead ideal."""
+    ring = G[0].ring
+    p = ring.modulus.p
+
+    def unit():
+        return int(rng.integers(2, p))
+
+    out = []
+    for i, g in enumerate(G):
+        for j in range(i + 1, len(G)):  # members with lower leads
+            if rng.random() < 0.5:
+                g = poly_add_scaled(g, unit(), G[j])
+        out.append(poly_scale(g, unit()))
+    out.append(poly_scale(poly_mul_mon(ring.var(0), G[-1]), unit()))  # non-minimal t*g
+    out.append(poly_add_scaled(G[0], unit(), G[-1]))  # duplicate lead
+    return [out[k] for k in rng.permutation(len(out))]
+
+
+@pytest.mark.parametrize("order", ["lex", "deglex", "grevlex"])
+@pytest.mark.parametrize("p", [7, 65537, 2147483629])
+def test_interreduce_recovers_reduced_basis(order, p):
+    rng = np.random.default_rng(p % 1000 + len(order))
+    config = PipelineConfig()
+    for gen, n in ((gen_cyclic, 3), (gen_katsura, 3), (gen_cyclic, 4)):
+        ring, polys = in_order(*gen(n, p), order)
+        G = f4_groebner(polys, ring)
+        assert is_groebner(G, ring).ok
+        want = [f.terms for f in G]
+        assert [f.terms for f in _interreduce(G, ring, config)] == want
+        assert [f.terms for f in reduce_basis(G, ring)] == want
+        messy = perturbed(G, rng)
+        assert [f.terms for f in _interreduce(messy, ring, config)] == want
+        assert [f.terms for f in reduce_basis(messy, ring)] == want
+    one = [poly_scale(G[0], 3)]
+    assert [f.terms for f in _interreduce(one, ring, config)] == [G[0].terms]
+    assert _interreduce([], ring, config) == []
 
 
 def test_verify_kernel_syzygy_duplicate_rows():

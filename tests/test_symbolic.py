@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
+from fpgb import symbolic
 from fpgb.bench import PipelineConfig, basis_digest
-from fpgb.bulk import ExecPolicy
+from fpgb.bulk import ExecPolicy, radix_sort, unique_sorted
 from fpgb.errors import PropertyViolationError, SizeCapError, UncoverableTargetError
 from fpgb.fp import FieldModulus
 from fpgb.groebner import f4_groebner
-from fpgb.monomials import Ring, mon_key_pack
-from fpgb.polynomials import poly_eq, poly_mul_mon, poly_parse, soa_pack, soa_slice
+from fpgb.monomials import Ring, key_pack_vec, key_unpack_vec, mon_div, mon_key_pack
+from fpgb.polynomials import (
+    poly_eq,
+    poly_mul_mon,
+    poly_normalize,
+    poly_parse,
+    soa_pack,
+    soa_slice,
+)
 from fpgb.symbolic import (
     BatchSpec,
     Closure,
@@ -142,6 +150,79 @@ def test_closure_expand_chain_example():
     assert leads == {0, 1, 2}
 
 
+def closure_expand_per_member(keys_desc, basis, round_id=1):
+    """The divisor search as one pass per basis member in preference order."""
+    if len(keys_desc) == 0:
+        return []
+    exps = key_unpack_vec(keys_desc, basis.ring)
+    reducer = np.full(len(exps), -1, dtype=np.int64)
+    for k in symbolic._reducer_preference(basis).tolist():
+        lm = basis.exps[int(basis.offset[k])]
+        hit = (reducer < 0) & (exps >= lm[None, :]).all(axis=1)
+        reducer[hit] = k
+    rows = []
+    for j in np.flatnonzero(reducer >= 0)[::-1].tolist():
+        k = int(reducer[j])
+        lead = tuple(int(x) for x in basis.exps[int(basis.offset[k])])
+        m = tuple(int(x) for x in exps[j])
+        rows.append(Row(mon_div(m, lead), k, RowRole.REDUCER, round_id))
+    return rows
+
+
+def descending_keys(exps, ring):
+    asc, _ = unique_sorted(radix_sort(key_pack_vec(np.asarray(exps, dtype=np.int64), ring))[0])
+    return asc[::-1].copy()
+
+
+def assert_same_rows(got, want):
+    assert got == want
+    for row in got:
+        assert all(type(e) is int for e in row.shift) and type(row.basis_index) is int
+
+
+def test_closure_expand_matches_per_member_search_small_cases():
+    basis = two_poly_basis()
+    empty = np.zeros((0, R2.n_key_words), dtype=np.uint64)
+    assert closure_expand(empty, basis) == closure_expand_per_member(empty, basis) == []
+    # no divisor: y^2, x and 1 are all outside the ideal of {x^2, x*y}
+    none = descending_keys([(0, 2), (1, 0), (0, 0)], R2)
+    assert closure_expand(none, basis) == closure_expand_per_member(none, basis) == []
+    # equal leads at different indices: the lowest index wins the tie, and
+    # x^2*y prefers x*y (smaller lead) over x^2
+    tied = soa_pack(
+        [poly_parse(t, R2) for t in ("x^2 - y", "x*y - 1", "3*x*y + y", "x*y + x")], R2
+    )
+    frontier = descending_keys([(3, 1), (2, 1), (1, 1), (2, 0), (0, 3)], R2)
+    rows = closure_expand(frontier, tied, 4)
+    assert_same_rows(rows, closure_expand_per_member(frontier, tied, 4))
+    assert [(r.shift, r.basis_index, r.provenance) for r in rows] == [
+        ((0, 0), 1, 4), ((0, 0), 0, 4), ((1, 0), 1, 4), ((2, 0), 1, 4)
+    ]
+
+
+def test_closure_expand_matches_per_member_search_across_chunks():
+    ring = Ring(["a", "b", "c", "d"], "grevlex", FieldModulus(65537))
+    rng = np.random.default_rng(5)
+    polys = []
+    while len(polys) < 64:
+        terms = [
+            (tuple(int(x) for x in rng.integers(0, 6, 4)), int(rng.integers(1, 65537)))
+            for _ in range(3)
+        ]
+        f = poly_normalize(terms, ring)
+        if not f.is_zero():
+            polys.append(f)
+    polys += polys[:5]  # repeated leads at higher indices
+    basis = soa_pack(polys, ring)
+    exps = [e for e in np.ndindex(12, 12, 12, 12) if sum(e) <= 20]
+    frontier = descending_keys(exps, ring)
+    chunk = symbolic._DIVISOR_MASK_CELLS // (len(polys) * ring.n_vars)
+    assert len(frontier) > 2 * chunk
+    rows = closure_expand(frontier, basis, 2)
+    assert len(rows) > chunk
+    assert_same_rows(rows, closure_expand_per_member(frontier, basis, 2))
+
+
 def test_decode_matches_shift_oracle_random():
     rng = np.random.default_rng(42)
     for trial in range(30):
@@ -160,7 +241,9 @@ def test_decode_matches_shift_oracle_random():
         plan = compile_batch(rows, basis, Closure.SUPPORT_ONLY)
         for i, row in enumerate(plan.row_meta):
             want = poly_mul_mon(row.shift, soa_slice(basis, row.basis_index))
-            assert poly_eq(decode_row(plan, i), want)
+            got = decode_row(plan, i)
+            assert poly_eq(got, want) and got.terms == want.terms
+            assert all(type(c) is int and all(type(e) is int for e in m) for m, c in got.terms)
         # dictionary equals the sorted support union (naive set oracle)
         support = set()
         for row in plan.row_meta:
@@ -171,8 +254,6 @@ def test_decode_matches_shift_oracle_random():
 
 
 def poly_parse_random(rng):
-    from fpgb.polynomials import poly_normalize
-
     terms = []
     for _ in range(int(rng.integers(1, 5))):
         e = tuple(int(x) for x in rng.integers(0, 4, 2))
@@ -287,6 +368,18 @@ def test_golden_plan_and_basis_digests(instance):
     assert digests == want_plans
     assert basis_digest(format_system(ring, basis)) == want_basis
     assert max(rounds) >= 2  # the closure runs past its first round
+
+
+# sha256 of katsura-6/F65537's reduced basis text as sympy computes it, the
+# same value perfbench/expected.json gates the big-batch workload with
+KATSURA6_F65537_BASIS = "4c73e737d3e14e6fa2e6b584a1f52831618cb3c0194e4d3821492f4091316188"
+
+
+def test_katsura6_basis_digest_matches_independent_route():
+    ring, polys = gen_katsura(6, 65537)
+    basis = f4_groebner(polys, ring)
+    assert len(basis) == 41
+    assert basis_digest(format_system(ring, basis)) == KATSURA6_F65537_BASIS
 
 
 def hand_plan(row_cols, n_dict=4):
