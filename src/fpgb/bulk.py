@@ -2,16 +2,26 @@
 
 Every primitive is externally pure and schedule-independent: the same input
 produces byte-identical output for any worker-lane count and any lane
-processing order.  Work is decomposed exactly as a data-parallel runtime
-would decompose it (per-lane counting, prefix-summed write plans, disjoint
-scatter regions), so running the lanes in shuffled order is a genuine
-witness of race-freedom, not a simulation detail.
+processing order.  Each has two routes, chosen by ``ExecPolicy.lanes``:
+
+- one lane (the default, and what F4 runs) is a single numpy call: a stable
+  ``np.lexsort``, one ``np.cumsum``, boolean-mask indexing, one
+  ``lower_bound`` over the whole segment;
+- more lanes run the work decomposed exactly as a data-parallel runtime
+  would decompose it (per-lane counting, prefix-summed write plans,
+  disjoint scatter regions, merge-path splits), with the lanes processed in
+  shuffled order.  That route is the determinism oracle: its output must
+  equal the one-lane output byte for byte, which witnesses race-freedom of
+  the decomposition rather than of one code path checked against itself.
+
+Both routes run the same input checks.
 
 Keys are rows of fixed-width uint64 word vectors compared lexicographically
-most-significant word first.  Sorting is a stable byte-wise radix sort with
-one pass per byte that varies across the keys (at most 8 * n_words passes;
-``radix_digits`` lists them), and searching is one ``np.searchsorted`` over
-a big-endian byte view of the keys, which orders like the words.
+most-significant word first.  The lane-split sort is a stable byte-wise
+radix sort with one pass per byte that varies across the keys (at most
+8 * n_words passes; ``radix_digits`` lists them), and searching is one
+``np.searchsorted`` over a big-endian byte view of the keys, which orders
+like the words.
 """
 
 from __future__ import annotations
@@ -31,9 +41,11 @@ _RADIX_BITS = 8
 class ExecPolicy:
     """Worker-lane configuration for the primitives.
 
-    ``lanes`` is the number of contiguous work partitions; ``lane_order_seed``
-    shuffles the order in which lanes are processed (outputs must not
-    depend on it).
+    ``lanes`` is the number of contiguous work partitions.  One lane runs
+    each primitive as a single numpy call; more lanes run the decomposed
+    route whose shuffled lane order witnesses race-freedom.
+    ``lane_order_seed`` shuffles the order in which lanes are processed
+    (outputs must not depend on it).
     """
 
     lanes: int = 1
@@ -94,6 +106,9 @@ def exclusive_scan(lengths, policy: ExecPolicy = DEFAULT_POLICY) -> np.ndarray:
         if int(np.sum(lengths, dtype=object)) >= 1 << 63:
             raise PreconditionError("scan total overflows 64 bits")
     out = np.zeros(len(lengths) + 1, dtype=np.int64)
+    if policy.lanes <= 1:
+        np.cumsum(lengths, out=out[1:])
+        return out
     bounds = _lane_bounds(len(lengths), policy.lanes)
     lane_totals = np.array([int(lengths[lo:hi].sum()) for lo, hi in bounds], dtype=np.int64)
     lane_base = np.cumsum(lane_totals) - lane_totals
@@ -107,17 +122,21 @@ def radix_sort(keys: np.ndarray, policy: ExecPolicy = DEFAULT_POLICY):
     """Stable ascending sort of multi-word keys.
 
     Returns (sorted_keys, perm) where perm is the stable permutation taking
-    input positions to sorted order; apply it to any payload arrays.  Runs
-    one counting pass per digit of ``radix_digits(keys)``, so a byte every
-    key shares costs nothing.
+    input positions to sorted order; apply it to any payload arrays.  One
+    lane is a stable ``np.lexsort``; more lanes run one counting pass per
+    digit of ``radix_digits(keys)``, so a byte every key shares costs
+    nothing.  Both give the same perm.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     if keys.ndim != 2:
         raise PreconditionError("keys must be a 2-D word matrix")
     n = len(keys)
-    perm = np.arange(n, dtype=np.int64)
     if n <= 1:
-        return keys.copy(), perm
+        return keys.copy(), np.arange(n, dtype=np.int64)
+    if policy.lanes <= 1:
+        perm = np.lexsort(keys.T[::-1]).astype(np.int64, copy=False)
+        return keys[perm], perm
+    perm = np.arange(n, dtype=np.int64)
     bounds = _lane_bounds(n, policy.lanes)
     n_lanes = len(bounds)
     # least-significant digit first; each pass is a stable counting sort
@@ -175,6 +194,8 @@ def stream_compact(items: np.ndarray, keep: np.ndarray, policy: ExecPolicy = DEF
     keep = np.asarray(keep, dtype=bool)
     if len(items) != len(keep):
         raise PreconditionError("items and mask must have equal length")
+    if policy.lanes <= 1:
+        return items[keep]
     bounds = _lane_bounds(len(items), policy.lanes)
     lane_counts = np.array([int(keep[lo:hi].sum()) for lo, hi in bounds], dtype=np.int64)
     lane_base = np.cumsum(lane_counts) - lane_counts
@@ -244,7 +265,8 @@ def merge_join_index(
 ) -> np.ndarray:
     """Position of every segment key inside a strictly ascending dictionary.
 
-    The merge grid is partitioned along diagonals of fixed grain so lanes
+    One lane runs one ``lower_bound`` over the whole segment.  More lanes
+    partition the merge grid along diagonals of fixed grain so lanes
     receive balanced contiguous slices; within a slice positions come from
     a vectorized segmented binary search.  Absent keys indicate an upstream
     closure defect and raise MissingKeyError.
@@ -257,13 +279,16 @@ def merge_join_index(
         raise PreconditionError("dictionary keys must be strictly ascending")
     if len(segment) == 0:
         return np.zeros(0, dtype=np.int64)
-    out = np.empty(len(segment), dtype=np.int64)
-    splits = _merge_path_splits(segment, dict_keys, MERGE_GRAIN)
-    parts = [(splits[k], splits[k + 1]) for k in range(len(splits) - 1)]
-    for k in _lane_order(policy, len(parts)):
-        lo, hi = parts[k]
-        if lo < hi:
-            out[lo:hi] = lower_bound(dict_keys, segment[lo:hi])
+    if policy.lanes <= 1:
+        out = lower_bound(dict_keys, segment)
+    else:
+        out = np.empty(len(segment), dtype=np.int64)
+        splits = _merge_path_splits(segment, dict_keys, MERGE_GRAIN)
+        parts = [(splits[k], splits[k + 1]) for k in range(len(splits) - 1)]
+        for k in _lane_order(policy, len(parts)):
+            lo, hi = parts[k]
+            if lo < hi:
+                out[lo:hi] = lower_bound(dict_keys, segment[lo:hi])
     bad = (out >= len(dict_keys)) | (
         (dict_keys[np.minimum(out, len(dict_keys) - 1)] != segment).any(axis=1)
     )

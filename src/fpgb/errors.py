@@ -56,7 +56,7 @@ class PolyParseError(FpgbError):
 
 
 class UncoverableTargetError(FpgbError):
-    """A batch target survived admissibility filtering with no rows covering it."""
+    """A batch target that no row can cover: it names a basis index outside the basis."""
 
 
 class MissingKeyError(FpgbError):

@@ -120,8 +120,11 @@ def csr_from_dense(mat: np.ndarray, m: FieldModulus) -> CsrMatrix:
 
 
 def csr_from_plan(plan: LayoutPlan, m: FieldModulus) -> CsrMatrix:
-    """Reinterpret a layout plan as its batch matrix (no copies of substance)."""
-    plan.validate()
+    """Reinterpret a layout plan as its batch matrix (no copies of substance).
+
+    The plan was validated when ``compile_batch`` built it; the matrix
+    checks of ``csr_from_arrays`` still run.
+    """
     return csr_from_arrays(
         plan.n_rows, plan.n_cols, plan.row_ptr, plan.col_ind, plan.val, m
     )

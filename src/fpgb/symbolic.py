@@ -1,7 +1,6 @@
 """Batch compilation: from selected reduction targets to a static sparse plan.
 
-The compiler turns a batch specification (targets and an admissibility
-filter) into three outputs:
+The compiler turns a batch specification (pair targets) into three outputs:
 
 - a sorted monomial dictionary (the matrix column space),
 - a deterministic row list of shifted reducers (t_i, g_{k_i}),
@@ -41,7 +40,6 @@ from .bulk import (
     radix_sort,
     segment_defects,
     unique_sorted,
-    stream_compact,
 )
 from .errors import PropertyViolationError, SizeCapError, UncoverableTargetError
 from .monomials import Ring, key_cmp_rows, key_pack_vec, key_unpack_vec, mon_div, mon_key_pack
@@ -84,10 +82,9 @@ class PairTarget:
 
 @dataclass
 class BatchSpec:
-    """Inputs to symbolic preprocessing: targets and admissibility."""
+    """Inputs to symbolic preprocessing: the pair targets of one batch."""
 
     targets: list
-    adm: object = None  # callable (shift, basis_index, role, provenance) -> bool
 
 
 @dataclass
@@ -173,35 +170,19 @@ def row_sort_key(row: Row, ring: Ring):
 
 
 def select_rows(spec: BatchSpec, basis: SoaPolySet) -> list:
-    """Expand each pair target into its two shifted halves, then filter.
+    """Expand each pair target into its two shifted halves, in row order.
 
-    The admissibility predicate runs as a bulk filter over the emitted row
-    metadata; a target left with no surviving rows is an error.
+    A target that references a basis index outside the basis is an error.
     """
     ring = basis.ring
     n_basis = len(basis)
     rows = []
-    owners = []
     for tgt in spec.targets:
         if not (0 <= tgt.fi < n_basis and 0 <= tgt.gi < n_basis):
             raise UncoverableTargetError(f"pair {tgt.pair_id} references unknown basis index")
         for k in (tgt.fi, tgt.gi):
             lead = tuple(int(x) for x in basis.exps[int(basis.offset[k])])
             rows.append(Row(mon_div(tgt.lcm, lead), k, RowRole.SPOLY_HALF, tgt.pair_id))
-            owners.append(tgt.pair_id)
-    if spec.adm is not None and rows:
-        keep = np.array(
-            [bool(spec.adm(r.shift, r.basis_index, r.role, r.provenance)) for r in rows],
-            dtype=bool,
-        )
-        kept_idx = stream_compact(np.arange(len(rows), dtype=np.int64), keep)
-        surviving = {owners[i] for i in kept_idx.tolist()}
-        for tgt in spec.targets:
-            if tgt.pair_id not in surviving:
-                raise UncoverableTargetError(
-                    f"target {tgt.lcm} of pair {tgt.pair_id} has no admissible rows"
-                )
-        rows = [rows[i] for i in kept_idx.tolist()]
     rows.sort(key=lambda r: row_sort_key(r, ring))
     return rows
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fpgb.bulk import (
+    MERGE_GRAIN,
     ExecPolicy,
     exclusive_scan,
     is_sorted_ascending,
@@ -54,8 +55,17 @@ def test_exclusive_scan_random_vs_sequential():
 
 
 def test_exclusive_scan_rejects_negative():
-    with pytest.raises(PreconditionError):
-        exclusive_scan([1, -1])
+    for policy in POLICIES:
+        with pytest.raises(PreconditionError):
+            exclusive_scan([1, -1], policy)
+
+
+def test_shape_checks_hold_on_every_route():
+    for policy in POLICIES:
+        with pytest.raises(PreconditionError, match="2-D"):
+            radix_sort(np.arange(4, dtype=np.uint64), policy)
+        with pytest.raises(PreconditionError, match="equal length"):
+            stream_compact(np.arange(4), np.ones(3, dtype=bool), policy)
 
 
 def test_radix_sort_fixed_point_and_oracle():
@@ -175,18 +185,22 @@ def test_merge_join_large_grain_crossing():
     dic, _ = radix_sort(dic)
     idx = np.sort(rng.integers(0, len(dic), 20_000))
     seg = dic[idx]
-    got = merge_join_index(seg, dic)
-    assert np.array_equal(dic[got], seg)
+    # lanes > 1 split the merge grid at MERGE_GRAIN; this one spans many grains
+    assert len(seg) + len(dic) > 4 * MERGE_GRAIN
+    for policy in POLICIES:
+        got = merge_join_index(seg, dic, policy)
+        assert np.array_equal(dic[got], seg)
 
 
 def test_merge_join_missing_key():
     dic = np.array([[2], [4]], dtype=np.uint64)
     seg = np.array([[3]], dtype=np.uint64)
-    with pytest.raises(MissingKeyError):
-        merge_join_index(seg, dic)
     seg_hi = np.array([[9]], dtype=np.uint64)
-    with pytest.raises(MissingKeyError):
-        merge_join_index(seg_hi, dic)
+    for policy in POLICIES:
+        with pytest.raises(MissingKeyError):
+            merge_join_index(seg, dic, policy)
+        with pytest.raises(MissingKeyError):
+            merge_join_index(seg_hi, dic, policy)
 
 
 def test_all_primitives_schedule_independent():
@@ -284,6 +298,25 @@ def test_radix_digits_of_trivial_inputs():
     assert radix_digits(np.array([[1 << 63], [0]], dtype=np.uint64)) == [(0, 7)]
 
 
+def assert_one_lane_matches_lane_split(keys, rng, policy):
+    """The one-lane route (one numpy call each) equals the shuffled lane-split route."""
+    one = ExecPolicy(1)
+    srt, perm = radix_sort(keys, one)
+    srt_l, perm_l = radix_sort(keys, policy)
+    assert srt.tobytes() == srt_l.tobytes() and perm.dtype == perm_l.dtype
+    assert perm.tobytes() == perm_l.tobytes()
+    uniq, first = unique_sorted(srt, one)
+    uniq_l, first_l = unique_sorted(srt, policy)
+    assert uniq.tobytes() == uniq_l.tobytes() and uniq.shape == uniq_l.shape
+    assert first.tobytes() == first_l.tobytes()
+    lens = rng.integers(0, 1 << 20, len(keys))
+    assert exclusive_scan(lens, one).tobytes() == exclusive_scan(lens, policy).tobytes()
+    mask = rng.random(len(keys)) < 0.5
+    got, got_l = stream_compact(keys, mask, one), stream_compact(keys, mask, policy)
+    assert got.tobytes() == got_l.tobytes() and got.shape == got_l.shape
+    assert merge_join_index(srt, uniq, one).tobytes() == merge_join_index(srt, uniq, policy).tobytes()
+
+
 def test_radix_sort_and_lower_bound_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -295,8 +328,10 @@ def test_radix_sort_and_lower_bound_property():
         free=st.lists(st.lists(st.integers(0, 7), max_size=8), min_size=3, max_size=3),
         zero_base=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
+        lanes=st.integers(2, 9),
+        lane_seed=st.integers(0, 2**32 - 1),
     )
-    def check(words, n, free, zero_base, seed):
+    def check(words, n, free, zero_base, seed, lanes, lane_seed):
         rng = np.random.default_rng(seed)
         free_bytes = [set(f) for f in free[:words]]
         base = np.zeros(words, dtype=np.uint64) if zero_base else None
@@ -304,5 +339,6 @@ def test_radix_sort_and_lower_bound_property():
         if n > 1:  # a few exact repeats, so stability is exercised
             keys[rng.integers(0, n, n // 4)] = keys[0]
         check_sort_and_search(keys)
+        assert_one_lane_matches_lane_split(keys, rng, ExecPolicy(lanes, lane_order_seed=lane_seed))
 
     check()

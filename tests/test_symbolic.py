@@ -73,12 +73,10 @@ def test_select_rows_empty_targets():
     assert select_rows(BatchSpec(targets=[]), basis) == []
 
 
-def test_select_rows_reject_all_is_uncoverable():
+def test_select_rows_rejects_unknown_basis_index():
     basis = two_poly_basis()
-    spec = spoly_pair_spec()
-    spec.adm = lambda shift, k, role, prov: False
-    with pytest.raises(UncoverableTargetError):
-        select_rows(spec, basis)
+    with pytest.raises(UncoverableTargetError, match="unknown basis index"):
+        select_rows(BatchSpec(targets=[PairTarget((2, 1), 0, 0, 2)]), basis)
 
 
 def test_compile_support_only_worked_example():
@@ -277,6 +275,32 @@ def test_compile_deterministic_across_policies():
         else:
             assert text == base
     assert plan_digest(plan) == plan_digest(plan)
+
+
+def test_one_lane_compile_runs_no_lane_split_code(monkeypatch):
+    """ExecPolicy(1) compiles without the lane-split route, to the same bytes.
+
+    The largest katsura-6 batch spans several merge grains, so ExecPolicy(4)
+    splits its merge path; the one-lane compile must not touch either helper.
+    """
+    from fpgb import bulk
+
+    ring, polys = gen_katsura(6, 65537)
+    batches = []
+    f4_groebner(polys, ring, PipelineConfig(), lambda b, plan, e, s: batches.append((b, plan)))
+    basis_before, driver_plan = max(batches, key=lambda bp: bp[1].counters.M)
+    assert driver_plan.counters.M > bulk.MERGE_GRAIN
+    rows = [r for r in driver_plan.row_meta if r.role is RowRole.SPOLY_HALF]
+    basis = soa_pack(basis_before, ring)
+    lane_split = plan_to_text(compile_batch(rows, basis, Closure.ONE_STEP_REDUCTION, ExecPolicy(4)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lane-split helper reached at one lane")
+
+    monkeypatch.setattr(bulk, "_lane_bounds", forbidden)
+    monkeypatch.setattr(bulk, "_merge_path_splits", forbidden)
+    one_lane = plan_to_text(compile_batch(rows, basis, Closure.ONE_STEP_REDUCTION, ExecPolicy(1)))
+    assert one_lane == lane_split == plan_to_text(driver_plan)
 
 
 def test_plan_race_freedom_partition():
