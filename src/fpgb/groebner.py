@@ -28,13 +28,14 @@ import numpy as np
 from .bulk import ExecPolicy
 from .errors import NonterminationError, PreconditionError, ProbabilisticFailureError
 from .fp import Backend, FieldModulus
-from .monomials import Ring, mon_div, mon_divides, mon_lcm, mon_mul, key_unpack_vec
+from .monomials import Ring, _tie_lanes, key_unpack_vec, mon_div, mon_divides, mon_lcm, mon_mul
 from .polynomials import (
     Poly,
     SoaPolySet,
     poly_add_scaled,
     poly_monic,
     poly_mul_mon,
+    soa_concat,
     soa_pack,
 )
 from .sparselin import (
@@ -61,6 +62,8 @@ from .symbolic import (
 )
 
 MAX_STEPS_DEFAULT = 10_000
+# entries of one new-pairs x new-pairs x n_vars divisibility temporary
+_PAIR_MASK_CELLS = 1 << 20
 
 
 def spoly(f: Poly, g: Poly) -> Poly:
@@ -117,18 +120,6 @@ def normal_form(f: Poly, basis: list) -> Poly:
 
 
 @dataclass
-class Pair:
-    i: int
-    j: int
-    lcm: tuple
-    degree: int
-    key: tuple
-
-    def sort_tuple(self):
-        return (self.degree, self.key, self.i, self.j)
-
-
-@dataclass
 class BatchStats:
     degree: int
     r: int
@@ -143,86 +134,164 @@ class BatchStats:
     timings_ns: dict
 
 
+class PairQueue:
+    """Critical pairs (i, j), i < j, as the rows of one int64 matrix.
+
+    Columns: the lcm's total degree, the term order's tie lanes of the lcm
+    (``monomials._tie_lanes``), i, j, then the lcm's exponents.  The first
+    ``n_vars + 3`` columns are the sort key, so one ``np.lexsort`` puts the
+    queue in (degree, term order of lcm, i, j) order, and the pairs of
+    minimal degree are a prefix.  The properties are column views.
+    """
+
+    __slots__ = ("rows", "n")
+
+    def __init__(self, rows: np.ndarray, n: int):
+        self.rows = rows
+        self.n = n
+
+    @classmethod
+    def of(cls, i, j, lcm: np.ndarray, deg, ring: Ring) -> "PairQueue":
+        n = ring.n_vars
+        rows = np.empty((len(lcm), 2 * n + 3), dtype=np.int64)
+        rows[:, 0] = deg
+        rows[:, 1 : n + 1] = _tie_lanes(lcm, ring)
+        rows[:, n + 1] = i
+        rows[:, n + 2] = j
+        rows[:, n + 3 :] = lcm
+        return cls(rows, n)
+
+    def __len__(self):
+        return len(self.rows)
+
+    @property
+    def deg(self) -> np.ndarray:
+        return self.rows[:, 0]
+
+    @property
+    def i(self) -> np.ndarray:
+        return self.rows[:, self.n + 1]
+
+    @property
+    def j(self) -> np.ndarray:
+        return self.rows[:, self.n + 2]
+
+    @property
+    def lcm(self) -> np.ndarray:
+        return self.rows[:, self.n + 3 :]
+
+    def take(self, idx) -> "PairQueue":
+        return PairQueue(self.rows[idx], self.n)
+
+    def sorted(self) -> "PairQueue":
+        # lexsort's last key is the primary one: deg, tie lanes, i, j reversed
+        return self.take(np.lexsort(self.rows[:, self.n + 2 :: -1].T))
+
+
 @dataclass
 class GroebnerState:
+    """The F4 driver's state: the basis, its leading exponents and the pair queue.
+
+    Row k of ``leads`` is the leading monomial of ``basis[k]``; ``update_pairs``
+    is the only writer of both.
+    """
+
     ring: Ring
     basis: list = field(default_factory=list)
-    pairs: list = field(default_factory=list)
     stats: list = field(default_factory=list)
     zero_reductions: int = 0
+    pairs: PairQueue = field(init=False)
+    leads: np.ndarray = field(init=False)  # (t, n_vars) int64
     _soa: SoaPolySet | None = None
 
+    def __post_init__(self):
+        none = np.zeros((0, self.ring.n_vars), dtype=np.int64)
+        self.pairs = PairQueue.of([], [], none, [], self.ring)
+        self.leads = none
+
     def soa(self) -> SoaPolySet:
+        """The basis as one SoaPolySet; packed again only when out of step.
+
+        ``f4_step`` appends each batch's new members to it, so only the
+        input system is packed from ``Poly`` objects.
+        """
         if self._soa is None or len(self._soa) != len(self.basis):
             self._soa = soa_pack(self.basis, self.ring)
         return self._soa
 
 
-def _make_pair(state: GroebnerState, i: int, j: int) -> Pair:
-    lcm = mon_lcm(state.basis[i].lm(), state.basis[j].lm())
-    return Pair(i, j, lcm, sum(lcm), state.ring.sort_key(lcm))
+def _chain_or_repeat(cand: np.ndarray, cdeg: np.ndarray) -> np.ndarray:
+    """Which new pairs the chain criterion or an equal-lcm twin removes.
+
+    Pair a goes when some other new pair's lcm properly divides its lcm,
+    or an earlier new pair has the same lcm.  Both read "lcm_b divides
+    lcm_a and (deg_b, b) < (deg_a, a)", as a divisor of equal degree is
+    equal.  With that rank as one more column, "b <= a in every column"
+    holds for b = a and for exactly those b, so a goes when it holds twice.
+    """
+    t, n = cand.shape
+    ext = np.empty((t, n + 1), dtype=np.int64)
+    ext[:, :n] = cand
+    ext[:, n] = cdeg * t + np.arange(t)
+    out = np.empty(t, dtype=bool)
+    step = max(1, _PAIR_MASK_CELLS // ext.size)
+    for s in range(0, t, step):
+        below = (ext[None, :, :] <= ext[s : s + step, None, :]).all(axis=2)
+        out[s : s + step] = below.sum(axis=1) > 1
+    return out
 
 
 def update_pairs(state: GroebnerState, new_poly: Poly) -> GroebnerState:
     """Add a monic polynomial to the basis with Gebauer-Moller pair pruning.
 
-    New pairs drop by the lcm-divisibility (chain) criterion and the product
-    criterion; existing pairs whose lcm factors through the newcomer's
-    leading monomial drop as well.
+    New pairs drop by the lcm-divisibility (chain) criterion, keep one per
+    lcm (the lowest partner index) and drop by the product criterion;
+    existing pairs whose lcm factors through the newcomer's leading monomial
+    drop as well.  Each test is one array pass over the leading exponents or
+    the queue.
     """
     if new_poly.is_zero() or new_poly.lc() != 1:
         raise PreconditionError("basis members must be monic and nonzero")
     t = len(state.basis)
     state.basis.append(new_poly)
-    state._soa = None
-    lm_t = new_poly.lm()
-    cands = [_make_pair(state, i, t) for i in range(t)]
-
-    # chain criterion among the new pairs: drop any whose lcm is properly
-    # divisible by another new pair's lcm
-    kept = []
-    for a in cands:
-        dominated = False
-        for b in cands:
-            if b.lcm != a.lcm and mon_divides(b.lcm, a.lcm):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(a)
-    # one representative per lcm (lowest partner index)
-    by_lcm: dict = {}
-    for c in kept:
-        by_lcm.setdefault(c.lcm, c)
-    survivors = []
-    for c in by_lcm.values():
-        # product criterion: coprime leading monomials reduce to zero
-        if c.lcm != mon_mul(state.basis[c.i].lm(), lm_t):
-            survivors.append(c)
-
-    # chain criterion against queued old pairs
-    old = []
-    for q in state.pairs:
-        if (
-            mon_divides(lm_t, q.lcm)
-            and mon_lcm(state.basis[q.i].lm(), lm_t) != q.lcm
-            and mon_lcm(state.basis[q.j].lm(), lm_t) != q.lcm
-        ):
-            continue
-        old.append(q)
-    state.pairs = sorted(old + survivors, key=Pair.sort_tuple)
+    lm = np.array(new_poly.lm(), dtype=np.int64)
+    deg_t = sum(new_poly.lm())
+    leads = state.leads
+    state.leads = np.concatenate([leads, lm[None, :]])
+    if t == 0:
+        return state
+    cand = np.maximum(leads, lm)  # lcm(lead_i, lm) for every member i < t
+    cdeg = cand.sum(axis=1)
+    q = state.pairs
+    if len(q):
+        # once lm divides lcm(i, j), so do lcm(lead_i, lm) and lcm(lead_j, lm):
+        # they differ from it exactly when their degree is lower
+        below = np.maximum(cdeg[q.i], cdeg[q.j]) < q.deg
+        q = q.take(~((q.lcm >= lm).all(axis=1) & below))
+    # product criterion: coprime leading monomials have lcm degree deg_i + deg_t
+    new = np.flatnonzero(~_chain_or_repeat(cand, cdeg) & (cdeg != leads.sum(axis=1) + deg_t))
+    if len(new):
+        add = PairQueue.of(new, t, cand[new], cdeg[new], state.ring)
+        q = PairQueue(np.concatenate([q.rows, add.rows]), q.n).sorted()
+    state.pairs = q
     return state
 
 
 def select_batch(state: GroebnerState):
     """Normal strategy: every queued pair of minimal lcm total degree."""
-    if not state.pairs:
+    q = state.pairs
+    if not len(q):
         raise PreconditionError("empty pair queue")
-    d = state.pairs[0].degree
-    chosen = [q for q in state.pairs if q.degree == d]
-    state.pairs = state.pairs[len(chosen):]
-    targets = [PairTarget(q.lcm, pid, q.i, q.j) for pid, q in enumerate(chosen)]
-    spec = BatchSpec(targets=targets)
-    return spec, d
+    d = int(q.deg[0])
+    k = int(np.searchsorted(q.deg, d, side="right"))
+    targets = [
+        PairTarget(tuple(lcm), pid, i, j)
+        for pid, (lcm, i, j) in enumerate(
+            zip(q.lcm[:k].tolist(), q.i[:k].tolist(), q.j[:k].tolist())
+        )
+    ]
+    state.pairs = q.take(slice(k, None))
+    return BatchSpec(targets=targets), d
 
 
 @dataclass
@@ -249,11 +318,47 @@ class PipelineConfig:
             raise PreconditionError("workers must be >= 1")
         if self.block_width < 1:
             raise PreconditionError("block_width must be >= 1")
+        if self.panel_width < 1:
+            raise PreconditionError("panel_width must be >= 1")
+        if self.max_steps < 0:
+            raise PreconditionError("max_steps must be >= 0")
 
 
-def _decode_sparse(plan: LayoutPlan, cols: np.ndarray, vals: np.ndarray) -> Poly:
-    exps = key_unpack_vec(plan.dict_keys[cols], plan.ring)
-    return Poly(plan.ring, tuple(zip(map(tuple, exps.tolist()), vals.tolist())))
+def _decode_rows(plan: LayoutPlan, rows: list):
+    """Decode nonempty sparse rows (cols, vals) with one ``key_unpack_vec`` call.
+
+    Returns each row's ``Poly`` and the rows as one SoaPolySet.
+    """
+    length = np.array([len(cols) for cols, _ in rows], dtype=np.int64)
+    keys = plan.dict_keys[np.concatenate([cols for cols, _ in rows])]
+    coeff = np.concatenate([vals for _, vals in rows]).astype(np.uint64)
+    exps = key_unpack_vec(keys, plan.ring)
+    exps_l, coeff_l = exps.tolist(), coeff.tolist()
+    polys, at = [], 0
+    for n in length.tolist():
+        terms = tuple(zip(map(tuple, exps_l[at : at + n]), coeff_l[at : at + n]))
+        polys.append(Poly(plan.ring, terms))
+        at += n
+    offset = np.concatenate([[0], np.cumsum(length)])
+    return polys, SoaPolySet(plan.ring, keys, coeff, offset, length, exps)
+
+
+def _harvest(state: GroebnerState, plan: LayoutPlan, rows: list) -> int:
+    """Add a batch's new echelon rows to the basis; returns how many.
+
+    The rows are monic.  They enter in ascending order of their leading
+    monomials (descending leading column).  Their streams extend the cached
+    SoA basis, so the next batch does not pack the basis again.
+    """
+    if not rows:
+        return 0
+    soa = state.soa()
+    rows = sorted(rows, key=lambda row: -row[0])
+    polys, new = _decode_rows(plan, [(cols, vals) for _, cols, vals in rows])
+    for f in polys:
+        update_pairs(state, f)
+    state._soa = soa_concat(soa, new)
+    return len(polys)
 
 
 def _dense_echelon(plan: LayoutPlan, m: FieldModulus) -> EchelonResult:
@@ -302,12 +407,7 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
 
             raise PropertyViolationError(f"kernel syzygy violation: {report.detail}")
 
-    new_polys = [
-        poly_monic(_decode_sparse(plan, cols, vals)) for _, cols, vals in ech.nonpivot_rows
-    ]
-    new_polys.sort(key=lambda f: ring.sort_key(f.lm()))
-    for f in new_polys:
-        update_pairs(state, f)
+    new_polys = _harvest(state, plan, ech.nonpivot_rows)
     state.zero_reductions += ech.zero_row_count
     state.stats.append(
         BatchStats(
@@ -317,7 +417,7 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
             M=plan.counters.M,
             nnz=plan.counters.nnz,
             rank=ech.rank,
-            new_polys=len(new_polys),
+            new_polys=new_polys,
             zero_reductions=ech.zero_row_count,
             closure_rounds=plan.counters.closure_rounds,
             fill_generated=ech.fill_generated,
@@ -382,7 +482,7 @@ def _interreduce(basis: list, ring: Ring, config: PipelineConfig) -> list:
     rref = {c: (cols, vals) for c, cols, vals in ech.pivot_rows}
     member_cols = row_lead_cols(plan)[: len(rows)].tolist()
     # members ascend by lead; the reduced basis lists leads descending
-    return [_decode_sparse(plan, *rref[c]) for c in reversed(member_cols)]
+    return _decode_rows(plan, [rref[c] for c in reversed(member_cols)])[0]
 
 
 def f4_groebner(

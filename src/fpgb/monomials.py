@@ -49,6 +49,7 @@ class Ring:
         "graded",
         "_lane_word",
         "_lane_shift",
+        "_lane_mask",
         "_key_cache",
     )
 
@@ -73,6 +74,14 @@ class Ring:
         offs = [head + _EXP_BITS * i for i in range(self.n_vars)]
         self._lane_word = np.array([o // 64 for o in offs], dtype=np.int64)
         self._lane_shift = np.array([64 - (o % 64) - _EXP_BITS for o in offs], dtype=np.uint64)
+        # every bit a well-formed key may set: the degree lane and the
+        # exponent lanes; the padding after the last lane stays zero
+        mask = [0] * self.n_key_words
+        if self.graded:
+            mask[0] = (_DEG_LIMIT - 1) << 32
+        for w, sh in zip(self._lane_word.tolist(), self._lane_shift.tolist()):
+            mask[w] |= _EXP_MASK << sh
+        self._lane_mask = np.array(mask, dtype=np.uint64)
         self._key_cache: dict = {}
 
     def sort_key(self, u: Monomial) -> MonKey:
@@ -155,21 +164,24 @@ def key_pack_vec(exps: np.ndarray, ring: Ring) -> np.ndarray:
 
 
 def key_unpack_vec(keys: np.ndarray, ring: Ring) -> np.ndarray:
-    """Inverse of key_pack_vec; validates lane consistency."""
+    """Inverse of key_pack_vec; validates lane consistency.
+
+    A key is rejected exactly when packing its exponents again would not
+    give it back: a bit set outside every lane, or (graded orders) a degree
+    lane that differs from the sum of the exponents.
+    """
     keys = np.asarray(keys, dtype=np.uint64)
     if keys.ndim != 2 or keys.shape[1] != ring.n_key_words:
         raise CorruptKeyError(f"expected shape (N, {ring.n_key_words}), got {keys.shape}")
-    lanes = np.empty((keys.shape[0], ring.n_vars), dtype=np.uint64)
-    for i in range(ring.n_vars):
-        lanes[:, i] = (keys[:, ring._lane_word[i]] >> ring._lane_shift[i]) & np.uint64(_EXP_MASK)
-    if ring.order == "grevlex":
-        exps = (_EXP_MASK - lanes)[:, ::-1]
-    else:
-        exps = lanes
-    # reject keys with inconsistent degree lanes or dirty padding bits
-    if keys.size and not np.array_equal(key_pack_vec(exps, ring), keys):
+    lanes = (keys[:, ring._lane_word] >> ring._lane_shift) & np.uint64(_EXP_MASK)
+    exps = (_EXP_MASK - lanes[:, ::-1]) if ring.order == "grevlex" else lanes
+    exps = exps.astype(np.int64)
+    if keys.size and (
+        (keys & ~ring._lane_mask).any()
+        or (ring.graded and (keys[:, 0] >> np.uint64(32) != exps.sum(axis=1)).any())
+    ):
         raise CorruptKeyError("key lanes are internally inconsistent")
-    return exps.astype(np.int64)
+    return exps
 
 
 def mon_key_pack(u: Monomial, ring: Ring) -> MonKey:

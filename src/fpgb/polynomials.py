@@ -299,6 +299,18 @@ def soa_pack(polys, ring: Ring) -> SoaPolySet:
     return SoaPolySet(ring, mon_key, coeff, offset, lengths, exps)
 
 
+def soa_concat(a: SoaPolySet, b: SoaPolySet) -> SoaPolySet:
+    """The polynomials of ``a`` followed by those of ``b``, as one set."""
+    return SoaPolySet(
+        a.ring,
+        np.concatenate([a.mon_key, b.mon_key]),
+        np.concatenate([a.coeff, b.coeff]),
+        np.concatenate([a.offset, a.offset[-1] + b.offset[1:]]),
+        np.concatenate([a.length, b.length]),
+        np.concatenate([a.exps, b.exps]),
+    )
+
+
 def soa_slice(s: SoaPolySet, i: int) -> Poly:
     if not 0 <= i < len(s.length):
         raise IndexError(f"polynomial index {i} out of range")

@@ -146,19 +146,6 @@ def csr_transpose(A: CsrMatrix) -> CsrMatrix:
     )
 
 
-def matrix_market(A: CsrMatrix) -> str:
-    """Coordinate-format text dump, 1-based indices."""
-    lines = [
-        "%%MatrixMarket matrix coordinate integer general",
-        f"{A.n_rows} {A.n_cols} {A.nnz()}",
-    ]
-    for i in range(A.n_rows):
-        cols, vals = A.row(i)
-        for c, v in zip(cols.tolist(), vals.tolist()):
-            lines.append(f"{i + 1} {c + 1} {v}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # SpMV / SpMM with windowed lazy accumulation
 # ---------------------------------------------------------------------------

@@ -158,6 +158,20 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flags", [["--panel-width", "0"], ["--max-steps", "-1"]], ids=["panel-width", "max-steps"]
+)
+def test_cli_rejects_bad_config_before_any_batch(monkeypatch, flags):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran with a config that should have been rejected")
+
+    monkeypatch.setattr("fpgb.cli.run_pipeline", no_batch)
+    monkeypatch.setattr("fpgb.groebner.f4_step", no_batch)
+    for command in ("gb", "verify"):
+        argv = [command, "--family", "katsura", "--n", "3", "--p", "101", "--numeric", "dense"]
+        assert main(argv + flags) == 2
+
+
+@pytest.mark.parametrize(
     "exc, code",
     [
         (LaneOverflowError("exponent does not fit a 16-bit lane"), 3),

@@ -5,7 +5,8 @@ import pytest
 
 from fpgb.errors import PreconditionError, ProbabilisticFailureError
 from fpgb.fp import FieldModulus
-from fpgb.monomials import Ring
+from fpgb import groebner
+from fpgb.monomials import ORDERS, Ring, mon_divides, mon_lcm, mon_mul
 from fpgb.polynomials import (
     Poly,
     poly_add_scaled,
@@ -19,7 +20,7 @@ from fpgb.polynomials import (
 from fpgb.groebner import (
     GroebnerState,
     _interreduce,
-    Pair,
+    PairQueue,
     PipelineConfig,
     buchberger_reference,
     f4_groebner,
@@ -92,9 +93,9 @@ def test_normal_form_no_reducible_monomials():
 def test_update_pairs_product_criterion():
     state = GroebnerState(R2)
     update_pairs(state, poly_parse("x + 6", R2))
-    assert state.pairs == []
+    assert len(state.pairs) == 0
     update_pairs(state, poly_parse("y + 6", R2))
-    assert state.pairs == []  # lcm(x, y) = x*y is the coprime product
+    assert len(state.pairs) == 0  # lcm(x, y) = x*y is the coprime product
 
 
 def test_update_pairs_chain_criterion():
@@ -102,32 +103,118 @@ def test_update_pairs_chain_criterion():
     state = GroebnerState(r3)
     update_pairs(state, poly_parse("x^2*z + y", r3))
     update_pairs(state, poly_parse("y^2*z + x", r3))
-    assert [(q.i, q.j) for q in state.pairs] == [(0, 1)]
+    assert queue_pairs(state) == [(0, 1)]
     # lm x*y*z divides lcm(0,1) = x^2 y^2 z while both sub-lcms differ
     update_pairs(state, poly_parse("x*y*z + 1", r3))
     # the old pair is gone; survivors sort by lcm key (x y^2 z before x^2 y z)
-    assert [(q.i, q.j) for q in state.pairs] == [(1, 2), (0, 2)]
+    assert queue_pairs(state) == [(1, 2), (0, 2)]
 
 
 def test_select_batch_minimal_degree_group():
     state = GroebnerState(R2)
     state.basis = [poly_parse("x^2", R2)] * 4  # placeholder members
-    k = R2.sort_key
-    state.pairs = sorted(
-        [
-            Pair(0, 1, (2, 1), 3, k((2, 1))),
-            Pair(1, 2, (1, 2), 3, k((1, 2))),
-            Pair(2, 3, (4, 1), 5, k((4, 1))),
-        ],
-        key=Pair.sort_tuple,
-    )
+    # queue order: x*y^2 < x^2*y (degree 3), then x^4*y (degree 5)
+    lcm = np.array([[1, 2], [2, 1], [4, 1]], dtype=np.int64)
+    state.pairs = PairQueue.of([1, 0, 2], [2, 1, 3], lcm, lcm.sum(axis=1), R2)
     spec, degree = select_batch(state)
     assert degree == 3 and len(spec.targets) == 2
-    assert len(state.pairs) == 1 and state.pairs[0].degree == 5
+    assert [(g.lcm, g.pair_id, g.fi, g.gi) for g in spec.targets] == [
+        ((1, 2), 0, 1, 2),
+        ((2, 1), 1, 0, 1),
+    ]
+    assert len(state.pairs) == 1 and state.pairs.deg.tolist() == [5]
     spec2, _ = select_batch(state)
     assert len(spec2.targets) == 1
     with pytest.raises(PreconditionError):
         select_batch(state)
+
+
+def queue_pairs(state):
+    return list(zip(state.pairs.i.tolist(), state.pairs.j.tolist()))
+
+
+def scalar_update_pairs(leads, queue, lm_t, ring):
+    """The scalar Gebauer-Moller update that the array queue replaced.
+
+    ``leads`` lists the members' leading monomials and gains ``lm_t``;
+    ``queue`` holds (i, j, lcm) and the updated queue is returned in
+    (degree, term order of lcm, i, j) order.
+    """
+    t = len(leads)
+    leads.append(lm_t)
+    cands = [(i, t, mon_lcm(leads[i], lm_t)) for i in range(t)]
+    # chain criterion among the new pairs
+    kept = [
+        a for a in cands if not any(b[2] != a[2] and mon_divides(b[2], a[2]) for b in cands)
+    ]
+    # one representative per lcm (lowest partner index)
+    by_lcm = {}
+    for c in kept:
+        by_lcm.setdefault(c[2], c)
+    # product criterion
+    survivors = [c for c in by_lcm.values() if c[2] != mon_mul(leads[c[0]], lm_t)]
+    # chain criterion against queued old pairs
+    old = [
+        q
+        for q in queue
+        if not (
+            mon_divides(lm_t, q[2])
+            and mon_lcm(leads[q[0]], lm_t) != q[2]
+            and mon_lcm(leads[q[1]], lm_t) != q[2]
+        )
+    ]
+    return sorted(old + survivors, key=lambda q: (sum(q[2]), ring.sort_key(q[2]), q[0], q[1]))
+
+
+def test_pair_queue_matches_scalar_update():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 6),
+        order=st.sampled_from(ORDERS),
+        cells=st.sampled_from([1, 7, 1 << 20]),
+        data=st.data(),
+    )
+    def check(n, order, cells, data):
+        ring = Ring([f"x{i}" for i in range(n)], order, M7)
+        # small exponents make equal lcms, coprime leads and leads that
+        # divide one another common; a drawn lead may repeat or multiply an
+        # earlier one outright
+        fresh = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+        steps = data.draw(st.integers(1, 24))
+        state, leads, queue = GroebnerState(ring), [], []
+        old_cells = groebner._PAIR_MASK_CELLS
+        groebner._PAIR_MASK_CELLS = cells
+        try:
+            for _ in range(steps):
+                lead = data.draw(fresh)
+                if leads and data.draw(st.booleans()):
+                    base = data.draw(st.sampled_from(leads))
+                    lead = tuple(a + b for a, b in zip(base, lead))
+                if queue and data.draw(st.booleans()):
+                    spec, d = select_batch(state)
+                    assert d == sum(queue[0][2])
+                    k = sum(1 for q in queue if sum(q[2]) == d)
+                    assert [(g.fi, g.gi, g.lcm) for g in spec.targets] == queue[:k]
+                    queue = queue[k:]
+                update_pairs(state, Poly(ring, ((lead, 1),)))
+                queue = scalar_update_pairs(leads, queue, lead, ring)
+                got = list(
+                    zip(
+                        state.pairs.i.tolist(),
+                        state.pairs.j.tolist(),
+                        map(tuple, state.pairs.lcm.tolist()),
+                    )
+                )
+                assert got == queue
+                assert state.pairs.deg.tolist() == [sum(q[2]) for q in queue]
+                assert state.leads.tolist() == [list(u) for u in leads]
+        finally:
+            groebner._PAIR_MASK_CELLS = old_cells
+
+    check()
 
 
 def test_f4_step_worked_example():

@@ -121,6 +121,50 @@ def test_corrupt_key_rejected():
         key_unpack_vec(bad, r)
 
 
+def repack_accepts(words, r):
+    """The former key check, on plain ints: unpack the lanes, pack again, compare.
+
+    Returns the exponents when the key packs back to itself, else None.
+    """
+    w = len(words)
+    acc = sum(int(x) << (64 * (w - 1 - i)) for i, x in enumerate(words))
+    head = 32 if r.graded else 0
+    lanes = [(acc >> (64 * w - head - 16 * (i + 1))) & 0xFFFF for i in range(r.n_vars)]
+    exps = tuple(0xFFFF - x for x in reversed(lanes)) if r.order == "grevlex" else tuple(lanes)
+    return exps if mon_key_pack(exps, r) == tuple(int(x) for x in words) else None
+
+
+def test_key_check_rejects_exactly_what_repacking_rejects():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 32),
+        order=st.sampled_from(ORDERS),
+        data=st.data(),
+    )
+    def check(n, order, data):
+        r = ring(n, order)
+        exps = data.draw(st.lists(st.integers(0, 0xFFFF), min_size=n, max_size=n))
+        key = list(mon_key_pack(tuple(exps), r))
+        mode = data.draw(st.sampled_from(["valid", "flip", "random"]))
+        if mode == "flip":
+            bit = data.draw(st.integers(0, 64 * r.n_key_words - 1))
+            key[bit // 64] ^= 1 << (bit % 64)
+        elif mode == "random":
+            key = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(key), max_size=len(key)))
+        want = repack_accepts(key, r)
+        arr = np.array([key], dtype=np.uint64)
+        if want is None:
+            with pytest.raises(CorruptKeyError):
+                key_unpack_vec(arr, r)
+        else:
+            assert key_unpack_vec(arr, r).tolist() == [list(want)]
+
+    check()
+
+
 def test_lane_overflow_errors():
     r = ring(2)
     with pytest.raises(LaneOverflowError):

@@ -19,7 +19,6 @@ from fpgb.sparselin import (
     dense_gauss,
     dense_rank,
     left_kernel,
-    matrix_market,
     psge_reduce,
     spmm,
     spmv,
@@ -398,16 +397,6 @@ def test_left_kernel_full_row_rank_empty():
     mat = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.uint64)
     kb = left_kernel(csr_from_dense(mat, M7), count=4, seed=0)
     assert kb.dimension_found == 0
-
-
-def test_matrix_market_dump():
-    _, A = example_plan_matrix()
-    text = matrix_market(A)
-    lines = text.strip().split("\n")
-    assert lines[0] == "%%MatrixMarket matrix coordinate integer general"
-    assert lines[1] == "2 3 4"
-    assert lines[2] == "1 1 1"
-    assert len(lines) == 6
 
 
 def hand_csr(row_cols, n_cols=4, vals=None):

@@ -35,7 +35,7 @@ from fpgb.symbolic import (
     row_lead_cols,
     select_rows,
 )
-from fpgb.systems import format_system, gen_cyclic, gen_katsura
+from fpgb.systems import format_system, gen_cyclic, gen_katsura, gen_random_quadratic, parse_system
 
 M7 = FieldModulus(7)
 R2 = Ring(["x", "y"], "grevlex", M7)
@@ -374,13 +374,50 @@ GOLDEN_PLANS = {
         ],
         "ecc270704456c7842bea938f4e93f40485bdc83c6956a38c1942f888d8f46862",
     ),
+    # many-small's systems: (order, seed, p); the pair queue's order depends
+    # on the term order, so lex and deglex are pinned as well
+    ("random-deglex", 1, 2147483629): (
+        [
+            "5c31bde58446521b0897d8c3814e7b58280103f7a2e41c370c47a408dc0fa2ad",
+            "b06881f503ccbe549f21bf0592db22382c2e52534f2b84fcc239f691622d76be",
+            "90219c5a61689077e41f400436baa6285b2071cf64b50488c6068d84feeb6942",
+            "98cc76f4cf81927cca31ad1ceee21a960b9848ee0814eb5c00d92edb303c2af1",
+        ],
+        "7edc8dff2bcbece9d5dbb5bec97ba3d6c33720ba6f9f7f21a0383f62a19ba767",
+    ),
+    ("random-lex", 2, 2147483629): (
+        [
+            "66c1ca8a8dc31f1763ed319c8947549ba99794b50b37a8721a68bdbab8efb914",
+            "54fb64731ea4063fefb27174e16d24f11ad5a300494f2d5fc81262bbf50989db",
+            "4887ae7f12bd14b1a5422bcbd02f604508a58000e84488cf7c603dc41c303258",
+            "056211260f030f5bb78f6acad8b2051954a7e49cf4445887b8ac01bccd66ff92",
+            "b43d46d7f85e8d48ce46a8cc96119e6a8036513ec38ddf0de5704029792ab919",
+            "1910a4bbd868ef9764f8fe85101cda801df06c343d11fdf060d8396a0b5f75c4",
+            "9a3349c78d955af383db0eb8d8f8875c09487f12c13f9b66cfb326202b9308e0",
+            "9642bb55142f954862e1a6043b2a728f133d72d3bcb926b5b2cd83db9344c0ea",
+            "0e465b0384fc8a96d283ee8df71df42e83fa875ef71e08304ce17c547b3f120f",
+            "58fb68828a684a3001594b7c2ad98452a45d386f347db74572f80512ca35e7dc",
+            "0fcfcc133fa0f94b8bb2d1ef5b9b4f6da4759088ee9130d05210871fa9f2942c",
+            "0f6902332396f83d36dea1bd3f8687c4eb2db46907f8b258d5ff8376cf568eb2",
+        ],
+        "3f14059ac6206f18e3e6053adfc4606061c8eeabb1bc2836864bb12e19899bb6",
+    ),
 }
+
+
+def golden_system(family, n, p):
+    """cyclic-n and katsura-n, or many-small's random system of seed n."""
+    if family in ("cyclic", "katsura"):
+        return {"cyclic": gen_cyclic, "katsura": gen_katsura}[family](n, p)
+    order = family.removeprefix("random-")
+    ring, polys = gen_random_quadratic(3, 3, 0.5, n, p)
+    text = format_system(ring, polys).replace(f"order {ring.order}\n", f"order {order}\n", 1)
+    return parse_system(text)
 
 
 @pytest.mark.parametrize("instance", sorted(GOLDEN_PLANS))
 def test_golden_plan_and_basis_digests(instance):
-    family, n, p = instance
-    ring, polys = {"cyclic": gen_cyclic, "katsura": gen_katsura}[family](n, p)
+    ring, polys = golden_system(*instance)
     digests, rounds = [], []
 
     def on_batch(basis_before, plan, ech, stats):
