@@ -19,6 +19,7 @@ basis text and must be identical for every worker-lane count.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -344,30 +345,39 @@ def verify_instance(ring, polys, config: PipelineConfig):
     """Run the structural/algebraic invariant suites over one instance.
 
     Returns a list of (check, ok, detail); any False entry is a property
-    violation.  Covers: plan structure (race-freedom partition), dictionary
+    violation, and a per-batch check's detail starts with its batch index
+    (from 0).  Covers: plan structure (race-freedom partition), dictionary
     against the naive support-union oracle, row decode against the exact
-    shift oracle, closure soundness, kernel-syzygy on both kernel engines,
-    key-count instrumentation, digest stability across worker counts, and
-    engine agreement (batched vs scalar oracle).
+    shift oracle, closure soundness, kernel-syzygy on both kernel engines
+    (each held to the batch's nullity from elimination), key-count
+    instrumentation, digest stability across worker counts, and engine
+    agreement (batched vs scalar oracle).
     """
     checks = []
 
     def record(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
+    batch_ids = itertools.count()
+
     def on_batch(basis_before, plan, ech, st):
+        batch = next(batch_ids)
+
+        def record_batch(name, ok, detail=""):
+            record(name, ok, f"batch {batch}: {detail}" if detail else f"batch {batch}")
+
         try:
             plan.validate()
-            record("plan_structure", True)
+            record_batch("plan_structure", True)
         except PropertyViolationError as exc:
-            record("plan_structure", False, str(exc))
+            record_batch("plan_structure", False, str(exc))
         # dictionary oracle: sorted set of shifted supports
         support = set()
         for row in plan.row_meta:
             shifted = poly_mul_mon(row.shift, basis_before[row.basis_index])
             support.update(e for e, _ in shifted.terms)
         got = {tuple(int(e) for e in r) for r in key_unpack_vec(plan.dict_keys, ring)}
-        record("dictionary_oracle", got == support, f"{len(got)} vs {len(support)} monomials")
+        record_batch("dictionary_oracle", got == support, f"{len(got)} vs {len(support)} monomials")
         # decode oracle
         ok = True
         for i, row in enumerate(plan.row_meta):
@@ -375,7 +385,7 @@ def verify_instance(ring, polys, config: PipelineConfig):
             if decode_row(plan, i).terms != want.terms:
                 ok = False
                 break
-        record("row_decode_oracle", ok)
+        record_batch("row_decode_oracle", ok)
         # closure soundness: covered dictionary monomials lead some row
         lead_cols = set(row_lead_cols(plan).tolist())
         exps = key_unpack_vec(plan.dict_keys, ring)
@@ -386,11 +396,13 @@ def verify_instance(ring, polys, config: PipelineConfig):
                 if j not in lead_cols:
                     sound = False
                     break
-        record("closure_soundness", sound)
-        # kernel syzygies via both engines
-        for engine, report, _ in groebner_kernel_checks(plan, basis_before, ring.modulus, config.seed):
-            record(f"kernel_syzygy_{engine}", report.ok, report.detail)
-        record(
+        record_batch("closure_soundness", sound)
+        # kernel syzygies via both engines, each held to the batch's nullity
+        for engine, report, _ in groebner_kernel_checks(
+            plan, basis_before, ring.modulus, ech.rank, config.seed
+        ):
+            record_batch(f"kernel_syzygy_{engine}", report.ok, report.detail)
+        record_batch(
             "key_instrumentation",
             plan.counters.keys_emitted == plan.counters.M
             and plan.counters.keys_generated_total >= plan.counters.M,

@@ -26,13 +26,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bulk import ExecPolicy
-from .errors import NonterminationError, PreconditionError, ProbabilisticFailureError
+from .errors import (
+    NonterminationError,
+    PreconditionError,
+    ProbabilisticFailureError,
+    PropertyViolationError,
+)
 from .fp import Backend, FieldModulus
 from .monomials import Ring, _tie_lanes, key_unpack_vec, mon_div, mon_divides, mon_lcm, mon_mul
 from .polynomials import (
     Poly,
     SoaPolySet,
     poly_add_scaled,
+    poly_from_dict,
     poly_monic,
     poly_mul_mon,
     soa_concat,
@@ -398,13 +404,10 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
 
     kernel = None
     if config.numeric == "wiedemann":
-        kernel = left_kernel(
-            A, count=max(1, A.n_rows), seed=config.seed, block_width=config.block_width
-        )
-        report = verify_kernel_syzygy(plan, basis_snapshot, kernel)
+        nullity = A.n_rows - ech.rank
+        kernel = left_kernel(A, count=nullity, seed=config.seed, block_width=config.block_width)
+        report = _kernel_report(plan, basis_snapshot, kernel, nullity)
         if not report.ok:
-            from .errors import PropertyViolationError
-
             raise PropertyViolationError(f"kernel syzygy violation: {report.detail}")
 
     new_polys = _harvest(state, plan, ech.nonpivot_rows)
@@ -574,35 +577,60 @@ def is_groebner(G: list, ring: Ring) -> GroebnerReport:
 def verify_kernel_syzygy(plan: LayoutPlan, basis: list, kernel: KernelBasis) -> GroebnerReport:
     """Exact recombination check: sum_i v_i (t_i g_{k_i}) must vanish.
 
+    Each row's shifted polynomial is built once per call, from the plan's
+    row metadata and the basis alone (never the plan's matrix), and each
+    vector sums its scaled rows into one dict keyed by exponent tuple.
     This is only guaranteed for support-closed plans; a failure is a
     property violation, not an input error.
     """
     ring = plan.ring
+    p = ring.modulus.p
+    shifted: dict = {}
     for n, v in enumerate(kernel.vectors):
         if len(v) != plan.n_rows:
             return GroebnerReport(False, f"kernel vector {n} has wrong length")
-        total = Poly(ring)
-        for i, row in enumerate(plan.row_meta):
+        acc: dict = {}
+        for i in np.flatnonzero(v).tolist():
+            terms = shifted.get(i)
+            if terms is None:
+                row = plan.row_meta[i]
+                terms = shifted[i] = poly_mul_mon(row.shift, basis[row.basis_index]).terms
             c = int(v[i])
-            if c:
-                total = poly_add_scaled(
-                    total, c, poly_mul_mon(row.shift, basis[row.basis_index])
-                )
-        if not total.is_zero():
+            for e, a in terms:
+                acc[e] = acc.get(e, 0) + c * a
+        if any(x % p for x in acc.values()):
+            total = poly_from_dict(acc, ring)
             return GroebnerReport(False, f"kernel vector {n} recombines to {total}")
     return GroebnerReport(True)
 
 
-def groebner_kernel_checks(plan: LayoutPlan, basis: list, m: FieldModulus, seed: int = 0):
-    """Left kernels via both engines, each recombined exactly; returns reports."""
+def _kernel_report(plan: LayoutPlan, basis: list, kernel: KernelBasis, nullity: int) -> GroebnerReport:
+    """Exact recombination of every vector, and exactly ``nullity`` of them."""
+    found = f"found {kernel.dimension_found} of nullity {nullity}"
+    rep = verify_kernel_syzygy(plan, basis, kernel)
+    if not rep.ok:
+        return GroebnerReport(False, f"{found}; {rep.detail}")
+    return GroebnerReport(kernel.dimension_found == nullity, found)
+
+
+def groebner_kernel_checks(plan: LayoutPlan, basis: list, m: FieldModulus, rank: int, seed: int = 0):
+    """Left kernels via both engines, each recombined exactly; returns reports.
+
+    ``rank`` is the batch's rank from elimination, so both engines are held
+    to the nullity ``n_rows - rank``: a report passes only if it found
+    exactly that many vectors and every one recombines to zero.
+    """
     A = csr_from_plan(plan, m)
+    nullity = A.n_rows - rank
     reports = []
-    dense_kb = left_kernel(A, count=max(1, A.n_rows), seed=seed)
-    reports.append(("dense", verify_kernel_syzygy(plan, basis, dense_kb), dense_kb))
+    dense_kb = left_kernel(A, count=nullity, seed=seed)
+    reports.append(("dense", _kernel_report(plan, basis, dense_kb, nullity), dense_kb))
     try:
-        wk = wiedemann_solve(csr_transpose(A), KernelMode.RIGHT_KERNEL, seed=seed)
+        wk = wiedemann_solve(
+            csr_transpose(A), KernelMode.RIGHT_KERNEL, seed=seed, max_vectors=nullity
+        )
         kb = KernelBasis("left", wk.vectors, wk.dimension_found, wk.seed_trail)
-        reports.append(("wiedemann", verify_kernel_syzygy(plan, basis, kb), kb))
+        reports.append(("wiedemann", _kernel_report(plan, basis, kb, nullity), kb))
     except ProbabilisticFailureError as exc:  # reported, never hidden
         reports.append(("wiedemann", GroebnerReport(False, str(exc)), None))
     return reports

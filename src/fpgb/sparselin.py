@@ -12,10 +12,13 @@ them:
   pivots, so the output is the whole RREF;
 - ``dense_gauss``: the brute-force oracle (size-capped) used to cross-check
   ranks, row spaces, and null spaces;
-- ``wiedemann_solve``: black-box kernel extraction from Krylov sequences
-  via Berlekamp-Massey, applying the operator to small blocks of vectors
-  at a time; rectangular instances are framed through A^T A (right) or
-  A A^T (left) and every candidate is verified against A itself.
+- ``wiedemann_solve``: black-box right-kernel extraction from Krylov
+  sequences via Berlekamp-Massey, applying the operator to small blocks of
+  vectors at a time; a rectangular A is framed through A^T A and every
+  candidate is verified against A itself.  ``left_kernel`` runs it on the
+  transpose.  A caller that knows the nullity from elimination passes it
+  as the target: the solve stops once it is reached and fails loudly when
+  the round budget ends short of it.
 
 All randomness is seeded and every probabilistic result carries its seed
 trail for replay.
@@ -50,6 +53,7 @@ class CsrMatrix:
     val: np.ndarray  # (nnz,) uint64, nonzero residues
     modulus: FieldModulus
     _chunks: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _transpose: CsrMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def nnz(self) -> int:
         return int(self.row_ptr[-1])
@@ -131,19 +135,27 @@ def csr_from_plan(plan: LayoutPlan, m: FieldModulus) -> CsrMatrix:
 
 
 def csr_transpose(A: CsrMatrix) -> CsrMatrix:
-    """Transpose by stable counting sort on column indices."""
-    nnz = A.nnz()
-    if nnz == 0:
-        return csr_from_arrays(
-            A.n_cols, A.n_rows, np.zeros(A.n_cols + 1, dtype=np.int64),
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64), A.modulus,
-        )
-    _, perm = radix_sort(A.col_ind.astype(np.uint64).reshape(-1, 1))
-    row_of = np.repeat(np.arange(A.n_rows, dtype=np.int64), np.diff(A.row_ptr))
-    t_row_ptr = exclusive_scan(np.bincount(A.col_ind, minlength=A.n_cols))
-    return csr_from_arrays(
-        A.n_cols, A.n_rows, t_row_ptr, row_of[perm], A.val[perm], A.modulus
-    )
+    """Transpose by stable counting sort on column indices.
+
+    Built on first use and kept on both matrices, each linked to the other,
+    so ``csr_transpose(csr_transpose(A))`` is ``A`` itself; a CsrMatrix is
+    not changed once it is made.
+    """
+    if A._transpose is None:
+        if A.nnz() == 0:
+            T = csr_from_arrays(
+                A.n_cols, A.n_rows, np.zeros(A.n_cols + 1, dtype=np.int64),
+                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64), A.modulus,
+            )
+        else:
+            _, perm = radix_sort(A.col_ind.astype(np.uint64).reshape(-1, 1))
+            row_of = np.repeat(np.arange(A.n_rows, dtype=np.int64), np.diff(A.row_ptr))
+            t_row_ptr = exclusive_scan(np.bincount(A.col_ind, minlength=A.n_cols))
+            T = csr_from_arrays(
+                A.n_cols, A.n_rows, t_row_ptr, row_of[perm], A.val[perm], A.modulus
+            )
+        A._transpose, T._transpose = T, A
+    return A._transpose
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +498,6 @@ def berlekamp_massey(seq, m: FieldModulus):
 
 
 class KernelMode(enum.Enum):
-    MINPOLY = "minpoly"
     RIGHT_KERNEL = "right_kernel"
 
 
@@ -528,28 +539,34 @@ def wiedemann_solve(
     max_rounds: int = 12,
     stall_rounds: int = 3,
 ):
-    """Black-box Krylov solve on A (square) or the A^T A framing (rectangular).
+    """Verified right-kernel vectors of A from seeded Krylov probe rounds.
 
-    MINPOLY returns the minimal recurrence annihilating a probed projection
-    sequence.  RIGHT_KERNEL collects verified kernel vectors of A across
-    seeded probe rounds; degenerate draws retry with derived seeds, and an
-    exhausted budget either confirms a trivial kernel (dense, small case)
-    or raises ProbabilisticFailureError carrying the seed trail.
+    A square A is its own operator; a rectangular one is framed through
+    A^T A, and every candidate is checked against A itself.  Each round
+    probes ``block_width`` vectors; degenerate draws retry with derived
+    seeds.  ``RIGHT_KERNEL`` is the only mode.
+
+    ``max_vectors`` is the nullity the caller expects (from elimination):
+    the solve returns as soon as that many independent vectors are found,
+    returns at once with an empty seed trail when it is 0, and raises
+    ProbabilisticFailureError with the seed trail when the round budget
+    ends short of it.  With ``max_vectors=None`` the target is unknown:
+    rounds stop after ``stall_rounds`` without progress, and an empty
+    result is either confirmed as a trivial kernel (dense, small case) or
+    raised as a failure.
     """
+    if max_vectors is not None and max_vectors < 0:
+        raise PreconditionError("max_vectors must be >= 0")
+    dim = A.n_cols
+    if dim == 0 or max_vectors == 0:
+        return KernelBasis("right", [], 0, ())
     m = A.modulus
     p = m.p
-    square = A.n_rows == A.n_cols
-    if square:
-        dim = A.n_cols
+    if A.n_rows == A.n_cols:
         apply_b = lambda X: spmm(A, X)
     else:
         At = csr_transpose(A)
-        dim = A.n_cols
         apply_b = lambda X: spmm(At, spmm(A, X))
-    if dim == 0:
-        if mode is KernelMode.MINPOLY:
-            return [1]
-        return KernelBasis("right", [], 0, ())
 
     root = np.random.SeedSequence(seed)
     trail = []
@@ -570,12 +587,6 @@ def wiedemann_solve(
         for k in range(2 * dim):
             seqs[k] = _block_proj(U, W, p)
             W = apply_b(W)
-
-        if mode is KernelMode.MINPOLY:
-            col = seqs[:, 0]
-            if (col == 0).all():
-                continue  # degenerate projection, retry with next derived seed
-            return berlekamp_massey(col.tolist(), m)
 
         progress = False
         for j in range(b):
@@ -603,15 +614,17 @@ def wiedemann_solve(
             if _try_extend_basis(w, reduced, p):
                 vectors.append(w.copy())
                 progress = True
-        if mode is KernelMode.RIGHT_KERNEL:
-            if len(vectors) >= target:
-                break
-            stalled = 0 if progress else stalled + 1
-            if stalled > stall_rounds and vectors:
-                break
+        if len(vectors) >= target:
+            break
+        stalled = 0 if progress else stalled + 1
+        if max_vectors is None and stalled > stall_rounds and vectors:
+            break
 
-    if mode is KernelMode.MINPOLY:
-        raise ProbabilisticFailureError("all minpoly projections were zero", trail)
+    if max_vectors is not None and len(vectors) < max_vectors:
+        raise ProbabilisticFailureError(
+            f"found {len(vectors)} of {max_vectors} kernel vectors; "
+            f"round budget {max_rounds} spent", trail
+        )
     if not vectors:
         if max(A.n_rows, A.n_cols) <= DENSE_CAP:
             if dense_rank(A.to_dense(), m) == A.n_cols:
@@ -623,12 +636,17 @@ def wiedemann_solve(
 def left_kernel(A: CsrMatrix, count: int, seed: int, block_width: int = 4) -> KernelBasis:
     """Up to ``count`` independent vectors v with v^T A = 0.
 
-    Size-dispatched: the dense oracle engine below the cap, Wiedemann on the
-    transpose (``block_width`` probe vectors per round) above it.  Every
+    ``count`` is the nullity the caller expects; 0 returns an empty basis at
+    once.  Size-dispatched: the dense oracle engine below the cap returns
+    the first ``count`` vectors of the exact left kernel; above it,
+    Wiedemann on the transpose (``block_width`` probe vectors per round)
+    returns exactly ``count`` or raises ProbabilisticFailureError.  Every
     vector is re-verified by one SpMV on A^T.
     """
-    if count < 1:
-        raise PreconditionError("count must be >= 1")
+    if count < 0:
+        raise PreconditionError("count must be >= 0")
+    if count == 0:
+        return KernelBasis("left", [], 0, ())
     At = csr_transpose(A)
     if max(A.n_rows, A.n_cols) <= DENSE_CAP:
         vectors = dense_right_nullspace(At.to_dense(), A.modulus)[:count]

@@ -92,6 +92,40 @@ def test_verify_instance_reruns_only_the_other_worker_counts(monkeypatch):
     assert ("digest_worker_stability", True, "1 distinct digests") in checks
 
 
+def test_verify_names_the_batch_whose_kernel_came_up_short(monkeypatch):
+    import fpgb.groebner
+
+    real_solve = fpgb.groebner.wiedemann_solve
+    calls, short = [], []
+
+    def solve(A, mode, seed, max_vectors=None, **kwargs):
+        # one call per batch; the first with a kernel of two or more gets a
+        # budget of one round with one probe, which cannot fill it
+        batch = len(calls)
+        calls.append(max_vectors)
+        if not short and max_vectors >= 2:
+            short.append((batch, max_vectors))
+            kwargs.update(block_width=1, max_rounds=1)
+        return real_solve(A, mode, seed, max_vectors=max_vectors, **kwargs)
+
+    monkeypatch.setattr("fpgb.groebner.wiedemann_solve", solve)
+    cfg = PipelineConfig()
+    ring, polys, _ = make_instance("katsura", cfg, n=3, p=65537, seed=0)
+    checks = verify_instance(ring, polys, cfg)
+    assert short, "no batch with a kernel of two or more vectors"
+    (batch, nullity), = short
+    failed = [(name, detail) for name, ok, detail in checks if not ok]
+    assert len(failed) == 1
+    name, detail = failed[0]
+    assert name == "kernel_syzygy_wiedemann"
+    assert detail.startswith(f"batch {batch}: found 1 of {nullity} kernel vectors")
+    assert "seed trail" in detail
+    # every other per-batch check names its batch too
+    kernel = [d for n, ok, d in checks if n.startswith("kernel_syzygy")]
+    assert kernel[2 * batch] == f"batch {batch}: found {nullity} of nullity {nullity}"
+    assert all(d.startswith("batch ") for n, _, d in checks if n == "plan_structure")
+
+
 def test_microbench_kinds():
     d = microbench("dict_build", 5000, duplicate_rate=1.0, seed=1)
     assert d["unique_out"] == 1  # all keys equal

@@ -34,7 +34,7 @@ from fpgb.groebner import (
     update_pairs,
     verify_kernel_syzygy,
 )
-from fpgb.sparselin import left_kernel, csr_from_plan
+from fpgb.sparselin import KernelBasis, csr_from_plan, left_kernel, psge_reduce
 from fpgb.symbolic import Closure, Row, RowRole, compile_batch
 from fpgb.systems import (
     format_system,
@@ -430,6 +430,11 @@ def test_verify_kernel_syzygy_duplicate_rows():
     # empty kernel is vacuously fine
     kb.vectors, kb.dimension_found = [], 0
     assert verify_kernel_syzygy(plan, [g], kb).ok
+    # a recombination that leaves a single term is caught and printed
+    x = poly_parse("x", R2)
+    plan = compile_batch([Row((0, 1), 0, RowRole.SPOLY_HALF, 0)], soa_pack([x], R2), Closure.SUPPORT_ONLY)
+    rep = verify_kernel_syzygy(plan, [x], KernelBasis("left", [np.array([3], dtype=np.uint64)], 1, ()))
+    assert not rep.ok and rep.detail == "kernel vector 0 recombines to 3*x*y"
 
 
 def test_kernel_checks_both_paths_on_batches():
@@ -442,7 +447,8 @@ def test_kernel_checks_both_paths_on_batches():
     while state.pairs:
         basis_before = list(state.basis)
         plan, ech, _ = f4_step(state)
-        for engine, report, kb in groebner_kernel_checks(plan, basis_before, R2.modulus, seed=3):
+        checks = groebner_kernel_checks(plan, basis_before, R2.modulus, ech.rank, seed=3)
+        for engine, report, kb in checks:
             assert report.ok, f"{engine}: {report.detail}"
             if kb is not None and kb.dimension_found:
                 seen_kernel_vector = True
@@ -452,6 +458,7 @@ def test_kernel_checks_both_paths_on_batches():
 def test_kernel_checks_report_only_probabilistic_failures(monkeypatch):
     f, g = poly_parse("x^2 - y", R2), poly_parse("x*y - 1", R2)
     plan = compile_batch([Row((0, 1), 0, RowRole.SPOLY_HALF, 0)], soa_pack([f, g], R2))
+    rank = psge_reduce(csr_from_plan(plan, R2.modulus)).rank
 
     def failing(exc):
         def solve(*args, **kwargs):
@@ -459,12 +466,122 @@ def test_kernel_checks_report_only_probabilistic_failures(monkeypatch):
         return solve
 
     monkeypatch.setattr("fpgb.groebner.wiedemann_solve", failing(ProbabilisticFailureError("short")))
-    engine, report, kb = groebner_kernel_checks(plan, [f, g], R2.modulus)[1]
+    engine, report, kb = groebner_kernel_checks(plan, [f, g], R2.modulus, rank)[1]
     assert engine == "wiedemann" and not report.ok and kb is None
     assert report.detail.startswith("short")
     monkeypatch.setattr("fpgb.groebner.wiedemann_solve", failing(ValueError("bug")))
     with pytest.raises(ValueError, match="bug"):
-        groebner_kernel_checks(plan, [f, g], R2.modulus)
+        groebner_kernel_checks(plan, [f, g], R2.modulus, rank)
+
+
+def katsura3_batches():
+    """The ring and (basis_before, plan, echelon) of every F4 batch of katsura-3 mod 101."""
+    ring, polys = gen_katsura(3, 101)
+    batches = []
+    f4_groebner(polys, ring, PipelineConfig(), lambda b, plan, ech, st: batches.append((b, plan, ech)))
+    return ring, batches
+
+
+def test_kernel_checks_sort_each_batch_matrix_once(monkeypatch):
+    from fpgb import sparselin
+
+    ring, batches = katsura3_batches()
+    sorts = []
+    real_sort = sparselin.radix_sort
+    monkeypatch.setattr(sparselin, "radix_sort", lambda *a, **k: sorts.append(1) or real_sort(*a, **k))
+    nullities = []
+    for basis_before, plan, ech in batches:
+        sorts.clear()
+        checks = groebner_kernel_checks(plan, basis_before, ring.modulus, ech.rank, seed=3)
+        assert all(report.ok for _, report, _ in checks)
+        # one sort for the transpose, which both engines and Wiedemann's
+        # framing of it (A itself) share
+        assert len(sorts) == 1
+        nullities.append(plan.n_rows - ech.rank)
+    assert 0 in nullities and max(nullities) > 0
+
+
+def test_kernel_checks_fail_both_engines_short_of_the_nullity():
+    ring, batches = katsura3_batches()
+    basis_before, plan, ech = next(t for t in batches if t[1].n_rows - t[2].rank >= 2)
+    nullity = plan.n_rows - ech.rank
+    # a rank one too low claims one kernel vector more than exists
+    (_, dense, _), (_, krylov, kb) = groebner_kernel_checks(
+        plan, basis_before, ring.modulus, ech.rank - 1, seed=3
+    )
+    assert not dense.ok and dense.detail == f"found {nullity} of nullity {nullity + 1}"
+    assert not krylov.ok and kb is None
+    assert krylov.detail.startswith(f"found {nullity} of {nullity + 1} kernel vectors")
+
+
+def merge_loop_syzygy(plan, basis, kernel):
+    """The per-vector merge loop that verify_kernel_syzygy replaced, kept as its oracle."""
+    ring = plan.ring
+    for n, v in enumerate(kernel.vectors):
+        if len(v) != plan.n_rows:
+            return groebner.GroebnerReport(False, f"kernel vector {n} has wrong length")
+        total = Poly(ring)
+        for i, row in enumerate(plan.row_meta):
+            c = int(v[i])
+            if c:
+                total = poly_add_scaled(total, c, poly_mul_mon(row.shift, basis[row.basis_index]))
+        if not total.is_zero():
+            return groebner.GroebnerReport(False, f"kernel vector {n} recombines to {total}")
+    return groebner.GroebnerReport(True)
+
+
+_KERNEL_BATCHES = {}
+
+
+def kernel_batches(order, seed):
+    """(basis_before, plan, left kernel) of every batch of one random system."""
+    key = (order, seed)
+    if key not in _KERNEL_BATCHES:
+        ring, polys = gen_random_quadratic(3, 3, 0.5, seed, 101)
+        text = format_system(ring, polys).replace(f"order {ring.order}\n", f"order {order}\n", 1)
+        ring, polys = parse_system(text)
+        out = []
+
+        def on_batch(basis_before, plan, ech, st):
+            A = csr_from_plan(plan, ring.modulus)
+            out.append((basis_before, plan, left_kernel(A, A.n_rows - ech.rank, seed=0).vectors))
+
+        f4_groebner(polys, ring, PipelineConfig(), on_batch)
+        _KERNEL_BATCHES[key] = out
+    return _KERNEL_BATCHES[key]
+
+
+def test_dict_recombination_matches_merge_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(order=st.sampled_from(ORDERS), seed=st.integers(0, 3), data=st.data())
+    def check(order, seed, data):
+        batches = kernel_batches(order, seed)
+        basis, plan, kernel = data.draw(st.sampled_from(batches))
+        p = plan.ring.modulus.p
+        coeff = st.integers(0, p - 1)
+        vectors = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(["kernel", "perturbed", "random"]))
+            if kind == "random" or not kernel:
+                v = np.array(data.draw(st.lists(coeff, min_size=plan.n_rows, max_size=plan.n_rows)),
+                             dtype=np.uint64)
+            else:
+                cs = data.draw(st.lists(coeff, min_size=len(kernel), max_size=len(kernel)))
+                v = sum((np.uint64(c) * w for c, w in zip(cs, kernel)), np.zeros(plan.n_rows, np.uint64))
+                v %= np.uint64(p)
+                if kind == "perturbed":
+                    i = data.draw(st.integers(0, plan.n_rows - 1))
+                    v[i] = (int(v[i]) + data.draw(st.integers(1, p - 1))) % p
+            vectors.append(v)
+        kb = KernelBasis("left", vectors, len(vectors), ())
+        want = merge_loop_syzygy(plan, basis, kb)
+        got = verify_kernel_syzygy(plan, basis, kb)
+        assert (got.ok, got.detail) == (want.ok, want.detail)
+
+    check()
 
 
 def test_random_quadratic_oracle_sample():

@@ -5,7 +5,12 @@ import pytest
 
 from fpgb import groebner, sparselin
 from fpgb.bench import PipelineConfig, make_instance, run_pipeline
-from fpgb.errors import PreconditionError, PropertyViolationError, SizeCapError
+from fpgb.errors import (
+    PreconditionError,
+    ProbabilisticFailureError,
+    PropertyViolationError,
+    SizeCapError,
+)
 from fpgb.fp import Backend, FieldModulus
 from fpgb.monomials import Ring
 from fpgb.polynomials import poly_parse, soa_pack
@@ -73,6 +78,16 @@ def test_transpose_round_trip():
     rowvec = csr_from_dense(np.array([[1, 2, 3]], dtype=np.uint64), M7)
     t = csr_transpose(rowvec)
     assert t.n_rows == 3 and t.n_cols == 1
+
+
+def test_transpose_is_built_once_and_linked_back():
+    rng = np.random.default_rng(4)
+    for mat in (random_sparse(rng, 13, 9, 0.3, M101), np.zeros((4, 6), dtype=np.uint64)):
+        A = csr_from_dense(mat, M101)
+        At = csr_transpose(A)
+        assert csr_transpose(A) is At
+        assert csr_transpose(At) is A
+        assert np.array_equal(At.to_dense(), mat.T)
 
 
 def test_spmm_identity_zero_and_oracle():
@@ -318,16 +333,6 @@ def test_berlekamp_massey_lfsr_round_trip():
         assert annihilates(f, seq, 101)
 
 
-def test_wiedemann_minpoly_identity_and_zero():
-    eye = csr_from_dense(np.eye(3, dtype=np.uint64), M101)
-    f = wiedemann_solve(eye, KernelMode.MINPOLY, seed=11)
-    assert f == [100, 1]  # x - 1
-    zero = CsrMatrix(3, 3, np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                     np.zeros(0, dtype=np.uint64), M101)
-    fz = wiedemann_solve(zero, KernelMode.MINPOLY, seed=11)
-    assert fz == [0, 1]  # x
-
-
 def test_wiedemann_kernel_identity_empty_after_rank_confirmation():
     eye = csr_from_dense(np.eye(3, dtype=np.uint64), M101)
     kb = wiedemann_solve(eye, KernelMode.RIGHT_KERNEL, seed=5, max_rounds=3)
@@ -382,6 +387,74 @@ def test_wiedemann_builds_each_spmm_chunk_layout_once(monkeypatch, shape):
     # one layout per operator (A, and A^T when A is not square) and the
     # transpose's own row pointers, however many Krylov steps ran
     assert len(scans) == (1 if shape[0] == shape[1] else 3)
+
+
+def test_wiedemann_zero_target_runs_no_round(monkeypatch):
+    rng = np.random.default_rng(8)
+    A = csr_from_dense(rank_deficient(rng, 20, 20, MBIG), MBIG)
+    calls = []
+    monkeypatch.setattr(sparselin, "spmm", lambda *a: calls.append(1))
+    monkeypatch.setattr(sparselin, "dense_rank", lambda *a: calls.append(1))
+    kb = wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=1, max_vectors=0)
+    assert kb.vectors == [] and kb.dimension_found == 0 and kb.seed_trail == ()
+    assert calls == []
+
+
+def test_wiedemann_stops_at_the_expected_nullity():
+    rng = np.random.default_rng(2718)
+    mat = rank_deficient(rng, 60, 57, MBIG)
+    A = csr_from_dense(mat, MBIG)
+    nullity = 60 - dense_rank(mat, MBIG)
+    assert nullity == 3
+    open_ended = wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=4)
+    kb = wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=4, max_vectors=nullity)
+    assert kb.dimension_found == len(kb.vectors) == nullity
+    assert len(kb.seed_trail) < len(open_ended.seed_trail)
+    for v in kb.vectors:
+        assert (spmv(A, v) == 0).all()
+    basis = np.array(kb.vectors, dtype=np.uint64)
+    assert dense_rank(basis, MBIG) == nullity
+
+
+def test_wiedemann_short_of_the_target_fails_loudly():
+    rng = np.random.default_rng(2718)
+    mat = rank_deficient(rng, 30, 27, MBIG)
+    A = csr_from_dense(mat, MBIG)
+    nullity = 30 - dense_rank(mat, MBIG)
+    with pytest.raises(ProbabilisticFailureError, match=f"found {nullity} of {nullity + 1} kernel vectors") as exc:
+        wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=4, max_vectors=nullity + 1)
+    assert len(exc.value.seed_trail) == 12
+
+
+def test_left_kernel_above_dense_cap_is_complete(monkeypatch):
+    rng = np.random.default_rng(600)
+    mat = random_sparse(rng, 30, 600, 0.05, MBIG)
+    mat[[26, 27, 28, 29]] = mat[[1, 5, 5, 9]]  # four repeats: nullity 4
+    A = csr_from_dense(mat, MBIG)
+    assert max(A.n_rows, A.n_cols) > sparselin.DENSE_CAP
+    nullity = A.n_rows - psge_reduce(A).rank
+    assert nullity == 4
+
+    def no_dense(*args):
+        raise AssertionError("the dense route ran above DENSE_CAP")
+
+    monkeypatch.setattr(sparselin, "dense_right_nullspace", no_dense)
+    kb = left_kernel(A, count=nullity, seed=3)
+    assert kb.side == "left" and kb.dimension_found == len(kb.vectors) == nullity
+    assert kb.seed_trail
+    dense = mat.astype(object)
+    for v in kb.vectors:
+        assert not any(x % MBIG.p for x in v.astype(object) @ dense)
+    with pytest.raises(ProbabilisticFailureError):
+        left_kernel(A, count=nullity + 1, seed=3)
+
+
+def test_left_kernel_count_zero_and_negative():
+    A = csr_from_dense(np.array([[1, 2, 3], [1, 2, 3]], dtype=np.uint64), M7)
+    kb = left_kernel(A, count=0, seed=0)
+    assert kb.vectors == [] and kb.dimension_found == 0 and kb.seed_trail == ()
+    with pytest.raises(PreconditionError):
+        left_kernel(A, count=-1, seed=0)
 
 
 def test_left_kernel_duplicate_row():
