@@ -371,20 +371,19 @@ def verify_instance(ring, polys, config: PipelineConfig):
             record_batch("plan_structure", True)
         except PropertyViolationError as exc:
             record_batch("plan_structure", False, str(exc))
+        # each row's shifted polynomial, from the row table and the basis
+        # alone: both oracles below read these, never the plan's matrix
+        meta = plan.row_meta
+        shifted = [
+            poly_mul_mon(tuple(t), basis_before[k])
+            for t, k in zip(meta.shift.tolist(), meta.basis_index.tolist())
+        ]
         # dictionary oracle: sorted set of shifted supports
-        support = set()
-        for row in plan.row_meta:
-            shifted = poly_mul_mon(row.shift, basis_before[row.basis_index])
-            support.update(e for e, _ in shifted.terms)
+        support = {e for f in shifted for e, _ in f.terms}
         got = {tuple(int(e) for e in r) for r in key_unpack_vec(plan.dict_keys, ring)}
         record_batch("dictionary_oracle", got == support, f"{len(got)} vs {len(support)} monomials")
         # decode oracle
-        ok = True
-        for i, row in enumerate(plan.row_meta):
-            want = poly_mul_mon(row.shift, basis_before[row.basis_index])
-            if decode_row(plan, i).terms != want.terms:
-                ok = False
-                break
+        ok = all(decode_row(plan, i).terms == f.terms for i, f in enumerate(shifted))
         record_batch("row_decode_oracle", ok)
         # closure soundness: covered dictionary monomials lead some row
         lead_cols = set(row_lead_cols(plan).tolist())

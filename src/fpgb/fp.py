@@ -149,14 +149,6 @@ def fp_add(a: FpElem, b: FpElem, m: FieldModulus) -> FpElem:
     return FpElem(r, a.domain)
 
 
-def fp_sub(a: FpElem, b: FpElem, m: FieldModulus) -> FpElem:
-    _check_same_domain(a, b)
-    r = a.value - b.value
-    if r < 0:
-        r += m.p
-    return FpElem(r, a.domain)
-
-
 def barrett_reduce(x: int, m: FieldModulus) -> FpElem:
     """Reduce 0 <= x < 2^62 modulo p via reciprocal multiplication.
 
@@ -261,15 +253,6 @@ def add_vec(a: np.ndarray, b: np.ndarray, m: FieldModulus) -> np.ndarray:
     return r - (r >= m._p_u64) * m._p_u64
 
 
-def sub_vec(a: np.ndarray, b: np.ndarray, m: FieldModulus) -> np.ndarray:
-    r = a + m._p_u64 - b
-    return r - (r >= m._p_u64) * m._p_u64
-
-
-def neg_vec(a: np.ndarray, m: FieldModulus) -> np.ndarray:
-    return np.where(a == 0, a, m._p_u64 - a)
-
-
 def naive_mul_vec(a: np.ndarray, b: np.ndarray, m: FieldModulus) -> np.ndarray:
     return (a * b) % m._p_u64
 
@@ -319,17 +302,6 @@ def mul_vec(a: np.ndarray, b: np.ndarray, m: FieldModulus) -> np.ndarray:
     if m.backend is Backend.BARRETT:
         return barrett_reduce_vec(a * b, m)
     return mont_leave_vec(mont_mul_vec(mont_enter_vec(a, m), mont_enter_vec(b, m), m), m)
-
-
-def inv_vec(a: np.ndarray, m: FieldModulus) -> np.ndarray:
-    """Elementwise inverse (scalar Fermat loop; boundary use only)."""
-    out = np.empty_like(a)
-    p = m.p
-    for i, v in enumerate(a.tolist()):
-        if v == 0:
-            raise NonInvertibleError("zero is not invertible")
-        out[i] = pow(v, p - 2, p)
-    return out
 
 
 class KernelArith:

@@ -56,11 +56,9 @@ from .sparselin import (
     wiedemann_solve,
 )
 from .symbolic import (
-    BatchSpec,
     Closure,
     LayoutPlan,
-    PairTarget,
-    Row,
+    RowMeta,
     RowRole,
     compile_batch,
     row_lead_cols,
@@ -284,20 +282,17 @@ def update_pairs(state: GroebnerState, new_poly: Poly) -> GroebnerState:
 
 
 def select_batch(state: GroebnerState):
-    """Normal strategy: every queued pair of minimal lcm total degree."""
+    """Normal strategy: pop every queued pair of minimal lcm total degree.
+
+    Returns that prefix of the queue, in queue order, and its degree.
+    """
     q = state.pairs
     if not len(q):
         raise PreconditionError("empty pair queue")
     d = int(q.deg[0])
     k = int(np.searchsorted(q.deg, d, side="right"))
-    targets = [
-        PairTarget(tuple(lcm), pid, i, j)
-        for pid, (lcm, i, j) in enumerate(
-            zip(q.lcm[:k].tolist(), q.i[:k].tolist(), q.j[:k].tolist())
-        )
-    ]
     state.pairs = q.take(slice(k, None))
-    return BatchSpec(targets=targets), d
+    return q.take(slice(None, k)), d
 
 
 @dataclass
@@ -388,10 +383,9 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
     """
     config = config or PipelineConfig()
     ring = state.ring
-    spec, degree = select_batch(state)
-    basis_snapshot = list(state.basis)
+    pairs, degree = select_batch(state)
     soa = state.soa()
-    rows = select_rows(spec, soa)
+    rows = select_rows(pairs.lcm, pairs.i, pairs.j, soa)
     plan = compile_batch(rows, soa, Closure.ONE_STEP_REDUCTION, ExecPolicy(config.workers))
 
     t0 = time.monotonic_ns()
@@ -406,7 +400,8 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
     if config.numeric == "wiedemann":
         nullity = A.n_rows - ech.rank
         kernel = left_kernel(A, count=nullity, seed=config.seed, block_width=config.block_width)
-        report = _kernel_report(plan, basis_snapshot, kernel, nullity)
+        # the basis is still the one the batch was compiled from: _harvest runs below
+        report = _kernel_report(plan, state.basis, kernel, nullity)
         if not report.ok:
             raise PropertyViolationError(f"kernel syzygy violation: {report.detail}")
 
@@ -477,8 +472,8 @@ def _interreduce(basis: list, ring: Ring, config: PipelineConfig) -> list:
     # divides its lead; a dropped divisor has a kept divisor of its own
     minimal = [f for i, f in enumerate(work) if not (leads[:i] <= leads[i]).all(axis=1).any()]
     soa = soa_pack(minimal, ring)
-    # equal role, provenance and shift: row_sort_key order is member order
-    rows = [Row(ring.one(), k, RowRole.REDUCER, 0) for k in range(len(minimal))]
+    k = np.arange(len(minimal))
+    rows = RowMeta.of(RowRole.REDUCER.value, 0, k, np.zeros((len(k), ring.n_vars), dtype=np.int64))
     plan = compile_batch(rows, soa, Closure.ONE_STEP_REDUCTION, ExecPolicy(config.workers))
     ech = psge_reduce(csr_from_plan(plan, ring.modulus), config.panel_width, back_reduce=True)
     # every row leads its own column, so every row is a known pivot
@@ -585,6 +580,8 @@ def verify_kernel_syzygy(plan: LayoutPlan, basis: list, kernel: KernelBasis) -> 
     """
     ring = plan.ring
     p = ring.modulus.p
+    shifts = plan.row_meta.shift.tolist()
+    ks = plan.row_meta.basis_index.tolist()
     shifted: dict = {}
     for n, v in enumerate(kernel.vectors):
         if len(v) != plan.n_rows:
@@ -593,8 +590,7 @@ def verify_kernel_syzygy(plan: LayoutPlan, basis: list, kernel: KernelBasis) -> 
         for i in np.flatnonzero(v).tolist():
             terms = shifted.get(i)
             if terms is None:
-                row = plan.row_meta[i]
-                terms = shifted[i] = poly_mul_mon(row.shift, basis[row.basis_index]).terms
+                terms = shifted[i] = poly_mul_mon(tuple(shifts[i]), basis[ks[i]]).terms
             c = int(v[i])
             for e, a in terms:
                 acc[e] = acc.get(e, 0) + c * a

@@ -109,10 +109,6 @@ def _check_arity(u: Monomial, ring: Ring):
         raise ArityMismatchError(f"expected {ring.n_vars} exponents, got {len(u)}")
 
 
-def mon_degree(u: Monomial) -> int:
-    return sum(u)
-
-
 def mon_compare(u: Monomial, v: Monomial, ring: Ring) -> int:
     """Direct term-order comparison: -1 if u < v, 0 if equal, +1 if u > v.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LaneOverflowError, PolyParseError
+from .errors import PolyParseError
 from .monomials import Ring, key_pack_vec, mon_format, mon_mul
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^]))")
@@ -262,11 +262,6 @@ class SoaPolySet:
     def total_terms(self) -> int:
         return int(self.offset[-1])
 
-    def lead_exps(self) -> np.ndarray:
-        """Leading exponent rows of every nonempty polynomial."""
-        starts = self.offset[:-1][self.length > 0]
-        return self.exps[starts]
-
     def validate(self):
         assert self.offset[0] == 0
         assert np.array_equal(np.diff(self.offset), self.length)
@@ -319,11 +314,3 @@ def soa_slice(s: SoaPolySet, i: int) -> Poly:
         (tuple(int(x) for x in s.exps[j]), int(s.coeff[j])) for j in range(lo, hi)
     )
     return Poly(s.ring, terms)
-
-
-def shift_exps(exps: np.ndarray, t) -> np.ndarray:
-    """Add a single shift monomial to every exponent row, checking lanes."""
-    out = exps + np.asarray(t, dtype=np.int64)
-    if out.size and out.max() >= _EXP_LIMIT:
-        raise LaneOverflowError("shifted exponent overflows 16-bit lane")
-    return out

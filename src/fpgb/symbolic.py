@@ -1,9 +1,10 @@
 """Batch compilation: from selected reduction targets to a static sparse plan.
 
-The compiler turns a batch specification (pair targets) into three outputs:
+The compiler turns a batch's critical pairs (lcm, i, j) into three outputs:
 
 - a sorted monomial dictionary (the matrix column space),
-- a deterministic row list of shifted reducers (t_i, g_{k_i}),
+- a row table of shifted reducers (t_i, g_{k_i}) in a deterministic order:
+  one int64 matrix (``RowMeta``) with a row per matrix row,
 - a write-once sparse layout plan: row_ptr / col_ind / val / dict_keys /
   row_meta, from which the batch matrix materializes directly.
 
@@ -17,8 +18,8 @@ scans the monomials no row leads; each later round scans only the monomials
 the previous round's rows added, which are sorted and deduplicated once,
 looked up once and inserted into the dictionary in place.
 
-Everything is deterministic: row order is fixed by (role, provenance,
-shift key, basis index), closure rows append in discovery-round order, and
+Everything is deterministic: S-half rows are ordered by (provenance, shift
+key, basis index), closure rows append in discovery-round order, and
 all bulk steps are schedule-independent.  Compiling the same batch with any
 worker-lane count yields byte-identical plans.
 """
@@ -41,8 +42,8 @@ from .bulk import (
     segment_defects,
     unique_sorted,
 )
-from .errors import PropertyViolationError, SizeCapError, UncoverableTargetError
-from .monomials import Ring, key_cmp_rows, key_pack_vec, key_unpack_vec, mon_div, mon_key_pack
+from .errors import DivisionError, PropertyViolationError, SizeCapError, UncoverableTargetError
+from .monomials import Ring, _tie_lanes, key_cmp_rows, key_pack_vec, key_unpack_vec
 from .polynomials import Poly, SoaPolySet
 
 DICT_CAP = 10**6
@@ -60,31 +61,48 @@ class Closure(enum.Enum):
     ONE_STEP_REDUCTION = "one_step_reduction"
 
 
-@dataclass(frozen=True)
-class Row:
-    """One shifted reducer: shift monomial, basis index, origin bookkeeping."""
+class RowMeta:
+    """The shifted reducers of a batch as the rows of one int64 matrix.
 
-    shift: tuple
-    basis_index: int
-    role: RowRole
-    provenance: int  # pair id for S-halves, discovery round for closure rows
+    Columns: role (a ``RowRole`` value), provenance (the pair's position in
+    the batch for S-halves, the discovery round for closure rows), basis
+    index, then the shift's exponents.  Row i describes matrix row i, the
+    basis member ``basis_index[i]`` times the monomial ``shift[i]``.  The
+    properties are column views.
+    """
 
+    __slots__ = ("rows",)
 
-@dataclass(frozen=True)
-class PairTarget:
-    """A critical-pair target: the lcm plus the pair it came from."""
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
 
-    lcm: tuple
-    pair_id: int
-    fi: int
-    gi: int
+    @classmethod
+    def of(cls, role, provenance, basis_index, shift: np.ndarray) -> "RowMeta":
+        rows = np.empty((len(shift), shift.shape[1] + 3), dtype=np.int64)
+        rows[:, 0] = role
+        rows[:, 1] = provenance
+        rows[:, 2] = basis_index
+        rows[:, 3:] = shift
+        return cls(rows)
 
+    def __len__(self):
+        return len(self.rows)
 
-@dataclass
-class BatchSpec:
-    """Inputs to symbolic preprocessing: the pair targets of one batch."""
+    @property
+    def role(self) -> np.ndarray:
+        return self.rows[:, 0]
 
-    targets: list
+    @property
+    def provenance(self) -> np.ndarray:
+        return self.rows[:, 1]
+
+    @property
+    def basis_index(self) -> np.ndarray:
+        return self.rows[:, 2]
+
+    @property
+    def shift(self) -> np.ndarray:
+        return self.rows[:, 3:]
 
 
 @dataclass
@@ -112,7 +130,7 @@ class LayoutPlan:
     col_ind: np.ndarray  # (M,) int64
     val: np.ndarray  # (M,) uint64, all nonzero
     dict_keys: np.ndarray  # (N, W) uint64, strictly descending
-    row_meta: tuple  # Row per matrix row
+    row_meta: RowMeta  # role, provenance, basis index and shift of every row
     counters: PlanCounters = field(default_factory=PlanCounters)
     timings_ns: dict = field(default_factory=dict)
 
@@ -165,37 +183,45 @@ class LayoutPlan:
             raise PropertyViolationError(f"counters inconsistent: {c}")
 
 
-def row_sort_key(row: Row, ring: Ring):
-    return (row.role.value, row.provenance, mon_key_pack(row.shift, ring), row.basis_index)
+def select_rows(lcm, i, j, basis: SoaPolySet) -> RowMeta:
+    """Expand each pair (lcm, i, j) into its two shifted halves, in row order.
 
-
-def select_rows(spec: BatchSpec, basis: SoaPolySet) -> list:
-    """Expand each pair target into its two shifted halves, in row order.
-
-    A target that references a basis index outside the basis is an error.
+    Pair t is the provenance of its halves.  Rows are ordered by
+    (provenance, shift key, basis index); every row is an S-half, so the
+    role is constant.  A pair that references a basis index outside the
+    basis is an error, as is an lcm that a lead does not divide.
     """
     ring = basis.ring
-    n_basis = len(basis)
-    rows = []
-    for tgt in spec.targets:
-        if not (0 <= tgt.fi < n_basis and 0 <= tgt.gi < n_basis):
-            raise UncoverableTargetError(f"pair {tgt.pair_id} references unknown basis index")
-        for k in (tgt.fi, tgt.gi):
-            lead = tuple(int(x) for x in basis.exps[int(basis.offset[k])])
-            rows.append(Row(mon_div(tgt.lcm, lead), k, RowRole.SPOLY_HALF, tgt.pair_id))
-    rows.sort(key=lambda r: row_sort_key(r, ring))
-    return rows
+    lcm = np.asarray(lcm, dtype=np.int64).reshape(-1, ring.n_vars)
+    k = np.empty(2 * len(lcm), dtype=np.int64)
+    k[0::2] = i
+    k[1::2] = j
+    bad = (k < 0) | (k >= len(basis))
+    if bad.any():
+        pair = int(np.argmax(bad)) // 2
+        raise UncoverableTargetError(f"pair {pair} references unknown basis index")
+    pid = np.arange(len(k)) // 2
+    shift = np.repeat(lcm, 2, axis=0) - basis.exps[basis.offset[k]]
+    short = (shift < 0).any(axis=1)
+    if short.any():
+        raise DivisionError(f"pair {int(np.argmax(short)) // 2}: a lead does not divide the lcm")
+    # a packed key holds the degree (graded orders) and then the tie lanes,
+    # so sorting by those columns is sorting by the shift's key without
+    # packing it; lexsort's last key is the primary one
+    keys = [k, *_tie_lanes(shift, ring).T[::-1]]
+    if ring.graded:
+        keys.append(shift.sum(axis=1))
+    order = np.lexsort((*keys, pid))
+    return RowMeta.of(RowRole.SPOLY_HALF.value, pid[order], k[order], shift[order])
 
 
-def _materialize(rows, basis: SoaPolySet, policy: ExecPolicy):
+def _materialize(rows: RowMeta, basis: SoaPolySet, policy: ExecPolicy):
     """Pass 1 + pass 2: per-row lengths, prefix plan, flat shifted streams.
 
     Returns (lens, keys, vals, lead_keys) where keys descend within each
     segment (shifting preserves the stored term order).
     """
-    ring = basis.ring
-    ks = np.array([r.basis_index for r in rows], dtype=np.int64)
-    shifts = np.array([r.shift for r in rows], dtype=np.int64).reshape(len(rows), ring.n_vars)
+    ks = rows.basis_index
     lens = basis.length[ks]
     if (lens < 1).any():
         raise PropertyViolationError("zero polynomial referenced as a reducer")
@@ -204,8 +230,8 @@ def _materialize(rows, basis: SoaPolySet, policy: ExecPolicy):
     gather = np.repeat(basis.offset[ks], lens) + (
         np.arange(total, dtype=np.int64) - np.repeat(off[:-1], lens)
     )
-    exps = basis.exps[gather] + np.repeat(shifts, lens, axis=0)
-    keys = key_pack_vec(exps, ring)
+    exps = basis.exps[gather] + np.repeat(rows.shift, lens, axis=0)
+    keys = key_pack_vec(exps, basis.ring)
     vals = basis.coeff[gather].copy()
     lead_keys = keys[off[:-1]]
     return lens, keys, vals, lead_keys
@@ -217,7 +243,7 @@ def _reducer_preference(basis: SoaPolySet) -> np.ndarray:
     return np.lexsort(leads.T[::-1])
 
 
-def closure_expand(keys_desc: np.ndarray, basis: SoaPolySet, round_id: int = 1) -> list:
+def closure_expand(keys_desc: np.ndarray, basis: SoaPolySet, round_id: int = 1) -> RowMeta:
     """One round of one-step reduction closure over a frontier of monomials.
 
     For every given monomial (keys in descending order) pick the preferred
@@ -225,13 +251,13 @@ def closure_expand(keys_desc: np.ndarray, basis: SoaPolySet, round_id: int = 1) 
     the reducer row whose lead is exactly that monomial, in ascending key
     order.  The caller passes only monomials that no row leads yet: the
     uncovered dictionary in round 1, and afterwards the monomials the
-    previous round's rows added.  Returns [] when none has a divisor.
+    previous round's rows added.  The rows are empty when none has a divisor.
 
     The search is one divisibility mask per chunk of the frontier against
     all leads in preference order; the first hit of each row is its reducer.
     """
     if len(keys_desc) == 0 or len(basis) == 0:
-        return []
+        return RowMeta(np.zeros((0, basis.ring.n_vars + 3), dtype=np.int64))
     exps = key_unpack_vec(keys_desc, basis.ring)
     pref = _reducer_preference(basis)
     leads = basis.exps[basis.offset[pref]]
@@ -243,26 +269,22 @@ def closure_expand(keys_desc: np.ndarray, basis: SoaPolySet, round_id: int = 1) 
     hit = np.flatnonzero(reducer >= 0)[::-1]
     ks = reducer[hit]
     shifts = exps[hit] - basis.exps[basis.offset[ks]]
-    return [
-        Row(tuple(shift), k, RowRole.REDUCER, round_id)
-        for shift, k in zip(shifts.tolist(), ks.tolist())
-    ]
+    return RowMeta.of(RowRole.REDUCER.value, round_id, ks, shifts)
 
 
 def compile_batch(
-    rows,
+    rows: RowMeta,
     basis: SoaPolySet,
     closure: Closure = Closure.ONE_STEP_REDUCTION,
     policy: ExecPolicy = DEFAULT_POLICY,
 ) -> LayoutPlan:
-    """Compile a deterministic row list into a layout plan.
+    """Compile a row table into a layout plan.
 
     ``rows`` must already be in the deterministic order produced by
     select_rows; closure rows are appended per discovery round.  The output
     is byte-identical for any ExecPolicy.
     """
     ring = basis.ring
-    rows = list(rows)
     counters = PlanCounters()
     timings = {"dict_build_ns": 0, "row_assemble_ns": 0}
     if not rows:
@@ -272,16 +294,16 @@ def compile_batch(
             np.zeros(0, dtype=np.int64),
             np.zeros(0, dtype=np.uint64),
             np.zeros((0, ring.n_key_words), dtype=np.uint64),
-            (),
+            rows,
             counters,
-            {"dict_build_ns": 0, "row_assemble_ns": 0},
+            timings,
         )
         plan.validate()
         return plan
 
     t0 = time.monotonic_ns()
     lens, keys, vals, lead_keys = _materialize(rows, basis, policy)
-    len_parts, key_parts, val_parts = [lens], [keys], [vals]
+    row_parts, len_parts, key_parts, val_parts = [rows.rows], [lens], [keys], [vals]
     counters.keys_emitted += len(keys)
     counters.keys_generated_total += len(keys)
     dict_asc, _ = unique_sorted(radix_sort(keys, policy)[0], policy, check=False)
@@ -298,10 +320,10 @@ def compile_batch(
             if not new_rows:
                 break
             counters.closure_rounds += 1
-            rows.extend(new_rows)
             nlens, nkeys, nvals, _ = _materialize(new_rows, basis, policy)
             counters.keys_emitted += len(nkeys)
             counters.keys_generated_total += len(nkeys)
+            row_parts.append(new_rows.rows)
             len_parts.append(nlens)
             key_parts.append(nkeys)
             val_parts.append(nvals)
@@ -319,6 +341,7 @@ def compile_batch(
     timings["dict_build_ns"] = time.monotonic_ns() - t0
 
     t1 = time.monotonic_ns()
+    row_meta = RowMeta(np.concatenate(row_parts))
     all_lens = np.concatenate(len_parts)
     flat_keys = np.vstack(key_parts)
     flat_vals = np.concatenate(val_parts)
@@ -329,16 +352,13 @@ def compile_batch(
     col_asc = merge_join_index(flat_keys, dict_asc, policy, check=False)
     col_ind = (n_dict - 1) - col_asc
     dict_desc = dict_asc[::-1].copy()
-    counters.r = len(rows)
+    counters.r = len(row_meta)
     counters.N = n_dict
     counters.M = int(row_ptr[-1])
     counters.nnz = counters.M
     timings["row_assemble_ns"] = time.monotonic_ns() - t1
 
-    plan = LayoutPlan(
-        ring, row_ptr, col_ind, flat_vals, dict_desc, tuple(rows), counters,
-        {"dict_build_ns": timings["dict_build_ns"], "row_assemble_ns": timings["row_assemble_ns"]},
-    )
+    plan = LayoutPlan(ring, row_ptr, col_ind, flat_vals, dict_desc, row_meta, counters, timings)
     plan.validate()
     return plan
 
@@ -390,6 +410,9 @@ def plan_stats(plan: LayoutPlan) -> dict:
 def plan_to_text(plan: LayoutPlan) -> str:
     """Self-describing textual dump: one line per array, decimal values."""
     c = plan.counters
+    meta = plan.row_meta
+    # each row's entry reads shift..., basis index, role, provenance
+    meta_cols = np.column_stack([meta.shift, meta.basis_index, meta.role, meta.provenance])
     lines = [
         "fpgb-plan v1",
         f"p {plan.ring.modulus.p}",
@@ -402,12 +425,7 @@ def plan_to_text(plan: LayoutPlan) -> str:
         "val " + " ".join(str(int(x)) for x in plan.val),
         "dict_keys " + " ".join(str(int(w)) for w in plan.dict_keys.ravel()),
         "row_meta "
-        + " ".join(
-            ",".join(
-                [str(e) for e in r.shift] + [str(r.basis_index), str(r.role.value), str(r.provenance)]
-            )
-            for r in plan.row_meta
-        ),
+        + " ".join(",".join(map(str, r)) for r in meta_cols.tolist()),
     ]
     return "\n".join(lines) + "\n"
 

@@ -49,7 +49,7 @@ from fpgb.sparselin import (
     spmv,
     wiedemann_solve,
 )
-from fpgb.symbolic import Closure, RowRole, compile_batch, decode_row, plan_to_text
+from fpgb.symbolic import Closure, RowMeta, RowRole, compile_batch, decode_row, plan_to_text
 from fpgb.systems import gen_cyclic, gen_katsura, gen_random_quadratic
 
 BIG_P = 2147483629
@@ -168,7 +168,7 @@ def test_criterion_2_key_order_refinement():
 
 def synthetic_batches(count=100):
     """Seeded random (rows, basis) batch inputs for the determinism suite."""
-    from fpgb.symbolic import BatchSpec, PairTarget, select_rows
+    from fpgb.symbolic import select_rows
     from fpgb.monomials import mon_lcm
 
     rng = np.random.default_rng(9157)
@@ -190,12 +190,13 @@ def synthetic_batches(count=100):
             if not f.is_zero():
                 polys.append(f)
         basis = soa_pack(polys, ring)
-        targets = []
+        lcms, fi, gi = [], [], []
         for pid in range(int(rng.integers(1, 4))):
             i, j = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-            lcm = mon_lcm(polys[i].lm(), polys[j].lm())
-            targets.append(PairTarget(lcm, pid, i, j))
-        rows = select_rows(BatchSpec(targets), basis)
+            lcms.append(mon_lcm(polys[i].lm(), polys[j].lm()))
+            fi.append(i)
+            gi.append(j)
+        rows = select_rows(lcms, fi, gi, basis)
         out.append((rows, basis, polys))
         made += 1
     return out
@@ -213,7 +214,7 @@ def test_criterion_3_fbsp_determinism(oracle_runs):
         checked += 1
     recompiled = 0
     for name, ring, basis_before, plan, _ in all_captures(oracle_runs):
-        base_rows = [r for r in plan.row_meta if r.role is RowRole.SPOLY_HALF]
+        base_rows = RowMeta(plan.row_meta.rows[plan.row_meta.role == RowRole.SPOLY_HALF.value])
         soa = soa_pack(basis_before, ring)
         texts = {plan_to_text(compile_batch(base_rows, soa, Closure.ONE_STEP_REDUCTION, pol))
                  for pol in POLICIES[:4]}
@@ -250,14 +251,15 @@ def test_criterion_5_dictionary_and_materialization(oracle_runs):
 
     batches = 0
     for name, ring, basis_before, plan, _ in all_captures(oracle_runs):
+        meta = list(zip(plan.row_meta.shift.tolist(), plan.row_meta.basis_index.tolist()))
         support = set()
-        for row in plan.row_meta:
-            shifted = poly_mul_mon(row.shift, basis_before[row.basis_index])
+        for shift, k in meta:
+            shifted = poly_mul_mon(tuple(shift), basis_before[k])
             support.update(e for e, _ in shifted.terms)
         got = {tuple(int(x) for x in e) for e in key_unpack_vec(plan.dict_keys, ring)}
         assert got == support, f"dictionary oracle failed in {name}"
-        for i, row in enumerate(plan.row_meta):
-            want = poly_mul_mon(row.shift, basis_before[row.basis_index])
+        for i, (shift, k) in enumerate(meta):
+            want = poly_mul_mon(tuple(shift), basis_before[k])
             assert decode_row(plan, i).terms == want.terms, f"decode failed in {name}"
         batches += 1
     report(5, True, f"{batches} batches, dictionaries and materializations exact")

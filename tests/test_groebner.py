@@ -35,7 +35,7 @@ from fpgb.groebner import (
     verify_kernel_syzygy,
 )
 from fpgb.sparselin import KernelBasis, csr_from_plan, left_kernel, psge_reduce
-from fpgb.symbolic import Closure, Row, RowRole, compile_batch
+from fpgb.symbolic import Closure, RowMeta, RowRole, compile_batch
 from fpgb.systems import (
     format_system,
     gen_cyclic,
@@ -116,15 +116,14 @@ def test_select_batch_minimal_degree_group():
     # queue order: x*y^2 < x^2*y (degree 3), then x^4*y (degree 5)
     lcm = np.array([[1, 2], [2, 1], [4, 1]], dtype=np.int64)
     state.pairs = PairQueue.of([1, 0, 2], [2, 1, 3], lcm, lcm.sum(axis=1), R2)
-    spec, degree = select_batch(state)
-    assert degree == 3 and len(spec.targets) == 2
-    assert [(g.lcm, g.pair_id, g.fi, g.gi) for g in spec.targets] == [
-        ((1, 2), 0, 1, 2),
-        ((2, 1), 1, 0, 1),
-    ]
+    batch, degree = select_batch(state)
+    assert degree == 3 and len(batch) == 2
+    # the prefix in queue order: a pair's position in it is its id
+    assert batch.lcm.tolist() == [[1, 2], [2, 1]]
+    assert batch.i.tolist() == [1, 0] and batch.j.tolist() == [2, 1]
     assert len(state.pairs) == 1 and state.pairs.deg.tolist() == [5]
-    spec2, _ = select_batch(state)
-    assert len(spec2.targets) == 1
+    batch2, _ = select_batch(state)
+    assert len(batch2) == 1
     with pytest.raises(PreconditionError):
         select_batch(state)
 
@@ -194,10 +193,11 @@ def test_pair_queue_matches_scalar_update():
                     base = data.draw(st.sampled_from(leads))
                     lead = tuple(a + b for a, b in zip(base, lead))
                 if queue and data.draw(st.booleans()):
-                    spec, d = select_batch(state)
+                    batch, d = select_batch(state)
                     assert d == sum(queue[0][2])
                     k = sum(1 for q in queue if sum(q[2]) == d)
-                    assert [(g.fi, g.gi, g.lcm) for g in spec.targets] == queue[:k]
+                    got = zip(batch.i.tolist(), batch.j.tolist(), map(tuple, batch.lcm.tolist()))
+                    assert list(got) == queue[:k]
                     queue = queue[k:]
                 update_pairs(state, Poly(ring, ((lead, 1),)))
                 queue = scalar_update_pairs(leads, queue, lead, ring)
@@ -418,10 +418,15 @@ def test_interreduce_recovers_reduced_basis(order, p):
     assert _interreduce([], ring, config) == []
 
 
+def one_shifted_row():
+    """One S-half row: basis member 0 times y."""
+    return RowMeta.of(RowRole.SPOLY_HALF.value, 0, [0], np.array([[0, 1]]))
+
+
 def test_verify_kernel_syzygy_duplicate_rows():
     g = poly_parse("x*y - 1", R2)
     basis = soa_pack([g], R2)
-    rows = [Row((0, 1), 0, RowRole.SPOLY_HALF, 0), Row((0, 1), 0, RowRole.SPOLY_HALF, 1)]
+    rows = RowMeta.of(RowRole.SPOLY_HALF.value, [0, 1], [0, 0], np.array([[0, 1], [0, 1]]))
     plan = compile_batch(rows, basis, Closure.SUPPORT_ONLY)
     kb = left_kernel(csr_from_plan(plan, M7), count=4, seed=1)
     assert kb.dimension_found == 1
@@ -432,7 +437,7 @@ def test_verify_kernel_syzygy_duplicate_rows():
     assert verify_kernel_syzygy(plan, [g], kb).ok
     # a recombination that leaves a single term is caught and printed
     x = poly_parse("x", R2)
-    plan = compile_batch([Row((0, 1), 0, RowRole.SPOLY_HALF, 0)], soa_pack([x], R2), Closure.SUPPORT_ONLY)
+    plan = compile_batch(one_shifted_row(), soa_pack([x], R2), Closure.SUPPORT_ONLY)
     rep = verify_kernel_syzygy(plan, [x], KernelBasis("left", [np.array([3], dtype=np.uint64)], 1, ()))
     assert not rep.ok and rep.detail == "kernel vector 0 recombines to 3*x*y"
 
@@ -457,7 +462,7 @@ def test_kernel_checks_both_paths_on_batches():
 
 def test_kernel_checks_report_only_probabilistic_failures(monkeypatch):
     f, g = poly_parse("x^2 - y", R2), poly_parse("x*y - 1", R2)
-    plan = compile_batch([Row((0, 1), 0, RowRole.SPOLY_HALF, 0)], soa_pack([f, g], R2))
+    plan = compile_batch(one_shifted_row(), soa_pack([f, g], R2))
     rank = psge_reduce(csr_from_plan(plan, R2.modulus)).rank
 
     def failing(exc):
@@ -521,10 +526,11 @@ def merge_loop_syzygy(plan, basis, kernel):
         if len(v) != plan.n_rows:
             return groebner.GroebnerReport(False, f"kernel vector {n} has wrong length")
         total = Poly(ring)
-        for i, row in enumerate(plan.row_meta):
+        meta = zip(plan.row_meta.shift.tolist(), plan.row_meta.basis_index.tolist())
+        for i, (shift, k) in enumerate(meta):
             c = int(v[i])
             if c:
-                total = poly_add_scaled(total, c, poly_mul_mon(row.shift, basis[row.basis_index]))
+                total = poly_add_scaled(total, c, poly_mul_mon(tuple(shift), basis[k]))
         if not total.is_zero():
             return groebner.GroebnerReport(False, f"kernel vector {n} recombines to {total}")
     return groebner.GroebnerReport(True)

@@ -29,7 +29,7 @@ from fpgb.sparselin import (
     spmv,
     wiedemann_solve,
 )
-from fpgb.symbolic import BatchSpec, PairTarget, compile_batch, select_rows, Closure
+from fpgb.symbolic import compile_batch, select_rows, Closure
 
 M7 = FieldModulus(7)
 M101 = FieldModulus(101)
@@ -46,7 +46,7 @@ def random_sparse(rng, r, c, density, m):
 def example_plan_matrix():
     ring = Ring(["x", "y"], "grevlex", M7)
     basis = soa_pack([poly_parse("x^2 - y", ring), poly_parse("x*y - 1", ring)], ring)
-    rows = select_rows(BatchSpec([PairTarget((2, 1), 0, 0, 1)]), basis)
+    rows = select_rows([(2, 1)], [0], [1], basis)
     plan = compile_batch(rows, basis, Closure.SUPPORT_ONLY)
     return plan, csr_from_plan(plan, M7)
 

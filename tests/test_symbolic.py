@@ -9,9 +9,10 @@ from fpgb.bulk import ExecPolicy, radix_sort, unique_sorted
 from fpgb.errors import PropertyViolationError, SizeCapError, UncoverableTargetError
 from fpgb.fp import FieldModulus
 from fpgb.groebner import f4_groebner
-from fpgb.monomials import Ring, key_pack_vec, key_unpack_vec, mon_div, mon_key_pack
+from fpgb.monomials import ORDERS, Ring, key_pack_vec, key_unpack_vec, mon_div, mon_key_pack
 from fpgb.polynomials import (
     poly_eq,
+    poly_from_dict,
     poly_mul_mon,
     poly_normalize,
     poly_parse,
@@ -19,12 +20,10 @@ from fpgb.polynomials import (
     soa_slice,
 )
 from fpgb.symbolic import (
-    BatchSpec,
     Closure,
     LayoutPlan,
-    PairTarget,
     PlanCounters,
-    Row,
+    RowMeta,
     RowRole,
     closure_expand,
     compile_batch,
@@ -56,32 +55,93 @@ def two_poly_basis():
     return soa_pack([f, g], R2)
 
 
-def spoly_pair_spec():
-    # lcm(x^2, x*y) = x^2*y
-    return BatchSpec(targets=[PairTarget((2, 1), 0, 0, 1)])
+# the pair (0, 1) of two_poly_basis as (lcm, i, j) columns: lcm(x^2, x*y) = x^2*y
+SPOLY_PAIR = ([(2, 1)], [0], [1])
+
+
+def spoly_pair_rows(basis):
+    return select_rows(*SPOLY_PAIR, basis)
+
+
+def rows_of(role, provenance, basis_index, shift):
+    """A row table from plain lists, for hand-built batches."""
+    return RowMeta.of(role.value, provenance, basis_index, np.array(shift, dtype=np.int64))
 
 
 def test_select_rows_example():
     basis = two_poly_basis()
-    rows = select_rows(spoly_pair_spec(), basis)
-    assert [(r.shift, r.basis_index) for r in rows] == [((0, 1), 0), ((1, 0), 1)]
-    assert all(r.role is RowRole.SPOLY_HALF for r in rows)
+    rows = spoly_pair_rows(basis)
+    assert rows.shift.tolist() == [[0, 1], [1, 0]] and rows.basis_index.tolist() == [0, 1]
+    assert rows.role.tolist() == [RowRole.SPOLY_HALF.value] * 2
+    assert rows.provenance.tolist() == [0, 0]
 
 
 def test_select_rows_empty_targets():
     basis = two_poly_basis()
-    assert select_rows(BatchSpec(targets=[]), basis) == []
+    rows = select_rows(np.zeros((0, 2), dtype=np.int64), [], [], basis)
+    assert len(rows) == 0 and rows.shift.shape == (0, 2)
 
 
 def test_select_rows_rejects_unknown_basis_index():
     basis = two_poly_basis()
     with pytest.raises(UncoverableTargetError, match="unknown basis index"):
-        select_rows(BatchSpec(targets=[PairTarget((2, 1), 0, 0, 2)]), basis)
+        select_rows([(2, 1)], [0], [2], basis)
+
+
+def select_rows_scalar(lcm, i, j, basis):
+    """The per-row expansion select_rows replaced, kept as its oracle.
+
+    Each half is (role, provenance, shift, basis index) with the shift from
+    mon_div; rows sort by (role, provenance, mon_key_pack(shift), basis
+    index), the old per-row sort key.
+    """
+    ring = basis.ring
+    rows = []
+    for pid, (m, a, b) in enumerate(zip(lcm, i, j)):
+        for k in (a, b):
+            lead = tuple(int(x) for x in basis.exps[int(basis.offset[k])])
+            rows.append((RowRole.SPOLY_HALF.value, pid, mon_div(tuple(m), lead), k))
+    rows.sort(key=lambda r: (r[0], r[1], mon_key_pack(r[2], ring), r[3]))
+    return rows
+
+
+def test_select_rows_matches_scalar_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(n=st.integers(1, 4), order=st.sampled_from(ORDERS), data=st.data())
+    def check(n, order, data):
+        ring = Ring([f"x{v}" for v in range(n)], order, M7)
+        mono = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+        terms = st.dictionaries(mono, st.integers(1, 6), min_size=1, max_size=3)
+        drawn = data.draw(st.lists(terms, min_size=1, max_size=6))
+        polys = [poly_from_dict(t, ring) for t in drawn]
+        # repeated members give equal leads, so equal lcms at different indices
+        polys += data.draw(st.lists(st.sampled_from(polys), max_size=2))
+        basis = soa_pack(polys, ring)
+        index = st.integers(0, len(polys) - 1)
+        # i == j, i > j and repeated pairs all occur; an extra factor keeps
+        # the lcm a multiple of both leads
+        pairs = data.draw(st.lists(st.tuples(index, index, mono), max_size=8))
+        lcm = [
+            tuple(max(a, b) + e for a, b, e in zip(polys[i].lm(), polys[j].lm(), extra))
+            for i, j, extra in pairs
+        ]
+        i = [a for a, _, _ in pairs]
+        j = [b for _, b, _ in pairs]
+        got = select_rows(np.array(lcm, dtype=np.int64).reshape(-1, n), i, j, basis)
+        assert got.rows.dtype == np.int64 and got.rows.shape == (2 * len(pairs), n + 3)
+        cols = (got.role, got.provenance, got.shift, got.basis_index)
+        rows = [(r, pid, tuple(t), k) for r, pid, t, k in zip(*(c.tolist() for c in cols))]
+        assert rows == select_rows_scalar(lcm, i, j, basis)
+
+    check()
 
 
 def test_compile_support_only_worked_example():
     basis = two_poly_basis()
-    rows = select_rows(spoly_pair_spec(), basis)
+    rows = spoly_pair_rows(basis)
     plan = compile_batch(rows, basis, Closure.SUPPORT_ONLY)
     # dict = {x^2 y > y^2 > x}
     want_dict = [mon_key_pack(m, R2) for m in [(2, 1), (0, 2), (1, 0)]]
@@ -98,7 +158,7 @@ def test_compile_support_only_worked_example():
 
 def test_compile_empty_rows():
     basis = two_poly_basis()
-    plan = compile_batch([], basis)
+    plan = compile_batch(select_rows(np.zeros((0, 2), dtype=np.int64), [], [], basis), basis)
     assert plan.counters.N == 0 and plan.counters.M == 0
     assert plan.row_ptr.tolist() == [0]
     assert plan_stats(plan)["r"] == 0
@@ -110,11 +170,11 @@ def test_one_step_closure_adds_reducer_row():
     g = poly_parse("x*y - 1", R2)
     h = poly_parse("y^2 - 1", R2)
     basis = soa_pack([f, g, h], R2)
-    rows = select_rows(spoly_pair_spec(), basis)
+    rows = spoly_pair_rows(basis)
     plan = compile_batch(rows, basis, Closure.ONE_STEP_REDUCTION)
-    roles = [r.role for r in plan.row_meta]
-    assert roles == [RowRole.SPOLY_HALF, RowRole.SPOLY_HALF, RowRole.REDUCER]
-    assert plan.row_meta[2].shift == (0, 0) and plan.row_meta[2].basis_index == 2
+    roles = plan.row_meta.role.tolist()
+    assert roles == [RowRole.SPOLY_HALF.value, RowRole.SPOLY_HALF.value, RowRole.REDUCER.value]
+    assert plan.row_meta.shift[2].tolist() == [0, 0] and plan.row_meta.basis_index[2] == 2
     # dictionary gained the constant monomial
     assert tuple(plan.dict_keys[-1].tolist()) == mon_key_pack((0, 0), R2)
     assert plan.counters.closure_rounds == 1
@@ -122,10 +182,10 @@ def test_one_step_closure_adds_reducer_row():
 
 def test_closure_expand_fixed_point_example():
     basis = two_poly_basis()
-    rows = select_rows(spoly_pair_spec(), basis)
+    rows = spoly_pair_rows(basis)
     plan = compile_batch(rows, basis, Closure.SUPPORT_ONLY)
     # x^2 y leads an existing row; y^2 and x have no divisor among {x^2, x y}
-    assert closure_expand(plan.dict_keys[1:], basis) == []
+    assert len(closure_expand(plan.dict_keys[1:], basis)) == 0
 
 
 def test_closure_expand_chain_example():
@@ -134,15 +194,15 @@ def test_closure_expand_chain_example():
     gb = soa_pack([poly_parse("x - 1", rx)], rx)
     dict_keys = np.asarray([mon_key_pack((3,), rx)], dtype=np.uint64)
     rows = closure_expand(dict_keys, gb)
-    assert [(r.shift, r.basis_index) for r in rows] == [((2,), 0)]
+    assert rows.shift.tolist() == [[2]] and rows.basis_index.tolist() == [0]
     # driving the same rule through compile_batch reaches the full fixed point
-    seed_rows = [Row((2,), 0, RowRole.SPOLY_HALF, 0)]
+    seed_rows = rows_of(RowRole.SPOLY_HALF, 0, [0], [[2]])
     plan = compile_batch(seed_rows, gb, Closure.ONE_STEP_REDUCTION)
     mons = [tuple(k) for k in plan.dict_keys.tolist()]
     want = [mon_key_pack((e,), rx) for e in (3, 2, 1, 0)]
     assert mons == want
-    shifts = [r.shift for r in plan.row_meta]
-    assert shifts == [(2,), (1,), (0,)]
+    shifts = plan.row_meta.shift.tolist()
+    assert shifts == [[2], [1], [0]]
     # closure soundness: every dict monomial divisible by x leads some row
     leads = set(row_lead_cols(plan).tolist())
     assert leads == {0, 1, 2}
@@ -150,21 +210,21 @@ def test_closure_expand_chain_example():
 
 def closure_expand_per_member(keys_desc, basis, round_id=1):
     """The divisor search as one pass per basis member in preference order."""
-    if len(keys_desc) == 0:
-        return []
     exps = key_unpack_vec(keys_desc, basis.ring)
     reducer = np.full(len(exps), -1, dtype=np.int64)
     for k in symbolic._reducer_preference(basis).tolist():
         lm = basis.exps[int(basis.offset[k])]
         hit = (reducer < 0) & (exps >= lm[None, :]).all(axis=1)
         reducer[hit] = k
-    rows = []
+    shifts, ks = [], []
     for j in np.flatnonzero(reducer >= 0)[::-1].tolist():
         k = int(reducer[j])
         lead = tuple(int(x) for x in basis.exps[int(basis.offset[k])])
         m = tuple(int(x) for x in exps[j])
-        rows.append(Row(mon_div(m, lead), k, RowRole.REDUCER, round_id))
-    return rows
+        shifts.append(mon_div(m, lead))
+        ks.append(k)
+    shifts = np.array(shifts, dtype=np.int64).reshape(len(ks), basis.ring.n_vars)
+    return RowMeta.of(RowRole.REDUCER.value, round_id, ks, shifts)
 
 
 def descending_keys(exps, ring):
@@ -173,18 +233,20 @@ def descending_keys(exps, ring):
 
 
 def assert_same_rows(got, want):
-    assert got == want
-    for row in got:
-        assert all(type(e) is int for e in row.shift) and type(row.basis_index) is int
+    assert got.rows.dtype == want.rows.dtype == np.int64
+    assert got.rows.shape == want.rows.shape
+    assert np.array_equal(got.rows, want.rows)
 
 
 def test_closure_expand_matches_per_member_search_small_cases():
     basis = two_poly_basis()
     empty = np.zeros((0, R2.n_key_words), dtype=np.uint64)
-    assert closure_expand(empty, basis) == closure_expand_per_member(empty, basis) == []
+    assert_same_rows(closure_expand(empty, basis), closure_expand_per_member(empty, basis))
+    assert len(closure_expand(empty, basis)) == 0
     # no divisor: y^2, x and 1 are all outside the ideal of {x^2, x*y}
     none = descending_keys([(0, 2), (1, 0), (0, 0)], R2)
-    assert closure_expand(none, basis) == closure_expand_per_member(none, basis) == []
+    assert_same_rows(closure_expand(none, basis), closure_expand_per_member(none, basis))
+    assert len(closure_expand(none, basis)) == 0
     # equal leads at different indices: the lowest index wins the tie, and
     # x^2*y prefers x*y (smaller lead) over x^2
     tied = soa_pack(
@@ -193,8 +255,9 @@ def test_closure_expand_matches_per_member_search_small_cases():
     frontier = descending_keys([(3, 1), (2, 1), (1, 1), (2, 0), (0, 3)], R2)
     rows = closure_expand(frontier, tied, 4)
     assert_same_rows(rows, closure_expand_per_member(frontier, tied, 4))
-    assert [(r.shift, r.basis_index, r.provenance) for r in rows] == [
-        ((0, 0), 1, 4), ((0, 0), 0, 4), ((1, 0), 1, 4), ((2, 0), 1, 4)
+    assert rows.role.tolist() == [RowRole.REDUCER.value] * 4
+    assert np.column_stack([rows.shift, rows.basis_index, rows.provenance]).tolist() == [
+        [0, 0, 1, 4], [0, 0, 0, 4], [1, 0, 1, 4], [2, 0, 1, 4]
     ]
 
 
@@ -234,18 +297,21 @@ def test_decode_matches_shift_oracle_random():
         for i in range(int(rng.integers(1, 6))):
             k = int(rng.integers(0, 4))
             shift = tuple(int(x) for x in rng.integers(0, 4, 2))
-            rows.append(Row(shift, k, RowRole.SPOLY_HALF, i))
-        rows.sort(key=lambda r: (r.role.value, r.provenance, mon_key_pack(r.shift, R2), r.basis_index))
+            rows.append((i, shift, k))
+        rows.sort(key=lambda r: (r[0], mon_key_pack(r[1], R2), r[2]))
+        pid, shifts, ks = zip(*rows)
+        rows = rows_of(RowRole.SPOLY_HALF, pid, ks, shifts)
         plan = compile_batch(rows, basis, Closure.SUPPORT_ONLY)
-        for i, row in enumerate(plan.row_meta):
-            want = poly_mul_mon(row.shift, soa_slice(basis, row.basis_index))
+        meta = list(zip(plan.row_meta.shift.tolist(), plan.row_meta.basis_index.tolist()))
+        for i, (shift, k) in enumerate(meta):
+            want = poly_mul_mon(tuple(shift), soa_slice(basis, k))
             got = decode_row(plan, i)
             assert poly_eq(got, want) and got.terms == want.terms
             assert all(type(c) is int and all(type(e) is int for e in m) for m, c in got.terms)
         # dictionary equals the sorted support union (naive set oracle)
         support = set()
-        for row in plan.row_meta:
-            for e, _ in poly_mul_mon(row.shift, soa_slice(basis, row.basis_index)).terms:
+        for shift, k in meta:
+            for e, _ in poly_mul_mon(tuple(shift), soa_slice(basis, k)).terms:
                 support.add(e)
         got = {tuple(k) for k in plan.dict_keys.tolist()}
         assert got == {mon_key_pack(m, R2) for m in support}
@@ -265,7 +331,7 @@ def test_compile_deterministic_across_policies():
     g = poly_parse("x*y - 1", R2)
     h = poly_parse("y^2 - 1", R2)
     basis = soa_pack([f, g, h], R2)
-    rows = select_rows(spoly_pair_spec(), basis)
+    rows = spoly_pair_rows(basis)
     base = None
     for policy in POLICIES:
         plan = compile_batch(rows, basis, Closure.ONE_STEP_REDUCTION, policy)
@@ -290,7 +356,8 @@ def test_one_lane_compile_runs_no_lane_split_code(monkeypatch):
     f4_groebner(polys, ring, PipelineConfig(), lambda b, plan, e, s: batches.append((b, plan)))
     basis_before, driver_plan = max(batches, key=lambda bp: bp[1].counters.M)
     assert driver_plan.counters.M > bulk.MERGE_GRAIN
-    rows = [r for r in driver_plan.row_meta if r.role is RowRole.SPOLY_HALF]
+    meta = driver_plan.row_meta
+    rows = RowMeta(meta.rows[meta.role == RowRole.SPOLY_HALF.value])
     basis = soa_pack(basis_before, ring)
     lane_split = plan_to_text(compile_batch(rows, basis, Closure.ONE_STEP_REDUCTION, ExecPolicy(4)))
 
@@ -305,7 +372,7 @@ def test_one_lane_compile_runs_no_lane_split_code(monkeypatch):
 
 def test_plan_race_freedom_partition():
     basis = two_poly_basis()
-    rows = select_rows(spoly_pair_spec(), basis)
+    rows = spoly_pair_rows(basis)
     plan = compile_batch(rows, basis)
     seen = np.zeros(plan.counters.M, dtype=int)
     for i in range(plan.n_rows):
@@ -315,7 +382,7 @@ def test_plan_race_freedom_partition():
 
 def test_plan_stats_fields():
     basis = two_poly_basis()
-    rows = select_rows(spoly_pair_spec(), basis)
+    rows = spoly_pair_rows(basis)
     plan = compile_batch(rows, basis, Closure.SUPPORT_ONLY)
     st = plan_stats(plan)
     assert st["r"] == 2 and st["N"] == 3 and st["M"] == 4 and st["nnz"] == 4
@@ -331,7 +398,7 @@ def test_dict_cap_guard():
     # patch the cap so the guard path is exercised
     import fpgb.symbolic as sym
 
-    seed_rows = [Row((50,), 0, RowRole.SPOLY_HALF, 0)]
+    seed_rows = rows_of(RowRole.SPOLY_HALF, 0, [0], [[50]])
     old = sym.DICT_CAP
     sym.DICT_CAP = 10
     try:
@@ -457,7 +524,7 @@ def hand_plan(row_cols, n_dict=4):
         dtype=np.uint64,
     )
     M = int(row_ptr[-1])
-    rows = tuple(Row((0, 0), 0, RowRole.REDUCER, 1) for _ in row_cols)
+    rows = rows_of(RowRole.REDUCER, 1, [0] * len(row_cols), [(0, 0)] * len(row_cols))
     counters = PlanCounters(len(row_cols), n_dict, M, M, 0, M, M)
     return LayoutPlan(R2, row_ptr, col_ind, np.ones(M, dtype=np.uint64), dict_keys, rows, counters)
 
