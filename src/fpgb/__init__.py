@@ -8,15 +8,13 @@ with a textbook Buchberger implementation kept as the independent oracle.
 
 __version__ = "0.1.0"
 
-from .fp import Backend, Domain, FieldModulus, FpElem
+from .fp import Backend, FieldModulus
 from .monomials import Ring, count_monomials
 from .polynomials import Poly, poly_parse, poly_format
 
 __all__ = [
     "Backend",
-    "Domain",
     "FieldModulus",
-    "FpElem",
     "Ring",
     "Poly",
     "count_monomials",

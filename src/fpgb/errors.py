@@ -9,10 +9,6 @@ class FpgbError(Exception):
     """Base class for all package errors."""
 
 
-class DomainMismatchError(FpgbError):
-    """Operands live in different representation domains (standard vs Montgomery)."""
-
-
 class NonInvertibleError(FpgbError):
     """Attempt to invert zero in F_p."""
 

@@ -1,7 +1,10 @@
 """Exact arithmetic in F_p for odd primes p < 2^31.
 
-Residues are 64-bit unsigned values kept in [0, p) at module boundaries.
-Three interchangeable reduction backends are provided:
+The arithmetic is the vector kernels below (``add_vec``, ``mul_vec`` and
+the per-backend reductions) and ``KernelArith``, the adapter the numeric
+kernels go through; there is no scalar element type.  Residues are 64-bit
+unsigned values kept in [0, p) at module boundaries.  Three interchangeable
+reduction backends are provided:
 
 - ``naive``:      products reduced with the hardware remainder,
 - ``barrett``:    reduction by a precomputed reciprocal mu = floor(2^62 / p),
@@ -16,14 +19,12 @@ is chosen so the running sum never overflows 64 bits.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatchError, NonInvertibleError, PreconditionError
+from .errors import NonInvertibleError, PreconditionError
 
 _MASK32 = 0xFFFFFFFF
-_BARRETT_SHIFT = 62
 _BARRETT_LIMIT = 1 << 62
 _MONT_R_BITS = 32
 _MONT_R = 1 << 32
@@ -35,11 +36,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 class Backend(enum.Enum):
     NAIVE = "naive"
     BARRETT = "barrett"
-    MONTGOMERY = "montgomery"
-
-
-class Domain(enum.Enum):
-    STANDARD = "standard"
     MONTGOMERY = "montgomery"
 
 
@@ -88,7 +84,6 @@ class FieldModulus:
         "p",
         "backend",
         "barrett_mu",
-        "mont_r_bits",
         "mont_pprime",
         "mont_r2",
         "lazy_window_k",
@@ -105,7 +100,6 @@ class FieldModulus:
         self.p = p
         self.backend = backend
         self.barrett_mu = _BARRETT_LIMIT // p
-        self.mont_r_bits = _MONT_R_BITS
         pinv = _newton_inv_pow2(p, _MONT_R_BITS)
         self.mont_pprime = (-pinv) % _MONT_R
         assert (p * self.mont_pprime) % _MONT_R == _MONT_R - 1
@@ -126,120 +120,6 @@ class FieldModulus:
 
     def __hash__(self):
         return hash((self.p, self.backend))
-
-
-@dataclass(frozen=True)
-class FpElem:
-    """A residue plus the domain it lives in."""
-
-    value: int
-    domain: Domain = Domain.STANDARD
-
-
-def _check_same_domain(a: FpElem, b: FpElem):
-    if a.domain is not b.domain:
-        raise DomainMismatchError(f"mixed domains: {a.domain.value} vs {b.domain.value}")
-
-
-def fp_add(a: FpElem, b: FpElem, m: FieldModulus) -> FpElem:
-    _check_same_domain(a, b)
-    r = a.value + b.value
-    if r >= m.p:
-        r -= m.p
-    return FpElem(r, a.domain)
-
-
-def barrett_reduce(x: int, m: FieldModulus) -> FpElem:
-    """Reduce 0 <= x < 2^62 modulo p via reciprocal multiplication.
-
-    The approximate quotient floor(x*mu / 2^62) undershoots the true
-    quotient by at most 2, so two select-style corrections suffice.
-    """
-    if not 0 <= x < _BARRETT_LIMIT:
-        raise PreconditionError(f"barrett input out of range: {x}")
-    q = (x * m.barrett_mu) >> _BARRETT_SHIFT
-    r = x - q * m.p
-    r -= m.p if r >= m.p else 0
-    r -= m.p if r >= m.p else 0
-    assert 0 <= r < m.p
-    return FpElem(r)
-
-
-def mont_mul(a: FpElem, b: FpElem, m: FieldModulus) -> FpElem:
-    """Montgomery product: a*b*R^{-1} mod p with one conditional subtraction."""
-    if a.domain is not Domain.MONTGOMERY or b.domain is not Domain.MONTGOMERY:
-        raise DomainMismatchError("mont_mul expects Montgomery-domain inputs")
-    t = a.value * b.value
-    mm = (t * m.mont_pprime) & _MASK32
-    u = (t + mm * m.p) >> _MONT_R_BITS
-    if u >= m.p:
-        u -= m.p
-    return FpElem(u, Domain.MONTGOMERY)
-
-
-class ConvertDir(enum.Enum):
-    ENTER = "enter"
-    LEAVE = "leave"
-
-
-def mont_convert(a: FpElem, direction: ConvertDir, m: FieldModulus) -> FpElem:
-    """Map a residue into or out of the Montgomery domain (a <-> a*R mod p)."""
-    if direction is ConvertDir.ENTER:
-        if a.domain is not Domain.STANDARD:
-            raise DomainMismatchError("enter expects a standard-domain residue")
-        return mont_mul(FpElem(a.value, Domain.MONTGOMERY), FpElem(m.mont_r2, Domain.MONTGOMERY), m)
-    if a.domain is not Domain.MONTGOMERY:
-        raise DomainMismatchError("leave expects a Montgomery-domain residue")
-    return FpElem(mont_mul(a, FpElem(1, Domain.MONTGOMERY), m).value, Domain.STANDARD)
-
-
-def fp_mul(a: FpElem, b: FpElem, m: FieldModulus) -> FpElem:
-    """Backend-dispatched product.
-
-    Naive and Barrett expect standard residues; the Montgomery backend
-    expects both operands already in the Montgomery domain and returns a
-    Montgomery-domain result (a*b*R^{-1} mod p).
-    """
-    _check_same_domain(a, b)
-    if m.backend is Backend.MONTGOMERY:
-        return mont_mul(a, b, m)
-    if a.domain is not Domain.STANDARD:
-        raise DomainMismatchError(f"{m.backend.value} backend expects standard domain")
-    if m.backend is Backend.NAIVE:
-        return FpElem(a.value * b.value % m.p)
-    return barrett_reduce(a.value * b.value, m)
-
-
-def fp_inv(a: FpElem, m: FieldModulus) -> FpElem:
-    """Multiplicative inverse via Fermat; domain-preserving.
-
-    In the Montgomery domain the inverse of aR is a^{-1}R, computed by
-    leaving the domain, inverting, and re-entering.
-    """
-    if a.value == 0:
-        raise NonInvertibleError("zero is not invertible")
-    if a.domain is Domain.MONTGOMERY:
-        std = mont_convert(a, ConvertDir.LEAVE, m)
-        return mont_convert(fp_inv(std, m), ConvertDir.ENTER, m)
-    return FpElem(pow(a.value, m.p - 2, m.p))
-
-
-def fma_accumulate(
-    acc: int, b: FpElem, c: FpElem, count: int, m: FieldModulus
-) -> tuple[int, int]:
-    """Add one unreduced product b*c onto a lazy accumulator.
-
-    ``count`` is the number of products already resident in ``acc``; a full
-    reduction is forced once the window fills.  Returns (acc', count').
-    """
-    if count >= m.lazy_window_k:
-        raise PreconditionError("lazy window already full")
-    _check_same_domain(b, c)
-    acc = acc + b.value * c.value
-    count += 1
-    if count == m.lazy_window_k:
-        return acc % m.p, 0
-    return acc, count
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +242,11 @@ class KernelArith:
         return self.window
 
     def inv(self, x: int) -> int:
-        """In-domain inverse of an in-domain scalar."""
+        """In-domain inverse of an in-domain scalar; zero raises in every backend."""
+        if x == 0:
+            raise NonInvertibleError("zero is not invertible")
         if self.backend is Backend.MONTGOMERY:
             std = mont_leave_vec(np.uint64(x), self.m)
             r = pow(int(std), self.m.p - 2, self.m.p)
             return int(mont_enter_vec(np.uint64(r), self.m))
-        if x == 0:
-            raise NonInvertibleError("zero is not invertible")
         return pow(int(x), self.m.p - 2, self.m.p)

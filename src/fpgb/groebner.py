@@ -60,13 +60,15 @@ from .symbolic import (
     LayoutPlan,
     RowMeta,
     RowRole,
+    _reducer_preference,
     compile_batch,
     row_lead_cols,
     select_rows,
 )
 
 MAX_STEPS_DEFAULT = 10_000
-# entries of one new-pairs x new-pairs x n_vars divisibility temporary
+# entries of one lead-set x lead-set x n_vars divisibility temporary
+# (the new pairs in update_pairs, the basis leads in _interreduce)
 _PAIR_MASK_CELLS = 1 << 20
 
 
@@ -454,25 +456,31 @@ def reduce_basis(polys: list, ring: Ring) -> list:
     return minimal
 
 
-def _interreduce(basis: list, ring: Ring, config: PipelineConfig) -> list:
+def _interreduce(soa: SoaPolySet, config: PipelineConfig) -> list:
     """Reduced basis of a Groebner basis as one batch through the F4 engine.
 
-    One row per minimal member (shift 1); the one-step closure supplies a
-    reducer row for every tail monomial some lead divides, and the fully
-    back-substituted echelon form leaves each member's row free of every
-    such monomial.  For a Groebner basis that row is the unique reduced
-    member with its lead.
+    ``soa`` holds the basis as monic nonzero members, as F4's cached set
+    does.  One row per minimal member (shift 1); the one-step closure
+    supplies a reducer row for every tail monomial some lead divides, and
+    the fully back-substituted echelon form leaves each member's row free
+    of every such monomial.  For a Groebner basis that row is the unique
+    reduced member with its lead.
     """
-    work = [poly_monic(f) for f in basis if not f.is_zero()]
-    if not work:
+    if not len(soa):
         return []
-    work.sort(key=lambda f: ring.sort_key(f.lm()))
-    leads = np.array([f.lm() for f in work], dtype=np.int64)
-    # a member is minimal when no member before it (a smaller or equal lead)
-    # divides its lead; a dropped divisor has a kept divisor of its own
-    minimal = [f for i, f in enumerate(work) if not (leads[:i] <= leads[i]).all(axis=1).any()]
-    soa = soa_pack(minimal, ring)
-    k = np.arange(len(minimal))
+    ring = soa.ring
+    # ascending lead, equal leads by index: the closure's reducer order, so
+    # every reducer it picks (the first dividing lead) is a kept member
+    order = _reducer_preference(soa)
+    leads = soa.exps[soa.offset[order]]
+    # a member is minimal when no member before it in that order divides its
+    # lead; a dropped divisor has a kept divisor of its own
+    keep = np.empty(len(leads), dtype=bool)
+    step = max(1, _PAIR_MASK_CELLS // leads.size)
+    for s in range(0, len(leads), step):
+        divides = (leads[None, :, :] <= leads[s : s + step, None, :]).all(axis=2)
+        keep[s : s + step] = ~np.tril(divides, s - 1).any(axis=1)
+    k = order[keep]
     rows = RowMeta.of(RowRole.REDUCER.value, 0, k, np.zeros((len(k), ring.n_vars), dtype=np.int64))
     plan = compile_batch(rows, soa, Closure.ONE_STEP_REDUCTION, ExecPolicy(config.workers))
     ech = psge_reduce(csr_from_plan(plan, ring.modulus), config.panel_width, back_reduce=True)
@@ -510,7 +518,7 @@ def f4_groebner(
         steps += 1
         if on_batch is not None:
             on_batch(basis_before, plan, ech, state.stats[-1])
-    return _interreduce(state.basis, ring, config)
+    return _interreduce(state.soa(), config)
 
 
 def buchberger_reference(system: list, ring: Ring, max_steps: int = MAX_STEPS_DEFAULT) -> list:

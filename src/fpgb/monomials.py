@@ -95,11 +95,6 @@ class Ring:
     def one(self) -> Monomial:
         return (0,) * self.n_vars
 
-    def var(self, i: int) -> Monomial:
-        e = [0] * self.n_vars
-        e[i] = 1
-        return tuple(e)
-
     def __repr__(self):
         return f"Ring(vars={self.var_names}, order={self.order}, p={self.modulus.p})"
 
@@ -208,11 +203,6 @@ def mon_key_pack(u: Monomial, ring: Ring) -> MonKey:
     mask = (1 << 64) - 1
     w = ring.n_key_words
     return tuple((acc >> (64 * (w - 1 - i))) & mask for i in range(w))
-
-
-def mon_key_unpack(k: MonKey, ring: Ring) -> Monomial:
-    arr = np.asarray([k], dtype=np.uint64)
-    return tuple(int(e) for e in key_unpack_vec(arr, ring)[0])
 
 
 def mon_compare_vec(u: np.ndarray, v: np.ndarray, ring: Ring) -> np.ndarray:

@@ -230,10 +230,6 @@ def poly_monic(f: Poly) -> Poly:
     return poly_scale(f, inv)
 
 
-def poly_eq(f: Poly, g: Poly) -> bool:
-    return f.terms == g.terms
-
-
 # ---------------------------------------------------------------------------
 # Structure-of-arrays storage
 # ---------------------------------------------------------------------------
@@ -258,9 +254,6 @@ class SoaPolySet:
 
     def __len__(self):
         return len(self.length)
-
-    def total_terms(self) -> int:
-        return int(self.offset[-1])
 
     def validate(self):
         assert self.offset[0] == 0

@@ -1,28 +1,18 @@
-"""Arithmetic backends: scalar contracts, toy hand computations, agreement."""
+"""Arithmetic backends: modulus constants, toy hand computations, vector kernel agreement."""
 
 import numpy as np
 import pytest
 
-from fpgb.errors import DomainMismatchError, NonInvertibleError, PreconditionError
+from fpgb.errors import NonInvertibleError, PreconditionError
 from fpgb.fp import (
     Backend,
-    ConvertDir,
-    Domain,
     FieldModulus,
-    FpElem,
     KernelArith,
     add_vec,
-    barrett_reduce,
     barrett_reduce_vec,
-    fma_accumulate,
-    fp_add,
-    fp_inv,
-    fp_mul,
     is_prime,
-    mont_convert,
     mont_enter_vec,
     mont_leave_vec,
-    mont_mul,
     mont_mul_vec,
     mul_vec,
     naive_mul_vec,
@@ -56,24 +46,6 @@ def test_is_prime_spot_checks():
     assert not is_prime(65537 * 3) and not is_prime(2**31 - 1 + 2)
 
 
-def test_fp_add_examples():
-    assert fp_add(FpElem(3), FpElem(5), M7).value == 1
-    for x in range(7):
-        assert fp_add(FpElem(0), FpElem(x), M7).value == x
-    assert fp_add(FpElem(6), FpElem(1), M7).value == 0
-
-
-def test_fp_add_domain_mismatch():
-    with pytest.raises(DomainMismatchError):
-        fp_add(FpElem(1), FpElem(1, Domain.MONTGOMERY), M7)
-
-
-def test_fp_mul_naive_examples():
-    assert fp_mul(FpElem(3), FpElem(4), M7).value == 5
-    for a in range(7):
-        assert fp_mul(FpElem(a), FpElem(1), M7).value == a
-
-
 def test_montgomery_toy_hand_computation():
     # toy parameters R=16, p=7: p' = 9 because 7*9 = 63 = -1 mod 16
     R, p, pprime = 16, 7, 9
@@ -96,46 +68,15 @@ def test_mont_mul_production_against_naive():
         assert np.array_equal(got, a * b % np.uint64(m.p))
 
 
-def test_mont_mul_identity_in_domain():
-    one_t = mont_convert(FpElem(1), ConvertDir.ENTER, M251)
-    for a in (0, 1, 17, 250):
-        at = mont_convert(FpElem(a), ConvertDir.ENTER, M251)
-        assert mont_mul(one_t, at, M251) == at
-
-
-def test_mont_convert_round_trip_exhaustive_251():
-    for a in range(251):
-        t = mont_convert(FpElem(a), ConvertDir.ENTER, M251)
-        assert t.domain is Domain.MONTGOMERY
-        back = mont_convert(t, ConvertDir.LEAVE, M251)
-        assert back == FpElem(a)
-    assert mont_convert(FpElem(0), ConvertDir.ENTER, M7).value == 0
-
-
-def test_mont_domain_checks():
-    with pytest.raises(DomainMismatchError):
-        mont_mul(FpElem(1), FpElem(1, Domain.MONTGOMERY), M7)
-    with pytest.raises(DomainMismatchError):
-        mont_convert(FpElem(1, Domain.MONTGOMERY), ConvertDir.ENTER, M7)
-    mont_backend = FieldModulus(7, Backend.MONTGOMERY)
-    with pytest.raises(DomainMismatchError):
-        fp_mul(FpElem(3), FpElem(4), mont_backend)
-
-
 def test_barrett_examples_and_oracle():
     # the k=16 toy: q = (100*9362) >> 16 = 14, r = 100 - 14*7 = 2
     assert (100 * (65536 // 7)) >> 16 == 14
-    assert barrett_reduce(100, M7).value == 2 == 100 % 7
-    assert barrett_reduce(0, M7).value == 0
-    assert barrett_reduce(7, M7).value == 0
+    edges = np.array([0, 7, 100], dtype=np.uint64)
+    assert barrett_reduce_vec(edges, M7).tolist() == [0, 0, 2]
     rng = np.random.default_rng(99)
     for m in (M7, M251, MBIG):
         xs = rng.integers(0, 1 << 62, 20_000, dtype=np.uint64)
         assert np.array_equal(barrett_reduce_vec(xs, m), xs % np.uint64(m.p))
-        for x in xs[:200].tolist():
-            assert barrett_reduce(x, m).value == x % m.p
-    with pytest.raises(PreconditionError):
-        barrett_reduce(1 << 62, M7)
 
 
 def test_barrett_correction_bound():
@@ -152,58 +93,6 @@ def test_barrett_correction_bound():
             assert 0 <= r < 3 * p
         arr = np.array(xs, dtype=np.uint64)
         assert np.array_equal(barrett_reduce_vec(arr, m), arr % np.uint64(p))
-
-
-def test_fp_inv_examples_and_bijection():
-    assert fp_inv(FpElem(3), M7).value == 5
-    assert fp_inv(FpElem(1), M7).value == 1
-    seen = set()
-    for a in range(1, 251):
-        inv = fp_inv(FpElem(a), M251).value
-        assert a * inv % 251 == 1
-        seen.add(inv)
-    assert seen == set(range(1, 251))
-    with pytest.raises(NonInvertibleError):
-        fp_inv(FpElem(0), M7)
-
-
-def test_fma_accumulate_example():
-    acc, count = fma_accumulate(0, FpElem(3), FpElem(4), 0, M7)
-    acc, count = fma_accumulate(acc, FpElem(5), FpElem(6), count, M7)
-    assert acc == 42
-    assert acc % 7 == 0
-    acc2, count2 = fma_accumulate(5, FpElem(0), FpElem(3), 1, M7)
-    assert acc2 == 5 and count2 == 2
-
-
-def test_fma_accumulate_forces_reduction_at_window():
-    m = MBIG
-    acc, count = 0, 0
-    vals = []
-    rng = np.random.default_rng(7)
-    for _ in range(m.lazy_window_k):
-        b, c = (int(x) for x in rng.integers(1, m.p, 2))
-        vals.append((b, c))
-        acc, count = fma_accumulate(acc, FpElem(b), FpElem(c), count, m)
-    assert count == 0 and acc < m.p
-    assert acc == sum(b * c for b, c in vals) % m.p
-    with pytest.raises(PreconditionError):
-        fma_accumulate(0, FpElem(1), FpElem(1), m.lazy_window_k, m)
-
-
-def test_lazy_chains_match_eager_oracle():
-    rng = np.random.default_rng(31337)
-    for m in (M7, M251, MBIG):
-        for _ in range(50):
-            n = int(rng.integers(1, m.lazy_window_k + 1))
-            bs = rng.integers(0, m.p, n)
-            cs = rng.integers(0, m.p, n)
-            acc, count = 0, 0
-            eager = 0
-            for b, c in zip(bs.tolist(), cs.tolist()):
-                acc, count = fma_accumulate(acc, FpElem(b), FpElem(c), count, m)
-                eager = (eager + b * c) % m.p
-            assert acc % m.p == eager
 
 
 def test_backend_agreement_sampled():
@@ -239,3 +128,16 @@ def test_kernel_arith_round_trip_all_backends():
             xin = int(ar.enter(np.uint64(x)))
             assert int(ar.leave(ar.mul(np.uint64(xin), np.uint64(ar.inv(xin))))) == 1
             assert ar.window * (p - 1) ** 2 < (1 << 62 if backend is Backend.BARRETT else 1 << 64)
+
+
+def test_kernel_arith_inverse_all_backends():
+    for backend in Backend:
+        ar = KernelArith(FieldModulus(7, backend))
+        assert int(ar.leave(np.uint64(ar.inv(int(ar.enter(np.uint64(3))))))) == 5
+        ar = KernelArith(FieldModulus(251, backend))
+        units = ar.enter(np.arange(1, 251, dtype=np.uint64))
+        invs = [int(ar.leave(np.uint64(ar.inv(int(x))))) for x in units]
+        assert all(a * inv % 251 == 1 for a, inv in zip(range(1, 251), invs))
+        assert sorted(invs) == list(range(1, 251))
+        with pytest.raises(NonInvertibleError):
+            ar.inv(0)

@@ -393,7 +393,8 @@ def perturbed(G, rng):
             if rng.random() < 0.5:
                 g = poly_add_scaled(g, unit(), G[j])
         out.append(poly_scale(g, unit()))
-    out.append(poly_scale(poly_mul_mon(ring.var(0), G[-1]), unit()))  # non-minimal t*g
+    t = (1,) + (0,) * (ring.n_vars - 1)  # the first variable
+    out.append(poly_scale(poly_mul_mon(t, G[-1]), unit()))  # non-minimal t*g
     out.append(poly_add_scaled(G[0], unit(), G[-1]))  # duplicate lead
     return [out[k] for k in rng.permutation(len(out))]
 
@@ -403,19 +404,35 @@ def perturbed(G, rng):
 def test_interreduce_recovers_reduced_basis(order, p):
     rng = np.random.default_rng(p % 1000 + len(order))
     config = PipelineConfig()
+
+    def interreduce(polys):
+        # F4 hands over its cached set of monic members
+        soa = soa_pack([poly_monic(f) for f in polys], ring)
+        return [f.terms for f in _interreduce(soa, config)]
+
     for gen, n in ((gen_cyclic, 3), (gen_katsura, 3), (gen_cyclic, 4)):
         ring, polys = in_order(*gen(n, p), order)
         G = f4_groebner(polys, ring)
         assert is_groebner(G, ring).ok
         want = [f.terms for f in G]
-        assert [f.terms for f in _interreduce(G, ring, config)] == want
+        assert interreduce(G) == want
         assert [f.terms for f in reduce_basis(G, ring)] == want
         messy = perturbed(G, rng)
-        assert [f.terms for f in _interreduce(messy, ring, config)] == want
+        assert interreduce(messy) == want
         assert [f.terms for f in reduce_basis(messy, ring)] == want
     one = [poly_scale(G[0], 3)]
-    assert [f.terms for f in _interreduce(one, ring, config)] == [G[0].terms]
-    assert _interreduce([], ring, config) == []
+    assert interreduce(one) == [G[0].terms]
+    assert interreduce([]) == []
+
+
+def test_interreduce_one_lead_per_mask_chunk(monkeypatch):
+    ring, polys = gen_cyclic(4, 65537)
+    G = f4_groebner(polys, ring)
+    messy = perturbed(G, np.random.default_rng(4))
+    # every chunk of the divisibility mask holds one lead, so each boundary is crossed
+    monkeypatch.setattr(groebner, "_PAIR_MASK_CELLS", 1)
+    soa = soa_pack([poly_monic(f) for f in messy], ring)
+    assert [f.terms for f in _interreduce(soa, PipelineConfig())] == [f.terms for f in G]
 
 
 def one_shifted_row():
@@ -517,6 +534,19 @@ def test_kernel_checks_fail_both_engines_short_of_the_nullity():
     assert not dense.ok and dense.detail == f"found {nullity} of nullity {nullity + 1}"
     assert not krylov.ok and kb is None
     assert krylov.detail.startswith(f"found {nullity} of {nullity + 1} kernel vectors")
+
+
+def test_kernel_checks_fail_the_dense_engine_past_the_nullity():
+    ring, batches = katsura3_batches()
+    basis_before, plan, ech = next(t for t in batches if t[1].n_rows - t[2].rank >= 2)
+    nullity = plan.n_rows - ech.rank
+    # a rank one too high claims one kernel vector fewer than exists; the
+    # exact route returns the whole kernel, so its count shows the surplus
+    (engine, dense, kb), _ = groebner_kernel_checks(
+        plan, basis_before, ring.modulus, ech.rank + 1, seed=3
+    )
+    assert engine == "dense" and kb.dimension_found == nullity
+    assert not dense.ok and dense.detail == f"found {nullity} of nullity {nullity - 1}"
 
 
 def merge_loop_syzygy(plan, basis, kernel):

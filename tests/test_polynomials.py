@@ -128,7 +128,7 @@ def test_soa_single_and_empty():
     s = soa_pack([f], R2)
     assert soa_slice(s, 0).terms == f.terms
     empty = soa_pack([], R2)
-    assert empty.total_terms() == 0
+    assert len(empty.coeff) == 0
     assert list(empty.offset) == [0]
     empty.validate()
     with pytest.raises(IndexError):

@@ -1,5 +1,7 @@
 """Batch compiler: worked micro-examples, closure fixed points, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from fpgb.fp import FieldModulus
 from fpgb.groebner import f4_groebner
 from fpgb.monomials import ORDERS, Ring, key_pack_vec, key_unpack_vec, mon_div, mon_key_pack
 from fpgb.polynomials import (
-    poly_eq,
     poly_from_dict,
     poly_mul_mon,
     poly_normalize,
@@ -28,8 +29,6 @@ from fpgb.symbolic import (
     closure_expand,
     compile_batch,
     decode_row,
-    plan_digest,
-    plan_stats,
     plan_to_text,
     row_lead_cols,
     select_rows,
@@ -151,9 +150,9 @@ def test_compile_support_only_worked_example():
     assert plan.col_ind.tolist() == [0, 1, 0, 2]
     assert plan.val.tolist() == [1, 6, 1, 6]
     r0 = decode_row(plan, 0)
-    assert poly_eq(r0, poly_parse("x^2*y - y^2", R2))
+    assert r0.terms == poly_parse("x^2*y - y^2", R2).terms
     r1 = decode_row(plan, 1)
-    assert poly_eq(r1, poly_parse("x^2*y - x", R2))
+    assert r1.terms == poly_parse("x^2*y - x", R2).terms
 
 
 def test_compile_empty_rows():
@@ -161,7 +160,7 @@ def test_compile_empty_rows():
     plan = compile_batch(select_rows(np.zeros((0, 2), dtype=np.int64), [], [], basis), basis)
     assert plan.counters.N == 0 and plan.counters.M == 0
     assert plan.row_ptr.tolist() == [0]
-    assert plan_stats(plan)["r"] == 0
+    assert plan.counters.r == 0
 
 
 def test_one_step_closure_adds_reducer_row():
@@ -306,7 +305,7 @@ def test_decode_matches_shift_oracle_random():
         for i, (shift, k) in enumerate(meta):
             want = poly_mul_mon(tuple(shift), soa_slice(basis, k))
             got = decode_row(plan, i)
-            assert poly_eq(got, want) and got.terms == want.terms
+            assert got.terms == want.terms
             assert all(type(c) is int and all(type(e) is int for e in m) for m, c in got.terms)
         # dictionary equals the sorted support union (naive set oracle)
         support = set()
@@ -340,7 +339,6 @@ def test_compile_deterministic_across_policies():
             base = text
         else:
             assert text == base
-    assert plan_digest(plan) == plan_digest(plan)
 
 
 def test_one_lane_compile_runs_no_lane_split_code(monkeypatch):
@@ -378,17 +376,6 @@ def test_plan_race_freedom_partition():
     for i in range(plan.n_rows):
         seen[plan.row_ptr[i] : plan.row_ptr[i + 1]] += 1
     assert (seen == 1).all()
-
-
-def test_plan_stats_fields():
-    basis = two_poly_basis()
-    rows = spoly_pair_rows(basis)
-    plan = compile_batch(rows, basis, Closure.SUPPORT_ONLY)
-    st = plan_stats(plan)
-    assert st["r"] == 2 and st["N"] == 3 and st["M"] == 4 and st["nnz"] == 4
-    assert st["keys_emitted"] == st["M"]
-    assert st["keys_generated_total"] >= st["M"]
-    assert st["row_length_histogram"] == {"<=2": 2}
 
 
 def test_dict_cap_guard():
@@ -488,7 +475,7 @@ def test_golden_plan_and_basis_digests(instance):
     digests, rounds = [], []
 
     def on_batch(basis_before, plan, ech, stats):
-        digests.append(plan_digest(plan))
+        digests.append(hashlib.sha256(plan_to_text(plan).encode()).hexdigest())
         rounds.append(plan.counters.closure_rounds)
 
     basis = f4_groebner(polys, ring, PipelineConfig(), on_batch)
