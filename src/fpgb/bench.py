@@ -240,11 +240,11 @@ def _synth_batch(rng, n_cols: int, m: FieldModulus):
 def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0) -> dict:
     """Time one isolated primitive on synthetic input, after checking it.
 
-    Correctness of the primitive's output is asserted against an oracle
-    before any throughput number is reported.  ``dict_build`` times sort
-    plus unique on the one-lane route that F4 runs (a stable ``np.lexsort``
-    and a mask); its ``radix_passes`` and ``radix_passes_run`` describe the
-    lane-split radix route that more lanes run.
+    The output is checked against an oracle first; a mismatch raises
+    PropertyViolationError before any throughput number is reported.
+    ``dict_build`` times sort plus unique on the one-lane route that F4 runs
+    (a stable ``np.lexsort`` and a mask); its ``radix_passes`` and
+    ``radix_passes_run`` describe the lane-split radix route that more lanes run.
     """
     if size < 1:
         raise PreconditionError("size must be >= 1")
@@ -255,7 +255,8 @@ def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0)
         srt, _ = radix_sort(keys)
         uniq, _ = unique_sorted(srt, check=False)
         want = sorted({tuple(k) for k in keys.tolist()})
-        assert [tuple(k) for k in uniq.tolist()] == want
+        if [tuple(k) for k in uniq.tolist()] != want:
+            raise PropertyViolationError("dict_build output is not the sorted unique keys")
         t0 = time.monotonic_ns()
         srt, _ = radix_sort(keys)
         uniq, _ = unique_sorted(srt, check=False)
@@ -277,7 +278,8 @@ def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0)
         picks = np.sort(rng.integers(0, len(dic), int(lens.sum())))
         seg = dic[picks]
         got = merge_join_index(seg, dic, check=False)
-        assert np.array_equal(dic[got], seg)
+        if not np.array_equal(dic[got], seg):
+            raise PropertyViolationError("row_assemble join does not find each key")
         t0 = time.monotonic_ns()
         merge_join_index(seg, dic, check=False)
         dt = time.monotonic_ns() - t0
@@ -301,7 +303,8 @@ def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0)
             ar = KernelArith(m)
             da, db, dacc = ar.enter(a), ar.enter(b), ar.enter(acc)
             got = ar.leave((dacc + ar.mul(da, db)) % np.uint64(p))
-            assert np.array_equal(got, want), f"{backend} disagrees with naive"
+            if not np.array_equal(got, want):
+                raise PropertyViolationError(f"mod_fma: {backend.value} disagrees with naive")
             t0 = time.monotonic_ns()
             _ = (dacc + ar.mul(da, db)) % np.uint64(p)
             dt = time.monotonic_ns() - t0
@@ -372,7 +375,7 @@ def verify_instance(ring, polys, config: PipelineConfig):
         except PropertyViolationError as exc:
             record_batch("plan_structure", False, str(exc))
         # each row's shifted polynomial, from the row table and the basis
-        # alone: both oracles below read these, never the plan's matrix
+        # alone: the oracles below read these, never the plan's matrix
         meta = plan.row_meta
         shifted = [
             poly_mul_mon(tuple(t), basis_before[k])
@@ -380,17 +383,16 @@ def verify_instance(ring, polys, config: PipelineConfig):
         ]
         # dictionary oracle: sorted set of shifted supports
         support = {e for f in shifted for e, _ in f.terms}
-        got = {tuple(int(e) for e in r) for r in key_unpack_vec(plan.dict_keys, ring)}
+        mons = list(map(tuple, key_unpack_vec(plan.dict_keys, ring).tolist()))
+        got = set(mons)
         record_batch("dictionary_oracle", got == support, f"{len(got)} vs {len(support)} monomials")
         # decode oracle
         ok = all(decode_row(plan, i).terms == f.terms for i, f in enumerate(shifted))
         record_batch("row_decode_oracle", ok)
         # closure soundness: covered dictionary monomials lead some row
         lead_cols = set(row_lead_cols(plan).tolist())
-        exps = key_unpack_vec(plan.dict_keys, ring)
         sound = True
-        for j in range(len(exps)):
-            mono = tuple(int(x) for x in exps[j])
+        for j, mono in enumerate(mons):
             if any(mon_divides(g.lm(), mono) for g in basis_before):
                 if j not in lead_cols:
                     sound = False
@@ -398,7 +400,7 @@ def verify_instance(ring, polys, config: PipelineConfig):
         record_batch("closure_soundness", sound)
         # kernel syzygies via both engines, each held to the batch's nullity
         for engine, report, _ in groebner_kernel_checks(
-            plan, basis_before, ring.modulus, ech.rank, config.seed
+            plan, basis_before, ring.modulus, ech.rank, config.seed, shifted
         ):
             record_batch(f"kernel_syzygy_{engine}", report.ok, report.detail)
         record_batch(

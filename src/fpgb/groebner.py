@@ -33,7 +33,9 @@ from .errors import (
     PropertyViolationError,
 )
 from .fp import Backend, FieldModulus
-from .monomials import Ring, _tie_lanes, key_unpack_vec, mon_div, mon_divides, mon_lcm, mon_mul
+from .monomials import (
+    Ring, _tie_lanes, key_unpack_vec, minimal_rows, mon_div, mon_divides, mon_lcm, mon_mul
+)
 from .polynomials import (
     Poly,
     SoaPolySet,
@@ -67,9 +69,6 @@ from .symbolic import (
 )
 
 MAX_STEPS_DEFAULT = 10_000
-# entries of one lead-set x lead-set x n_vars divisibility temporary
-# (the new pairs in update_pairs, the basis leads in _interreduce)
-_PAIR_MASK_CELLS = 1 << 20
 
 
 def spoly(f: Poly, g: Poly) -> Poly:
@@ -232,18 +231,12 @@ def _chain_or_repeat(cand: np.ndarray, cdeg: np.ndarray) -> np.ndarray:
     Pair a goes when some other new pair's lcm properly divides its lcm,
     or an earlier new pair has the same lcm.  Both read "lcm_b divides
     lcm_a and (deg_b, b) < (deg_a, a)", as a divisor of equal degree is
-    equal.  With that rank as one more column, "b <= a in every column"
-    holds for b = a and for exactly those b, so a goes when it holds twice.
+    equal.  So in (degree, index) order the pairs that go are exactly the
+    rows that are not minimal.
     """
-    t, n = cand.shape
-    ext = np.empty((t, n + 1), dtype=np.int64)
-    ext[:, :n] = cand
-    ext[:, n] = cdeg * t + np.arange(t)
-    out = np.empty(t, dtype=bool)
-    step = max(1, _PAIR_MASK_CELLS // ext.size)
-    for s in range(0, t, step):
-        below = (ext[None, :, :] <= ext[s : s + step, None, :]).all(axis=2)
-        out[s : s + step] = below.sum(axis=1) > 1
+    order = np.argsort(cdeg, kind="stable")
+    out = np.empty(len(cand), dtype=bool)
+    out[order] = ~minimal_rows(cand[order])
     return out
 
 
@@ -473,14 +466,7 @@ def _interreduce(soa: SoaPolySet, config: PipelineConfig) -> list:
     # every reducer it picks (the first dividing lead) is a kept member
     order = _reducer_preference(soa)
     leads = soa.exps[soa.offset[order]]
-    # a member is minimal when no member before it in that order divides its
-    # lead; a dropped divisor has a kept divisor of its own
-    keep = np.empty(len(leads), dtype=bool)
-    step = max(1, _PAIR_MASK_CELLS // leads.size)
-    for s in range(0, len(leads), step):
-        divides = (leads[None, :, :] <= leads[s : s + step, None, :]).all(axis=2)
-        keep[s : s + step] = ~np.tril(divides, s - 1).any(axis=1)
-    k = order[keep]
+    k = order[minimal_rows(leads)]
     rows = RowMeta.of(RowRole.REDUCER.value, 0, k, np.zeros((len(k), ring.n_vars), dtype=np.int64))
     plan = compile_batch(rows, soa, Closure.ONE_STEP_REDUCTION, ExecPolicy(config.workers))
     ech = psge_reduce(csr_from_plan(plan, ring.modulus), config.panel_width, back_reduce=True)
@@ -577,28 +563,30 @@ def is_groebner(G: list, ring: Ring) -> GroebnerReport:
     return GroebnerReport(True)
 
 
-def verify_kernel_syzygy(plan: LayoutPlan, basis: list, kernel: KernelBasis) -> GroebnerReport:
+def verify_kernel_syzygy(
+    plan: LayoutPlan, basis: list, kernel: KernelBasis, shifted: list | None = None
+) -> GroebnerReport:
     """Exact recombination check: sum_i v_i (t_i g_{k_i}) must vanish.
 
-    Each row's shifted polynomial is built once per call, from the plan's
-    row metadata and the basis alone (never the plan's matrix), and each
-    vector sums its scaled rows into one dict keyed by exponent tuple.
-    This is only guaranteed for support-closed plans; a failure is a
-    property violation, not an input error.
+    Row i's shifted polynomial is ``shifted[i]`` when given, else built once
+    per call from the plan's row metadata and the basis (never the plan's
+    matrix); each vector sums its scaled rows into one dict keyed by
+    exponent tuple.  This is only guaranteed for support-closed plans; a
+    failure is a property violation, not an input error.
     """
     ring = plan.ring
     p = ring.modulus.p
     shifts = plan.row_meta.shift.tolist()
     ks = plan.row_meta.basis_index.tolist()
-    shifted: dict = {}
+    row_terms: dict = {} if shifted is None else {i: f.terms for i, f in enumerate(shifted)}
     for n, v in enumerate(kernel.vectors):
         if len(v) != plan.n_rows:
             return GroebnerReport(False, f"kernel vector {n} has wrong length")
         acc: dict = {}
         for i in np.flatnonzero(v).tolist():
-            terms = shifted.get(i)
+            terms = row_terms.get(i)
             if terms is None:
-                terms = shifted[i] = poly_mul_mon(tuple(shifts[i]), basis[ks[i]]).terms
+                terms = row_terms[i] = poly_mul_mon(tuple(shifts[i]), basis[ks[i]]).terms
             c = int(v[i])
             for e, a in terms:
                 acc[e] = acc.get(e, 0) + c * a
@@ -608,33 +596,36 @@ def verify_kernel_syzygy(plan: LayoutPlan, basis: list, kernel: KernelBasis) -> 
     return GroebnerReport(True)
 
 
-def _kernel_report(plan: LayoutPlan, basis: list, kernel: KernelBasis, nullity: int) -> GroebnerReport:
+def _kernel_report(plan: LayoutPlan, basis: list, kernel: KernelBasis, nullity: int, shifted=None):
     """Exact recombination of every vector, and exactly ``nullity`` of them."""
     found = f"found {kernel.dimension_found} of nullity {nullity}"
-    rep = verify_kernel_syzygy(plan, basis, kernel)
+    rep = verify_kernel_syzygy(plan, basis, kernel, shifted)
     if not rep.ok:
         return GroebnerReport(False, f"{found}; {rep.detail}")
     return GroebnerReport(kernel.dimension_found == nullity, found)
 
 
-def groebner_kernel_checks(plan: LayoutPlan, basis: list, m: FieldModulus, rank: int, seed: int = 0):
+def groebner_kernel_checks(
+    plan: LayoutPlan, basis: list, m: FieldModulus, rank: int, seed: int = 0, shifted=None
+):
     """Left kernels via both engines, each recombined exactly; returns reports.
 
     ``rank`` is the batch's rank from elimination, so both engines are held
     to the nullity ``n_rows - rank``: a report passes only if it found
-    exactly that many vectors and every one recombines to zero.
+    exactly that many vectors and every one recombines to zero.  Each row's
+    prebuilt ``shifted`` polynomial, when given, goes to the recombination.
     """
     A = csr_from_plan(plan, m)
     nullity = A.n_rows - rank
     reports = []
     dense_kb = left_kernel(A, count=nullity, seed=seed)
-    reports.append(("dense", _kernel_report(plan, basis, dense_kb, nullity), dense_kb))
+    reports.append(("dense", _kernel_report(plan, basis, dense_kb, nullity, shifted), dense_kb))
     try:
         wk = wiedemann_solve(
             csr_transpose(A), KernelMode.RIGHT_KERNEL, seed=seed, max_vectors=nullity
         )
         kb = KernelBasis("left", wk.vectors, wk.dimension_found, wk.seed_trail)
-        reports.append(("wiedemann", _kernel_report(plan, basis, kb, nullity), kb))
+        reports.append(("wiedemann", _kernel_report(plan, basis, kb, nullity, shifted), kb))
     except ProbabilisticFailureError as exc:  # reported, never hidden
         reports.append(("wiedemann", GroebnerReport(False, str(exc)), None))
     return reports

@@ -32,6 +32,8 @@ _EXP_MASK = _EXP_LIMIT - 1
 _DEG_BITS = 32
 _DEG_LIMIT = 1 << _DEG_BITS
 MAX_VARS = 32
+# entries of one chunk's targets x divisors x n_vars mask in first_divisor
+_DIVISOR_CELLS = 1 << 20
 
 Monomial = tuple  # exponent tuple; degree is sum of entries
 MonKey = tuple  # packed words, most significant first
@@ -246,6 +248,28 @@ def mon_divides(u: Monomial, v: Monomial) -> bool:
     if len(u) != len(v):
         raise ArityMismatchError("arity mismatch in divisibility test")
     return all(a <= b for a, b in zip(u, v))
+
+
+def first_divisor(divisors: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per target row, the index of the first ``divisors`` row that divides
+    it, or -1; both are exponent matrices, one monomial per row.  The mask
+    is built over chunks of the targets of at most ``_DIVISOR_CELLS`` entries.
+    """
+    out = np.full(len(targets), -1, dtype=np.int64)
+    if len(divisors) == 0:
+        return out
+    step = max(1, _DIVISOR_CELLS // divisors.size)
+    for s in range(0, len(targets), step):
+        divides = (divisors[None, :, :] <= targets[s : s + step, None, :]).all(axis=2)
+        out[s : s + step] = np.where(divides.any(axis=1), divides.argmax(axis=1), -1)
+    return out
+
+
+def minimal_rows(x: np.ndarray) -> np.ndarray:
+    """Per row of the exponent matrix ``x``, whether no earlier row divides
+    it.  A row an earlier one divides has an earlier minimal divisor too.
+    """
+    return first_divisor(x, x) == np.arange(len(x))
 
 
 def mon_div(u: Monomial, v: Monomial) -> Monomial:

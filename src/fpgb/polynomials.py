@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PolyParseError
-from .monomials import Ring, key_pack_vec, mon_format, mon_mul
+from .errors import PolyParseError, PropertyViolationError
+from .monomials import Ring, key_cmp_rows, key_pack_vec, mon_format, mon_mul
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^]))")
 _EXP_LIMIT = 1 << 16
@@ -256,18 +256,19 @@ class SoaPolySet:
         return len(self.length)
 
     def validate(self):
-        assert self.offset[0] == 0
-        assert np.array_equal(np.diff(self.offset), self.length)
-        assert self.offset[-1] == len(self.coeff) == len(self.mon_key)
+        if not (
+            self.offset[0] == 0
+            and np.array_equal(np.diff(self.offset), self.length)
+            and self.offset[-1] == len(self.coeff) == len(self.mon_key)
+        ):
+            raise PropertyViolationError("segment table disagrees with the streams")
         p = self.ring.modulus.p
-        if len(self.coeff):
-            assert self.coeff.min() >= 1 and self.coeff.max() < p
-        from .monomials import key_cmp_rows
-
+        if len(self.coeff) and not (self.coeff.min() >= 1 and self.coeff.max() < p):
+            raise PropertyViolationError("coefficient outside 1..p-1")
         for s, e in zip(self.offset[:-1], self.offset[1:]):
-            if e - s > 1:
-                seg = self.mon_key[s:e]
-                assert (key_cmp_rows(seg[:-1], seg[1:]) == 1).all(), "segment keys not descending"
+            seg = self.mon_key[s:e]
+            if not (key_cmp_rows(seg[:-1], seg[1:]) == 1).all():
+                raise PropertyViolationError("segment keys not descending")
 
 
 def soa_pack(polys, ring: Ring) -> SoaPolySet:

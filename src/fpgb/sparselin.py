@@ -636,18 +636,16 @@ def wiedemann_solve(
 def left_kernel(A: CsrMatrix, count: int, seed: int, block_width: int = 4) -> KernelBasis:
     """Independent vectors v with v^T A = 0.
 
-    ``count`` is the nullity the caller expects; 0 returns an empty basis at
-    once.  Size-dispatched: the dense oracle engine below the cap returns
-    the whole exact left kernel, so a nullity above ``count`` shows as more
-    vectors than expected; above it, Wiedemann on the transpose
+    ``count`` is the nullity the caller expects.  Size-dispatched: the
+    dense oracle engine below the cap returns the whole exact left kernel
+    at every ``count``, 0 included, so a nullity above ``count`` shows as
+    more vectors than expected; above it, Wiedemann on the transpose
     (``block_width`` probe vectors per round) returns exactly ``count`` or
     raises ProbabilisticFailureError.  Every vector is re-verified by one
     SpMV on A^T.
     """
     if count < 0:
         raise PreconditionError("count must be >= 0")
-    if count == 0:
-        return KernelBasis("left", [], 0, ())
     At = csr_transpose(A)
     if max(A.n_rows, A.n_cols) <= DENSE_CAP:
         vectors = dense_right_nullspace(At.to_dense(), A.modulus)

@@ -43,12 +43,10 @@ from .bulk import (
     unique_sorted,
 )
 from .errors import DivisionError, PropertyViolationError, SizeCapError, UncoverableTargetError
-from .monomials import Ring, _tie_lanes, key_cmp_rows, key_pack_vec, key_unpack_vec
+from .monomials import Ring, _tie_lanes, first_divisor, key_cmp_rows, key_pack_vec, key_unpack_vec
 from .polynomials import Poly, SoaPolySet
 
 DICT_CAP = 10**6
-# entries of one frontier x leads x n_vars divisibility temporary
-_DIVISOR_MASK_CELLS = 1 << 20
 
 
 class RowRole(enum.Enum):
@@ -257,21 +255,15 @@ def closure_expand(keys_desc: np.ndarray, basis: SoaPolySet, round_id: int = 1) 
     uncovered dictionary in round 1, and afterwards the monomials the
     previous round's rows added.  The rows are empty when none has a divisor.
 
-    The search is one divisibility mask per chunk of the frontier against
-    all leads in preference order; the first hit of each row is its reducer.
+    The search is one ``first_divisor`` call against the leads in that order.
     """
     if len(keys_desc) == 0 or len(basis) == 0:
         return RowMeta(np.zeros((0, basis.ring.n_vars + 3), dtype=np.int64))
     exps = key_unpack_vec(keys_desc, basis.ring)
     pref = _reducer_preference(basis)
-    leads = basis.exps[basis.offset[pref]]
-    reducer = np.full(len(exps), -1, dtype=np.int64)
-    step = max(1, _DIVISOR_MASK_CELLS // leads.size)
-    for s in range(0, len(exps), step):
-        divides = (exps[s : s + step, None, :] >= leads[None, :, :]).all(axis=2)
-        reducer[s : s + step] = np.where(divides.any(axis=1), pref[divides.argmax(axis=1)], -1)
-    hit = np.flatnonzero(reducer >= 0)[::-1]
-    ks = reducer[hit]
+    first = first_divisor(basis.exps[basis.offset[pref]], exps)
+    hit = np.flatnonzero(first >= 0)[::-1]
+    ks = pref[first[hit]]
     shifts = exps[hit] - basis.exps[basis.offset[ks]]
     return RowMeta.of(RowRole.REDUCER.value, round_id, ks, shifts)
 

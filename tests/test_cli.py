@@ -2,14 +2,17 @@
 
 import pytest
 
+from fpgb import bench
 from fpgb.bench import PipelineConfig, make_instance, microbench, run_pipeline, verify_instance
 from fpgb.cli import main
 from fpgb.errors import (
     DivisionError,
     LaneOverflowError,
     NonterminationError,
+    PropertyViolationError,
     UncoverableTargetError,
 )
+from fpgb.fp import KernelArith
 from fpgb.systems import parse_system
 
 
@@ -146,6 +149,24 @@ def test_microbench_numeric():
     assert small == {**microbench("numeric", 300, seed=5), "elapsed_ns": small["elapsed_ns"]}
     big = microbench("numeric", 1200, seed=6)  # past DENSE_CAP: checked by back_reduce only
     assert big["cols"] == 1200 and big["rank"] > 0
+
+
+@pytest.mark.parametrize("kind", ["dict_build", "row_assemble", "mod_fma"])
+def test_microbench_wrong_output_raises(monkeypatch, kind):
+    # each checked primitive gives wrong output: unique drops a key, the
+    # join comes back reversed, the modular product is one factor
+    real_unique, real_join = bench.unique_sorted, bench.merge_join_index
+
+    def unique_short(*args, **kwargs):
+        uniq, rest = real_unique(*args, **kwargs)
+        return uniq[1:], rest
+
+    monkeypatch.setattr(bench, "unique_sorted", unique_short)
+    monkeypatch.setattr(bench, "merge_join_index", lambda *a, **k: real_join(*a, **k)[::-1])
+    monkeypatch.setattr(KernelArith, "mul", lambda self, a, b: a)
+    with pytest.raises(PropertyViolationError, match=kind):
+        microbench(kind, 2000, seed=1)
+    assert main(["microbench", "--kind", kind, "--size", "2000"]) == 4
 
 
 def test_cli_gen_gb_bench(tmp_path):

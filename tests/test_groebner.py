@@ -5,7 +5,7 @@ import pytest
 
 from fpgb.errors import PreconditionError, ProbabilisticFailureError
 from fpgb.fp import FieldModulus
-from fpgb import groebner
+from fpgb import groebner, monomials, symbolic
 from fpgb.monomials import ORDERS, Ring, mon_divides, mon_lcm, mon_mul
 from fpgb.polynomials import (
     Poly,
@@ -184,8 +184,8 @@ def test_pair_queue_matches_scalar_update():
         fresh = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
         steps = data.draw(st.integers(1, 24))
         state, leads, queue = GroebnerState(ring), [], []
-        old_cells = groebner._PAIR_MASK_CELLS
-        groebner._PAIR_MASK_CELLS = cells
+        old_cells = monomials._DIVISOR_CELLS
+        monomials._DIVISOR_CELLS = cells
         try:
             for _ in range(steps):
                 lead = data.draw(fresh)
@@ -212,9 +212,24 @@ def test_pair_queue_matches_scalar_update():
                 assert state.pairs.deg.tolist() == [sum(q[2]) for q in queue]
                 assert state.leads.tolist() == [list(u) for u in leads]
         finally:
-            groebner._PAIR_MASK_CELLS = old_cells
+            monomials._DIVISOR_CELLS = old_cells
 
     check()
+
+
+def test_scalar_oracles_do_not_reach_first_divisor(monkeypatch):
+    ring, polys = gen_katsura(3, 101)
+    G = f4_groebner(polys, ring)
+
+    def forbidden(*args):
+        raise AssertionError("a scalar oracle reached first_divisor")
+
+    # minimal_rows reaches it through monomials
+    for module in (monomials, symbolic):
+        monkeypatch.setattr(module, "first_divisor", forbidden)
+    # buchberger_reference reduces with normal_form and ends in reduce_basis
+    assert [f.terms for f in buchberger_reference(polys, ring)] == [f.terms for f in G]
+    assert is_groebner(G, ring).ok
 
 
 def test_f4_step_worked_example():
@@ -430,7 +445,7 @@ def test_interreduce_one_lead_per_mask_chunk(monkeypatch):
     G = f4_groebner(polys, ring)
     messy = perturbed(G, np.random.default_rng(4))
     # every chunk of the divisibility mask holds one lead, so each boundary is crossed
-    monkeypatch.setattr(groebner, "_PAIR_MASK_CELLS", 1)
+    monkeypatch.setattr(monomials, "_DIVISOR_CELLS", 1)
     soa = soa_pack([poly_monic(f) for f in messy], ring)
     assert [f.terms for f in _interreduce(soa, PipelineConfig())] == [f.terms for f in G]
 
@@ -547,6 +562,36 @@ def test_kernel_checks_fail_the_dense_engine_past_the_nullity():
     )
     assert engine == "dense" and kb.dimension_found == nullity
     assert not dense.ok and dense.detail == f"found {nullity} of nullity {nullity - 1}"
+
+
+def test_kernel_checks_fail_the_dense_engine_at_a_claimed_nullity_of_zero():
+    ring, polys = gen_cyclic(4, 101)
+    batches = []
+    f4_groebner(polys, ring, PipelineConfig(), lambda b, plan, ech, st: batches.append((b, plan, ech)))
+    basis_before, plan, ech = batches[2]
+    assert (plan.n_rows, plan.n_rows - ech.rank) == (7, 1)
+    # a rank overstated to the full row count claims no kernel at all; the
+    # exact route still returns the one vector that exists
+    (engine, dense, kb), _ = groebner_kernel_checks(
+        plan, basis_before, ring.modulus, plan.n_rows, seed=3
+    )
+    assert engine == "dense" and kb.dimension_found == 1
+    assert not dense.ok and dense.detail == "found 1 of nullity 0"
+
+
+def test_kernel_checks_read_prebuilt_shifted_rows(monkeypatch):
+    ring, batches = katsura3_batches()
+    for basis_before, plan, ech in batches:
+        meta = plan.row_meta
+        shifted = [
+            poly_mul_mon(tuple(t), basis_before[k])
+            for t, k in zip(meta.shift.tolist(), meta.basis_index.tolist())
+        ]
+        want = groebner_kernel_checks(plan, basis_before, ring.modulus, ech.rank, seed=3)
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "poly_mul_mon", None)  # any call would fail
+            got = groebner_kernel_checks(plan, basis_before, ring.modulus, ech.rank, 3, shifted)
+        assert [(e, r) for e, r, _ in got] == [(e, r) for e, r, _ in want]
 
 
 def merge_loop_syzygy(plan, basis, kernel):

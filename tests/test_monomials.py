@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from fpgb.errors import ArityMismatchError, CorruptKeyError, DivisionError, LaneOverflowError
+from fpgb import monomials
 from fpgb.fp import FieldModulus
 from fpgb.monomials import (
     ORDERS,
     Ring,
     count_monomials,
+    first_divisor,
+    minimal_rows,
     key_cmp_rows,
     key_pack_vec,
     key_unpack_vec,
@@ -197,6 +200,56 @@ def test_lcm_div_properties():
         l = mon_lcm(u, v)
         assert mon_divides(u, l) and mon_divides(v, l)
         assert mon_mul(mon_div(l, u), u) == l
+
+
+def first_divisor_scalar(divisors, targets):
+    """The first dividing row per target, by a mon_divides loop."""
+    out = []
+    for t in targets.tolist():
+        hits = [k for k, d in enumerate(divisors.tolist()) if mon_divides(tuple(d), tuple(t))]
+        out.append(hits[0] if hits else -1)
+    return out
+
+
+def test_first_divisor_matches_scalar_loop(monkeypatch):
+    rng = np.random.default_rng(17)
+    seen = set()
+    for n in range(1, 9):
+        # small exponents make divisibility, repeated rows and misses common
+        divisors = rng.integers(0, 3, (int(rng.integers(1, 12)), n))
+        divisors = np.concatenate([divisors, divisors[:3]])  # repeated rows
+        targets = rng.integers(0, 4, (int(rng.integers(1, 60)), n))
+        targets = np.concatenate([targets, targets[:5], divisors])
+        want = first_divisor_scalar(divisors, targets)
+        seen.update(want)
+        assert first_divisor(divisors, targets).tolist() == want
+        # a few targets per chunk: many chunk boundaries are crossed
+        monkeypatch.setattr(monomials, "_DIVISOR_CELLS", 2 * divisors.size)
+        assert first_divisor(divisors, targets).tolist() == want
+        monkeypatch.setattr(monomials, "_DIVISOR_CELLS", 1)
+        assert first_divisor(divisors, targets).tolist() == want
+        # minimal: no earlier row divides it (a repeated row never is)
+        rows = targets.tolist()
+        minimal = [
+            not any(mon_divides(tuple(d), tuple(t)) for d in rows[:k]) for k, t in enumerate(rows)
+        ]
+        assert minimal_rows(targets).tolist() == minimal
+        monkeypatch.undo()
+    # misses, and hits past the first divisor, both occur
+    assert -1 in seen and max(seen) > 0
+
+
+def test_first_divisor_empty_sets():
+    none = np.zeros((0, 3), dtype=np.int64)
+    some = np.array([[1, 0, 2], [0, 0, 0]], dtype=np.int64)
+    assert first_divisor(none, some).tolist() == [-1, -1]
+    got = first_divisor(some, none)
+    assert got.dtype == np.int64 and got.shape == (0,)
+    assert first_divisor(none, none).shape == (0,)
+    assert minimal_rows(none).shape == (0,)
+    # the unit divides everything; a repeated row is never the first divisor
+    assert first_divisor(some[::-1], some).tolist() == [0, 0]
+    assert first_divisor(np.repeat(some, 2, axis=0), some).tolist() == [0, 2]
 
 
 def test_count_monomials_examples():

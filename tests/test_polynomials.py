@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from fpgb.errors import PolyParseError
+from fpgb.errors import PolyParseError, PropertyViolationError
 from fpgb.fp import FieldModulus
 from fpgb.monomials import Ring
 from fpgb.polynomials import (
     Poly,
+    SoaPolySet,
     poly_add_scaled,
     poly_format,
     poly_mul_mon,
@@ -133,3 +134,19 @@ def test_soa_single_and_empty():
     empty.validate()
     with pytest.raises(IndexError):
         soa_slice(empty, 0)
+
+
+def test_soa_validate_raises_property_violation():
+    s = soa_pack([poly_parse("x^2 + 3*y + 1", R2), poly_parse("x + 1", R2)], R2)
+
+    def broken(**fields):
+        return SoaPolySet(**{**vars(s), **fields})
+
+    bad = [
+        broken(length=s.length + 1),
+        broken(coeff=np.where(s.coeff == 3, 0, s.coeff).astype(np.uint64)),
+        broken(mon_key=s.mon_key[[1, 0, 2, 3, 4]]),
+    ]
+    for t, match in zip(bad, ("segment table", "coefficient", "descending")):
+        with pytest.raises(PropertyViolationError, match=match):
+            t.validate()

