@@ -44,7 +44,7 @@ from .groebner import (
     is_groebner,
 )
 from .monomials import mon_divides, key_unpack_vec
-from .polynomials import poly_mul_mon
+from .polynomials import poly_mul_mon, soa_polys
 from .sparselin import DENSE_CAP, csr_from_arrays, dense_rank, psge_reduce
 from .symbolic import decode_row, row_lead_cols
 from .systems import format_system, gen_cyclic, gen_katsura, gen_random_quadratic
@@ -248,6 +248,8 @@ def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0)
     """
     if size < 1:
         raise PreconditionError("size must be >= 1")
+    if not 0 <= duplicate_rate < 1:
+        raise PreconditionError("duplicate_rate must be in [0, 1)")
     rng = np.random.default_rng(seed)
     out = {"kind": kind, "size": size, "seed": seed}
     if kind == "dict_build":
@@ -376,9 +378,10 @@ def verify_instance(ring, polys, config: PipelineConfig):
             record_batch("plan_structure", False, str(exc))
         # each row's shifted polynomial, from the row table and the basis
         # alone: the oracles below read these, never the plan's matrix
+        basis = soa_polys(basis_before)
         meta = plan.row_meta
         shifted = [
-            poly_mul_mon(tuple(t), basis_before[k])
+            poly_mul_mon(tuple(t), basis[k])
             for t, k in zip(meta.shift.tolist(), meta.basis_index.tolist())
         ]
         # dictionary oracle: sorted set of shifted supports
@@ -393,14 +396,14 @@ def verify_instance(ring, polys, config: PipelineConfig):
         lead_cols = set(row_lead_cols(plan).tolist())
         sound = True
         for j, mono in enumerate(mons):
-            if any(mon_divides(g.lm(), mono) for g in basis_before):
+            if any(mon_divides(g.lm(), mono) for g in basis):
                 if j not in lead_cols:
                     sound = False
                     break
         record_batch("closure_soundness", sound)
         # kernel syzygies via both engines, each held to the batch's nullity
         for engine, report, _ in groebner_kernel_checks(
-            plan, basis_before, ring.modulus, ech.rank, config.seed, shifted
+            plan, basis, ring.modulus, ech.rank, config.seed, shifted
         ):
             record_batch(f"kernel_syzygy_{engine}", report.ok, report.detail)
         record_batch(

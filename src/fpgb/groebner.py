@@ -6,6 +6,9 @@ reduction closure), eliminate with the known-pivot engine, and harvest
 reduced rows whose leading columns are new.  ``f4_step`` is one batch and
 ``f4_groebner`` is the only loop over batches; the pipeline runner, the
 invariant verifier and the tests observe its batches through ``on_batch``.
+The driver keeps its basis once, as one append-only ``SoaPolySet``; ``Poly``
+objects are built from it only at the boundaries: the reduced basis it
+returns and the scalar oracles' checks.
 F4 then interreduces its basis as one more batch through the same engine:
 the minimal members as rows, their tail reducers from the closure, and the
 fully back-substituted echelon form.
@@ -45,11 +48,11 @@ from .polynomials import (
     poly_mul_mon,
     soa_concat,
     soa_pack,
+    soa_polys,
 )
 from .sparselin import (
     EchelonResult,
     KernelBasis,
-    KernelMode,
     csr_from_plan,
     csr_transpose,
     dense_gauss,
@@ -195,34 +198,24 @@ class PairQueue:
 
 @dataclass
 class GroebnerState:
-    """The F4 driver's state: the basis, its leading exponents and the pair queue.
+    """The F4 driver's state: the basis as one SoaPolySet, and the pair queue.
 
-    Row k of ``leads`` is the leading monomial of ``basis[k]``; ``update_pairs``
-    is the only writer of both.
+    ``update_pairs`` is the only writer of ``basis``.  It appends by
+    building a new set with ``soa_concat`` and never changes a set in
+    place, so a set read earlier (``on_batch``'s ``basis_before``) keeps
+    its members.
     """
 
     ring: Ring
-    basis: list = field(default_factory=list)
+    basis: SoaPolySet = field(init=False)
     stats: list = field(default_factory=list)
     zero_reductions: int = 0
     pairs: PairQueue = field(init=False)
-    leads: np.ndarray = field(init=False)  # (t, n_vars) int64
-    _soa: SoaPolySet | None = None
 
     def __post_init__(self):
+        self.basis = soa_pack([], self.ring)
         none = np.zeros((0, self.ring.n_vars), dtype=np.int64)
         self.pairs = PairQueue.of([], [], none, [], self.ring)
-        self.leads = none
-
-    def soa(self) -> SoaPolySet:
-        """The basis as one SoaPolySet; packed again only when out of step.
-
-        ``f4_step`` appends each batch's new members to it, so only the
-        input system is packed from ``Poly`` objects.
-        """
-        if self._soa is None or len(self._soa) != len(self.basis):
-            self._soa = soa_pack(self.basis, self.ring)
-        return self._soa
 
 
 def _chain_or_repeat(cand: np.ndarray, cdeg: np.ndarray) -> np.ndarray:
@@ -240,38 +233,37 @@ def _chain_or_repeat(cand: np.ndarray, cdeg: np.ndarray) -> np.ndarray:
     return out
 
 
-def update_pairs(state: GroebnerState, new_poly: Poly) -> GroebnerState:
-    """Add a monic polynomial to the basis with Gebauer-Moller pair pruning.
+def update_pairs(state: GroebnerState, new: SoaPolySet) -> GroebnerState:
+    """Append monic members to the basis with Gebauer-Moller pair pruning.
 
-    New pairs drop by the lcm-divisibility (chain) criterion, keep one per
-    lcm (the lowest partner index) and drop by the product criterion;
-    existing pairs whose lcm factors through the newcomer's leading monomial
-    drop as well.  Each test is one array pass over the leading exponents or
-    the queue.
+    The members of ``new`` enter one at a time, in order.  For each, new
+    pairs drop by the lcm-divisibility (chain) criterion, keep one per lcm
+    (the lowest partner index) and drop by the product criterion; existing
+    pairs whose lcm factors through the newcomer's leading monomial drop as
+    well.  Each test is one array pass over the leading exponents or the
+    queue.
     """
-    if new_poly.is_zero() or new_poly.lc() != 1:
+    if (new.length == 0).any() or (new.coeff[new.offset[:-1]] != 1).any():
         raise PreconditionError("basis members must be monic and nonzero")
-    t = len(state.basis)
-    state.basis.append(new_poly)
-    lm = np.array(new_poly.lm(), dtype=np.int64)
-    deg_t = sum(new_poly.lm())
-    leads = state.leads
-    state.leads = np.concatenate([leads, lm[None, :]])
-    if t == 0:
-        return state
-    cand = np.maximum(leads, lm)  # lcm(lead_i, lm) for every member i < t
-    cdeg = cand.sum(axis=1)
+    first = len(state.basis)
+    state.basis = soa_concat(state.basis, new)
+    leads = state.basis.exps[state.basis.offset[:-1]]
+    deg = leads.sum(axis=1)
     q = state.pairs
-    if len(q):
-        # once lm divides lcm(i, j), so do lcm(lead_i, lm) and lcm(lead_j, lm):
-        # they differ from it exactly when their degree is lower
-        below = np.maximum(cdeg[q.i], cdeg[q.j]) < q.deg
-        q = q.take(~((q.lcm >= lm).all(axis=1) & below))
-    # product criterion: coprime leading monomials have lcm degree deg_i + deg_t
-    new = np.flatnonzero(~_chain_or_repeat(cand, cdeg) & (cdeg != leads.sum(axis=1) + deg_t))
-    if len(new):
-        add = PairQueue.of(new, t, cand[new], cdeg[new], state.ring)
-        q = PairQueue(np.concatenate([q.rows, add.rows]), q.n).sorted()
+    for t in range(max(first, 1), len(leads)):
+        lm = leads[t]
+        cand = np.maximum(leads[:t], lm)  # lcm(lead_i, lm) for every member i < t
+        cdeg = cand.sum(axis=1)
+        if len(q):
+            # once lm divides lcm(i, j), so do lcm(lead_i, lm) and lcm(lead_j, lm):
+            # they differ from it exactly when their degree is lower
+            below = np.maximum(cdeg[q.i], cdeg[q.j]) < q.deg
+            q = q.take(~((q.lcm >= lm).all(axis=1) & below))
+        # product criterion: coprime leading monomials have lcm degree deg_i + deg_t
+        kept = np.flatnonzero(~_chain_or_repeat(cand, cdeg) & (cdeg != deg[:t] + deg[t]))
+        if len(kept):
+            add = PairQueue.of(kept, t, cand[kept], cdeg[kept], state.ring)
+            q = PairQueue(np.concatenate([q.rows, add.rows]), q.n).sorted()
     state.pairs = q
     return state
 
@@ -320,41 +312,26 @@ class PipelineConfig:
             raise PreconditionError("max_steps must be >= 0")
 
 
-def _decode_rows(plan: LayoutPlan, rows: list):
-    """Decode nonempty sparse rows (cols, vals) with one ``key_unpack_vec`` call.
-
-    Returns each row's ``Poly`` and the rows as one SoaPolySet.
-    """
+def _decode_rows(plan: LayoutPlan, rows: list) -> SoaPolySet:
+    """Nonempty sparse rows (cols, vals) as one SoaPolySet, with one ``key_unpack_vec`` call."""
     length = np.array([len(cols) for cols, _ in rows], dtype=np.int64)
     keys = plan.dict_keys[np.concatenate([cols for cols, _ in rows])]
     coeff = np.concatenate([vals for _, vals in rows]).astype(np.uint64)
-    exps = key_unpack_vec(keys, plan.ring)
-    exps_l, coeff_l = exps.tolist(), coeff.tolist()
-    polys, at = [], 0
-    for n in length.tolist():
-        terms = tuple(zip(map(tuple, exps_l[at : at + n]), coeff_l[at : at + n]))
-        polys.append(Poly(plan.ring, terms))
-        at += n
     offset = np.concatenate([[0], np.cumsum(length)])
-    return polys, SoaPolySet(plan.ring, keys, coeff, offset, length, exps)
+    return SoaPolySet(plan.ring, keys, coeff, offset, length, key_unpack_vec(keys, plan.ring))
 
 
 def _harvest(state: GroebnerState, plan: LayoutPlan, rows: list) -> int:
     """Add a batch's new echelon rows to the basis; returns how many.
 
     The rows are monic.  They enter in ascending order of their leading
-    monomials (descending leading column).  Their streams extend the cached
-    SoA basis, so the next batch does not pack the basis again.
+    monomials (descending leading column), as one ``update_pairs`` call.
     """
     if not rows:
         return 0
-    soa = state.soa()
     rows = sorted(rows, key=lambda row: -row[0])
-    polys, new = _decode_rows(plan, [(cols, vals) for _, cols, vals in rows])
-    for f in polys:
-        update_pairs(state, f)
-    state._soa = soa_concat(soa, new)
-    return len(polys)
+    update_pairs(state, _decode_rows(plan, [(cols, vals) for _, cols, vals in rows]))
+    return len(rows)
 
 
 def _dense_echelon(plan: LayoutPlan, m: FieldModulus) -> EchelonResult:
@@ -379,9 +356,8 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
     config = config or PipelineConfig()
     ring = state.ring
     pairs, degree = select_batch(state)
-    soa = state.soa()
-    rows = select_rows(pairs.lcm, pairs.i, pairs.j, soa)
-    plan = compile_batch(rows, soa, Closure.ONE_STEP_REDUCTION, ExecPolicy(config.workers))
+    rows = select_rows(pairs.lcm, pairs.i, pairs.j, state.basis)
+    plan = compile_batch(rows, state.basis, Closure.ONE_STEP_REDUCTION, ExecPolicy(config.workers))
 
     t0 = time.monotonic_ns()
     if config.numeric == "dense":
@@ -396,7 +372,7 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
         nullity = A.n_rows - ech.rank
         kernel = left_kernel(A, count=nullity, seed=config.seed, block_width=config.block_width)
         # the basis is still the one the batch was compiled from: _harvest runs below
-        report = _kernel_report(plan, state.basis, kernel, nullity)
+        report = _kernel_report(plan, soa_polys(state.basis), kernel, nullity)
         if not report.ok:
             raise PropertyViolationError(f"kernel syzygy violation: {report.detail}")
 
@@ -452,11 +428,11 @@ def reduce_basis(polys: list, ring: Ring) -> list:
 def _interreduce(soa: SoaPolySet, config: PipelineConfig) -> list:
     """Reduced basis of a Groebner basis as one batch through the F4 engine.
 
-    ``soa`` holds the basis as monic nonzero members, as F4's cached set
-    does.  One row per minimal member (shift 1); the one-step closure
-    supplies a reducer row for every tail monomial some lead divides, and
-    the fully back-substituted echelon form leaves each member's row free
-    of every such monomial.  For a Groebner basis that row is the unique
+    ``soa`` holds the basis as monic nonzero members, as F4's basis does.
+    One row per minimal member (shift 1); the one-step closure supplies a
+    reducer row for every tail monomial some lead divides, and the fully
+    back-substituted echelon form leaves each member's row free of every
+    such monomial.  For a Groebner basis that row is the unique
     reduced member with its lead.
     """
     if not len(soa):
@@ -474,7 +450,7 @@ def _interreduce(soa: SoaPolySet, config: PipelineConfig) -> list:
     rref = {c: (cols, vals) for c, cols, vals in ech.pivot_rows}
     member_cols = row_lead_cols(plan)[: len(rows)].tolist()
     # members ascend by lead; the reduced basis lists leads descending
-    return _decode_rows(plan, [rref[c] for c in reversed(member_cols)])[0]
+    return soa_polys(_decode_rows(plan, [rref[c] for c in reversed(member_cols)]))
 
 
 def f4_groebner(
@@ -483,8 +459,9 @@ def f4_groebner(
     """Reduced Groebner basis via the batched driver: the one F4 loop.
 
     ``on_batch(basis_before, plan, echelon, stats)``, when given, is called
-    after every batch with the basis the batch was compiled from, its plan,
-    its elimination result and its BatchStats.
+    after every batch with the basis the batch was compiled from (the
+    driver's SoaPolySet, which later batches never change), its plan, its
+    elimination result and its BatchStats.
     """
     config = config or PipelineConfig()
     if config.engine != "f4":
@@ -493,18 +470,17 @@ def f4_groebner(
     for f in system:
         if f.is_zero():
             raise PreconditionError("zero polynomial in input system")
-    for f in system:
-        update_pairs(state, poly_monic(f))
+    update_pairs(state, soa_pack([poly_monic(f) for f in system], ring))
     steps = 0
     while state.pairs:
         if steps >= config.max_steps:
             raise NonterminationError(f"f4 exceeded {config.max_steps} batches")
-        basis_before = list(state.basis)
+        basis_before = state.basis
         plan, ech, _ = f4_step(state, config)
         steps += 1
         if on_batch is not None:
             on_batch(basis_before, plan, ech, state.stats[-1])
-    return _interreduce(state.soa(), config)
+    return _interreduce(state.basis, config)
 
 
 def buchberger_reference(system: list, ring: Ring, max_steps: int = MAX_STEPS_DEFAULT) -> list:
@@ -621,10 +597,7 @@ def groebner_kernel_checks(
     dense_kb = left_kernel(A, count=nullity, seed=seed)
     reports.append(("dense", _kernel_report(plan, basis, dense_kb, nullity, shifted), dense_kb))
     try:
-        wk = wiedemann_solve(
-            csr_transpose(A), KernelMode.RIGHT_KERNEL, seed=seed, max_vectors=nullity
-        )
-        kb = KernelBasis("left", wk.vectors, wk.dimension_found, wk.seed_trail)
+        kb = wiedemann_solve(csr_transpose(A), seed, nullity)
         reports.append(("wiedemann", _kernel_report(plan, basis, kb, nullity, shifted), kb))
     except ProbabilisticFailureError as exc:  # reported, never hidden
         reports.append(("wiedemann", GroebnerReport(False, str(exc)), None))

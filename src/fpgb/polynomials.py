@@ -272,7 +272,7 @@ class SoaPolySet:
 
 
 def soa_pack(polys, ring: Ring) -> SoaPolySet:
-    """Pack a list of Poly into one SOA set; slice(pack(L), i) == L[i]."""
+    """Pack a list of Poly into one SOA set; ``soa_polys`` unpacks it."""
     lengths = np.array([len(f.terms) for f in polys], dtype=np.int64)
     offset = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
     total = int(offset[-1])
@@ -300,11 +300,11 @@ def soa_concat(a: SoaPolySet, b: SoaPolySet) -> SoaPolySet:
     )
 
 
-def soa_slice(s: SoaPolySet, i: int) -> Poly:
-    if not 0 <= i < len(s.length):
-        raise IndexError(f"polynomial index {i} out of range")
-    lo, hi = int(s.offset[i]), int(s.offset[i + 1])
-    terms = tuple(
-        (tuple(int(x) for x in s.exps[j]), int(s.coeff[j])) for j in range(lo, hi)
-    )
-    return Poly(s.ring, terms)
+def soa_polys(s: SoaPolySet) -> list:
+    """The members of ``s`` as ``Poly`` objects; ``soa_polys(soa_pack(L)) == L``.
+
+    One ``tolist`` per stream, then one tuple slice per member.
+    """
+    terms = list(zip(map(tuple, s.exps.tolist()), s.coeff.tolist()))
+    bounds = s.offset.tolist()
+    return [Poly(s.ring, tuple(terms[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]

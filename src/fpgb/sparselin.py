@@ -16,7 +16,7 @@ them:
   sequences via Berlekamp-Massey, applying the operator to small blocks of
   vectors at a time; a rectangular A is framed through A^T A and every
   candidate is verified against A itself.  ``left_kernel`` runs it on the
-  transpose.  A caller that knows the nullity from elimination passes it
+  transpose.  Every caller passes the nullity it knows from elimination
   as the target: the solve stops once it is reached and fails loudly when
   the round budget ends short of it.
 
@@ -26,7 +26,6 @@ trail for replay.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -497,13 +496,8 @@ def berlekamp_massey(seq, m: FieldModulus):
     return [c % p for c in reversed(C)]
 
 
-class KernelMode(enum.Enum):
-    RIGHT_KERNEL = "right_kernel"
-
-
 @dataclass
 class KernelBasis:
-    side: str  # "left" | "right"
     vectors: list = field(default_factory=list)
     dimension_found: int = 0
     seed_trail: tuple = ()
@@ -531,35 +525,28 @@ def _try_extend_basis(vec: np.ndarray, reduced: list, p: int) -> bool:
 
 
 def wiedemann_solve(
-    A: CsrMatrix,
-    mode: KernelMode,
-    seed: int,
-    block_width: int = 4,
-    max_vectors: int | None = None,
-    max_rounds: int = 12,
-    stall_rounds: int = 3,
+    A: CsrMatrix, seed: int, max_vectors: int, block_width: int = 4, max_rounds: int = 12
 ):
     """Verified right-kernel vectors of A from seeded Krylov probe rounds.
 
     A square A is its own operator; a rectangular one is framed through
     A^T A, and every candidate is checked against A itself.  Each round
     probes ``block_width`` vectors; degenerate draws retry with derived
-    seeds.  ``RIGHT_KERNEL`` is the only mode.
+    seeds.
 
     ``max_vectors`` is the nullity the caller expects (from elimination):
     the solve returns as soon as that many independent vectors are found,
     returns at once with an empty seed trail when it is 0, and raises
     ProbabilisticFailureError with the seed trail when the round budget
-    ends short of it.  With ``max_vectors=None`` the target is unknown:
-    rounds stop after ``stall_rounds`` without progress, and an empty
-    result is either confirmed as a trivial kernel (dense, small case) or
-    raised as a failure.
+    ends short of it.
     """
-    if max_vectors is not None and max_vectors < 0:
+    if max_vectors < 0:
         raise PreconditionError("max_vectors must be >= 0")
+    if block_width < 1:
+        raise PreconditionError("block_width must be >= 1")
     dim = A.n_cols
     if dim == 0 or max_vectors == 0:
-        return KernelBasis("right", [], 0, ())
+        return KernelBasis([], 0, ())
     m = A.modulus
     p = m.p
     if A.n_rows == A.n_cols:
@@ -570,27 +557,23 @@ def wiedemann_solve(
 
     root = np.random.SeedSequence(seed)
     trail = []
-    b = max(1, block_width)
-    target = dim if max_vectors is None else max_vectors
     reduced: list = []
     vectors: list = []
-    stalled = 0
 
     for round_no in range(max_rounds):
         child = root.spawn(1)[0]
         trail.append((seed, round_no))
         rng = np.random.default_rng(child)
-        V = rng.integers(0, p, (dim, b), dtype=np.uint64)
-        U = rng.integers(0, p, (dim, b), dtype=np.uint64)
-        seqs = np.empty((2 * dim, b), dtype=np.uint64)
+        V = rng.integers(0, p, (dim, block_width), dtype=np.uint64)
+        U = rng.integers(0, p, (dim, block_width), dtype=np.uint64)
+        seqs = np.empty((2 * dim, block_width), dtype=np.uint64)
         W = V.copy()
         for k in range(2 * dim):
             seqs[k] = _block_proj(U, W, p)
             W = apply_b(W)
 
-        progress = False
-        for j in range(b):
-            if len(vectors) >= target:
+        for j in range(block_width):
+            if len(vectors) >= max_vectors:
                 break
             f = berlekamp_massey(seqs[:, j].tolist(), m)
             t = next((i for i, c in enumerate(f) if c), None)
@@ -613,24 +596,15 @@ def wiedemann_solve(
                 continue  # A^T A kernel vector outside ker(A); reject and retry
             if _try_extend_basis(w, reduced, p):
                 vectors.append(w.copy())
-                progress = True
-        if len(vectors) >= target:
-            break
-        stalled = 0 if progress else stalled + 1
-        if max_vectors is None and stalled > stall_rounds and vectors:
+        if len(vectors) >= max_vectors:
             break
 
-    if max_vectors is not None and len(vectors) < max_vectors:
+    if len(vectors) < max_vectors:
         raise ProbabilisticFailureError(
             f"found {len(vectors)} of {max_vectors} kernel vectors; "
             f"round budget {max_rounds} spent", trail
         )
-    if not vectors:
-        if max(A.n_rows, A.n_cols) <= DENSE_CAP:
-            if dense_rank(A.to_dense(), m) == A.n_cols:
-                return KernelBasis("right", [], 0, tuple(trail))
-        raise ProbabilisticFailureError("no kernel vectors found within budget", trail)
-    return KernelBasis("right", vectors, len(vectors), tuple(trail))
+    return KernelBasis(vectors, len(vectors), tuple(trail))
 
 
 def left_kernel(A: CsrMatrix, count: int, seed: int, block_width: int = 4) -> KernelBasis:
@@ -651,11 +625,9 @@ def left_kernel(A: CsrMatrix, count: int, seed: int, block_width: int = 4) -> Ke
         vectors = dense_right_nullspace(At.to_dense(), A.modulus)
         trail = ()
     else:
-        kb = wiedemann_solve(
-            At, KernelMode.RIGHT_KERNEL, seed, block_width=block_width, max_vectors=count
-        )
+        kb = wiedemann_solve(At, seed, count, block_width=block_width)
         vectors, trail = kb.vectors, kb.seed_trail
     for v in vectors:
         if (spmv(At, v) != 0).any():
             raise PropertyViolationError("left kernel candidate fails v^T A = 0")
-    return KernelBasis("left", vectors, len(vectors), trail)
+    return KernelBasis(vectors, len(vectors), trail)

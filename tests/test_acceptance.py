@@ -37,10 +37,8 @@ from fpgb.monomials import (
     key_pack_vec,
     mon_compare_vec,
 )
-from fpgb.polynomials import poly_format, poly_mul_mon, soa_pack
+from fpgb.polynomials import poly_format, poly_mul_mon, soa_pack, soa_polys
 from fpgb.sparselin import (
-    KernelBasis,
-    KernelMode,
     csr_from_dense,
     csr_from_plan,
     dense_rank,
@@ -213,9 +211,8 @@ def test_criterion_3_fbsp_determinism(oracle_runs):
         assert len(texts) == 1
         checked += 1
     recompiled = 0
-    for name, ring, basis_before, plan, _ in all_captures(oracle_runs):
+    for name, ring, soa, plan, _ in all_captures(oracle_runs):
         base_rows = RowMeta(plan.row_meta.rows[plan.row_meta.role == RowRole.SPOLY_HALF.value])
-        soa = soa_pack(basis_before, ring)
         texts = {plan_to_text(compile_batch(base_rows, soa, Closure.ONE_STEP_REDUCTION, pol))
                  for pol in POLICIES[:4]}
         texts.add(plan_to_text(plan))
@@ -251,15 +248,16 @@ def test_criterion_5_dictionary_and_materialization(oracle_runs):
 
     batches = 0
     for name, ring, basis_before, plan, _ in all_captures(oracle_runs):
+        polys = soa_polys(basis_before)
         meta = list(zip(plan.row_meta.shift.tolist(), plan.row_meta.basis_index.tolist()))
         support = set()
         for shift, k in meta:
-            shifted = poly_mul_mon(tuple(shift), basis_before[k])
+            shifted = poly_mul_mon(tuple(shift), polys[k])
             support.update(e for e, _ in shifted.terms)
         got = {tuple(int(x) for x in e) for e in key_unpack_vec(plan.dict_keys, ring)}
         assert got == support, f"dictionary oracle failed in {name}"
         for i, (shift, k) in enumerate(meta):
-            want = poly_mul_mon(tuple(shift), basis_before[k])
+            want = poly_mul_mon(tuple(shift), polys[k])
             assert decode_row(plan, i).terms == want.terms, f"decode failed in {name}"
         batches += 1
     report(5, True, f"{batches} batches, dictionaries and materializations exact")
@@ -271,20 +269,20 @@ def test_criterion_6_kernel_syzygy(oracle_runs):
     batches = 0
     prob_failures = 0
     for name, ring, basis_before, plan, _ in all_captures(oracle_runs):
+        polys = soa_polys(basis_before)
         A = csr_from_plan(plan, ring.modulus)
         kb = left_kernel(A, count=max(1, A.n_rows), seed=7)
-        rep = verify_kernel_syzygy(plan, basis_before, kb)
+        rep = verify_kernel_syzygy(plan, polys, kb)
         assert rep.ok, f"dense path in {name}: {rep.detail}"
         vectors += kb.dimension_found
         if kb.dimension_found:
             # independent engine on the same question, verified the same way
             try:
-                wk = wiedemann_solve(
-                    csr_from_dense(A.to_dense().T, ring.modulus),
-                    KernelMode.RIGHT_KERNEL, seed=11,
+                wkb = wiedemann_solve(
+                    csr_from_dense(A.to_dense().T, ring.modulus), seed=11,
+                    max_vectors=A.n_rows - dense_rank(A.to_dense(), ring.modulus),
                 )
-                wkb = KernelBasis("left", wk.vectors, wk.dimension_found, wk.seed_trail)
-                rep2 = verify_kernel_syzygy(plan, basis_before, wkb)
+                rep2 = verify_kernel_syzygy(plan, polys, wkb)
                 assert rep2.ok, f"wiedemann path in {name}: {rep2.detail}"
                 vectors += wkb.dimension_found
             except ProbabilisticFailureError as exc:
@@ -338,7 +336,7 @@ def test_criterion_8_rank_agreement():
         A = csr_from_dense(mat, m)
         nullity = n - dense_rank(mat, m)
         try:
-            kb = wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=trial)
+            kb = wiedemann_solve(A, seed=trial, max_vectors=nullity)
             ok = kb.dimension_found == nullity and all(
                 (spmv(A, v) == 0).all() for v in kb.vectors
             )

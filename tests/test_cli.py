@@ -101,7 +101,7 @@ def test_verify_names_the_batch_whose_kernel_came_up_short(monkeypatch):
     real_solve = fpgb.groebner.wiedemann_solve
     calls, short = [], []
 
-    def solve(A, mode, seed, max_vectors=None, **kwargs):
+    def solve(A, seed, max_vectors, **kwargs):
         # one call per batch; the first with a kernel of two or more gets a
         # budget of one round with one probe, which cannot fill it
         batch = len(calls)
@@ -109,7 +109,7 @@ def test_verify_names_the_batch_whose_kernel_came_up_short(monkeypatch):
         if not short and max_vectors >= 2:
             short.append((batch, max_vectors))
             kwargs.update(block_width=1, max_rounds=1)
-        return real_solve(A, mode, seed, max_vectors=max_vectors, **kwargs)
+        return real_solve(A, seed, max_vectors, **kwargs)
 
     monkeypatch.setattr("fpgb.groebner.wiedemann_solve", solve)
     cfg = PipelineConfig()
@@ -130,7 +130,7 @@ def test_verify_names_the_batch_whose_kernel_came_up_short(monkeypatch):
 
 
 def test_microbench_kinds():
-    d = microbench("dict_build", 5000, duplicate_rate=1.0, seed=1)
+    d = microbench("dict_build", 5000, duplicate_rate=1 - 1 / 5000, seed=1)
     assert d["unique_out"] == 1  # all keys equal
     assert d["radix_passes"] == 16
     sizes = [10_000, 20_000]
@@ -149,6 +149,15 @@ def test_microbench_numeric():
     assert small == {**microbench("numeric", 300, seed=5), "elapsed_ns": small["elapsed_ns"]}
     big = microbench("numeric", 1200, seed=6)  # past DENSE_CAP: checked by back_reduce only
     assert big["cols"] == 1200 and big["rank"] > 0
+
+
+@pytest.mark.parametrize("rate", ["-1", "-0.01", "1", "1.5", "nan"])
+def test_microbench_rejects_a_duplicate_rate_outside_0_1(capsys, rate):
+    args = ["microbench", "--kind", "dict_build", "--size", "1000"]
+    assert main(args + ["--duplicate-rate", rate]) == 2
+    assert "duplicate_rate must be in [0, 1)" in capsys.readouterr().err
+    assert main(args + ["--duplicate-rate", "0"]) == 0
+    assert "unique_out=" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("kind", ["dict_build", "row_assemble", "mod_fma"])

@@ -9,6 +9,7 @@ from fpgb import groebner, monomials, symbolic
 from fpgb.monomials import ORDERS, Ring, mon_divides, mon_lcm, mon_mul
 from fpgb.polynomials import (
     Poly,
+    SoaPolySet,
     poly_add_scaled,
     poly_format,
     poly_monic,
@@ -16,6 +17,7 @@ from fpgb.polynomials import (
     poly_parse,
     poly_scale,
     soa_pack,
+    soa_polys,
 )
 from fpgb.groebner import (
     GroebnerState,
@@ -92,27 +94,36 @@ def test_normal_form_no_reducible_monomials():
 
 def test_update_pairs_product_criterion():
     state = GroebnerState(R2)
-    update_pairs(state, poly_parse("x + 6", R2))
+    update_pairs(state, soa_pack([poly_parse("x + 6", R2)], R2))
     assert len(state.pairs) == 0
-    update_pairs(state, poly_parse("y + 6", R2))
+    update_pairs(state, soa_pack([poly_parse("y + 6", R2)], R2))
     assert len(state.pairs) == 0  # lcm(x, y) = x*y is the coprime product
 
 
 def test_update_pairs_chain_criterion():
     r3 = Ring(["x", "y", "z"], "grevlex", M7)
     state = GroebnerState(r3)
-    update_pairs(state, poly_parse("x^2*z + y", r3))
-    update_pairs(state, poly_parse("y^2*z + x", r3))
+    update_pairs(state, soa_pack([poly_parse("x^2*z + y", r3)], r3))
+    update_pairs(state, soa_pack([poly_parse("y^2*z + x", r3)], r3))
     assert queue_pairs(state) == [(0, 1)]
     # lm x*y*z divides lcm(0,1) = x^2 y^2 z while both sub-lcms differ
-    update_pairs(state, poly_parse("x*y*z + 1", r3))
+    update_pairs(state, soa_pack([poly_parse("x*y*z + 1", r3)], r3))
     # the old pair is gone; survivors sort by lcm key (x y^2 z before x^2 y z)
     assert queue_pairs(state) == [(1, 2), (0, 2)]
 
 
+def test_update_pairs_rejects_members_not_monic_or_zero():
+    state = GroebnerState(R2)
+    update_pairs(state, soa_pack([poly_parse("x + 6", R2)], R2))
+    for bad in ([poly_parse("y + 1", R2), poly_parse("3*y + 1", R2)], [Poly(R2)]):
+        with pytest.raises(PreconditionError, match="monic and nonzero"):
+            update_pairs(state, soa_pack(bad, R2))
+        assert len(state.basis) == 1  # checked before anything is appended
+
+
 def test_select_batch_minimal_degree_group():
     state = GroebnerState(R2)
-    state.basis = [poly_parse("x^2", R2)] * 4  # placeholder members
+    state.basis = soa_pack([poly_parse("x^2", R2)] * 4, R2)  # placeholder members
     # queue order: x*y^2 < x^2*y (degree 3), then x^4*y (degree 5)
     lcm = np.array([[1, 2], [2, 1], [4, 1]], dtype=np.int64)
     state.pairs = PairQueue.of([1, 0, 2], [2, 1, 3], lcm, lcm.sum(axis=1), R2)
@@ -199,7 +210,7 @@ def test_pair_queue_matches_scalar_update():
                     got = zip(batch.i.tolist(), batch.j.tolist(), map(tuple, batch.lcm.tolist()))
                     assert list(got) == queue[:k]
                     queue = queue[k:]
-                update_pairs(state, Poly(ring, ((lead, 1),)))
+                update_pairs(state, soa_pack([Poly(ring, ((lead, 1),))], ring))
                 queue = scalar_update_pairs(leads, queue, lead, ring)
                 got = list(
                     zip(
@@ -210,7 +221,7 @@ def test_pair_queue_matches_scalar_update():
                 )
                 assert got == queue
                 assert state.pairs.deg.tolist() == [sum(q[2]) for q in queue]
-                assert state.leads.tolist() == [list(u) for u in leads]
+                assert state.basis.exps[state.basis.offset[:-1]].tolist() == [list(u) for u in leads]
         finally:
             monomials._DIVISOR_CELLS = old_cells
 
@@ -234,13 +245,13 @@ def test_scalar_oracles_do_not_reach_first_divisor(monkeypatch):
 
 def test_f4_step_worked_example():
     state = GroebnerState(R2)
-    update_pairs(state, poly_parse("x^2 + 6*y", R2))
-    update_pairs(state, poly_parse("x*y + 6", R2))
+    update_pairs(state, soa_pack([poly_parse("x^2 + 6*y", R2)], R2))
+    update_pairs(state, soa_pack([poly_parse("x*y + 6", R2)], R2))
     assert len(state.pairs) == 1
     plan, ech, _ = f4_step(state)
     assert len(state.basis) == 3
     # the harvested polynomial is the monic normal form of the S-polynomial
-    assert poly_format(state.basis[2]) == "y^2 + 6*x"
+    assert poly_format(soa_polys(state.basis)[2]) == "y^2 + 6*x"
     st = state.stats[-1]
     assert st.rank == ech.rank and st.new_polys == 1
     assert st.zero_reductions + len(ech.pivot_rows) + len(ech.nonpivot_rows) == st.r
@@ -251,7 +262,7 @@ def test_f4_step_zero_reduction_batch():
     gb = f4_groebner([poly_parse("x^2 - y", R2), poly_parse("x*y - 1", R2)], R2)
     state = GroebnerState(R2)
     for f in gb:
-        update_pairs(state, f)
+        update_pairs(state, soa_pack([f], R2))
     assert state.pairs  # some pairs survive the criteria here
     total_new = 0
     while state.pairs:
@@ -268,7 +279,7 @@ def test_f4_accounting_invariant_random():
         ring, polys = gen_random_quadratic(3, 3, 0.6, seed, 101)
         state = GroebnerState(ring)
         for f in polys:
-            update_pairs(state, poly_monic(f))
+            update_pairs(state, soa_pack([poly_monic(f)], ring))
         while state.pairs:
             _, ech, _ = f4_step(state)
             assert (
@@ -277,6 +288,34 @@ def test_f4_accounting_invariant_random():
             )
             st = state.stats[-1]
             assert st.zero_reductions + ech.rank == st.r
+
+
+def test_on_batch_sees_one_growing_soa_set():
+    ring, polys = gen_katsura(4, 65537)
+    streams = ("mon_key", "coeff", "offset", "length", "exps")
+    seen = []
+
+    def on_batch(basis_before, plan, ech, st):
+        seen.append((basis_before, [getattr(basis_before, a).copy() for a in streams]))
+
+    f4_groebner(polys, ring, PipelineConfig(), on_batch)
+    assert len(seen) > 2
+    assert [f.terms for f in soa_polys(seen[0][0])] == [poly_monic(f).terms for f in polys]
+    prev = None
+    for basis, at_call in seen:
+        assert isinstance(basis, SoaPolySet)
+        basis.validate()
+        assert (basis.coeff[basis.offset[:-1]] == 1).all()  # every member is monic
+        # later batches append to a new set and never change this one
+        assert all(np.array_equal(getattr(basis, a), c) for a, c in zip(streams, at_call))
+        if prev is not None:
+            k, m = len(prev), int(prev.offset[-1])
+            assert len(basis) >= k
+            assert np.array_equal(basis.offset[: k + 1], prev.offset)
+            assert np.array_equal(basis.length[:k], prev.length)
+            for a in ("mon_key", "coeff", "exps"):
+                assert np.array_equal(getattr(basis, a)[:m], getattr(prev, a))
+        prev = basis
 
 
 def test_f4_groebner_singleton():
@@ -421,7 +460,7 @@ def test_interreduce_recovers_reduced_basis(order, p):
     config = PipelineConfig()
 
     def interreduce(polys):
-        # F4 hands over its cached set of monic members
+        # F4 hands over its basis: one set of monic members
         soa = soa_pack([poly_monic(f) for f in polys], ring)
         return [f.terms for f in _interreduce(soa, config)]
 
@@ -470,7 +509,7 @@ def test_verify_kernel_syzygy_duplicate_rows():
     # a recombination that leaves a single term is caught and printed
     x = poly_parse("x", R2)
     plan = compile_batch(one_shifted_row(), soa_pack([x], R2), Closure.SUPPORT_ONLY)
-    rep = verify_kernel_syzygy(plan, [x], KernelBasis("left", [np.array([3], dtype=np.uint64)], 1, ()))
+    rep = verify_kernel_syzygy(plan, [x], KernelBasis([np.array([3], dtype=np.uint64)], 1, ()))
     assert not rep.ok and rep.detail == "kernel vector 0 recombines to 3*x*y"
 
 
@@ -479,10 +518,10 @@ def test_kernel_checks_both_paths_on_batches():
     gb = f4_groebner([poly_parse("x^2 - y", R2), poly_parse("x*y - 1", R2)], R2)
     state = GroebnerState(R2)
     for f in gb:
-        update_pairs(state, f)
+        update_pairs(state, soa_pack([f], R2))
     seen_kernel_vector = False
     while state.pairs:
-        basis_before = list(state.basis)
+        basis_before = soa_polys(state.basis)
         plan, ech, _ = f4_step(state)
         checks = groebner_kernel_checks(plan, basis_before, R2.modulus, ech.rank, seed=3)
         for engine, report, kb in checks:
@@ -515,7 +554,7 @@ def katsura3_batches():
     """The ring and (basis_before, plan, echelon) of every F4 batch of katsura-3 mod 101."""
     ring, polys = gen_katsura(3, 101)
     batches = []
-    f4_groebner(polys, ring, PipelineConfig(), lambda b, plan, ech, st: batches.append((b, plan, ech)))
+    f4_groebner(polys, ring, PipelineConfig(), lambda b, plan, ech, st: batches.append((soa_polys(b), plan, ech)))
     return ring, batches
 
 
@@ -567,7 +606,7 @@ def test_kernel_checks_fail_the_dense_engine_past_the_nullity():
 def test_kernel_checks_fail_the_dense_engine_at_a_claimed_nullity_of_zero():
     ring, polys = gen_cyclic(4, 101)
     batches = []
-    f4_groebner(polys, ring, PipelineConfig(), lambda b, plan, ech, st: batches.append((b, plan, ech)))
+    f4_groebner(polys, ring, PipelineConfig(), lambda b, plan, ech, st: batches.append((soa_polys(b), plan, ech)))
     basis_before, plan, ech = batches[2]
     assert (plan.n_rows, plan.n_rows - ech.rank) == (7, 1)
     # a rank overstated to the full row count claims no kernel at all; the
@@ -625,7 +664,7 @@ def kernel_batches(order, seed):
 
         def on_batch(basis_before, plan, ech, st):
             A = csr_from_plan(plan, ring.modulus)
-            out.append((basis_before, plan, left_kernel(A, A.n_rows - ech.rank, seed=0).vectors))
+            out.append((soa_polys(basis_before), plan, left_kernel(A, A.n_rows - ech.rank, seed=0).vectors))
 
         f4_groebner(polys, ring, PipelineConfig(), on_batch)
         _KERNEL_BATCHES[key] = out
@@ -657,7 +696,7 @@ def test_dict_recombination_matches_merge_loop():
                     i = data.draw(st.integers(0, plan.n_rows - 1))
                     v[i] = (int(v[i]) + data.draw(st.integers(1, p - 1))) % p
             vectors.append(v)
-        kb = KernelBasis("left", vectors, len(vectors), ())
+        kb = KernelBasis(vectors, len(vectors), ())
         want = merge_loop_syzygy(plan, basis, kb)
         got = verify_kernel_syzygy(plan, basis, kb)
         assert (got.ok, got.detail) == (want.ok, want.detail)

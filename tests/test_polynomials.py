@@ -15,7 +15,7 @@ from fpgb.polynomials import (
     poly_normalize,
     poly_parse,
     soa_pack,
-    soa_slice,
+    soa_polys,
 )
 
 M7 = FieldModulus(7)
@@ -120,20 +120,20 @@ def test_soa_round_trip():
     s = soa_pack(polys, R2)
     s.validate()
     for i, f in enumerate(polys):
-        assert soa_slice(s, i).terms == f.terms
+        assert soa_polys(s)[i].terms == f.terms
     assert np.array_equal(s.offset, np.concatenate([[0], np.cumsum(s.length)]))
 
 
 def test_soa_single_and_empty():
     f = poly_parse("x + 1", R2)
     s = soa_pack([f], R2)
-    assert soa_slice(s, 0).terms == f.terms
+    assert soa_polys(s)[0].terms == f.terms
     empty = soa_pack([], R2)
     assert len(empty.coeff) == 0
     assert list(empty.offset) == [0]
     empty.validate()
     with pytest.raises(IndexError):
-        soa_slice(empty, 0)
+        soa_polys(empty)[0]
 
 
 def test_soa_validate_raises_property_violation():

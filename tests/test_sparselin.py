@@ -16,7 +16,6 @@ from fpgb.monomials import Ring
 from fpgb.polynomials import poly_parse, soa_pack
 from fpgb.sparselin import (
     CsrMatrix,
-    KernelMode,
     berlekamp_massey,
     csr_from_dense,
     csr_from_plan,
@@ -333,17 +332,10 @@ def test_berlekamp_massey_lfsr_round_trip():
         assert annihilates(f, seq, 101)
 
 
-def test_wiedemann_kernel_identity_empty_after_rank_confirmation():
-    eye = csr_from_dense(np.eye(3, dtype=np.uint64), M101)
-    kb = wiedemann_solve(eye, KernelMode.RIGHT_KERNEL, seed=5, max_rounds=3)
-    assert kb.dimension_found == 0 and kb.vectors == []
-    assert len(kb.seed_trail) == 3
-
-
 def test_wiedemann_kernel_zero_matrix_full_space():
     zero = CsrMatrix(3, 3, np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64),
                      np.zeros(0, dtype=np.uint64), M101)
-    kb = wiedemann_solve(zero, KernelMode.RIGHT_KERNEL, seed=5)
+    kb = wiedemann_solve(zero, seed=5, max_vectors=3 - dense_rank(zero.to_dense(), M101))
     assert kb.dimension_found == 3
 
 
@@ -366,7 +358,7 @@ def test_wiedemann_kernel_matches_dense_nullity():
         mat = rank_deficient(rng, n, rank, m)
         A = csr_from_dense(mat, m)
         nullity = n - dense_rank(mat, m)
-        kb = wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=trial)
+        kb = wiedemann_solve(A, seed=trial, max_vectors=nullity)
         assert kb.dimension_found == nullity
         for v in kb.vectors:
             assert (spmv(A, v) == 0).all()
@@ -376,12 +368,13 @@ def test_wiedemann_kernel_matches_dense_nullity():
 def test_wiedemann_builds_each_spmm_chunk_layout_once(monkeypatch, shape):
     rng = np.random.default_rng(shape[0])
     A = csr_from_dense(random_sparse(rng, *shape, 0.1, M101), M101)
-    want = wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=2)
+    nullity = A.n_cols - dense_rank(A.to_dense(), M101)
+    want = wiedemann_solve(A, seed=2, max_vectors=nullity)
     A = csr_from_dense(A.to_dense(), M101)  # a fresh matrix, no layout built yet
     scans = []
     real_scan = sparselin.exclusive_scan
     monkeypatch.setattr(sparselin, "exclusive_scan", lambda lens: scans.append(len(lens)) or real_scan(lens))
-    kb = wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=2)
+    kb = wiedemann_solve(A, seed=2, max_vectors=nullity)
     assert kb.dimension_found == want.dimension_found > 0 and kb.seed_trail == want.seed_trail
     assert all(np.array_equal(v, w) for v, w in zip(kb.vectors, want.vectors))
     # one layout per operator (A, and A^T when A is not square) and the
@@ -394,10 +387,16 @@ def test_wiedemann_zero_target_runs_no_round(monkeypatch):
     A = csr_from_dense(rank_deficient(rng, 20, 20, MBIG), MBIG)
     calls = []
     monkeypatch.setattr(sparselin, "spmm", lambda *a: calls.append(1))
-    monkeypatch.setattr(sparselin, "dense_rank", lambda *a: calls.append(1))
-    kb = wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=1, max_vectors=0)
+    kb = wiedemann_solve(A, seed=1, max_vectors=0)
     assert kb.vectors == [] and kb.dimension_found == 0 and kb.seed_trail == ()
     assert calls == []
+
+
+@pytest.mark.parametrize("max_vectors, block_width", [(-1, 4), (1, 0), (1, -2)])
+def test_wiedemann_rejects_a_negative_target_or_an_empty_block(max_vectors, block_width):
+    A = csr_from_dense(np.zeros((3, 3), dtype=np.uint64), M101)
+    with pytest.raises(PreconditionError):
+        wiedemann_solve(A, seed=0, max_vectors=max_vectors, block_width=block_width)
 
 
 def test_wiedemann_stops_at_the_expected_nullity():
@@ -406,10 +405,9 @@ def test_wiedemann_stops_at_the_expected_nullity():
     A = csr_from_dense(mat, MBIG)
     nullity = 60 - dense_rank(mat, MBIG)
     assert nullity == 3
-    open_ended = wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=4)
-    kb = wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=4, max_vectors=nullity)
+    kb = wiedemann_solve(A, seed=4, max_vectors=nullity)
     assert kb.dimension_found == len(kb.vectors) == nullity
-    assert len(kb.seed_trail) < len(open_ended.seed_trail)
+    assert len(kb.seed_trail) < 12  # stopped before the round budget ran out
     for v in kb.vectors:
         assert (spmv(A, v) == 0).all()
     basis = np.array(kb.vectors, dtype=np.uint64)
@@ -422,7 +420,7 @@ def test_wiedemann_short_of_the_target_fails_loudly():
     A = csr_from_dense(mat, MBIG)
     nullity = 30 - dense_rank(mat, MBIG)
     with pytest.raises(ProbabilisticFailureError, match=f"found {nullity} of {nullity + 1} kernel vectors") as exc:
-        wiedemann_solve(A, KernelMode.RIGHT_KERNEL, seed=4, max_vectors=nullity + 1)
+        wiedemann_solve(A, seed=4, max_vectors=nullity + 1)
     assert len(exc.value.seed_trail) == 12
 
 
@@ -440,7 +438,7 @@ def test_left_kernel_above_dense_cap_is_complete(monkeypatch):
 
     monkeypatch.setattr(sparselin, "dense_right_nullspace", no_dense)
     kb = left_kernel(A, count=nullity, seed=3)
-    assert kb.side == "left" and kb.dimension_found == len(kb.vectors) == nullity
+    assert kb.dimension_found == len(kb.vectors) == nullity
     assert kb.seed_trail
     dense = mat.astype(object)
     for v in kb.vectors:
@@ -464,7 +462,7 @@ def test_left_kernel_count_zero_and_negative():
 def test_left_kernel_duplicate_row():
     mat = np.array([[1, 2, 3], [1, 2, 3]], dtype=np.uint64)
     kb = left_kernel(csr_from_dense(mat, M7), count=4, seed=0)
-    assert kb.side == "left" and kb.dimension_found == 1
+    assert kb.dimension_found == 1
     v = kb.vectors[0]
     # (1, -1) direction up to scaling
     assert (int(v[0]) + int(v[1])) % 7 == 0 and v[0] != 0

@@ -18,7 +18,7 @@ from fpgb.polynomials import (
     poly_normalize,
     poly_parse,
     soa_pack,
-    soa_slice,
+    soa_polys,
 )
 from fpgb.symbolic import (
     Closure,
@@ -303,14 +303,14 @@ def test_decode_matches_shift_oracle_random():
         plan = compile_batch(rows, basis, Closure.SUPPORT_ONLY)
         meta = list(zip(plan.row_meta.shift.tolist(), plan.row_meta.basis_index.tolist()))
         for i, (shift, k) in enumerate(meta):
-            want = poly_mul_mon(tuple(shift), soa_slice(basis, k))
+            want = poly_mul_mon(tuple(shift), soa_polys(basis)[k])
             got = decode_row(plan, i)
             assert got.terms == want.terms
             assert all(type(c) is int and all(type(e) is int for e in m) for m, c in got.terms)
         # dictionary equals the sorted support union (naive set oracle)
         support = set()
         for shift, k in meta:
-            for e, _ in poly_mul_mon(tuple(shift), soa_slice(basis, k)).terms:
+            for e, _ in poly_mul_mon(tuple(shift), soa_polys(basis)[k]).terms:
                 support.add(e)
         got = {tuple(k) for k in plan.dict_keys.tolist()}
         assert got == {mon_key_pack(m, R2) for m in support}
@@ -352,11 +352,10 @@ def test_one_lane_compile_runs_no_lane_split_code(monkeypatch):
     ring, polys = gen_katsura(6, 65537)
     batches = []
     f4_groebner(polys, ring, PipelineConfig(), lambda b, plan, e, s: batches.append((b, plan)))
-    basis_before, driver_plan = max(batches, key=lambda bp: bp[1].counters.M)
+    basis, driver_plan = max(batches, key=lambda bp: bp[1].counters.M)
     assert driver_plan.counters.M > bulk.MERGE_GRAIN
     meta = driver_plan.row_meta
     rows = RowMeta(meta.rows[meta.role == RowRole.SPOLY_HALF.value])
-    basis = soa_pack(basis_before, ring)
     lane_split = plan_to_text(compile_batch(rows, basis, Closure.ONE_STEP_REDUCTION, ExecPolicy(4)))
 
     def forbidden(*args, **kwargs):
