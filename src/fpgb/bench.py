@@ -147,7 +147,6 @@ def run_pipeline(ring, polys, config: PipelineConfig, instance: dict | None = No
             "engine": config.engine,
             "numeric": config.numeric,
             "backend": config.backend,
-            "panel_width": config.panel_width,
             "block_width": config.block_width,
             "seed": config.seed,
             "workers": config.workers,

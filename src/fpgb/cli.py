@@ -44,7 +44,6 @@ def _add_config_flags(sp):
     sp.add_argument("--engine", choices=["f4", "buchberger"], default="f4")
     sp.add_argument("--numeric", choices=["psge", "wiedemann", "dense"], default="psge")
     sp.add_argument("--backend", choices=["naive", "barrett", "montgomery"], default="naive")
-    sp.add_argument("--panel-width", type=int, default=256)
     sp.add_argument("--block-width", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--workers", type=int, default=1)
@@ -143,7 +142,10 @@ def _write_report(report: BenchReport, path: str | None):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: a usage error exits 2, --help 0
+        return exc.code
     try:
         if args.command == "gen":
             config = PipelineConfig(seed=args.seed)
@@ -205,6 +207,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_PARSE
+    except MemoryError as exc:
+        sys.stderr.write(f"guard: out of memory: {exc!r}\n")
+        return EXIT_GUARD
     return EXIT_OK
 
 

@@ -289,7 +289,6 @@ class PipelineConfig:
     engine: str = "f4"  # f4 | buchberger
     numeric: str = "psge"  # psge | dense | wiedemann
     backend: str = "naive"  # naive | barrett | montgomery
-    panel_width: int = 256
     block_width: int = 4
     seed: int = 0
     workers: int = 1
@@ -306,8 +305,6 @@ class PipelineConfig:
             raise PreconditionError("workers must be >= 1")
         if self.block_width < 1:
             raise PreconditionError("block_width must be >= 1")
-        if self.panel_width < 1:
-            raise PreconditionError("panel_width must be >= 1")
         if self.max_steps < 0:
             raise PreconditionError("max_steps must be >= 0")
 
@@ -364,7 +361,7 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
         ech = _dense_echelon(plan, ring.modulus)
     else:
         A = csr_from_plan(plan, ring.modulus)
-        ech = psge_reduce(A, config.panel_width, back_reduce=False)
+        ech = psge_reduce(A, back_reduce=False)
     numeric_ns = time.monotonic_ns() - t0
 
     kernel = None
@@ -445,7 +442,7 @@ def _interreduce(soa: SoaPolySet, config: PipelineConfig) -> list:
     k = order[minimal_rows(leads)]
     rows = RowMeta.of(RowRole.REDUCER.value, 0, k, np.zeros((len(k), ring.n_vars), dtype=np.int64))
     plan = compile_batch(rows, soa, Closure.ONE_STEP_REDUCTION, ExecPolicy(config.workers))
-    ech = psge_reduce(csr_from_plan(plan, ring.modulus), config.panel_width, back_reduce=True)
+    ech = psge_reduce(csr_from_plan(plan, ring.modulus), back_reduce=True)
     # every row leads its own column, so every row is a known pivot
     rref = {c: (cols, vals) for c, cols, vals in ech.pivot_rows}
     member_cols = row_lead_cols(plan)[: len(rows)].tolist()

@@ -4,12 +4,11 @@ CSR matrices materialize directly from layout plans.  Three engines work on
 them:
 
 - ``psge_reduce``: known-pivot elimination in the style of Faugere-Lachartre.
-  One sparsest row per distinct input leading column is a known pivot; the
-  other rows, ``panel_width`` at a time in a dense block, have the pivot
-  columns swept out in ascending order, and the small remainder is brought
-  to echelon form by its own code.  Its new rows are reduced row echelon
-  form (RREF) rows; ``back_reduce=True`` also back-substitutes the known
-  pivots, so the output is the whole RREF;
+  One sparsest row per distinct input leading column is a known pivot; each
+  other row has the known pivot columns swept out on its own, and the swept
+  remainder is brought to reduced row echelon form (RREF) as one dense block
+  by its own Gauss-Jordan code, every block within ``BLOCK_BYTES``.
+  ``back_reduce=True`` also back-substitutes the known pivots: the whole RREF;
 - ``dense_gauss``: the brute-force oracle (size-capped) used to cross-check
   ranks, row spaces, and null spaces;
 - ``wiedemann_solve``: black-box right-kernel extraction from Krylov
@@ -41,6 +40,8 @@ from .fp import FieldModulus, KernelArith
 from .symbolic import LayoutPlan
 
 DENSE_CAP = 512
+# bytes of the largest dense block psge_reduce allocates
+BLOCK_BYTES = 1 << 24
 
 
 @dataclass
@@ -288,14 +289,13 @@ def _addmod(a: np.ndarray, b: np.ndarray, p: np.uint64) -> np.ndarray:
     return np.where(s >= p, s - p, s)
 
 
-def _sweep(B, own, pivot_cols, pivots, ar):
+def _sweep(B, pivot_cols, pivots, ar):
     """Zero every pivot column of the dense block B in place.
 
     Pivot columns are visited in ascending order; each pivot row is monic
     and leads at its column, so an update never touches a column already
-    visited.  When ``own`` is given, ``own[i]`` is the pivot column row i
-    itself leads at, and that entry is kept.  Only columns that hold a
-    nonzero or that some update reached are inspected.
+    visited.  Only columns that hold a nonzero or that some update reached
+    are inspected.
     """
     p = ar.m._p_u64
     queued = B.any(axis=0)
@@ -304,8 +304,6 @@ def _sweep(B, own, pivot_cols, pivots, ar):
             continue
         col = B[:, c]
         nz = np.flatnonzero(col)
-        if own is not None:
-            nz = nz[own[nz] != c]
         if len(nz) == 0:
             continue
         pc, pv = pivots[c]
@@ -319,26 +317,28 @@ def _sweep(B, own, pivot_cols, pivots, ar):
         queued[pc] = True
 
 
-def _row_echelon(R, ar):
-    """Forward elimination of a small dense block, in place.
+def _gauss_jordan(R, ar):
+    """Reduced row echelon form of a dense block, in place.
 
-    Returns [(local_lead, monic_row)] with distinct, ascending leads; the
-    other rows of R end up zero.
+    Returns [(lead, row)], leads ascending; every other row of R ends zero.
     """
     p = ar.m._p_u64
     alive = np.ones(R.shape[0], dtype=bool)
     found = []
     for j in range(R.shape[1]):
-        cand = np.flatnonzero((R[:, j] != 0) & alive)
+        nz = np.flatnonzero(R[:, j])
+        cand = nz[alive[nz]]
         if len(cand) == 0:
             continue
-        r, rest = int(cand[0]), cand[1:]
-        row = ar.mul(R[r], np.uint64(ar.inv(int(R[r, j]))))
+        # the pivot row is zero left of j, so updates start at column j
+        r = int(cand[0])
+        R[r, j:] = ar.mul(R[r, j:], np.uint64(ar.inv(int(R[r, j]))))
         alive[r] = False
-        if len(rest):
-            coef = p - R[rest, j]
-            R[rest] = _addmod(R[rest], ar.mul(coef[:, None], row[None, :]), p)
-        found.append((j, row))
+        others = nz[nz != r]
+        if len(others):
+            coef = p - R[others, j]
+            R[others, j:] = _addmod(R[others, j:], ar.mul(coef[:, None], R[r, j:][None, :]), p)
+        found.append((j, r))
         if not alive.any():
             break
     return found
@@ -360,29 +360,33 @@ def _dense_block(A: CsrMatrix, rows: np.ndarray, vals: np.ndarray):
     return B, local, A.col_ind[at]
 
 
-def psge_reduce(A: CsrMatrix, panel_width: int = 256, back_reduce: bool = True) -> EchelonResult:
-    """Known-pivot elimination of an F4 batch matrix.
+def _chunk_rows(n_cols: int) -> int:
+    """Rows of n_cols words per dense block: as many as BLOCK_BYTES holds."""
+    if 8 * n_cols > BLOCK_BYTES:
+        raise SizeCapError(f"one row of {n_cols} columns exceeds {BLOCK_BYTES} bytes")
+    return BLOCK_BYTES // (8 * max(n_cols, 1))
 
-    1. Known pivots: one row per distinct input leading column, the one
-       with the fewest nonzeros (lowest row index on ties), made monic.
-    2. Sweep: the remaining rows, ``panel_width`` at a time as a dense block
-       (at most panel_width x n_cols words), have every pivot column
-       cleared in ascending order.  Entries that were zero in the input row
-       and are nonzero after the sweep count as ``fill_generated``.
-    3. Remainder: forward elimination of each swept block finds the new
-       leading columns; their rows join the known pivots for later blocks.
-       A final back-substitution among the new rows makes them RREF rows.
 
-    With ``back_reduce=True`` the known-pivot rows are back-substituted as
-    well, so ``pivot_rows`` + ``nonpivot_rows`` are the full RREF.  F4
-    batches read only ``nonpivot_rows`` and pass ``back_reduce=False``; the
-    final interreduction passes ``back_reduce=True``.
+def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
+    """Known-pivot elimination of an F4 batch matrix (Faugere-Lachartre).
+
+    Known pivots: per distinct input leading column, the row with the fewest
+    nonzeros (lowest index on ties), made monic.
+
+    1. Sweep: every other row loses every known pivot column, independently
+       of the rest, so the chunk size changes no output.  The entries this
+       sweep creates are ``fill_generated``.
+    2. One RREF: the nonzero swept rows, on the columns they still touch,
+       form one dense block; Gauss-Jordan makes it the new pivot rows
+       (``nonpivot_rows``, which F4 reads), fully reduced.
+    3. Back-substitution, with ``back_reduce=True`` only: each known pivot
+       row loses every other pivot column, for the full RREF.
+
+    Every dense block fits in ``BLOCK_BYTES`` or is refused (SizeCapError)
+    before it is allocated.
     """
-    if panel_width < 1:
-        raise PreconditionError("panel_width must be >= 1")
-    m = A.modulus
-    ar = KernelArith(m)
-    n_cols = A.n_cols
+    ar = KernelArith(A.modulus)
+    chunk = _chunk_rows(A.n_cols)
     vals = ar.enter(A.val)
     lens = np.diff(A.row_ptr)
     live = np.flatnonzero(lens)
@@ -391,7 +395,7 @@ def psge_reduce(A: CsrMatrix, panel_width: int = 256, back_reduce: bool = True) 
     first = np.ones(len(order), dtype=bool)
     first[1:] = leads[order][1:] != leads[order][:-1]
     known_rows = live[order[first]]
-    known_cols = leads[order[first]]
+    known_cols = leads[order[first]].tolist()
     rest = np.sort(live[order[~first]])
 
     # monic known pivots, as views into one scaled copy of their entries
@@ -399,48 +403,50 @@ def psge_reduce(A: CsrMatrix, panel_width: int = 256, back_reduce: bool = True) 
     invs = [ar.inv(x) for x in vals[A.row_ptr[known_rows]].tolist()]
     scaled = vals.copy()
     scaled[at] = ar.mul(vals[at], np.repeat(np.array(invs, dtype=np.uint64), known_lens))
-    pivots: dict = {}
-    for i, c in zip(known_rows.tolist(), known_cols.tolist()):
-        s, e = int(A.row_ptr[i]), int(A.row_ptr[i + 1])
-        pivots[c] = (A.col_ind[s:e], scaled[s:e])
-    pivot_cols = known_cols.tolist()
+    bounds = zip(known_cols, A.row_ptr[known_rows].tolist(), A.row_ptr[known_rows + 1].tolist())
+    pivots = {c: (A.col_ind[s:e], scaled[s:e]) for c, s, e in bounds}
 
-    fill = 0
-    new_cols: list = []
-    for k in range(0, len(rest), panel_width):
-        B, local, cols = _dense_block(A, rest[k : k + panel_width], vals)
-        _sweep(B, None, pivot_cols, pivots, ar)
-        nonzero = B != 0
-        fill += int(nonzero.sum()) - int(nonzero[local, cols].sum())
-        alive = np.flatnonzero(nonzero.any(axis=1))
-        if len(alive) == 0:
-            continue
-        support = np.flatnonzero(nonzero[alive].any(axis=0))
-        for j, row in _row_echelon(B[np.ix_(alive, support)], ar):
-            nz = np.flatnonzero(row)
-            pivots[int(support[j])] = (support[nz], row[nz])
-            new_cols.append(int(support[j]))
-        pivot_cols = sorted(pivots)
+    # 1. sweep each chunk of remainder rows by the known pivots alone
+    fill, swept = 0, []
+    for k in range(0, len(rest), chunk):
+        B, local, cols = _dense_block(A, rest[k : k + chunk], vals)
+        _sweep(B, known_cols, pivots, ar)
+        r, c = np.nonzero(B)
+        fill += len(r) - int(np.count_nonzero(B[local, cols]))
+        swept.append((r + k, c, B[r, c]))
 
-    # back-substitution: each pivot row loses every other pivot column
-    reduced = dict(pivots)
-    targets = sorted(pivots) if back_reduce else sorted(new_cols)
-    for k in range(0, len(targets), panel_width):
-        chunk = targets[k : k + panel_width]
-        B = np.zeros((len(chunk), n_cols), dtype=np.uint64)
-        for r, c in enumerate(chunk):
-            pc, pv = pivots[c]
-            B[r, pc] = pv
-        _sweep(B, np.array(chunk), pivot_cols if back_reduce else targets, pivots, ar)
-        for r, c in enumerate(chunk):
+    # 2. one RREF of the nonzero swept rows on the columns they still touch
+    if swept:
+        rows, cols, sv = (np.concatenate(x) for x in zip(*swept))
+        live_rows, at_row = np.unique(rows, return_inverse=True)
+        support, at_col = np.unique(cols, return_inverse=True)
+        shape = (len(live_rows), len(support))
+        if 8 * shape[0] * shape[1] > BLOCK_BYTES:
+            raise SizeCapError(f"remainder block {shape[0]} x {shape[1]} exceeds {BLOCK_BYTES} bytes")
+        R = np.zeros(shape, dtype=np.uint64)
+        R[at_row, at_col] = sv
+        for j, r in _gauss_jordan(R, ar):
+            nz = np.flatnonzero(R[r])
+            pivots[int(support[j])] = (support[nz], R[r, nz])
+    pivot_cols = sorted(pivots)
+
+    # 3. each known pivot row, its lead set aside, loses every other pivot column
+    for k in range(0, len(known_cols) if back_reduce else 0, chunk):
+        own = known_cols[k : k + chunk]
+        B = _dense_block(A, known_rows[k : k + chunk], scaled)[0]
+        lead = (np.arange(len(own)), own)
+        one, B[lead] = B[lead], 0
+        _sweep(B, pivot_cols, pivots, ar)
+        B[lead] = one
+        for r, c in enumerate(own):
             nz = np.flatnonzero(B[r])
-            reduced[c] = (nz, B[r, nz])
+            pivots[c] = (nz, B[r, nz])
 
-    new = set(new_cols)
+    known = set(known_cols)
     pivot_rows, nonpivot_rows = [], []
     for c in pivot_cols:
-        pc, pv = reduced[c]
-        (nonpivot_rows if c in new else pivot_rows).append((c, pc, ar.leave(pv)))
+        pc, pv = pivots[c]
+        (pivot_rows if c in known else nonpivot_rows).append((c, pc, ar.leave(pv)))
     rank = len(pivot_cols)
     return EchelonResult(
         pivot_cols=pivot_cols,
@@ -534,14 +540,14 @@ def wiedemann_solve(
     probes ``block_width`` vectors; degenerate draws retry with derived
     seeds.
 
-    ``max_vectors`` is the nullity the caller expects (from elimination):
-    the solve returns as soon as that many independent vectors are found,
-    returns at once with an empty seed trail when it is 0, and raises
-    ProbabilisticFailureError with the seed trail when the round budget
-    ends short of it.
+    ``max_vectors`` is the nullity the caller expects (from elimination),
+    at most the dimension: the solve returns as soon as that many
+    independent vectors are found, returns at once with an empty seed trail
+    when it is 0, and raises ProbabilisticFailureError with the seed trail
+    when the round budget ends short of it.
     """
-    if max_vectors < 0:
-        raise PreconditionError("max_vectors must be >= 0")
+    if not 0 <= max_vectors <= A.n_cols:
+        raise PreconditionError(f"max_vectors must be in 0..{A.n_cols}, got {max_vectors}")
     if block_width < 1:
         raise PreconditionError("block_width must be >= 1")
     dim = A.n_cols

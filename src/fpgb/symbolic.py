@@ -47,6 +47,8 @@ from .monomials import Ring, _tie_lanes, first_divisor, key_cmp_rows, key_pack_v
 from .polynomials import Poly, SoaPolySet
 
 DICT_CAP = 10**6
+# keys a batch may materialize (M), checked before any key is gathered
+KEY_CAP = 1 << 23
 
 
 class RowRole(enum.Enum):
@@ -217,11 +219,13 @@ def select_rows(lcm, i, j, basis: SoaPolySet) -> RowMeta:
     return RowMeta.of(RowRole.SPOLY_HALF.value, pid[order], k[order], shift[order])
 
 
-def _materialize(rows: RowMeta, basis: SoaPolySet, policy: ExecPolicy):
+def _materialize(rows: RowMeta, basis: SoaPolySet, policy: ExecPolicy, emitted: int = 0):
     """Pass 1 + pass 2: per-row lengths, prefix plan, flat shifted streams.
 
     Returns (lens, keys, vals, lead_keys) where keys descend within each
-    segment (shifting preserves the stored term order).
+    segment (shifting preserves the stored term order).  ``emitted`` is the
+    batch's key count so far: pass 1 raises SizeCapError before pass 2
+    when the running count would pass KEY_CAP.
     """
     ks = rows.basis_index
     lens = basis.length[ks]
@@ -229,6 +233,8 @@ def _materialize(rows: RowMeta, basis: SoaPolySet, policy: ExecPolicy):
         raise PropertyViolationError("zero polynomial referenced as a reducer")
     off = exclusive_scan(lens, policy)
     total = int(off[-1])
+    if emitted + total > KEY_CAP:
+        raise SizeCapError(f"batch key volume M = {emitted + total} exceeds {KEY_CAP} keys")
     gather = np.repeat(basis.offset[ks], lens) + (
         np.arange(total, dtype=np.int64) - np.repeat(off[:-1], lens)
     )
@@ -316,7 +322,7 @@ def compile_batch(
             if not new_rows:
                 break
             counters.closure_rounds += 1
-            nlens, nkeys, nvals, _ = _materialize(new_rows, basis, policy)
+            nlens, nkeys, nvals, _ = _materialize(new_rows, basis, policy, counters.keys_emitted)
             counters.keys_emitted += len(nkeys)
             counters.keys_generated_total += len(nkeys)
             row_parts.append(new_rows.rows)

@@ -11,15 +11,15 @@ import numpy as np
 
 from .errors import PolyParseError, PreconditionError
 from .fp import Backend, FieldModulus
-from .monomials import Ring, count_monomials
+from .monomials import MAX_VARS, Ring, count_monomials
 from .polynomials import Poly, poly_format, poly_normalize, poly_parse
 
 
 def gen_cyclic(n: int, p: int, backend: Backend | str = Backend.NAIVE):
     """Cyclic-n: for k < n the sum of all length-k products of consecutive
     variables (indices mod n), plus x_1...x_n - 1."""
-    if n < 2:
-        raise PreconditionError("cyclic needs n >= 2")
+    if not 2 <= n <= MAX_VARS:
+        raise PreconditionError(f"cyclic needs 2 <= n <= {MAX_VARS}")
     ring = Ring([f"x{i}" for i in range(n)], "grevlex", FieldModulus(p, backend))
     polys = []
     for k in range(1, n):
@@ -41,8 +41,8 @@ def gen_katsura(n: int, p: int, backend: Backend | str = Backend.NAIVE):
     One linear relation x_0 + 2(x_1 + ... + x_n) - 1 and, for k = 0..n-1,
     sum over i of x_{|i|} x_{|k-i|} - x_k with indices clipped to |.| <= n.
     """
-    if n < 1:
-        raise PreconditionError("katsura needs n >= 1")
+    if not 1 <= n < MAX_VARS:
+        raise PreconditionError(f"katsura needs 1 <= n <= {MAX_VARS - 1} (n + 1 variables)")
     ring = Ring([f"x{i}" for i in range(n + 1)], "grevlex", FieldModulus(p, backend))
     nv = n + 1
     polys = []
@@ -98,8 +98,8 @@ def gen_random_quadratic(
     """
     if not 0 < density <= 1:
         raise PreconditionError("density must be in (0, 1]")
-    if n < 1 or m < 1:
-        raise PreconditionError("need n, m >= 1")
+    if not 1 <= n <= MAX_VARS or m < 1:
+        raise PreconditionError(f"need 1 <= n <= {MAX_VARS} and m >= 1")
     ring = Ring([f"x{i}" for i in range(n)], "grevlex", FieldModulus(p, backend))
     mons = _degree_le2_monomials(n)
     root = np.random.SeedSequence(seed)

@@ -8,6 +8,7 @@ oracle-equivalence runs, so the whole suite stays within its time budgets.
 import numpy as np
 import pytest
 
+from fpgb import sparselin
 from fpgb.bulk import ExecPolicy
 from fpgb.errors import ProbabilisticFailureError
 from fpgb.fp import (
@@ -307,7 +308,7 @@ def test_criterion_7_oracle_equivalence(oracle_runs):
     report(7, True, f"{checked} systems (named families x 3 primes + 50 random), byte-equal bases")
 
 
-def test_criterion_8_rank_agreement():
+def test_criterion_8_rank_agreement(monkeypatch):
     """psge rank == dense rank on 200 matrices; Wiedemann nullity on 50 singulars."""
     rng = np.random.default_rng(606)
     densities = [0.01, 0.05, 0.2]
@@ -319,7 +320,9 @@ def test_criterion_8_rank_agreement():
         mat = np.zeros((r, c), dtype=np.uint64)
         mask = rng.random((r, c)) < density
         mat[mask] = rng.integers(1, m.p, int(mask.sum()))
-        res = psge_reduce(csr_from_dense(mat, m), panel_width=int(rng.integers(8, 257)))
+        rows = int(rng.integers(8, 257))
+        monkeypatch.setattr(sparselin, "_chunk_rows", lambda n_cols: rows)
+        res = psge_reduce(csr_from_dense(mat, m))
         assert res.rank == dense_rank(mat, m), f"rank mismatch on trial {trial}"
     successes = 0
     failures = []

@@ -222,7 +222,8 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--panel-width", "0"], ["--max-steps", "-1"]], ids=["panel-width", "max-steps"]
+    # --panel-width is no flag at all: any value is a usage error
+    "flags", [["--panel-width", "8"], ["--max-steps", "-1"]], ids=["panel-width", "max-steps"]
 )
 def test_cli_rejects_bad_config_before_any_batch(monkeypatch, flags):
     def no_batch(*args, **kwargs):
@@ -241,6 +242,7 @@ def test_cli_rejects_bad_config_before_any_batch(monkeypatch, flags):
         (LaneOverflowError("exponent does not fit a 16-bit lane"), 3),
         (DivisionError("x does not divide y"), 4),
         (UncoverableTargetError("pair 0 has no covering row"), 4),
+        (MemoryError(), 3),
     ],
 )
 def test_cli_exit_codes_for_run_errors(monkeypatch, exc, code):
@@ -250,6 +252,28 @@ def test_cli_exit_codes_for_run_errors(monkeypatch, exc, code):
     monkeypatch.setattr("fpgb.cli.run_pipeline", failing_run)
     assert main(["gb", "--family", "cyclic", "--n", "3", "--p", "101"]) == code
     assert main(["bench", "--family", "cyclic", "--n", "3", "--p", "101"]) == code
+
+
+def test_cli_exits_3_when_a_remainder_block_passes_the_byte_budget(monkeypatch, capsys):
+    # katsura-3/101: rows of at most 24 columns (192 bytes) fit; the third
+    # batch's 4 x 8 remainder block (256 bytes) does not
+    monkeypatch.setattr("fpgb.sparselin.BLOCK_BYTES", 200)
+    assert main(["gb", "--family", "katsura", "--n", "3", "--p", "101"]) == 3
+    assert "guard: remainder block 4 x 8 exceeds 200 bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gb", "--family", "cyclic", "--n", "40", "--p", "101"],
+        ["gb", "--family", "katsura", "--n", "33", "--p", "101"],
+        ["gen", "--family", "random", "--n", "40", "--m", "2", "--p", "101"],
+    ],
+    ids=["cyclic", "katsura", "random"],
+)
+def test_cli_rejects_families_over_the_variable_cap(capsys, argv):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_random_family(tmp_path):

@@ -145,9 +145,15 @@ def test_dense_rank_invariant_under_row_shuffles():
         assert dense_rank(mat[perm], M101) == r0
 
 
-def test_psge_worked_example():
+def sweep_chunk(monkeypatch, rows):
+    """Make psge_reduce sweep ``rows`` rows per dense block, whatever the width."""
+    monkeypatch.setattr(sparselin, "_chunk_rows", lambda n_cols: rows)
+
+
+def test_psge_worked_example(monkeypatch):
     _, A = example_plan_matrix()
-    res = psge_reduce(A, panel_width=2)
+    sweep_chunk(monkeypatch, 2)
+    res = psge_reduce(A)
     assert res.rank == 2
     assert res.pivot_cols == [0, 1]
     assert res.zero_row_count == 0
@@ -185,14 +191,15 @@ def assemble_rows(res, n_cols):
 
 @pytest.mark.parametrize("p", [7, 101, 2147483629])
 @pytest.mark.parametrize("density", [0.01, 0.05, 0.2])
-def test_psge_matches_dense_rref(p, density):
+def test_psge_matches_dense_rref(monkeypatch, p, density):
     m = FieldModulus(p)
     rng = np.random.default_rng(p % 1000 + int(density * 100))
     for _ in range(6):
         r, c = (int(x) for x in rng.integers(5, 60, 2))
         mat = random_sparse(rng, r, c, density, m)
         A = csr_from_dense(mat, m)
-        res = psge_reduce(A, panel_width=int(rng.integers(1, 17)))
+        sweep_chunk(monkeypatch, int(rng.integers(1, 17)))
+        res = psge_reduce(A)
         rank, rref, _ = dense_gauss(mat, m)
         assert res.rank == rank
         got = assemble_rows(res, c)
@@ -212,16 +219,40 @@ def test_psge_row_space_preserved():
             assert dense_rank(stacked, m) == base_rank
 
 
-def test_psge_panel_width_does_not_change_result():
+def echelon_key(res):
+    rows = lambda rs: [(c, cols.tolist(), vals.tolist()) for c, cols, vals in rs]
+    return (res.pivot_cols, rows(res.pivot_rows), rows(res.nonpivot_rows),
+            res.zero_row_count, res.rank, res.fill_generated)
+
+
+def test_psge_chunk_size_does_not_change_result(monkeypatch):
     rng = np.random.default_rng(860)
     mat = random_sparse(rng, 30, 25, 0.15, M101)
+    # 975 zero columns change no row; with 1000 columns a one-row chunk's
+    # budget (8 kB) also holds the whole remainder block (at most 30 x 25)
+    A = csr_from_dense(np.hstack([mat, np.zeros((30, 975), dtype=np.uint64)]), M101)
+    for back_reduce in (False, True):
+        keys = []
+        for rows in (1, 2, 3, 30):
+            monkeypatch.setattr(sparselin, "BLOCK_BYTES", 8 * 1000 * rows)
+            assert sparselin._chunk_rows(A.n_cols) == rows
+            keys.append(echelon_key(psge_reduce(A, back_reduce=back_reduce)))
+        assert keys[0][2] and keys[0][5] > 0  # new pivot rows and fill to compare
+        assert all(k == keys[0] for k in keys)
+
+
+def test_psge_refuses_a_remainder_block_over_the_budget(monkeypatch):
+    # [1 0 0] is the known pivot; the other rows sweep to a 3 x 2 block of 48 bytes
+    mat = np.array([[1, 1, 0], [1, 0, 1], [1, 1, 1], [1, 0, 0]], dtype=np.uint64)
     A = csr_from_dense(mat, M101)
-    base = None
-    for w in (1, 4, 64, 256):
-        res = psge_reduce(A, panel_width=w)
-        got = assemble_rows(res, 25).tobytes()
-        base = got if base is None else base
-        assert got == base
+    monkeypatch.setattr(sparselin, "BLOCK_BYTES", 48)
+    assert psge_reduce(A).rank == 3
+    monkeypatch.setattr(sparselin, "BLOCK_BYTES", 47)
+    with pytest.raises(SizeCapError, match="remainder block 3 x 2 exceeds 47 bytes"):
+        psge_reduce(A)
+    monkeypatch.setattr(sparselin, "BLOCK_BYTES", 23)  # not even one 24-byte row
+    with pytest.raises(SizeCapError, match="one row of 3 columns"):
+        psge_reduce(A)
 
 
 def test_psge_backend_agreement():
@@ -245,18 +276,19 @@ def same_rows(a, b):
 
 @pytest.mark.parametrize("p", [7, 101, 2147483629])
 @pytest.mark.parametrize("density", [0.01, 0.05, 0.2])
-@pytest.mark.parametrize("panel_width", [1, 3, 256])
-def test_f4_mode_matches_back_reduced_engine(p, density, panel_width):
+@pytest.mark.parametrize("chunk_rows", [1, 3, 256])
+def test_f4_mode_matches_back_reduced_engine(monkeypatch, p, density, chunk_rows):
     m = FieldModulus(p)
-    rng = np.random.default_rng(p % 997 + int(density * 100) + panel_width)
+    rng = np.random.default_rng(p % 997 + int(density * 100) + chunk_rows)
+    sweep_chunk(monkeypatch, chunk_rows)
     for _ in range(4):
         r, c = (int(x) for x in rng.integers(5, 60, 2))
         mat = random_sparse(rng, r, c, density, m)
         # repeat some rows so leading columns are shared, as F4 batches share them
         mat = np.vstack([mat, mat[rng.integers(0, r, r // 3)]])
         A = csr_from_dense(mat, m)
-        f4 = psge_reduce(A, panel_width=panel_width, back_reduce=False)
-        full = psge_reduce(A, panel_width=panel_width, back_reduce=True)
+        f4 = psge_reduce(A, back_reduce=False)
+        full = psge_reduce(A, back_reduce=True)
         assert f4.rank == full.rank == dense_rank(mat, m)
         assert f4.zero_row_count == full.zero_row_count
         assert f4.pivot_cols == full.pivot_cols
@@ -286,8 +318,8 @@ def test_driver_digest_matches_back_reduced_engine(monkeypatch, family, n):
     ring, polys, desc = make_instance(family, cfg, n=n, p=65537, seed=0)
     f4_report, f4_text, _ = run_pipeline(ring, polys, cfg, desc)
 
-    def full_rref(A, panel_width=256, back_reduce=True):
-        return psge_reduce(A, panel_width, back_reduce=True)
+    def full_rref(A, back_reduce=True):
+        return psge_reduce(A, back_reduce=True)
 
     monkeypatch.setattr(groebner, "psge_reduce", full_rref)
     full_report, full_text, _ = run_pipeline(ring, polys, cfg, desc)
@@ -397,6 +429,18 @@ def test_wiedemann_rejects_a_negative_target_or_an_empty_block(max_vectors, bloc
     A = csr_from_dense(np.zeros((3, 3), dtype=np.uint64), M101)
     with pytest.raises(PreconditionError):
         wiedemann_solve(A, seed=0, max_vectors=max_vectors, block_width=block_width)
+
+
+def test_wiedemann_rejects_a_target_above_the_dimension(monkeypatch):
+    empty = CsrMatrix(3, 0, np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                      np.zeros(0, dtype=np.uint64), M7)
+    full_rank = csr_from_dense(np.array([[1, 2], [0, 1]], dtype=np.uint64), M101)
+    calls = []
+    monkeypatch.setattr(sparselin, "spmm", lambda *a: calls.append(1))
+    for A in (empty, full_rank):
+        with pytest.raises(PreconditionError, match=f"0..{A.n_cols}, got 3"):
+            wiedemann_solve(A, seed=0, max_vectors=3)
+    assert calls == []  # refused before any Krylov round
 
 
 def test_wiedemann_stops_at_the_expected_nullity():

@@ -179,6 +179,27 @@ def test_one_step_closure_adds_reducer_row():
     assert plan.counters.closure_rounds == 1
 
 
+def test_key_cap_is_checked_before_keys_are_packed(monkeypatch):
+    # the S-halves hold 4 keys and the closure row for y^2 - 1 two more: M = 6
+    basis = soa_pack([poly_parse(t, R2) for t in ("x^2 - y", "x*y - 1", "y^2 - 1")], R2)
+    packed = []
+
+    def counting_pack(exps, ring):
+        packed.append(len(exps))
+        return key_pack_vec(exps, ring)
+
+    monkeypatch.setattr(symbolic, "key_pack_vec", counting_pack)
+    monkeypatch.setattr(symbolic, "KEY_CAP", 6)
+    assert compile_batch(spoly_pair_rows(basis), basis).counters.M == 6
+    for cap, want_packed in ((5, [4]), (3, [])):
+        packed.clear()
+        monkeypatch.setattr(symbolic, "KEY_CAP", cap)
+        M = 6 if want_packed else 4
+        with pytest.raises(SizeCapError, match=f"M = {M} exceeds {cap} keys"):
+            compile_batch(spoly_pair_rows(basis), basis)
+        assert packed == want_packed  # the part over the cap is never packed
+
+
 def test_closure_expand_fixed_point_example():
     basis = two_poly_basis()
     rows = spoly_pair_rows(basis)
