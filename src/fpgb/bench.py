@@ -45,7 +45,7 @@ from .groebner import (
 )
 from .monomials import mon_divides, key_unpack_vec
 from .polynomials import poly_mul_mon, soa_polys
-from .sparselin import DENSE_CAP, csr_from_arrays, dense_rank, psge_reduce
+from .sparselin import DENSE_CAP, csr_from_arrays, dense_gauss, psge_reduce
 from .symbolic import decode_row, row_lead_cols
 from .systems import format_system, gen_cyclic, gen_katsura, gen_random_quadratic
 
@@ -113,19 +113,16 @@ def basis_digest(text: str) -> str:
 
 
 def run_pipeline(ring, polys, config: PipelineConfig, instance: dict | None = None):
-    """Run the configured engine; returns (report, basis_text, basis)."""
+    """Run F4 under ``config``; returns (report, basis_text, basis)."""
     t_start = time.monotonic_ns()
     batches = []
-    if config.engine == "f4":
 
-        def on_batch(basis_before, plan, ech, st):
-            if st.M != int(plan.row_ptr[-1]) or st.M != plan.counters.keys_emitted:
-                raise PropertyViolationError("batch M disagrees with instrumented key count")
-            batches.append({**vars(st), "timings_ns": dict(st.timings_ns)})
+    def on_batch(basis_before, plan, ech, st):
+        if st.M != int(plan.row_ptr[-1]) or st.M != plan.counters.keys_emitted:
+            raise PropertyViolationError("batch M disagrees with instrumented key count")
+        batches.append({**vars(st), "timings_ns": dict(st.timings_ns)})
 
-        basis = f4_groebner(polys, ring, config, on_batch)
-    else:
-        basis = buchberger_reference(polys, ring, config.max_steps)
+    basis = f4_groebner(polys, ring, config, on_batch)
     total_ns = time.monotonic_ns() - t_start
 
     basis_text = format_system(ring, basis)
@@ -138,13 +135,11 @@ def run_pipeline(ring, polys, config: PipelineConfig, instance: dict | None = No
         "dict_build_ns": sum(b["timings_ns"]["dict_build"] for b in batches),
         "row_assemble_ns": sum(b["timings_ns"]["row_assemble"] for b in batches),
         "numeric_core_ns": sum(b["timings_ns"]["numeric_core"] for b in batches),
+        "fill_generated": sum(b["fill_generated"] for b in batches),
     }
-    if config.engine == "f4" and config.numeric in ("psge", "wiedemann"):
-        totals["fill_generated"] = sum(b["fill_generated"] for b in batches)
     report = BenchReport(
         instance=dict(instance or {}),
         config={
-            "engine": config.engine,
             "numeric": config.numeric,
             "backend": config.backend,
             "block_width": config.block_width,
@@ -322,8 +317,16 @@ def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0)
         )
         if got.rank != full.rank or not same_rows:
             raise PropertyViolationError("F4 mode disagrees with the full RREF")
-        if max(A.n_rows, A.n_cols) <= DENSE_CAP and got.rank != dense_rank(A.to_dense(), m):
-            raise PropertyViolationError("known-pivot rank disagrees with dense_gauss")
+        if max(A.n_rows, A.n_cols) <= DENSE_CAP:
+            # back_reduce=True builds the new rows by the same steps: hold them to the oracle
+            rank, rref, pivots = dense_gauss(A.to_dense(), m)
+            lead_row = dict(zip(pivots, rref))
+            if got.rank != rank or not all(
+                c in lead_row and np.array_equal(np.flatnonzero(lead_row[c]), cols)
+                and np.array_equal(lead_row[c][cols], vals)
+                for c, cols, vals in got.nonpivot_rows
+            ):
+                raise PropertyViolationError("known-pivot engine disagrees with dense_gauss")
         t0 = time.monotonic_ns()
         got = psge_reduce(A, back_reduce=False)
         dt = time.monotonic_ns() - t0
@@ -402,7 +405,7 @@ def verify_instance(ring, polys, config: PipelineConfig):
         record_batch("closure_soundness", sound)
         # kernel syzygies via both engines, each held to the batch's nullity
         for engine, report, _ in groebner_kernel_checks(
-            plan, basis, ring.modulus, ech.rank, config.seed, shifted
+            plan, basis, ring.modulus, ech.rank, config.seed, shifted, config.block_width
         ):
             record_batch(f"kernel_syzygy_{engine}", report.ok, report.detail)
         record_batch(

@@ -41,8 +41,7 @@ EXIT_PROPERTY = 4
 
 
 def _add_config_flags(sp):
-    sp.add_argument("--engine", choices=["f4", "buchberger"], default="f4")
-    sp.add_argument("--numeric", choices=["psge", "wiedemann", "dense"], default="psge")
+    sp.add_argument("--numeric", choices=["psge", "wiedemann"], default="psge")
     sp.add_argument("--backend", choices=["naive", "barrett", "montgomery"], default="naive")
     sp.add_argument("--block-width", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)

@@ -12,7 +12,7 @@ returns and the scalar oracles' checks.
 F4 then interreduces its basis as one more batch through the same engine:
 the minimal members as rows, their tail reducers from the closure, and the
 fully back-substituted echelon form.
-``PipelineConfig`` is the one config type, validated when it is built.
+``PipelineConfig`` is the one config type, for F4 runs only, validated when it is built.
 
 The reference path is a textbook Buchberger loop (product criterion only,
 scalar normal-form reduction) that shares nothing with the batch machinery
@@ -34,6 +34,7 @@ from .errors import (
     PreconditionError,
     ProbabilisticFailureError,
     PropertyViolationError,
+    SizeCapError,
 )
 from .fp import Backend, FieldModulus
 from .monomials import (
@@ -50,12 +51,11 @@ from .polynomials import (
     soa_pack,
     soa_polys,
 )
+from . import sparselin
 from .sparselin import (
-    EchelonResult,
     KernelBasis,
     csr_from_plan,
     csr_transpose,
-    dense_gauss,
     left_kernel,
     psge_reduce,
     wiedemann_solve,
@@ -284,10 +284,9 @@ def select_batch(state: GroebnerState):
 
 @dataclass
 class PipelineConfig:
-    """Every setting of a run; checked once, when it is built."""
+    """Every setting of an F4 run; checked once, when it is built.  Oracles take none."""
 
-    engine: str = "f4"  # f4 | buchberger
-    numeric: str = "psge"  # psge | dense | wiedemann
+    numeric: str = "psge"  # psge | wiedemann (psge plus a kernel check per batch)
     backend: str = "naive"  # naive | barrett | montgomery
     block_width: int = 4
     seed: int = 0
@@ -295,9 +294,7 @@ class PipelineConfig:
     max_steps: int = MAX_STEPS_DEFAULT
 
     def __post_init__(self):
-        if self.engine not in ("f4", "buchberger"):
-            raise PreconditionError(f"unknown engine {self.engine!r}")
-        if self.numeric not in ("psge", "dense", "wiedemann"):
+        if self.numeric not in ("psge", "wiedemann"):
             raise PreconditionError(f"unknown numeric engine {self.numeric!r}")
         if self.backend not in {b.value for b in Backend}:
             raise PreconditionError(f"unknown backend {self.backend!r}")
@@ -331,19 +328,6 @@ def _harvest(state: GroebnerState, plan: LayoutPlan, rows: list) -> int:
     return len(rows)
 
 
-def _dense_echelon(plan: LayoutPlan, m: FieldModulus) -> EchelonResult:
-    """Dense-oracle stand-in for the known-pivot engine (small batches only)."""
-    A = csr_from_plan(plan, m)
-    rank, rref, pivots = dense_gauss(A.to_dense(), m)
-    orig = set(row_lead_cols(plan).tolist())
-    pivot_rows, nonpivot_rows = [], []
-    for r_i, col in enumerate(pivots):
-        cols = np.flatnonzero(rref[r_i]).astype(np.int64)
-        entry = (col, cols, rref[r_i][cols])
-        (pivot_rows if col in orig else nonpivot_rows).append(entry)
-    return EchelonResult(list(pivots), pivot_rows, nonpivot_rows, A.n_rows - rank, rank, 0)
-
-
 def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
     """One batch: select, compile, eliminate, harvest new basis polynomials.
 
@@ -357,11 +341,8 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
     plan = compile_batch(rows, state.basis, Closure.ONE_STEP_REDUCTION, ExecPolicy(config.workers))
 
     t0 = time.monotonic_ns()
-    if config.numeric == "dense":
-        ech = _dense_echelon(plan, ring.modulus)
-    else:
-        A = csr_from_plan(plan, ring.modulus)
-        ech = psge_reduce(A, back_reduce=False)
+    A = csr_from_plan(plan, ring.modulus)
+    ech = psge_reduce(A, back_reduce=False)
     numeric_ns = time.monotonic_ns() - t0
 
     kernel = None
@@ -461,8 +442,6 @@ def f4_groebner(
     elimination result and its BatchStats.
     """
     config = config or PipelineConfig()
-    if config.engine != "f4":
-        raise PreconditionError(f"f4_groebner cannot run engine {config.engine!r}")
     state = GroebnerState(ring)
     for f in system:
         if f.is_zero():
@@ -579,22 +558,28 @@ def _kernel_report(plan: LayoutPlan, basis: list, kernel: KernelBasis, nullity: 
 
 
 def groebner_kernel_checks(
-    plan: LayoutPlan, basis: list, m: FieldModulus, rank: int, seed: int = 0, shifted=None
+    plan: LayoutPlan, basis: list, m: FieldModulus, rank: int, seed=0, shifted=None, block_width=4
 ):
     """Left kernels via both engines, each recombined exactly; returns reports.
 
     ``rank`` is the batch's rank from elimination, so both engines are held
     to the nullity ``n_rows - rank``: a report passes only if it found
-    exactly that many vectors and every one recombines to zero.  Each row's
-    prebuilt ``shifted`` polynomial, when given, goes to the recombination.
+    exactly that many vectors and every one recombines to zero.  The dense
+    check is the dense oracle, so a batch above ``sparselin.DENSE_CAP``
+    raises SizeCapError before any kernel is computed; Wiedemann probes
+    ``block_width`` vectors per round.  Each row's prebuilt ``shifted``
+    polynomial, when given, goes to the recombination.
     """
     A = csr_from_plan(plan, m)
+    cap = sparselin.DENSE_CAP  # read at call time, as left_kernel does
+    if max(A.n_rows, A.n_cols) > cap:
+        raise SizeCapError(f"dense kernel check capped at {cap}, got a {A.n_rows}x{A.n_cols} batch")
     nullity = A.n_rows - rank
     reports = []
-    dense_kb = left_kernel(A, count=nullity, seed=seed)
+    dense_kb = left_kernel(A, count=nullity, seed=seed, block_width=block_width)
     reports.append(("dense", _kernel_report(plan, basis, dense_kb, nullity, shifted), dense_kb))
     try:
-        kb = wiedemann_solve(csr_transpose(A), seed, nullity)
+        kb = wiedemann_solve(csr_transpose(A), seed, nullity, block_width=block_width)
         reports.append(("wiedemann", _kernel_report(plan, basis, kb, nullity, shifted), kb))
     except ProbabilisticFailureError as exc:  # reported, never hidden
         reports.append(("wiedemann", GroebnerReport(False, str(exc)), None))

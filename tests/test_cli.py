@@ -1,9 +1,23 @@
 """CLI and pipeline surface: reports, digests, exit codes, microbench."""
 
+import os
+import subprocess
+import sys
+import time
+
+import numpy as np
 import pytest
 
+import fpgb
 from fpgb import bench
-from fpgb.bench import PipelineConfig, make_instance, microbench, run_pipeline, verify_instance
+from fpgb.bench import (
+    PipelineConfig,
+    basis_digest,
+    make_instance,
+    microbench,
+    run_pipeline,
+    verify_instance,
+)
 from fpgb.cli import main
 from fpgb.errors import (
     DivisionError,
@@ -13,17 +27,18 @@ from fpgb.errors import (
     UncoverableTargetError,
 )
 from fpgb.fp import KernelArith
-from fpgb.systems import parse_system
+from fpgb.groebner import buchberger_reference
+from fpgb.systems import format_system, gen_katsura, parse_system
 
 
 def test_run_pipeline_engines_same_digest():
-    cfg_f4 = PipelineConfig(engine="f4")
-    cfg_b = PipelineConfig(engine="buchberger")
-    ring, polys, desc = make_instance("katsura", cfg_f4, n=2, p=101, seed=0)
-    rep1, text1, _ = run_pipeline(ring, polys, cfg_f4, desc)
-    rep2, text2, _ = run_pipeline(ring, polys, cfg_b, desc)
-    assert rep1.digest == rep2.digest
+    cfg = PipelineConfig()
+    ring, polys, desc = make_instance("katsura", cfg, n=2, p=101, seed=0)
+    rep1, text1, _ = run_pipeline(ring, polys, cfg, desc)
+    text2 = format_system(ring, buchberger_reference(polys, ring))
+    assert rep1.digest == basis_digest(text2)
     assert text1 == text2
+    assert "engine" not in rep1.config
     ring2, polys2 = parse_system(text1)
     assert [f.terms for f in polys2]  # basis text round-trips through the parser
 
@@ -95,6 +110,32 @@ def test_verify_instance_reruns_only_the_other_worker_counts(monkeypatch):
     assert ("digest_worker_stability", True, "1 distinct digests") in checks
 
 
+def test_verify_passes_the_block_width_to_every_wiedemann_solve(monkeypatch):
+    from fpgb import groebner, sparselin
+
+    widths = []
+    real_solve = sparselin.wiedemann_solve
+
+    def spy(*args, **kwargs):
+        widths.append(kwargs["block_width"])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(sparselin, "wiedemann_solve", spy)
+    monkeypatch.setattr(groebner, "wiedemann_solve", spy)
+    cfg = PipelineConfig(block_width=7)
+    ring, polys, _ = make_instance("katsura", cfg, n=3, p=101, seed=0)
+    checks = verify_instance(ring, polys, cfg)
+    assert all(ok for _, ok, _ in checks)
+    assert widths and set(widths) == {7}
+
+
+def test_cli_verify_exits_3_above_the_dense_cap(monkeypatch, capsys):
+    # katsura-3/101's largest batch is wider than 20 columns
+    monkeypatch.setattr("fpgb.sparselin.DENSE_CAP", 20)
+    assert main(["verify", "--family", "katsura", "--n", "3", "--p", "101"]) == 3
+    assert "guard: dense kernel check capped at 20, got a " in capsys.readouterr().err
+
+
 def test_verify_names_the_batch_whose_kernel_came_up_short(monkeypatch):
     import fpgb.groebner
 
@@ -149,6 +190,22 @@ def test_microbench_numeric():
     assert small == {**microbench("numeric", 300, seed=5), "elapsed_ns": small["elapsed_ns"]}
     big = microbench("numeric", 1200, seed=6)  # past DENSE_CAP: checked by back_reduce only
     assert big["cols"] == 1200 and big["rank"] > 0
+
+
+def test_microbench_numeric_holds_new_rows_to_dense_gauss(monkeypatch):
+    # a wrong new row that both modes share passes the back_reduce=True
+    # comparison; only the dense oracle can catch it
+    real_reduce = bench.psge_reduce
+
+    def one_wrong_row(A, back_reduce=True):
+        ech = real_reduce(A, back_reduce)
+        c, cols, vals = ech.nonpivot_rows[0]
+        ech.nonpivot_rows[0] = (c, cols, np.roll(vals, 1))
+        return ech
+
+    monkeypatch.setattr(bench, "psge_reduce", one_wrong_row)
+    with pytest.raises(PropertyViolationError, match="known-pivot engine disagrees with dense_gauss"):
+        microbench("numeric", 300, seed=5)
 
 
 @pytest.mark.parametrize("rate", ["-1", "-0.01", "1", "1.5", "nan"])
@@ -222,8 +279,16 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    # --panel-width is no flag at all: any value is a usage error
-    "flags", [["--panel-width", "8"], ["--max-steps", "-1"]], ids=["panel-width", "max-steps"]
+    # --panel-width and --engine are no flags at all, and dense is no
+    # --numeric choice: each is a usage error
+    "flags",
+    [
+        ["--panel-width", "8"],
+        ["--max-steps", "-1"],
+        ["--engine", "buchberger"],
+        ["--numeric", "dense"],
+    ],
+    ids=["panel-width", "max-steps", "engine", "numeric-dense"],
 )
 def test_cli_rejects_bad_config_before_any_batch(monkeypatch, flags):
     def no_batch(*args, **kwargs):
@@ -231,8 +296,8 @@ def test_cli_rejects_bad_config_before_any_batch(monkeypatch, flags):
 
     monkeypatch.setattr("fpgb.cli.run_pipeline", no_batch)
     monkeypatch.setattr("fpgb.groebner.f4_step", no_batch)
-    for command in ("gb", "verify"):
-        argv = [command, "--family", "katsura", "--n", "3", "--p", "101", "--numeric", "dense"]
+    for command in ("gb", "bench", "verify"):
+        argv = [command, "--family", "katsura", "--n", "3", "--p", "101", "--numeric", "psge"]
         assert main(argv + flags) == 2
 
 
@@ -289,3 +354,34 @@ def test_cli_random_family(tmp_path):
                  "--density", "0.5", "--seed", "5", "--p", "65537",
                  "--out", str(out2)]) == 0
     assert out.read_text() == out2.read_text()
+
+
+def test_cli_exits_3_at_the_key_cap_under_an_address_space_limit(tmp_path):
+    # katsura-4/65537 under lex: a batch's keys pass symbolic.KEY_CAP, which is
+    # refused from the row lengths before the keys are built, so the run
+    # exits 3 well inside a fixed address-space limit instead of dying in
+    # a MemoryError or an OS kill
+    resource = pytest.importorskip("resource")
+    limit = 3 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    ring, polys = gen_katsura(4, 65537)
+    system = tmp_path / "katsura4-lex.sys"
+    text = format_system(ring, polys).replace("order grevlex\n", "order lex\n", 1)
+    assert "order lex\n" in text
+    system.write_text(text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fpgb.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fpgb.cli", "gb", "--input", str(system)],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=cap_address_space,
+    )
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 3, proc.stderr
+    assert "guard: batch key volume M = " in proc.stderr
+    assert "exceeds 8388608 keys" in proc.stderr
+    assert elapsed < 60

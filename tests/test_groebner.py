@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from fpgb.errors import PreconditionError, ProbabilisticFailureError
+from fpgb.errors import PreconditionError, ProbabilisticFailureError, SizeCapError
 from fpgb.fp import FieldModulus
-from fpgb import groebner, monomials, symbolic
+from fpgb import groebner, monomials, sparselin, symbolic
 from fpgb.monomials import ORDERS, Ring, mon_divides, mon_lcm, mon_mul
 from fpgb.polynomials import (
     Poly,
@@ -330,8 +330,10 @@ def test_f4_groebner_rejects_zero_input():
 
 
 def test_f4_groebner_rejects_unknown_numeric():
-    with pytest.raises(PreconditionError, match="unknown numeric engine"):
-        f4_groebner([poly_parse("x^2 - y", R2)], R2, PipelineConfig(numeric="bogus"))
+    # "dense" is the oracle dense_gauss, called by name, never an F4 numeric core
+    for numeric in ("bogus", "dense"):
+        with pytest.raises(PreconditionError, match="unknown numeric engine"):
+            f4_groebner([poly_parse("x^2 - y", R2)], R2, PipelineConfig(numeric=numeric))
 
 
 def test_pipeline_config_rejects_unknown_backend():
@@ -339,11 +341,6 @@ def test_pipeline_config_rejects_unknown_backend():
         PipelineConfig(backend="bogus")
     for backend in ("naive", "barrett", "montgomery"):
         assert PipelineConfig(backend=backend).backend == backend
-
-
-def test_f4_groebner_rejects_other_engines():
-    with pytest.raises(PreconditionError, match="cannot run engine 'buchberger'"):
-        f4_groebner([poly_parse("x^2 - y", R2)], R2, PipelineConfig(engine="buchberger"))
 
 
 def test_oracle_equivalence_toy():
@@ -366,8 +363,7 @@ def test_oracle_equivalence_cyclic4():
 def test_engine_variants_agree():
     ring, polys = gen_katsura(2, 101)
     base = gb_text(f4_groebner(polys, ring))
-    for numeric in ("dense", "wiedemann"):
-        assert gb_text(f4_groebner(polys, ring, PipelineConfig(numeric=numeric))) == base
+    assert gb_text(f4_groebner(polys, ring, PipelineConfig(numeric="wiedemann"))) == base
 
 
 def test_idempotence_on_reduced_basis():
@@ -575,6 +571,22 @@ def test_kernel_checks_sort_each_batch_matrix_once(monkeypatch):
         assert len(sorts) == 1
         nullities.append(plan.n_rows - ech.rank)
     assert 0 in nullities and max(nullities) > 0
+
+
+def test_kernel_checks_refuse_a_batch_above_the_dense_cap(monkeypatch):
+    ring, batches = katsura3_batches()
+    basis_before, plan, ech = max(batches, key=lambda t: max(t[1].n_rows, t[1].n_cols))
+    cap = max(plan.n_rows, plan.n_cols) - 1
+    monkeypatch.setattr(sparselin, "DENSE_CAP", cap)  # read at call time
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a kernel was computed above the dense cap")
+
+    monkeypatch.setattr(sparselin, "wiedemann_solve", no_solve)
+    monkeypatch.setattr(groebner, "wiedemann_solve", no_solve)
+    monkeypatch.setattr(groebner, "left_kernel", no_solve)
+    with pytest.raises(SizeCapError, match=f"capped at {cap}, got a {plan.n_rows}x{plan.n_cols} batch"):
+        groebner_kernel_checks(plan, basis_before, ring.modulus, ech.rank, seed=3)
 
 
 def test_kernel_checks_fail_both_engines_short_of_the_nullity():
