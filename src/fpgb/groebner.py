@@ -19,17 +19,24 @@ scalar normal-form reduction) that shares nothing with the batch machinery
 beyond the polynomial primitives; it interreduces with scalar normal forms
 (``reduce_basis``).  A reduced basis is canonical, so the two drivers must
 agree byte for byte, and that check covers both interreductions.
+``normal_form`` keeps its work polynomial as a dict with a max-heap of its
+monomials, so a reduction step costs the reducer's length, not the work
+polynomial's.  ``is_groebner`` skips pairs with coprime leads (the product
+criterion), which leaves its verdict unchanged.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 
 import numpy as np
 
 from .bulk import ExecPolicy
 from .errors import (
+    ArityMismatchError,
     NonterminationError,
     PreconditionError,
     ProbabilisticFailureError,
@@ -47,6 +54,7 @@ from .polynomials import (
     poly_from_dict,
     poly_monic,
     poly_mul_mon,
+    shift_fits,
     soa_concat,
     soa_pack,
     soa_polys,
@@ -95,35 +103,85 @@ def _reducer_table(basis: list) -> list:
     return [(basis[i].lm(), i) for i in order]
 
 
+def _reducer_record(g: Poly, p: int) -> tuple:
+    """What a reduction step by g reads: the inverse of its lead coefficient,
+    the exponents of every term and of the tail, the tail's coefficients,
+    and the largest exponent and degree of any term.  ``normal_form``
+    builds it the first time g reduces, once per call."""
+    exps = [e for e, _ in g.terms]
+    tail = [c for _, c in g.terms[1:]]
+    return pow(g.lc(), p - 2, p), exps, exps[1:], tail, max(map(max, exps)), max(map(sum, exps))
+
+
 def normal_form(f: Poly, basis: list) -> Poly:
     """Full remainder of f modulo the basis.
 
-    Deterministic reducer choice matches the batch compiler's closure rule;
-    no monomial of the result is divisible by any basis leading monomial.
+    Deterministic reducer choice matches the batch compiler's closure rule:
+    the work polynomial's largest monomial is reduced by the first member in
+    ``_reducer_table`` order whose lead divides it.  No monomial of the
+    result is divisible by any basis leading monomial.
+
+    The work polynomial is a dict {exponents: coefficient} with a max-heap
+    of its monomials by ``ring.sort_key``; a heap entry whose monomial has
+    left the dict is stale and skipped.  A step cancels the lead and adds
+    the scaled, shifted tail of the reducer, one dict update per tail term,
+    and pushes a monomial only when it enters the dict.  So a step costs the
+    reducer's length, not the work polynomial's.  The shift is checked once
+    per step (``shift_fits``); when it could overflow a lane, every term goes
+    through ``mon_mul``, which raises as ``poly_mul_mon`` does.
     """
     live = [g for g in basis if not g.is_zero()]
     if f.is_zero() or not live:
         return f
     ring = f.ring
     p = ring.modulus.p
+    n = len(f.lm())
+    key = ring.sort_key
     table = _reducer_table(live)
-    work = f
+    leads = [lead for lead, _ in table]
+    for b, lead in enumerate(leads):
+        if len(lead) != n:
+            del leads[b:]  # mon_divides raises when the scan reaches this member
+            break
+    records = {}
+    work = dict(f.terms)
+    heap = [(tuple(map(neg, key(e))), e) for e in work]
+    heapify(heap)
     out = []
-    while not work.is_zero():
-        lead, lc = work.terms[0]
-        hit = None
-        for lm_g, i in table:
-            if mon_divides(lm_g, lead):
-                hit = i
+    while heap:
+        lead = heappop(heap)[1]
+        c = work.pop(lead, None)
+        if c is None:
+            continue  # stale: the monomial left the dict after this entry was pushed
+        for k, lm_g in enumerate(leads):
+            if all(map(le, lm_g, lead)):
                 break
-        if hit is None:
-            out.append((lead, lc))
-            work = Poly(ring, work.terms[1:])
+        else:
+            if len(leads) < len(live):
+                raise ArityMismatchError("arity mismatch in divisibility test")
+            out.append((lead, c))
             continue
-        g = live[hit]
-        coef = lc * pow(g.lc(), p - 2, p) % p
-        shifted = poly_mul_mon(mon_div(lead, g.lm()), g)
-        work = poly_add_scaled(work, p - coef, shifted)
+        rec = records.get(k)
+        if rec is None:
+            rec = records[k] = _reducer_record(live[table[k][1]], p)
+        inv, exps, tail_exps, tail, top, deg = rec
+        t = tuple(map(sub, lead, lm_g))
+        coef = p - c * inv % p
+        if shift_fits(t, n, top, deg):
+            mons = [tuple(map(add, t, e)) for e in tail_exps]
+        else:
+            mons = [mon_mul(t, e) for e in exps][1:]
+        for m, a in zip(mons, tail):
+            v = work.get(m)
+            if v is None:
+                work[m] = coef * a % p
+                heappush(heap, (tuple(map(neg, key(m))), m))
+            else:
+                v = (v + coef * a) % p
+                if v:
+                    work[m] = v
+                else:
+                    del work[m]
     return Poly(ring, tuple(out))
 
 
@@ -459,6 +517,12 @@ def f4_groebner(
     return _interreduce(state.basis, config)
 
 
+def _coprime(u, v) -> bool:
+    """Buchberger's first criterion: the leading monomials u and v share no
+    variable, so the pair's S-polynomial reduces to zero."""
+    return mon_lcm(u, v) == tuple(map(add, u, v))
+
+
 def buchberger_reference(system: list, ring: Ring, max_steps: int = MAX_STEPS_DEFAULT) -> list:
     """Textbook pair-and-reduce oracle: product criterion only.
 
@@ -473,9 +537,9 @@ def buchberger_reference(system: list, ring: Ring, max_steps: int = MAX_STEPS_DE
 
     def push_pairs(t):
         for i in range(t):
+            if _coprime(basis[i].lm(), basis[t].lm()):
+                continue
             lcm = mon_lcm(basis[i].lm(), basis[t].lm())
-            if lcm == mon_mul(basis[i].lm(), basis[t].lm()):
-                continue  # coprime leading monomials reduce to zero
             queue.append((sum(lcm), ring.sort_key(lcm), i, t))
 
     for f in system:
@@ -503,10 +567,19 @@ class GroebnerReport:
 
 
 def is_groebner(G: list, ring: Ring) -> GroebnerReport:
-    """Buchberger criterion check: every S-polynomial reduces to zero."""
+    """Buchberger criterion check: every S-polynomial reduces to zero.
+
+    Pairs with coprime leads are skipped (the product criterion).  That
+    leaves the verdict unchanged: such a pair always has a standard
+    representation, so when G is not a Groebner basis some pair with
+    non-coprime leads has a nonzero remainder, whatever reducers are
+    chosen.  The witness is the first such pair.
+    """
     live = [g for g in G if not g.is_zero()]
     for a in range(len(live)):
         for b in range(a + 1, len(live)):
+            if _coprime(live[a].lm(), live[b].lm()):
+                continue
             r = normal_form(spoly(live[a], live[b]), live)
             if not r.is_zero():
                 return GroebnerReport(

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
 from .errors import PolyParseError, PropertyViolationError
-from .monomials import Ring, key_cmp_rows, key_pack_vec, mon_format, mon_mul
+from .monomials import (
+    _DEG_LIMIT, _EXP_LIMIT, Ring, key_cmp_rows, key_pack_vec, mon_format, mon_mul
+)
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^]))")
-_EXP_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -170,11 +172,30 @@ def poly_format(f: Poly) -> str:
     return " + ".join(parts)
 
 
+def shift_fits(t, arity: int, top: int, deg: int) -> bool:
+    """Whether shifting monomials of this arity, largest exponent ``top``
+    and largest degree ``deg`` by ``t`` keeps every product in its lanes.
+
+    When it does, no ``mon_mul`` of t by one of them can raise, so the
+    lanes are checked once per polynomial rather than once per term.
+    """
+    return len(t) == arity and max(t) + top < _EXP_LIMIT and sum(t) + deg < _DEG_LIMIT
+
+
 def poly_mul_mon(t, f: Poly) -> Poly:
-    """Shift every monomial of f by t; order and term count are preserved."""
+    """Shift every monomial of f by t; order and term count are preserved.
+
+    One ``shift_fits`` test for the whole polynomial; if it fails, each
+    term goes through ``mon_mul``, which raises at the first product that
+    overflows a lane or has the wrong arity.
+    """
     if f.is_zero():
         return f
-    shifted = tuple((mon_mul(t, e), c) for e, c in f.terms)
+    exps = [e for e, _ in f.terms]
+    if shift_fits(t, len(exps[0]), max(map(max, exps)), max(map(sum, exps))):
+        shifted = tuple((tuple(map(add, t, e)), c) for e, c in f.terms)
+    else:
+        shifted = tuple((mon_mul(t, e), c) for e, c in f.terms)
     return Poly(f.ring, shifted)
 
 

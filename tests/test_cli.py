@@ -110,6 +110,27 @@ def test_verify_instance_reruns_only_the_other_worker_counts(monkeypatch):
     assert ("digest_worker_stability", True, "1 distinct digests") in checks
 
 
+def test_verify_wiedemann_computes_each_batch_kernel_once_per_engine(monkeypatch):
+    from fpgb import groebner
+
+    calls = []
+    real_left_kernel = groebner.left_kernel
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].n_rows)
+        return real_left_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "left_kernel", spy)
+    cfg = PipelineConfig(numeric="wiedemann")
+    ring, polys, _ = make_instance("katsura", cfg, n=3, p=101, seed=0)
+    checks = verify_instance(ring, polys, cfg)
+    assert all(ok for _, ok, _ in checks)
+    batches = sum(1 for name, _, _ in checks if name == "plan_structure")
+    # f4_step's kernel check and the dense check, per batch; the 2/4/8-lane
+    # reruns compare digests only and run psge alone
+    assert batches == 4 and len(calls) == 2 * batches
+
+
 def test_verify_passes_the_block_width_to_every_wiedemann_solve(monkeypatch):
     from fpgb import groebner, sparselin
 

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from fpgb.errors import PreconditionError, ProbabilisticFailureError, SizeCapError
+from fpgb.errors import (
+    ArityMismatchError,
+    LaneOverflowError,
+    PreconditionError,
+    ProbabilisticFailureError,
+    SizeCapError,
+)
 from fpgb.fp import FieldModulus
 from fpgb import groebner, monomials, sparselin, symbolic
 from fpgb.monomials import ORDERS, Ring, mon_divides, mon_lcm, mon_mul
@@ -14,6 +20,7 @@ from fpgb.polynomials import (
     poly_format,
     poly_monic,
     poly_mul_mon,
+    poly_normalize,
     poly_parse,
     poly_scale,
     soa_pack,
@@ -78,9 +85,6 @@ def test_normal_form_examples():
 def test_normal_form_no_reducible_monomials():
     rng = np.random.default_rng(1)
     basis = [poly_parse("x^2 - y", R2), poly_parse("x*y - 1", R2)]
-    from fpgb.monomials import mon_divides
-    from fpgb.polynomials import poly_normalize
-
     for _ in range(50):
         terms = [
             (tuple(int(x) for x in rng.integers(0, 5, 2)), int(rng.integers(0, 7)))
@@ -90,6 +94,91 @@ def test_normal_form_no_reducible_monomials():
         r = normal_form(f, basis)
         for e, _ in r.terms:
             assert not any(mon_divides(g.lm(), e) for g in basis)
+
+
+def merge_loop_normal_form(f, basis):
+    """The term-list loop that normal_form replaced, kept as its oracle.
+
+    Each step shifts the whole reducer with per-term mon_mul and merges it
+    into the whole work polynomial with poly_add_scaled.
+    """
+    live = [g for g in basis if not g.is_zero()]
+    if f.is_zero() or not live:
+        return f
+    ring = f.ring
+    p = ring.modulus.p
+    table = sorted(live, key=lambda g: ring.sort_key(g.lm()))  # stable: equal leads by index
+    work, out = f, []
+    while not work.is_zero():
+        lead, lc = work.terms[0]
+        g = next((g for g in table if mon_divides(g.lm(), lead)), None)
+        if g is None:
+            out.append((lead, lc))
+            work = Poly(ring, work.terms[1:])
+            continue
+        t = tuple(a - b for a, b in zip(lead, g.lm()))
+        shifted = Poly(ring, tuple((mon_mul(t, e), c) for e, c in g.terms))
+        coef = lc * pow(g.lc(), p - 2, p) % p
+        work = poly_add_scaled(work, p - coef, shifted)
+    return Poly(ring, tuple(out))
+
+
+def test_normal_form_matches_merge_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 3),
+        order=st.sampled_from(ORDERS),
+        p=st.sampled_from([7, 65537, 2**31 - 19]),
+        data=st.data(),
+    )
+    def check(n, order, p, data):
+        ring = Ring([f"x{i}" for i in range(n)], order, FieldModulus(p))
+        mon = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+        coeff = st.integers(1, p - 1)  # leads are rarely monic
+
+        def poly(max_terms):
+            return poly_normalize(data.draw(st.lists(st.tuples(mon, coeff), max_size=max_terms)), ring)
+
+        basis = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            live = [g for g in basis if not g.is_zero()]
+            kind = data.draw(st.sampled_from(["random", "zero", "equal lead"]))
+            if kind == "zero":
+                basis.append(Poly(ring))
+            elif kind == "equal lead" and live:
+                g = data.draw(st.sampled_from(live))
+                below = [(e, c) for e, c in poly(4).terms if ring.sort_key(e) < ring.sort_key(g.lm())]
+                basis.append(Poly(ring, ((g.lm(), data.draw(coeff)),) + tuple(below)))
+            else:
+                basis.append(poly(5))
+        # a combination of shifted members cancels much of itself on the way down
+        f = poly(6)
+        for g in basis:
+            if not g.is_zero() and data.draw(st.booleans()):
+                f = poly_add_scaled(f, data.draw(coeff), poly_mul_mon(data.draw(mon), g))
+        assert normal_form(f, basis).terms == merge_loop_normal_form(f, basis).terms
+
+    check()
+
+
+def test_normal_form_lane_boundary():
+    # lex: x leads x + y^40000, so reducing x*y^k shifts the tail to y^(40000+k)
+    rl = Ring(["x", "y"], "lex", M7)
+    g = poly_parse("x + y^40000", rl)
+    assert normal_form(poly_parse("x*y^25535", rl), [g]).terms == (((0, 65535), 6),)
+    with pytest.raises(LaneOverflowError):
+        normal_form(poly_parse("x*y^25536", rl), [g])
+    # the shift's largest exponent plus g's reaches 2^16, but no product does:
+    # every term goes through mon_mul, which succeeds
+    r3 = Ring(["x", "y", "z"], "lex", M7)
+    f, g = poly_parse("x*y^30000", r3), poly_parse("x + z^40000", r3)
+    assert normal_form(f, [g]).terms == (((0, 30000, 40000), 6),)
+    # a member of another arity raises when the divisor scan reaches it
+    with pytest.raises(ArityMismatchError):
+        normal_form(poly_parse("x*y", R2), [poly_parse("x*y*z", r3)])
 
 
 def test_update_pairs_product_criterion():
@@ -395,6 +484,57 @@ def test_is_groebner_witness():
     rep = is_groebner([f, g], R2)
     assert not rep.ok and rep.witness == (0, 1)
     assert is_groebner([f], R2).ok  # singleton: no pairs
+
+
+def all_pairs_is_groebner(G):
+    """The verdict with every pair reduced, product criterion or not."""
+    live = [g for g in G if not g.is_zero()]
+    return all(
+        normal_form(spoly(live[a], live[b]), live).is_zero()
+        for a in range(len(live))
+        for b in range(a + 1, len(live))
+    )
+
+
+def test_is_groebner_product_criterion_keeps_the_verdict():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(n=st.integers(1, 3), order=st.sampled_from(ORDERS), data=st.data())
+    def check(n, order, data):
+        ring = Ring([f"x{i}" for i in range(n)], order, M7)
+        mon = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+        term = st.tuples(mon, st.integers(1, 6))
+        G = [poly_normalize(data.draw(st.lists(term, min_size=1, max_size=3)), ring)
+             for _ in range(data.draw(st.integers(1, 4)))]
+        if data.draw(st.booleans()) and not any(g.is_zero() for g in G):
+            G = f4_groebner(G, ring)  # a Groebner basis, with coprime leads common
+        rep = is_groebner(G, ring)
+        assert rep.ok == all_pairs_is_groebner(G)
+        if not rep.ok:
+            live = [g for g in G if not g.is_zero()]
+            a, b = rep.witness
+            assert any(min(u, v) for u, v in zip(live[a].lm(), live[b].lm()))
+            assert not normal_form(spoly(live[a], live[b]), live).is_zero()
+
+    check()
+
+
+def test_is_groebner_reduces_only_non_coprime_pairs(monkeypatch):
+    ring, polys = gen_katsura(4, 65537)
+    G = f4_groebner(polys, ring)
+    calls = []
+    real_normal_form = groebner.normal_form
+
+    def spy(f, basis):
+        calls.append(f)
+        return real_normal_form(f, basis)
+
+    monkeypatch.setattr(groebner, "normal_form", spy)
+    assert is_groebner(G, ring).ok
+    # 13 members make 78 pairs; 41 have leads that share a variable
+    assert len(G) == 13 and len(calls) == 41
 
 
 def test_reduce_basis_canonical():

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from fpgb.errors import PolyParseError, PropertyViolationError
+from fpgb.errors import ArityMismatchError, LaneOverflowError, PolyParseError, PropertyViolationError
 from fpgb.fp import FieldModulus
-from fpgb.monomials import Ring
+from fpgb.monomials import Ring, mon_mul
 from fpgb.polynomials import (
     Poly,
     SoaPolySet,
@@ -94,6 +94,28 @@ def test_mul_mon_preserves_length():
         f = rand_poly(rng, R2)
         t = tuple(int(x) for x in rng.integers(0, 4, 2))
         assert len(poly_mul_mon(t, f)) == len(f)
+
+
+def test_mul_mon_matches_per_term_shift():
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        f = rand_poly(rng, R2)
+        t = tuple(int(x) for x in rng.integers(0, 4, 2))
+        assert poly_mul_mon(t, f).terms == tuple((mon_mul(t, e), c) for e, c in f.terms)
+
+
+def test_mul_mon_lane_boundary():
+    f = poly_parse("x^65000 + y", R2)
+    assert poly_mul_mon((535, 0), f).terms == (((65535, 0), 1), ((535, 1), 1))
+    with pytest.raises(LaneOverflowError):
+        poly_mul_mon((536, 0), f)
+    # the shift's largest exponent plus f's reaches 2^16, but no product
+    # does: every term goes through mon_mul, which succeeds
+    assert poly_mul_mon((0, 600), f).terms == (((65000, 600), 1), ((0, 601), 1))
+    with pytest.raises(ArityMismatchError):
+        poly_mul_mon((1,), f)
+    with pytest.raises(ArityMismatchError):
+        poly_mul_mon((0, 0, 1), f)
 
 
 def test_add_scaled_examples():
