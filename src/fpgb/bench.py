@@ -231,6 +231,28 @@ def _synth_batch(rng, n_cols: int, m: FieldModulus):
     return csr_from_arrays(len(rows), n_cols, row_ptr, col_ind, val, m)
 
 
+def _check_numeric(A, m: FieldModulus):
+    """Hold psge_reduce's F4 mode to back_reduce=True and, within DENSE_CAP, to dense_gauss."""
+    got = psge_reduce(A, back_reduce=False)
+    full = psge_reduce(A, back_reduce=True)
+    same_rows = len(got.nonpivot_rows) == len(full.nonpivot_rows) and all(
+        a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+        for a, b in zip(got.nonpivot_rows, full.nonpivot_rows)
+    )
+    if got.rank != full.rank or not same_rows:
+        raise PropertyViolationError("F4 mode disagrees with the full RREF")
+    if max(A.n_rows, A.n_cols) <= DENSE_CAP:
+        # back_reduce=True builds the new rows by the same steps: hold them to the oracle
+        rank, rref, pivots = dense_gauss(A.to_dense(), m)
+        lead_row = dict(zip(pivots, rref))
+        if got.rank != rank or not all(
+            c in lead_row and np.array_equal(np.flatnonzero(lead_row[c]), cols)
+            and np.array_equal(lead_row[c][cols], vals)
+            for c, cols, vals in got.nonpivot_rows
+        ):
+            raise PropertyViolationError("known-pivot engine disagrees with dense_gauss")
+
+
 def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0) -> dict:
     """Time one isolated primitive on synthetic input, after checking it.
 
@@ -307,37 +329,25 @@ def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0)
             out[f"updates_per_s.{backend.value}"] = size / max(dt, 1) * 1e9
             out[f"elapsed_ns.{backend.value}"] = dt
     elif kind == "numeric":
-        m = FieldModulus(65537)
-        A = _synth_batch(rng, size, m)
-        got = psge_reduce(A, back_reduce=False)
-        full = psge_reduce(A, back_reduce=True)
-        same_rows = len(got.nonpivot_rows) == len(full.nonpivot_rows) and all(
-            a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
-            for a, b in zip(got.nonpivot_rows, full.nonpivot_rows)
-        )
-        if got.rank != full.rank or not same_rows:
-            raise PropertyViolationError("F4 mode disagrees with the full RREF")
-        if max(A.n_rows, A.n_cols) <= DENSE_CAP:
-            # back_reduce=True builds the new rows by the same steps: hold them to the oracle
-            rank, rref, pivots = dense_gauss(A.to_dense(), m)
-            lead_row = dict(zip(pivots, rref))
-            if got.rank != rank or not all(
-                c in lead_row and np.array_equal(np.flatnonzero(lead_row[c]), cols)
-                and np.array_equal(lead_row[c][cols], vals)
-                for c, cols, vals in got.nonpivot_rows
-            ):
-                raise PropertyViolationError("known-pivot engine disagrees with dense_gauss")
-        t0 = time.monotonic_ns()
-        got = psge_reduce(A, back_reduce=False)
-        dt = time.monotonic_ns() - t0
-        out.update(
-            rows=A.n_rows,
-            cols=A.n_cols,
-            nnz=A.nnz(),
-            rank=got.rank,
-            fill_generated=got.fill_generated,
-            elapsed_ns=dt,
-        )
+        # 65537 takes psge's level sweep, the 31-bit prime its column loop
+        for p in (65537, 2147483629):
+            m = FieldModulus(p)
+            A = _synth_batch(np.random.default_rng(seed), size, m)
+            _check_numeric(A, m)
+            t0 = time.monotonic_ns()
+            got = psge_reduce(A, back_reduce=False)
+            dt = time.monotonic_ns() - t0
+            if p == 65537:
+                out.update(
+                    rows=A.n_rows,
+                    cols=A.n_cols,
+                    nnz=A.nnz(),
+                    rank=got.rank,
+                    fill_generated=got.fill_generated,
+                    elapsed_ns=dt,
+                )
+            else:
+                out[f"elapsed_ns.{p}"] = dt
     else:
         raise PreconditionError(f"unknown microbench kind {kind!r}")
     return out

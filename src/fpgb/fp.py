@@ -19,6 +19,7 @@ is chosen so the running sum never overflows 64 bits.
 from __future__ import annotations
 
 import enum
+import itertools
 
 import numpy as np
 
@@ -250,3 +251,25 @@ class KernelArith:
             r = pow(int(std), self.m.p - 2, self.m.p)
             return int(mont_enter_vec(np.uint64(r), self.m))
         return pow(int(x), self.m.p - 2, self.m.p)
+
+    def inv_vec(self, x: np.ndarray) -> np.ndarray:
+        """In-domain inverses of in-domain values, by Montgomery's batch inversion.
+
+        One ``pow`` for the whole vector: the inverse of the product of all
+        values, unwound through the prefix products.  A zero raises in every
+        backend.
+        """
+        std = self.leave(np.asarray(x, dtype=np.uint64)).tolist()
+        if 0 in std:
+            raise NonInvertibleError("zero is not invertible")
+        if not std:
+            return np.zeros(0, dtype=np.uint64)
+        p = self.m.p
+        prefix = list(itertools.accumulate(std, lambda a, b: a * b % p))
+        inv = pow(prefix[-1], p - 2, p)
+        out = [0] * len(std)
+        for i in range(len(std) - 1, 0, -1):
+            out[i] = inv * prefix[i - 1] % p
+            inv = inv * std[i] % p
+        out[0] = inv
+        return self.enter(np.array(out, dtype=np.uint64))

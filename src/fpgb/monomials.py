@@ -106,30 +106,6 @@ def _check_arity(u: Monomial, ring: Ring):
         raise ArityMismatchError(f"expected {ring.n_vars} exponents, got {len(u)}")
 
 
-def mon_compare(u: Monomial, v: Monomial, ring: Ring) -> int:
-    """Direct term-order comparison: -1 if u < v, 0 if equal, +1 if u > v.
-
-    This is the reference rule the packed keys are tested against; it does
-    not go through the key encoding.
-    """
-    _check_arity(u, ring)
-    _check_arity(v, ring)
-    if ring.graded:
-        du, dv = sum(u), sum(v)
-        if du != dv:
-            return -1 if du < dv else 1
-    if ring.order == "grevlex":
-        for i in range(ring.n_vars - 1, -1, -1):
-            if u[i] != v[i]:
-                # the monomial with the smaller rightmost differing exponent wins
-                return 1 if u[i] < v[i] else -1
-        return 0
-    for i in range(ring.n_vars):
-        if u[i] != v[i]:
-            return -1 if u[i] < v[i] else 1
-    return 0
-
-
 def _tie_lanes(exps: np.ndarray, ring: Ring) -> np.ndarray:
     if ring.order == "grevlex":
         return _EXP_MASK - exps[:, ::-1]

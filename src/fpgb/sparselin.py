@@ -8,7 +8,11 @@ them:
   other row has the known pivot columns swept out on its own, and the swept
   remainder is brought to reduced row echelon form (RREF) as one dense block
   by its own Gauss-Jordan code, every block within ``BLOCK_BYTES``.
-  ``back_reduce=True`` also back-substitutes the known pivots: the whole RREF;
+  ``back_reduce=True`` also back-substitutes the known pivots: the whole RREF.
+  The sweeps run one dependency level of pivots at a time, as float64
+  products through BLAS with one reduction at the end, while
+  (pivots) (p-1)^2 + p < 2^53 keeps every partial sum exact; above that
+  bound (31-bit primes) they visit the pivot columns one at a time;
 - ``dense_gauss``: the brute-force oracle (size-capped) used to cross-check
   ranks, row spaces, and null spaces;
 - ``wiedemann_solve``: black-box right-kernel extraction from Krylov
@@ -284,37 +288,242 @@ class EchelonResult:
     fill_generated: int
 
 
-def _addmod(a: np.ndarray, b: np.ndarray, p: np.uint64) -> np.ndarray:
-    s = a + b
-    return np.where(s >= p, s - p, s)
+def _ptr(lens: np.ndarray) -> np.ndarray:
+    """CSR pointers of rows of the given lengths: ``exclusive_scan`` without its input checks."""
+    out = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=out[1:])
+    return out
 
 
-def _sweep(B, pivot_cols, pivots, ar):
-    """Zero every pivot column of the dense block B in place.
+def _entry_positions(row_ptr: np.ndarray, rows: np.ndarray):
+    """Positions of the entries of the given CSR rows, row by row, and the row lengths."""
+    starts = row_ptr[rows]
+    lens = row_ptr[rows + 1] - starts
+    ptr = _ptr(lens)
+    return np.repeat(starts - ptr[:-1], lens) + np.arange(ptr[-1]), lens
 
-    Pivot columns are visited in ascending order; each pivot row is monic
-    and leads at its column, so an update never touches a column already
-    visited.  Only columns that hold a nonzero or that some update reached
-    are inspected.
+
+@dataclass
+class _Pivots:
+    """Monic pivot rows as CSR arrays, values in the working domain.
+
+    Row i leads at ``leads[i]``: its first entry, of value 1.
+    """
+
+    leads: np.ndarray
+    ptr: np.ndarray
+    ind: np.ndarray
+    val: np.ndarray
+
+    @staticmethod
+    def of_rows(row_ptr, col_ind, val, rows):
+        at, lens = _entry_positions(row_ptr, rows)
+        ptr = _ptr(lens)
+        ind = col_ind[at]
+        return _Pivots(ind[ptr[:-1]], ptr, ind, val[at])
+
+    @staticmethod
+    def empty():
+        z = np.zeros(0, dtype=np.int64)
+        return _Pivots(z, np.zeros(1, dtype=np.int64), z, np.zeros(0, dtype=np.uint64))
+
+    @staticmethod
+    def concat(a, b):
+        return _Pivots(
+            np.concatenate([a.leads, b.leads]),
+            np.concatenate([a.ptr[:-1], b.ptr + a.ptr[-1]]),
+            np.concatenate([a.ind, b.ind]),
+            np.concatenate([a.val, b.val]),
+        )
+
+    def rows(self, leave=lambda v: v):
+        """[(lead, cols, values)], one per row; ``leave`` maps the values first."""
+        val = leave(self.val)
+        bounds = zip(self.leads.tolist(), self.ptr[:-1].tolist(), self.ptr[1:].tolist())
+        return [(c, self.ind[s:e], val[s:e]) for c, s, e in bounds]
+
+
+def _float_exact(n_pivots: int, p: int) -> bool:
+    """Whether a level sweep by ``n_pivots`` pivots is exact in float64.
+
+    A swept entry starts in [0, p) and loses at most one product of two
+    residues per pivot, so every partial sum a level's product or
+    subtraction forms is an integer of magnitude at most n_pivots (p-1)^2.
+    float64 holds every integer up to 2^53 exactly, and ``_mod_exact``
+    needs p more of headroom.
+    """
+    return n_pivots * (p - 1) ** 2 + p < 1 << 53
+
+
+def _levels(piv: _Pivots, n_cols: int) -> list:
+    """The pivots grouped by dependency level, as index arrays.
+
+    Pivot k depends on pivot j when row j has an entry in column
+    ``leads[k]``: sweeping column ``leads[j]`` can create an entry there.
+    Level 0 holds the pivots no other row touches; each later level, the
+    pivots all of whose dependencies lie on earlier levels (Kahn's
+    algorithm, one frontier per level).  No row of a level has an entry in
+    another column of the same level.
+    """
+    n = len(piv.leads)
+    at = np.full(n_cols, -1, dtype=np.int64)
+    at[piv.leads] = np.arange(n)
+    dst = at[piv.ind]
+    src = np.repeat(np.arange(n), np.diff(piv.ptr))
+    edge = (dst >= 0) & (dst != src)
+    src, dst = src[edge], dst[edge]
+    out_deg = np.bincount(src, minlength=n)
+    out_start = np.cumsum(out_deg) - out_deg
+    indeg = np.bincount(dst, minlength=n)
+    levels = []
+    frontier = (indeg == 0).nonzero()[0]
+    while len(frontier):
+        levels.append(frontier)
+        # the out-edges of the frontier, each pivot's a contiguous run of dst
+        lens = out_deg[frontier]
+        ends = np.cumsum(lens)
+        at = np.repeat(out_start[frontier] - ends + lens, lens) + np.arange(ends[-1])
+        freed = np.bincount(dst[at], minlength=n)
+        indeg -= freed
+        frontier = ((indeg == 0) & (freed > 0)).nonzero()[0]
+    return levels
+
+
+def _sweep_columns(B, rows: list, ar):
+    """Zero every pivot column of the uint64 block B in place, one column at a time.
+
+    ``rows`` are the pivot rows (lead, cols, values) ascending by lead, so
+    an update never touches a column already visited: each pivot row is
+    monic and leads at its column.  Only columns that hold a nonzero or
+    that some update reached are inspected.
     """
     p = ar.m._p_u64
     queued = B.any(axis=0)
-    for c in pivot_cols:
+    for c, pc, pv in rows:
         if not queued[c]:
             continue
         col = B[:, c]
-        nz = np.flatnonzero(col)
+        nz = col.nonzero()[0]
         if len(nz) == 0:
             continue
-        pc, pv = pivots[c]
         coef = p - col[nz]
+        # a residue plus one lazy product stays within every backend's reduce_acc input
         if len(nz) == 1:
             r = int(nz[0])
-            B[r, pc] = _addmod(B[r, pc], ar.mul(pv, coef[0]), p)
+            B[r, pc] = ar.reduce_acc(B[r, pc] + ar.mul_lazy(pv, coef[0]))
         else:
-            ix = np.ix_(nz, pc)
-            B[ix] = _addmod(B[ix], ar.mul(coef[:, None], pv[None, :]), p)
+            ix = (nz[:, None], pc)
+            B[ix] = ar.reduce_acc(B[ix] + ar.mul_lazy(coef[:, None], pv))
         queued[pc] = True
+
+
+@dataclass
+class _Part:
+    """One level of a sweep schedule, or one part of a level too wide for BLOCK_BYTES.
+
+    P, once built, is ``shape`` float64 zeros with ``val`` at the flat
+    positions ``pos``: the part's pivot rows less their leads, in the
+    standard domain, on the columns ``support`` they touch.
+    """
+
+    leads: np.ndarray
+    support: np.ndarray
+    shape: tuple
+    pos: np.ndarray
+    val: np.ndarray
+
+
+def _schedule(piv: _Pivots, levels: list, n_cols: int, ar) -> list:
+    """The levels as ``_Part``s, each P within BLOCK_BYTES, from a few numpy calls.
+
+    A part holds at most ``_chunk_rows(n_cols)`` pivots, so its P, of at
+    most n_cols columns, fits.  Splitting a level changes nothing: no row of
+    a level has an entry in another column of it.
+    """
+    step = _chunk_rows(n_cols)
+    parts = [lv[k : k + step] for lv in levels for k in range(0, len(lv), step)]
+    if not parts:
+        return []
+    heights = np.array([len(x) for x in parts], dtype=np.int64)
+    members = np.concatenate(parts)
+    at, lens = _entry_positions(piv.ptr, members)
+    # each row less its lead, its first entry
+    at, lens = at[at != np.repeat(piv.ptr[members], lens)], lens - 1
+    part_of = np.repeat(np.repeat(np.arange(len(parts)), heights), lens)
+    row_of = np.repeat(np.arange(len(members)) - np.repeat(_ptr(heights)[:-1], heights), lens)
+    # the columns each part touches: distinct (part, column) pairs
+    keys, col_of = np.unique(part_of * n_cols + piv.ind[at], return_inverse=True)
+    sup_ptr = _ptr(np.bincount(keys // n_cols, minlength=len(parts)))
+    widths = np.diff(sup_ptr)
+    col_of -= sup_ptr[part_of]
+    pos = row_of * widths[part_of] + col_of
+    val = ar.leave(piv.val[at]).astype(np.float64)
+    ent_ptr = _ptr(np.bincount(part_of, minlength=len(parts))).tolist()
+    sup_ptr = sup_ptr.tolist()
+    support = keys % n_cols
+    return [
+        _Part(piv.leads[part], support[sup_ptr[i] : sup_ptr[i + 1]], (len(part), sup_ptr[i + 1] - sup_ptr[i]),
+              pos[ent_ptr[i] : ent_ptr[i + 1]], val[ent_ptr[i] : ent_ptr[i + 1]])
+        for i, part in enumerate(parts)
+    ]
+
+
+def _mod_exact(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for float64 integers with |x| + p <= 2^53.
+
+    The rounded quotient is within 2/p of x/p, so its floor q is off by at
+    most one.  Then |q p| <= |x| + p, so q p and x - q p are exact, the
+    latter in [-p, 2p), and one correction each way brings it to [0, p).
+    Several times faster than ``np.mod``, which divides exactly.
+    """
+    q = np.floor(x * (1.0 / p))
+    q *= p
+    x -= q
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
+    return x
+
+
+def _sweep_levels(B, schedule: list, p: int):
+    """Zero every pivot column of the float64 block B in place, one level at a time.
+
+    Per level: X is the block's entries in the level's columns, mod p, and
+    B -= X P.  P is in the standard domain, so X P is in B's working
+    domain, and the level's columns end zero.  Partial sums stay exact
+    integers under ``_float_exact``; one reduction at the end finishes B.
+    B is column-major, so each gather and update moves whole columns.
+    """
+    for part in schedule:
+        X = B[:, part.leads]
+        if not X.any():
+            continue
+        P = np.zeros(part.shape)
+        P.flat[part.pos] = part.val
+        B[:, part.leads] = 0
+        B[:, part.support] -= _mod_exact(X, p) @ P
+    _mod_exact(B, p)
+
+
+def _sweep_plan(piv: _Pivots, levels, n_cols: int, ar):
+    """How blocks are swept by the pivots: the block dtype and the plan.
+
+    With ``levels``, float64 blocks and the level schedule; without, uint64
+    blocks and the column loop over the pivot rows in ascending lead order.
+    """
+    if levels is None:
+        return np.uint64, sorted(piv.rows(), key=lambda row: row[0])
+    return np.float64, _schedule(piv, levels, n_cols, ar)
+
+
+def _sweep(B, plan: list, ar):
+    """Zero every pivot column of the block B in place, by its ``_sweep_plan``.
+
+    B ends reduced, in the working domain.
+    """
+    if B.dtype == np.uint64:
+        _sweep_columns(B, plan, ar)
+    else:
+        _sweep_levels(B, plan, ar.m.p)
 
 
 def _gauss_jordan(R, ar):
@@ -326,7 +535,7 @@ def _gauss_jordan(R, ar):
     alive = np.ones(R.shape[0], dtype=bool)
     found = []
     for j in range(R.shape[1]):
-        nz = np.flatnonzero(R[:, j])
+        nz = R[:, j].nonzero()[0]
         cand = nz[alive[nz]]
         if len(cand) == 0:
             continue
@@ -337,27 +546,24 @@ def _gauss_jordan(R, ar):
         others = nz[nz != r]
         if len(others):
             coef = p - R[others, j]
-            R[others, j:] = _addmod(R[others, j:], ar.mul(coef[:, None], R[r, j:][None, :]), p)
+            R[others, j:] = ar.reduce_acc(R[others, j:] + ar.mul_lazy(coef[:, None], R[r, j:]))
         found.append((j, r))
         if not alive.any():
             break
     return found
 
 
-def _entry_positions(A: CsrMatrix, rows: np.ndarray):
-    """Positions of the entries of the given rows in A's arrays, row by row."""
-    lens = A.row_ptr[rows + 1] - A.row_ptr[rows]
-    offsets = np.repeat(A.row_ptr[rows] - exclusive_scan(lens)[:-1], lens)
-    return offsets + np.arange(int(lens.sum()), dtype=np.int64), lens
+def _dense_block(row_ptr, col_ind, val, rows, n_cols: int, dtype):
+    """The given CSR rows as a dense block; also each entry's block row and column.
 
-
-def _dense_block(A: CsrMatrix, rows: np.ndarray, vals: np.ndarray):
-    """Rows of A (values already in the working domain) as a dense block."""
-    at, lens = _entry_positions(A, rows)
+    A float64 block, which the level sweep works on column by column, is
+    column-major.
+    """
+    at, lens = _entry_positions(row_ptr, rows)
     local = np.repeat(np.arange(len(rows)), lens)
-    B = np.zeros((len(rows), A.n_cols), dtype=np.uint64)
-    B[local, A.col_ind[at]] = vals[at]
-    return B, local, A.col_ind[at]
+    B = np.zeros((len(rows), n_cols), dtype=dtype, order="F" if dtype == np.float64 else "C")
+    B[local, col_ind[at]] = val[at]
+    return B, local, col_ind[at]
 
 
 def _chunk_rows(n_cols: int) -> int:
@@ -367,11 +573,22 @@ def _chunk_rows(n_cols: int) -> int:
     return BLOCK_BYTES // (8 * max(n_cols, 1))
 
 
+def _block_entries(B, first_row: int = 0):
+    """Row, column and uint64 value of every nonzero of B, row-major."""
+    if B.flags.c_contiguous:
+        r, c = np.nonzero(B)
+    else:
+        c, r = np.nonzero(B.T)
+        order = np.argsort(r, kind="stable")
+        r, c = r[order], c[order]
+    return r + first_row, c, B[r, c].astype(np.uint64, copy=False)
+
+
 def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     """Known-pivot elimination of an F4 batch matrix (Faugere-Lachartre).
 
     Known pivots: per distinct input leading column, the row with the fewest
-    nonzeros (lowest index on ties), made monic.
+    nonzeros (lowest index on ties), made monic by one batch inversion.
 
     1. Sweep: every other row loses every known pivot column, independently
        of the rest, so the chunk size changes no output.  The entries this
@@ -382,10 +599,21 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     3. Back-substitution, with ``back_reduce=True`` only: each known pivot
        row loses every other pivot column, for the full RREF.
 
-    Every dense block fits in ``BLOCK_BYTES`` or is refused (SizeCapError)
-    before it is allocated.
+    Sweeps 1 and 3 run by dependency level (``_levels``, computed once per
+    batch): all pivot columns of a level are cleared at once by one float64
+    product B -= X P through BLAS, with one mod p at the end.  That is exact
+    while K (p-1)^2 + p < 2^53 for the K pivots of the sweep
+    (``_float_exact``): at p = 65537 up to 2^21 pivots, and for every small
+    prime.  Above it, which means the 31-bit primes, the sweep visits the
+    pivot columns one at a time in uint64.  A swept row is unique, so both
+    schedules give the same bytes.
+
+    Every dense block, float64 or uint64, and every level's P fits in
+    ``BLOCK_BYTES`` (a level is swept in parts when its P would not) or is
+    refused with SizeCapError before it is allocated.
     """
     ar = KernelArith(A.modulus)
+    p = A.modulus.p
     chunk = _chunk_rows(A.n_cols)
     vals = ar.enter(A.val)
     lens = np.diff(A.row_ptr)
@@ -394,28 +622,25 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     order = np.lexsort((live, lens[live], leads))
     first = np.ones(len(order), dtype=bool)
     first[1:] = leads[order][1:] != leads[order][:-1]
-    known_rows = live[order[first]]
-    known_cols = leads[order[first]].tolist()
     rest = np.sort(live[order[~first]])
 
-    # monic known pivots, as views into one scaled copy of their entries
-    at, known_lens = _entry_positions(A, known_rows)
-    invs = [ar.inv(x) for x in vals[A.row_ptr[known_rows]].tolist()]
-    scaled = vals.copy()
-    scaled[at] = ar.mul(vals[at], np.repeat(np.array(invs, dtype=np.uint64), known_lens))
-    bounds = zip(known_cols, A.row_ptr[known_rows].tolist(), A.row_ptr[known_rows + 1].tolist())
-    pivots = {c: (A.col_ind[s:e], scaled[s:e]) for c, s, e in bounds}
+    # monic known pivots, ascending by lead
+    known = _Pivots.of_rows(A.row_ptr, A.col_ind, vals, live[order[first]])
+    invs = ar.inv_vec(known.val[known.ptr[:-1]])
+    known.val = ar.mul(known.val, np.repeat(invs, np.diff(known.ptr)))
+    levels = _levels(known, A.n_cols) if _float_exact(len(known.leads), p) else None
+    dtype, plan = _sweep_plan(known, levels, A.n_cols, ar)
 
     # 1. sweep each chunk of remainder rows by the known pivots alone
     fill, swept = 0, []
     for k in range(0, len(rest), chunk):
-        B, local, cols = _dense_block(A, rest[k : k + chunk], vals)
-        _sweep(B, known_cols, pivots, ar)
-        r, c = np.nonzero(B)
-        fill += len(r) - int(np.count_nonzero(B[local, cols]))
-        swept.append((r + k, c, B[r, c]))
+        B, local, cols = _dense_block(A.row_ptr, A.col_ind, vals, rest[k : k + chunk], A.n_cols, dtype)
+        _sweep(B, plan, ar)
+        swept.append(_block_entries(B, k))
+        fill += len(swept[-1][0]) - int(np.count_nonzero(B[local, cols]))
 
     # 2. one RREF of the nonzero swept rows on the columns they still touch
+    new = _Pivots.empty()
     if swept:
         rows, cols, sv = (np.concatenate(x) for x in zip(*swept))
         live_rows, at_row = np.unique(rows, return_inverse=True)
@@ -425,33 +650,38 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
             raise SizeCapError(f"remainder block {shape[0]} x {shape[1]} exceeds {BLOCK_BYTES} bytes")
         R = np.zeros(shape, dtype=np.uint64)
         R[at_row, at_col] = sv
-        for j, r in _gauss_jordan(R, ar):
-            nz = np.flatnonzero(R[r])
-            pivots[int(support[j])] = (support[nz], R[r, nz])
-    pivot_cols = sorted(pivots)
+        found = np.array(_gauss_jordan(R, ar), dtype=np.int64).reshape(-1, 2)
+        r, c, v = _block_entries(R[found[:, 1]])
+        new = _Pivots(support[found[:, 0]], _ptr(np.bincount(r, minlength=len(found))), support[c], v)
 
     # 3. each known pivot row, its lead set aside, loses every other pivot column
-    for k in range(0, len(known_cols) if back_reduce else 0, chunk):
-        own = known_cols[k : k + chunk]
-        B = _dense_block(A, known_rows[k : k + chunk], scaled)[0]
-        lead = (np.arange(len(own)), own)
-        one, B[lead] = B[lead], 0
-        _sweep(B, pivot_cols, pivots, ar)
-        B[lead] = one
-        for r, c in enumerate(own):
-            nz = np.flatnonzero(B[r])
-            pivots[c] = (nz, B[r, nz])
+    if back_reduce and len(known.leads):
+        every = _Pivots.concat(known, new)
+        n_known = len(known.leads)
+        if not _float_exact(len(every.leads), p):
+            levels = None
+        elif levels is not None:
+            # a new row has no entry in another pivot column: its level comes last
+            levels = levels + [np.arange(n_known, len(every.leads))]
+        dtype, plan = _sweep_plan(every, levels, A.n_cols, ar)
+        done = []
+        for k in range(0, n_known, chunk):
+            part = np.arange(k, min(k + chunk, n_known))
+            B = _dense_block(known.ptr, known.ind, known.val, part, A.n_cols, dtype)[0]
+            lead = (np.arange(len(part)), known.leads[part])
+            one, B[lead] = B[lead], 0
+            _sweep(B, plan, ar)
+            B[lead] = one
+            done.append(_block_entries(B, k))
+        r, c, v = (np.concatenate(x) for x in zip(*done))
+        known = _Pivots(known.leads, _ptr(np.bincount(r, minlength=n_known)), c, v)
 
-    known = set(known_cols)
-    pivot_rows, nonpivot_rows = [], []
-    for c in pivot_cols:
-        pc, pv = pivots[c]
-        (pivot_rows if c in known else nonpivot_rows).append((c, pc, ar.leave(pv)))
+    pivot_cols = sorted(known.leads.tolist() + new.leads.tolist())
     rank = len(pivot_cols)
     return EchelonResult(
         pivot_cols=pivot_cols,
-        pivot_rows=pivot_rows,
-        nonpivot_rows=nonpivot_rows,
+        pivot_rows=known.rows(ar.leave),
+        nonpivot_rows=new.rows(ar.leave),
         zero_row_count=A.n_rows - rank,
         rank=rank,
         fill_generated=fill,

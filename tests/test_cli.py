@@ -208,9 +208,12 @@ def test_microbench_numeric():
     small = microbench("numeric", 300, seed=5)  # within DENSE_CAP: also checked by dense_gauss
     assert small["rows"] > small["rank"] > 0
     assert small["fill_generated"] > 0 and small["elapsed_ns"] > 0
-    assert small == {**microbench("numeric", 300, seed=5), "elapsed_ns": small["elapsed_ns"]}
+    # the same seeded batch at a 31-bit prime times the column loop
+    assert small["elapsed_ns.2147483629"] > 0
+    times = ("elapsed_ns", "elapsed_ns.2147483629")
+    assert small == {**microbench("numeric", 300, seed=5), **{k: small[k] for k in times}}
     big = microbench("numeric", 1200, seed=6)  # past DENSE_CAP: checked by back_reduce only
-    assert big["cols"] == 1200 and big["rank"] > 0
+    assert big["cols"] == 1200 and big["rank"] > 0 and big["elapsed_ns.2147483629"] > 0
 
 
 def test_microbench_numeric_holds_new_rows_to_dense_gauss(monkeypatch):

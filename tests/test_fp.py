@@ -141,3 +141,18 @@ def test_kernel_arith_inverse_all_backends():
         assert sorted(invs) == list(range(1, 251))
         with pytest.raises(NonInvertibleError):
             ar.inv(0)
+
+
+def test_batch_inversion_matches_one_pow_per_value():
+    rng = np.random.default_rng(6)
+    for backend in Backend:
+        for p in (3, 251, 65537, BIG_P):
+            ar = KernelArith(FieldModulus(p, backend))
+            x = ar.enter(rng.integers(1, p, 300, dtype=np.uint64))
+            got = ar.inv_vec(x)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [ar.inv(int(v)) for v in x.tolist()]
+            assert ar.inv_vec(x[:1]).tolist() == [ar.inv(int(x[0]))]
+            assert ar.inv_vec(x[:0]).tolist() == []
+            with pytest.raises(NonInvertibleError):
+                ar.inv_vec(np.concatenate([x[:5], ar.enter(np.zeros(1, dtype=np.uint64)), x[5:9]]))

@@ -303,6 +303,126 @@ def test_f4_mode_matches_back_reduced_engine(monkeypatch, p, density, chunk_rows
             assert np.array_equal(lead_row[c][cols], vals)
 
 
+def f4_shaped_batch(rng, n_cols, n_known, n_rest, p):
+    """Monic-able known-pivot rows with tails, then rows that repeat their leads.
+
+    A remainder row is a combination of known rows (it reduces to zero, as
+    most of F4's do), a known row plus noise to its right, or a random row.
+    """
+    mat = np.zeros((n_known + n_rest, n_cols), dtype=np.uint64)
+    leads = np.sort(rng.choice(n_cols, n_known, replace=False))
+    for i, c in enumerate(leads):
+        tail = rng.random(n_cols - c) < 0.4
+        mat[i, c:][tail] = rng.integers(1, p, int(tail.sum()))
+        mat[i, c] = rng.integers(1, p)
+    for i in range(n_known, n_known + n_rest):
+        kind = rng.integers(3)
+        if kind == 0:
+            picks = rng.choice(n_known, min(3, n_known), replace=False)
+            for k in picks:
+                mat[i] = (mat[i] + int(rng.integers(1, p)) * mat[k]) % np.uint64(p)
+        elif kind == 1:
+            k = int(rng.integers(n_known))
+            mat[i] = mat[k]
+            noise = rng.random(n_cols) < 0.2
+            noise[: leads[k] + 1] = False
+            mat[i][noise] = rng.integers(0, p, int(noise.sum()))
+        else:
+            live = rng.random(n_cols) < 0.3
+            mat[i][live] = rng.integers(1, p, int(live.sum()))
+    return mat
+
+
+def sweep_route(monkeypatch, route):
+    """Forbid the other sweep route; ``columns`` also makes psge_reduce take it."""
+    def forbidden(*args):
+        raise AssertionError(f"psge_reduce left the {route} route")
+
+    if route == "levels":
+        monkeypatch.setattr(sparselin, "_sweep_columns", forbidden)
+    else:
+        monkeypatch.setattr(sparselin, "_float_exact", lambda n_pivots, p: False)
+        monkeypatch.setattr(sparselin, "_sweep_levels", forbidden)
+
+
+def test_level_sweep_matches_column_loop(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        p=st.sampled_from([3, 7, 101, 65537]),
+        backend=st.sampled_from(list(Backend)),
+        back_reduce=st.booleans(),
+        chunk_rows=st.sampled_from([1, 3, 256]),
+        n_cols=st.integers(1, 40),
+        data=st.data(),
+    )
+    def check(p, backend, back_reduce, chunk_rows, n_cols, data):
+        n_known = data.draw(st.integers(1, n_cols))
+        n_rest = data.draw(st.integers(0, 30))
+        mat = f4_shaped_batch(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n_cols, n_known, n_rest, p)
+        A = csr_from_dense(mat, FieldModulus(p, backend))
+        keys = []
+        for route in ("levels", "columns"):
+            with monkeypatch.context() as mp:
+                sweep_chunk(mp, chunk_rows)
+                sweep_route(mp, route)
+                keys.append(echelon_key(psge_reduce(A, back_reduce=back_reduce)))
+        assert keys[0] == keys[1]
+
+    check()
+
+
+@pytest.mark.parametrize("p", [3, 7, 101, 65537, 6710887, 2147483629])
+def test_mod_exact_matches_integer_mod_up_to_2_53(p):
+    # multiples of p and their neighbours up to 2^53 - p, the largest
+    # magnitude _float_exact lets the level sweep reach: there the rounded
+    # quotient's floor is one off either way, for small and large primes alike
+    rng = np.random.default_rng(p)
+    kmax = ((1 << 53) - p - 1) // p
+    ks = np.concatenate([np.arange(0, 500), kmax - np.arange(500), rng.integers(0, kmax, 20000)])
+    x = (ks[:, None] * p + np.array([-1, 0, 1])).ravel()
+    x = np.concatenate([x, -x])
+    got = sparselin._mod_exact(x.astype(np.float64), p)
+    assert got.tolist() == [int(v) % p for v in x.tolist()]
+
+
+def test_exactness_bound_flips_between_two_batch_sizes(monkeypatch):
+    # the largest prime at which a 200-pivot sweep is exact in float64;
+    # 201 pivots are not, so the same shape of batch takes the column loop
+    p = 6710887
+    assert sparselin._float_exact(200, p) and not sparselin._float_exact(201, p)
+    m = FieldModulus(p)
+    for n_known, route in ((200, "levels"), (201, "columns")):
+        # the known pivots are one dense chain: a lead of 1 and p-1 at every
+        # column to its right, so each row depends on all the ones above it.
+        # The remainder rows repeat lead 0 and hold p-1 almost everywhere:
+        # the sweep multiplies p-1 by residues as large as they come.
+        n_cols = n_known + 8
+        known = np.triu(np.full((n_known, n_cols), p - 1, dtype=np.uint64))
+        known[np.arange(n_known), np.arange(n_known)] = 1
+        rest = np.full((10, n_cols), p - 1, dtype=np.uint64)
+        rest[np.arange(10), 1 + 3 * np.arange(10)] = 0
+        mat = np.vstack([known, rest])
+        rank, rref, pivots = dense_gauss(mat, m)
+        lead_row = dict(zip(pivots, rref))
+        A = csr_from_dense(mat, m)
+        sweeps = []
+        with monkeypatch.context() as mp:
+            real = sparselin._sweep_levels
+            mp.setattr(sparselin, "_sweep_levels", lambda *a: sweeps.append(1) or real(*a))
+            f4 = psge_reduce(A, back_reduce=False)
+            full = psge_reduce(A, back_reduce=True)
+        assert bool(sweeps) == (route == "levels")
+        assert f4.rank == full.rank == rank
+        assert f4.nonpivot_rows
+        for c, cols, vals in f4.nonpivot_rows:
+            assert np.array_equal(np.flatnonzero(lead_row[c]), cols)
+            assert np.array_equal(lead_row[c][cols], vals)
+        assert np.array_equal(assemble_rows(full, n_cols), rref[:rank])
+
+
 def test_f4_mode_never_calls_dense_gauss(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense_gauss called on the F4 path")
