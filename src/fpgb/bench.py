@@ -45,7 +45,17 @@ from .groebner import (
 )
 from .monomials import mon_divides, key_unpack_vec
 from .polynomials import poly_mul_mon, soa_polys
-from .sparselin import DENSE_CAP, csr_from_arrays, dense_gauss, psge_reduce
+from .sparselin import (
+    DENSE_CAP,
+    csr_from_arrays,
+    csr_from_dense,
+    csr_transpose,
+    dense_gauss,
+    dense_rank,
+    psge_reduce,
+    spmv,
+    wiedemann_solve,
+)
 from .symbolic import decode_row, row_lead_cols
 from .systems import format_system, gen_cyclic, gen_katsura, gen_random_quadratic
 
@@ -348,9 +358,44 @@ def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0)
                 )
             else:
                 out[f"elapsed_ns.{p}"] = dt
+    elif kind == "kernel":
+        # the left kernel of an F4-shaped batch, as verify's Wiedemann check
+        # solves it; the 31-bit prime splits its projections into 16-bit halves
+        for p in (65537, 2147483629):
+            m = FieldModulus(p)
+            A = _synth_batch(np.random.default_rng(seed), size, m)
+            At = csr_transpose(A)
+            nullity = A.n_rows - _rank_for_kernel(A, m)
+            _check_kernel(At, wiedemann_solve(At, seed, nullity).vectors, nullity, m)
+            t0 = time.monotonic_ns()
+            kb = wiedemann_solve(At, seed, nullity)
+            dt = time.monotonic_ns() - t0
+            at = "" if p == 65537 else f".{p}"
+            if p == 65537:
+                out.update(rows=A.n_rows, cols=A.n_cols, nnz=A.nnz(), nullity=nullity)
+            out[f"elapsed_ns{at}"] = dt
+            out[f"rounds{at}"] = len(kb.seed_trail)
+            out[f"spmm_calls{at}"] = kb.spmm_calls
     else:
         raise PreconditionError(f"unknown microbench kind {kind!r}")
     return out
+
+
+def _rank_for_kernel(A, m: FieldModulus) -> int:
+    """The rank by ``dense_gauss`` within DENSE_CAP; above it by psge, which criterion 8 holds to it."""
+    if max(A.n_rows, A.n_cols) <= DENSE_CAP:
+        return dense_rank(A.to_dense(), m)
+    return psge_reduce(A).rank
+
+
+def _check_kernel(At, vectors: list, nullity: int, m: FieldModulus):
+    """``nullity`` independent vectors, each with At v = 0 by its own SpMV."""
+    if len(vectors) != nullity:
+        raise PropertyViolationError(f"kernel: {len(vectors)} vectors for nullity {nullity}")
+    if any(spmv(At, v).any() for v in vectors):
+        raise PropertyViolationError("kernel: a vector with At v != 0")
+    if nullity and _rank_for_kernel(csr_from_dense(np.array(vectors), m), m) != nullity:
+        raise PropertyViolationError("kernel: the vectors are dependent")
 
 
 # ---------------------------------------------------------------------------

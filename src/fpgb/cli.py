@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mb = sub.add_parser("microbench", help="time one isolated kernel")
     mb.add_argument(
-        "--kind", choices=["dict_build", "row_assemble", "mod_fma", "numeric"], required=True
+        "--kind", choices=["dict_build", "row_assemble", "mod_fma", "numeric", "kernel"], required=True
     )
     mb.add_argument("--size", type=int, required=True)
     mb.add_argument("--duplicate-rate", type=float, default=0.5)

@@ -1,10 +1,10 @@
 """Exact arithmetic in F_p for odd primes p < 2^31.
 
-The arithmetic is the vector kernels below (``add_vec``, ``mul_vec`` and
-the per-backend reductions) and ``KernelArith``, the adapter the numeric
-kernels go through; there is no scalar element type.  Residues are 64-bit
-unsigned values kept in [0, p) at module boundaries.  Three interchangeable
-reduction backends are provided:
+The arithmetic is the vector kernels below (``add_vec``, ``mul_vec``,
+``matmul_mod`` and the per-backend reductions) and ``KernelArith``, the
+adapter the numeric kernels go through; there is no scalar element type.
+Residues are 64-bit unsigned values kept in [0, p) at module boundaries.
+Three interchangeable reduction backends are provided:
 
 - ``naive``:      products reduced with the hardware remainder,
 - ``barrett``:    reduction by a precomputed reciprocal mu = floor(2^62 / p),
@@ -183,6 +183,25 @@ def mul_vec(a: np.ndarray, b: np.ndarray, m: FieldModulus) -> np.ndarray:
     if m.backend is Backend.BARRETT:
         return barrett_reduce_vec(a * b, m)
     return mont_leave_vec(mont_mul_vec(mont_enter_vec(a, m), mont_enter_vec(b, m), m), m)
+
+
+def matmul_mod(X: np.ndarray, Y: np.ndarray, m: FieldModulus) -> np.ndarray:
+    """Exact standard-domain X @ Y mod p, broadcast like ``@``.
+
+    One uint64 product is exact while every K-term sum stays below 2^64,
+    K (p-1)^2 < 2^64.  Past that (31-bit primes once K > 3) Y is split into
+    16-bit halves: a product with a half is below 2^47, so slices of 2^15
+    terms sum exactly.
+    """
+    K, p, pp = X.shape[-1], m.p, m._p_u64
+    if K * (p - 1) ** 2 < 1 << 64:
+        return (X @ Y) % pp
+    lo, hi = Y & np.uint64(0xFFFF), Y >> np.uint64(16)
+    out = 0
+    for k in range(0, K, 1 << 15):
+        x, at = X[..., k : k + (1 << 15)], slice(k, k + (1 << 15))
+        out = (out + (x @ hi[..., at, :] % pp << np.uint64(16)) + x @ lo[..., at, :]) % pp
+    return out
 
 
 class KernelArith:

@@ -15,13 +15,16 @@ them:
   bound (31-bit primes) they visit the pivot columns one at a time;
 - ``dense_gauss``: the brute-force oracle (size-capped) used to cross-check
   ranks, row spaces, and null spaces;
-- ``wiedemann_solve``: black-box right-kernel extraction from Krylov
-  sequences via Berlekamp-Massey, applying the operator to small blocks of
-  vectors at a time; a rectangular A is framed through A^T A and every
-  candidate is verified against A itself.  ``left_kernel`` runs it on the
-  transpose.  Every caller passes the nullity it knows from elimination
-  as the target: the solve stops once it is reached and fails loudly when
-  the round budget ends short of it.
+- ``wiedemann_solve``: black-box right-kernel extraction by block
+  Wiedemann (Coppersmith).  Each round projects one Krylov sequence of b
+  probe vectors to b x b blocks, finds its minimal matrix generator from a
+  sigma-basis (``sigma_basis.block_generator``, which at b = 1 is
+  ``berlekamp_massey``), and turns it into up to b kernel vectors by one
+  block Horner evaluation.  A rectangular A is framed through A^T A and
+  every candidate is verified against A itself.  ``left_kernel`` runs it
+  on the transpose.  Every caller passes the nullity it knows from
+  elimination as the target: the solve stops once it is reached and fails
+  loudly when the round budget, sized from the target, ends short of it.
 
 All randomness is seeded and every probabilistic result carries its seed
 trail for replay.
@@ -40,7 +43,8 @@ from .errors import (
     PropertyViolationError,
     SizeCapError,
 )
-from .fp import FieldModulus, KernelArith
+from .fp import FieldModulus, KernelArith, matmul_mod
+from .sigma_basis import block_generator, column_dependencies
 from .symbolic import LayoutPlan
 
 DENSE_CAP = 512
@@ -689,7 +693,7 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
 
 
 # ---------------------------------------------------------------------------
-# Berlekamp-Massey and Wiedemann
+# Berlekamp-Massey and block Wiedemann
 # ---------------------------------------------------------------------------
 
 
@@ -737,11 +741,7 @@ class KernelBasis:
     vectors: list = field(default_factory=list)
     dimension_found: int = 0
     seed_trail: tuple = ()
-
-
-def _block_proj(U: np.ndarray, W: np.ndarray, p: int) -> np.ndarray:
-    prods = (U * W) % np.uint64(p)
-    return prods.sum(axis=0, dtype=np.uint64) % np.uint64(p)
+    spmm_calls: int = 0  # Wiedemann's own SpMM and SpMV calls
 
 
 def _try_extend_basis(vec: np.ndarray, reduced: list, p: int) -> bool:
@@ -760,21 +760,53 @@ def _try_extend_basis(vec: np.ndarray, reduced: list, p: int) -> bool:
     return True
 
 
-def wiedemann_solve(
-    A: CsrMatrix, seed: int, max_vectors: int, block_width: int = 4, max_rounds: int = 12
-):
-    """Verified right-kernel vectors of A from seeded Krylov probe rounds.
+def _fold(w: np.ndarray, y: np.ndarray, strays: list, p: int):
+    """A combination of w and the strays in ker(A), from y = A w != 0.
 
-    A square A is its own operator; a rectangular one is framed through
-    A^T A, and every candidate is checked against A itself.  Each round
-    probes ``block_width`` vectors; degenerate draws retry with derived
-    seeds.
+    ``strays`` are earlier candidates outside ker(A), each (lead, A s, s)
+    scaled so that A s is 1 at its lead, in echelon form on A s.  When y
+    reduces to zero by them, w less the same combination of strays is in
+    ker(A) and is returned; otherwise w joins the strays and the result is
+    None.  Over a small field A^T A often has kernel vectors outside ker(A);
+    their images under A span few dimensions, so a few strays combine.
+    """
+    pp = np.uint64(p)
+    for lead, sy, sw in strays:
+        c = int(y[lead])
+        if c:
+            y = (y + (p - c) * sy) % pp
+            w = (w + (p - c) * sw) % pp
+    nz = np.flatnonzero(y)
+    if len(nz) == 0:
+        return w
+    inv = np.uint64(pow(int(y[nz[0]]), p - 2, p))
+    strays.append((int(nz[0]), y * inv % pp, w * inv % pp))
+    return None
+
+
+def wiedemann_solve(
+    A: CsrMatrix, seed: int, max_vectors: int, block_width: int = 4, max_rounds: int | None = None
+):
+    """Verified right-kernel vectors of A by block Wiedemann (Coppersmith).
+
+    A square A is its own operator B; a rectangular one is framed through
+    B = A^T A, and every candidate is checked against A itself.  Each
+    seeded round draws b = ``block_width`` probes U and V, takes the
+    L = 2 ceil(dim / b) + 2 projections S_k = U^T B^k V, and finds their
+    minimal right generator F (``block_generator``), so F(B) V = 0 once
+    L is long enough.  Each dependency among the columns of F(0) gives a
+    combination of F's columns x^t g(x), t > 0; then w = g(B) V, all of
+    them in one block Horner, with B applied while the image stays
+    nonzero, is a kernel vector candidate.  So a round yields up to b
+    vectors.  A candidate outside ker(A) is kept (``_fold``) until such
+    candidates combine into one inside it.
 
     ``max_vectors`` is the nullity the caller expects (from elimination),
     at most the dimension: the solve returns as soon as that many
     independent vectors are found, returns at once with an empty seed trail
     when it is 0, and raises ProbabilisticFailureError with the seed trail
-    when the round budget ends short of it.
+    when the round budget ends short of it.  The budget defaults to
+    ceil(max_vectors / b) + 12 rounds; an explicit ``max_rounds`` is the cap.
     """
     if not 0 <= max_vectors <= A.n_cols:
         raise PreconditionError(f"max_vectors must be in 0..{A.n_cols}, got {max_vectors}")
@@ -783,53 +815,82 @@ def wiedemann_solve(
     dim = A.n_cols
     if dim == 0 or max_vectors == 0:
         return KernelBasis([], 0, ())
+    b = block_width
+    if max_rounds is None:
+        max_rounds = -(-max_vectors // b) + 12
     m = A.modulus
     p = m.p
+    calls = 0
+
+    def mul(M, X):
+        nonlocal calls
+        calls += 1
+        return spmm(M, X)
+
     if A.n_rows == A.n_cols:
-        apply_b = lambda X: spmm(A, X)
+        apply_b = lambda X: mul(A, X)
     else:
         At = csr_transpose(A)
-        apply_b = lambda X: spmm(At, spmm(A, X))
+        apply_b = lambda X: mul(At, mul(A, X))
+    L = 2 * -(-dim // b) + 2
 
     root = np.random.SeedSequence(seed)
     trail = []
     reduced: list = []
     vectors: list = []
+    strays: list = []
 
     for round_no in range(max_rounds):
         child = root.spawn(1)[0]
         trail.append((seed, round_no))
         rng = np.random.default_rng(child)
-        V = rng.integers(0, p, (dim, block_width), dtype=np.uint64)
-        U = rng.integers(0, p, (dim, block_width), dtype=np.uint64)
-        seqs = np.empty((2 * dim, block_width), dtype=np.uint64)
-        W = V.copy()
-        for k in range(2 * dim):
-            seqs[k] = _block_proj(U, W, p)
-            W = apply_b(W)
+        V = rng.integers(0, p, (dim, b), dtype=np.uint64)
+        Ut = rng.integers(0, p, (dim, b), dtype=np.uint64).T
+        S = np.empty((L, b, b), dtype=np.uint64)
+        W = V
+        for k in range(L):
+            S[k] = matmul_mod(Ut, W, m)
+            if k + 1 < L:
+                W = apply_b(W)
 
-        for j in range(block_width):
+        # the generator's columns combined, lowest degrees first, into
+        # columns x^t g(x) with t > 0: one per dependency of their constant terms
+        gens = block_generator(S, m)
+        gs, ts = [], []
+        for j, comb in column_dependencies(np.array([f[0] for f in gens]).T.tolist(), range(b), p)[1].items():
+            f = np.zeros_like(gens[j])
+            for i, c in comb.items():
+                f[: len(gens[i])] = (f[: len(gens[i])] + np.uint64(c) * gens[i]) % np.uint64(p)
+            t = int(f.any(axis=1).nonzero()[0][0])
+            gs.append(f[t:])
+            ts.append(t)
+        if not gs:
+            continue
+        top = max(len(g) for g in gs)
+        G = np.zeros((top, b, len(gs)), dtype=np.uint64)
+        for n, g in enumerate(gs):
+            G[: len(g), :, n] = g
+        # Horner from the top coefficient: acc = sum_i B^i V g_i, column by column
+        acc = matmul_mod(V, G[-1], m)
+        for coef in G[-2::-1]:
+            acc = (apply_b(acc) + matmul_mod(V, coef, m)) % np.uint64(p)
+        # B^t acc = 0 when the generator is right: apply B while the image is nonzero
+        steps = np.array(ts) - 1
+        live = np.flatnonzero(steps)
+        while len(live):
+            nxt = apply_b(acc[:, live])
+            moved = nxt.any(axis=0)
+            acc[:, live[moved]] = nxt[:, moved]
+            steps[live] -= 1
+            live = live[moved & (steps[live] > 0)]
+        for w in acc[:, acc.any(axis=0)].T:
             if len(vectors) >= max_vectors:
                 break
-            f = berlekamp_massey(seqs[:, j].tolist(), m)
-            t = next((i for i, c in enumerate(f) if c), None)
-            if t is None or t == 0:
-                continue
-            g = np.array(f[t:], dtype=np.uint64)
-            v = V[:, j : j + 1]
-            acc = g[-1] * v % np.uint64(p)
-            for c in g[:-1][::-1].tolist():
-                acc = (apply_b(acc) + np.uint64(c) * v) % np.uint64(p)
-            for _ in range(t - 1):
-                nxt = apply_b(acc)
-                if (nxt == 0).all():
-                    break
-                acc = nxt
-            w = acc[:, 0]
-            if (w == 0).all():
-                continue
-            if (spmv(A, w) != 0).any():
-                continue  # A^T A kernel vector outside ker(A); reject and retry
+            y = mul(A, w)
+            if y.any():  # an A^T A kernel vector outside ker(A), or a wrong generator
+                w = _fold(w, y, strays, p)
+                if w is None or mul(A, w).any():
+                    continue
             if _try_extend_basis(w, reduced, p):
                 vectors.append(w.copy())
         if len(vectors) >= max_vectors:
@@ -840,7 +901,7 @@ def wiedemann_solve(
             f"found {len(vectors)} of {max_vectors} kernel vectors; "
             f"round budget {max_rounds} spent", trail
         )
-    return KernelBasis(vectors, len(vectors), tuple(trail))
+    return KernelBasis(vectors, len(vectors), tuple(trail), calls)
 
 
 def left_kernel(A: CsrMatrix, count: int, seed: int, block_width: int = 4) -> KernelBasis:

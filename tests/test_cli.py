@@ -232,6 +232,39 @@ def test_microbench_numeric_holds_new_rows_to_dense_gauss(monkeypatch):
         microbench("numeric", 300, seed=5)
 
 
+def test_microbench_kernel(capsys):
+    d = microbench("kernel", 120, seed=3)  # within DENSE_CAP: nullity from dense_gauss
+    assert d["rows"] < d["cols"] == 120 and d["nullity"] > 0
+    for at in ("", ".2147483629"):
+        assert d[f"rounds{at}"] >= 1 and d[f"spmm_calls{at}"] > 0 and d[f"elapsed_ns{at}"] > 0
+    times = ("elapsed_ns", "elapsed_ns.2147483629")
+    assert d == {**microbench("kernel", 120, seed=3), **{k: d[k] for k in times}}
+    assert main(["microbench", "--kind", "kernel", "--size", "60"]) == 0
+    assert "spmm_calls.2147483629=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("wrong", ["short", "outside", "dependent"])
+def test_microbench_kernel_checks_the_vectors(monkeypatch, wrong):
+    real_solve = bench.wiedemann_solve
+
+    def broken(At, seed, nullity):
+        kb = real_solve(At, seed, nullity)
+        v = kb.vectors
+        if wrong == "short":
+            v.pop()
+        elif wrong == "outside":
+            v[0] = v[0].copy()
+            v[0][np.flatnonzero(v[0])[0]] += 1
+            v[0] %= np.uint64(At.modulus.p)
+        else:
+            v[-1] = v[0]
+        return kb
+
+    monkeypatch.setattr(bench, "wiedemann_solve", broken)
+    with pytest.raises(PropertyViolationError, match="kernel"):
+        microbench("kernel", 120, seed=3)
+
+
 @pytest.mark.parametrize("rate", ["-1", "-0.01", "1", "1.5", "nan"])
 def test_microbench_rejects_a_duplicate_rate_outside_0_1(capsys, rate):
     args = ["microbench", "--kind", "dict_build", "--size", "1000"]

@@ -11,6 +11,7 @@ from fpgb.fp import (
     add_vec,
     barrett_reduce_vec,
     is_prime,
+    matmul_mod,
     mont_enter_vec,
     mont_leave_vec,
     mont_mul_vec,
@@ -156,3 +157,17 @@ def test_batch_inversion_matches_one_pow_per_value():
             assert ar.inv_vec(x[:0]).tolist() == []
             with pytest.raises(NonInvertibleError):
                 ar.inv_vec(np.concatenate([x[:5], ar.enter(np.zeros(1, dtype=np.uint64)), x[5:9]]))
+
+
+@pytest.mark.parametrize("m", [M7, FieldModulus(65537), MBIG])
+@pytest.mark.parametrize("K", [1, 3, 4, 40_000])
+def test_matmul_mod_matches_integer_products(m, K):
+    # at the 31-bit prime K = 4 needs the 16-bit split, and 40,000 terms
+    # need more than one 2^15-term slice; values p - 1 give the largest sums
+    rng = np.random.default_rng(K)
+    X = rng.integers(0, m.p, (2, 3, K), dtype=np.uint64)
+    Y = rng.integers(0, m.p, (K, 2), dtype=np.uint64)
+    X[0, 0], Y[:, 0] = m.p - 1, m.p - 1
+    want = np.array(X.astype(object) @ Y.astype(object) % m.p, dtype=np.uint64)
+    got = matmul_mod(X, Y, m)
+    assert got.dtype == np.uint64 and np.array_equal(got, want)

@@ -14,6 +14,7 @@ from fpgb.errors import (
 from fpgb.fp import Backend, FieldModulus
 from fpgb.monomials import Ring
 from fpgb.polynomials import poly_parse, soa_pack
+from fpgb.sigma_basis import block_generator
 from fpgb.sparselin import (
     CsrMatrix,
     berlekamp_massey,
@@ -490,6 +491,63 @@ def test_berlekamp_massey_lfsr_round_trip():
         assert annihilates(f, seq, 101)
 
 
+def krylov_blocks(rng, n, b, L, p, zero_cols):
+    """S_k = U^T B^k V for k < L, in Python ints, for a random n x n B with some zero columns."""
+    B = rng.integers(0, p, (n, n)).astype(object)
+    B[:, :zero_cols] = 0
+    U = rng.integers(0, p, (n, b)).astype(object)
+    W = rng.integers(0, p, (n, b)).astype(object)
+    S = []
+    for _ in range(L):
+        S.append(U.T.dot(W) % p)
+        W = B.dot(W) % p
+    return np.array(S, dtype=np.uint64)
+
+
+def test_block_generator_annihilates_and_is_berlekamp_massey_at_width_one():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(
+        p=st.sampled_from([3, 7, 65537, 2**31 - 19]),
+        b=st.sampled_from([1, 2, 4]),
+        n=st.integers(1, 9),
+        zero_cols=st.integers(0, 9),
+        extra=st.integers(0, 5),
+        krylov=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(p, b, n, zero_cols, extra, krylov, seed):
+        m = FieldModulus(p)
+        rng = np.random.default_rng(seed)
+        L = 2 * -(-n // b) + extra
+        if krylov:
+            S = krylov_blocks(rng, n, b, L, p, min(zero_cols, n))
+        else:
+            S = rng.integers(0, p, (L, b, b), dtype=np.uint64)
+        gens = block_generator(S, m)
+        assert len(gens) == b
+        assert [len(f) for f in gens] == sorted(len(f) for f in gens)
+        for f in gens:
+            d = len(f) - 1
+            assert f.any()
+            for k in range(L - d):  # every offset the generator's degree leaves
+                acc = sum(S[k + i].astype(object).dot(f[i].astype(object)) for i in range(d + 1))
+                assert not (acc % p).any()
+        if b == 1 and krylov:
+            # the linear complexity is at most n and L >= 2n
+            assert gens[0][:, 0].tolist() == berlekamp_massey(S[:, 0, 0].tolist(), m)
+
+    check()
+
+
+def test_block_generator_rejects_a_sequence_that_is_not_square_blocks():
+    for bad in (np.zeros((0, 2, 2)), np.zeros((3, 2, 1)), np.zeros((3, 2))):
+        with pytest.raises(PreconditionError):
+            block_generator(bad, M7)
+
+
 def test_wiedemann_kernel_zero_matrix_full_space():
     zero = CsrMatrix(3, 3, np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64),
                      np.zeros(0, dtype=np.uint64), M101)
@@ -520,6 +578,34 @@ def test_wiedemann_kernel_matches_dense_nullity():
         assert kb.dimension_found == nullity
         for v in kb.vectors:
             assert (spmv(A, v) == 0).all()
+
+
+def test_wiedemann_fills_a_kernel_above_twelve_rounds_of_four_probes():
+    # one vector per probe per round capped the old solve at 12 x 4 = 48
+    rng = np.random.default_rng(4848)
+    mat = rank_deficient(rng, 64, 10, MBIG)
+    A = csr_from_dense(mat, MBIG)
+    nullity = 64 - dense_rank(mat, MBIG)
+    assert nullity == 54
+    kb = wiedemann_solve(A, seed=1, max_vectors=nullity)
+    assert kb.dimension_found == len(kb.vectors) == nullity
+    assert len(kb.seed_trail) <= -(-nullity // 4) + 12  # the default budget
+    assert all(not spmv(A, v).any() for v in kb.vectors)
+    assert dense_rank(np.array(kb.vectors, dtype=np.uint64), MBIG) == nullity
+
+
+def test_wiedemann_combines_normal_equation_vectors_outside_the_kernel():
+    # a and b are isotropic and orthogonal over F_7, c is orthogonal to both:
+    # A = [a b a c] has ker(A) = <e0 - e2>, but A^T A kills e0, e1 and e2
+    a, b, c = [1, 2, 3, 0, 0], [0, 1, 4, 2, 0], [0, 0, 0, 0, 1]
+    mat = np.array([a, b, a, c], dtype=np.uint64).T
+    A = csr_from_dense(mat, M7)
+    gram = (mat.T.astype(np.int64) @ mat.astype(np.int64)) % 7
+    assert 4 - dense_rank(mat, M7) == 1 and 4 - dense_rank(gram, M7) == 3
+    for seed in range(10):
+        kb = wiedemann_solve(A, seed=seed, max_vectors=1)
+        (v,) = kb.vectors
+        assert not spmv(A, v).any() and v[0] and (int(v[0]) + int(v[2])) % 7 == 0
 
 
 @pytest.mark.parametrize("shape", [(40, 40), (30, 40)])
@@ -591,7 +677,8 @@ def test_wiedemann_short_of_the_target_fails_loudly():
     nullity = 30 - dense_rank(mat, MBIG)
     with pytest.raises(ProbabilisticFailureError, match=f"found {nullity} of {nullity + 1} kernel vectors") as exc:
         wiedemann_solve(A, seed=4, max_vectors=nullity + 1)
-    assert len(exc.value.seed_trail) == 12
+    # the default budget: ceil(target / block_width) + 12 rounds, every one on the trail
+    assert len(exc.value.seed_trail) == 13
 
 
 def test_left_kernel_above_dense_cap_is_complete(monkeypatch):
