@@ -42,7 +42,6 @@ EXIT_PROPERTY = 4
 
 def _add_config_flags(sp):
     sp.add_argument("--numeric", choices=["psge", "wiedemann"], default="psge")
-    sp.add_argument("--backend", choices=["naive", "barrett", "montgomery"], default="naive")
     sp.add_argument("--block-width", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--workers", type=int, default=1)
@@ -103,7 +102,7 @@ def _config_from_args(args) -> PipelineConfig:
 def _load_instance(args, config: PipelineConfig):
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
-            ring, polys = parse_system(fh.read(), config.backend)
+            ring, polys = parse_system(fh.read())
         desc = {
             "family": "file",
             "path": args.input,

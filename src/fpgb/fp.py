@@ -1,19 +1,20 @@
 """Exact arithmetic in F_p for odd primes p < 2^31.
 
 The arithmetic is the vector kernels below (``add_vec``, ``mul_vec``,
-``matmul_mod`` and the per-backend reductions) and ``KernelArith``, the
-adapter the numeric kernels go through; there is no scalar element type.
-Residues are 64-bit unsigned values kept in [0, p) at module boundaries.
-Three interchangeable reduction backends are provided:
+``matmul_mod``, ``inv_vec`` and the per-backend reductions); there is no
+scalar element type.  Residues are 64-bit unsigned values kept in [0, p)
+at module boundaries.  Three reduction kernels are provided, and
+``mul_vec`` runs the one a ``FieldModulus`` names:
 
 - ``naive``:      products reduced with the hardware remainder,
 - ``barrett``:    reduction by a precomputed reciprocal mu = floor(2^62 / p),
 - ``montgomery``: R = 2^32 scaled residues with division-free reduction.
 
 All products of two residues fit in 64 bits (p < 2^31 so a*b < 2^62), which
-also bounds the Barrett input regime.  Inner loops may accumulate up to
-``lazy_window_k`` unreduced products before a single reduction; the window
-is chosen so the running sum never overflows 64 bits.
+also bounds the Barrett input regime.  The numeric engines compute in the
+standard domain: products of residues, reduced with ``%``.  Inner loops may
+accumulate up to ``lazy_window_k`` unreduced products before a single
+reduction; the window is chosen so the running sum never overflows 64 bits.
 """
 
 from __future__ import annotations
@@ -92,8 +93,10 @@ class FieldModulus:
     )
 
     def __init__(self, p: int, backend: Backend | str = Backend.NAIVE):
-        if isinstance(backend, str):
+        try:
             backend = Backend(backend)
+        except ValueError:
+            raise PreconditionError(f"unknown backend {backend!r}") from None
         if not (2 < p < (1 << 31)):
             raise PreconditionError(f"modulus must satisfy 2 < p < 2^31, got {p}")
         if p % 2 == 0 or not is_prime(p):
@@ -204,91 +207,23 @@ def matmul_mod(X: np.ndarray, Y: np.ndarray, m: FieldModulus) -> np.ndarray:
     return out
 
 
-class KernelArith:
-    """Backend-consistent arithmetic adapter for numeric kernels.
+def inv_vec(x: np.ndarray, m: FieldModulus) -> np.ndarray:
+    """Inverses of standard residues by Montgomery's batch inversion.
 
-    Values enter the backend's working domain once, inner products stay in
-    that domain, and ``leave`` converts back to standard residues at the
-    kernel boundary.  ``window`` is the number of unreduced products that
-    may be summed before ``reduce_acc`` must run.
+    One ``pow`` for the whole vector: the inverse of the product of all
+    values, unwound through the prefix products.  A zero raises.
     """
-
-    def __init__(self, m: FieldModulus):
-        self.m = m
-        self.backend = m.backend
-        if m.backend is Backend.BARRETT:
-            # Barrett input must stay below 2^62, which shrinks the window.
-            self.window = max(1, min(m.lazy_window_k, _BARRETT_LIMIT // ((m.p - 1) ** 2)))
-        else:
-            self.window = m.lazy_window_k
-
-    def enter(self, v: np.ndarray) -> np.ndarray:
-        if self.backend is Backend.MONTGOMERY:
-            return mont_enter_vec(v, self.m)
-        return v
-
-    def leave(self, v: np.ndarray) -> np.ndarray:
-        if self.backend is Backend.MONTGOMERY:
-            return mont_leave_vec(v, self.m)
-        return v
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Reduced in-domain product of in-domain operands."""
-        if self.backend is Backend.NAIVE:
-            return naive_mul_vec(a, b, self.m)
-        if self.backend is Backend.BARRETT:
-            return barrett_reduce_vec(a * b, self.m)
-        return mont_mul_vec(a, b, self.m)
-
-    def mul_lazy(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Unreduced in-domain product, for windowed accumulation.
-
-        Montgomery products must be reduced per multiply (the division by R
-        is part of the product), so only naive/barrett defer reduction.
-        """
-        if self.backend is Backend.MONTGOMERY:
-            return mont_mul_vec(a, b, self.m)
-        return a * b
-
-    def reduce_acc(self, v: np.ndarray) -> np.ndarray:
-        if self.backend is Backend.BARRETT:
-            return barrett_reduce_vec(v, self.m)
-        return v % self.m._p_u64
-
-    def lazy_window(self) -> int:
-        if self.backend is Backend.MONTGOMERY:
-            # products are already reduced; sums of residues overflow at 2^33 terms
-            return 1 << 32
-        return self.window
-
-    def inv(self, x: int) -> int:
-        """In-domain inverse of an in-domain scalar; zero raises in every backend."""
-        if x == 0:
-            raise NonInvertibleError("zero is not invertible")
-        if self.backend is Backend.MONTGOMERY:
-            std = mont_leave_vec(np.uint64(x), self.m)
-            r = pow(int(std), self.m.p - 2, self.m.p)
-            return int(mont_enter_vec(np.uint64(r), self.m))
-        return pow(int(x), self.m.p - 2, self.m.p)
-
-    def inv_vec(self, x: np.ndarray) -> np.ndarray:
-        """In-domain inverses of in-domain values, by Montgomery's batch inversion.
-
-        One ``pow`` for the whole vector: the inverse of the product of all
-        values, unwound through the prefix products.  A zero raises in every
-        backend.
-        """
-        std = self.leave(np.asarray(x, dtype=np.uint64)).tolist()
-        if 0 in std:
-            raise NonInvertibleError("zero is not invertible")
-        if not std:
-            return np.zeros(0, dtype=np.uint64)
-        p = self.m.p
-        prefix = list(itertools.accumulate(std, lambda a, b: a * b % p))
-        inv = pow(prefix[-1], p - 2, p)
-        out = [0] * len(std)
-        for i in range(len(std) - 1, 0, -1):
-            out[i] = inv * prefix[i - 1] % p
-            inv = inv * std[i] % p
-        out[0] = inv
-        return self.enter(np.array(out, dtype=np.uint64))
+    std = np.asarray(x, dtype=np.uint64).tolist()
+    if 0 in std:
+        raise NonInvertibleError("zero is not invertible")
+    if not std:
+        return np.zeros(0, dtype=np.uint64)
+    p = m.p
+    prefix = list(itertools.accumulate(std, lambda a, b: a * b % p))
+    inv = pow(prefix[-1], p - 2, p)
+    out = [0] * len(std)
+    for i in range(len(std) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1] % p
+        inv = inv * std[i] % p
+    out[0] = inv
+    return np.array(out, dtype=np.uint64)

@@ -43,7 +43,7 @@ from .errors import (
     PropertyViolationError,
     SizeCapError,
 )
-from .fp import Backend, FieldModulus
+from .fp import FieldModulus
 from .monomials import (
     Ring, _tie_lanes, key_unpack_vec, minimal_rows, mon_div, mon_divides, mon_lcm, mon_mul
 )
@@ -345,7 +345,6 @@ class PipelineConfig:
     """Every setting of an F4 run; checked once, when it is built.  Oracles take none."""
 
     numeric: str = "psge"  # psge | wiedemann (psge plus a kernel check per batch)
-    backend: str = "naive"  # naive | barrett | montgomery
     block_width: int = 4
     seed: int = 0
     workers: int = 1
@@ -354,8 +353,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.numeric not in ("psge", "wiedemann"):
             raise PreconditionError(f"unknown numeric engine {self.numeric!r}")
-        if self.backend not in {b.value for b in Backend}:
-            raise PreconditionError(f"unknown backend {self.backend!r}")
         if self.workers < 1:
             raise PreconditionError("workers must be >= 1")
         if self.block_width < 1:
@@ -390,7 +387,8 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
     """One batch: select, compile, eliminate, harvest new basis polynomials.
 
     Returns (plan, echelon, kernel) for instrumentation; kernel is None
-    unless the config requests the relation-discovery pass.
+    unless ``numeric="wiedemann"``, which solves every batch's left kernel,
+    whatever its size, by ``wiedemann_solve`` on the transpose.
     """
     config = config or PipelineConfig()
     ring = state.ring
@@ -406,7 +404,7 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
     kernel = None
     if config.numeric == "wiedemann":
         nullity = A.n_rows - ech.rank
-        kernel = left_kernel(A, count=nullity, seed=config.seed, block_width=config.block_width)
+        kernel = wiedemann_solve(csr_transpose(A), config.seed, nullity, block_width=config.block_width)
         # the basis is still the one the batch was compiled from: _harvest runs below
         report = _kernel_report(plan, soa_polys(state.basis), kernel, nullity)
         if not report.ok:

@@ -14,17 +14,20 @@ them:
   (pivots) (p-1)^2 + p < 2^53 keeps every partial sum exact; above that
   bound (31-bit primes) they visit the pivot columns one at a time;
 - ``dense_gauss``: the brute-force oracle (size-capped) used to cross-check
-  ranks, row spaces, and null spaces;
+  ranks, row spaces, and null spaces; ``left_kernel`` is its left kernel;
 - ``wiedemann_solve``: black-box right-kernel extraction by block
   Wiedemann (Coppersmith).  Each round projects one Krylov sequence of b
   probe vectors to b x b blocks, finds its minimal matrix generator from a
   sigma-basis (``sigma_basis.block_generator``, which at b = 1 is
   ``berlekamp_massey``), and turns it into up to b kernel vectors by one
   block Horner evaluation.  A rectangular A is framed through A^T A and
-  every candidate is verified against A itself.  ``left_kernel`` runs it
-  on the transpose.  Every caller passes the nullity it knows from
-  elimination as the target: the solve stops once it is reached and fails
-  loudly when the round budget, sized from the target, ends short of it.
+  every candidate is verified against A itself.  Every caller passes the
+  nullity it knows from elimination as the target: the solve stops once it
+  is reached and fails loudly when the round budget, sized from the
+  target, ends short of it.
+
+Every engine computes in the standard domain: products of residues,
+reduced with ``%`` once per lazy window (``FieldModulus.lazy_window_k``).
 
 All randomness is seeded and every probabilistic result carries its seed
 trail for replay.
@@ -43,7 +46,7 @@ from .errors import (
     PropertyViolationError,
     SizeCapError,
 )
-from .fp import FieldModulus, KernelArith, matmul_mod
+from .fp import FieldModulus, inv_vec, matmul_mod
 from .sigma_basis import block_generator, column_dependencies
 from .symbolic import LayoutPlan
 
@@ -91,7 +94,7 @@ class CsrMatrix:
         CsrMatrix is not changed once it is made.
         """
         if self._chunks is None:
-            k = KernelArith(self.modulus).lazy_window()
+            k = self.modulus.lazy_window_k
             nchunks = -(-np.diff(self.row_ptr) // k)
             chunk_base = exclusive_scan(nchunks)
             row_of_chunk = np.repeat(np.arange(self.n_rows), nchunks)
@@ -174,8 +177,8 @@ def csr_transpose(A: CsrMatrix) -> CsrMatrix:
 def spmm(A: CsrMatrix, X: np.ndarray) -> np.ndarray:
     """Exact A @ X over F_p for a dense block X of shape (n_cols, b).
 
-    Products accumulate unreduced inside the backend's lazy window; one
-    reduction runs per window chunk and one per row.
+    Products accumulate unreduced inside the lazy window; one reduction
+    runs per window chunk and one per row.
     """
     X = np.asarray(X, dtype=np.uint64)
     if X.ndim == 1:
@@ -186,17 +189,13 @@ def spmm(A: CsrMatrix, X: np.ndarray) -> np.ndarray:
     out = np.zeros((A.n_rows, b), dtype=np.uint64)
     if A.nnz() == 0 or b == 0:
         return out
-    ar = KernelArith(A.modulus)
-    vals_d = ar.enter(A.val)
-    x_d = ar.enter(X)
-    prods = ar.mul_lazy(vals_d[:, None], x_d[A.col_ind])
+    p = np.uint64(A.modulus.p)
+    prods = A.val[:, None] * X[A.col_ind]
     nchunks, chunk_base, starts = A.spmm_chunks()
-    partials = ar.reduce_acc(np.add.reduceat(prods, starts, axis=0))
+    partials = np.add.reduceat(prods, starts, axis=0) % p
     nonempty = nchunks > 0
-    first_chunk = chunk_base[:-1][nonempty]
-    sums = np.add.reduceat(partials, first_chunk, axis=0) % np.uint64(A.modulus.p)
-    out[nonempty] = sums
-    return ar.leave(out)
+    out[nonempty] = np.add.reduceat(partials, chunk_base[:-1][nonempty], axis=0) % p
+    return out
 
 
 def spmv(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
@@ -309,7 +308,7 @@ def _entry_positions(row_ptr: np.ndarray, rows: np.ndarray):
 
 @dataclass
 class _Pivots:
-    """Monic pivot rows as CSR arrays, values in the working domain.
+    """Monic pivot rows as CSR arrays.
 
     Row i leads at ``leads[i]``: its first entry, of value 1.
     """
@@ -340,11 +339,10 @@ class _Pivots:
             np.concatenate([a.val, b.val]),
         )
 
-    def rows(self, leave=lambda v: v):
-        """[(lead, cols, values)], one per row; ``leave`` maps the values first."""
-        val = leave(self.val)
+    def rows(self):
+        """[(lead, cols, values)], one per row."""
         bounds = zip(self.leads.tolist(), self.ptr[:-1].tolist(), self.ptr[1:].tolist())
-        return [(c, self.ind[s:e], val[s:e]) for c, s, e in bounds]
+        return [(c, self.ind[s:e], self.val[s:e]) for c, s, e in bounds]
 
 
 def _float_exact(n_pivots: int, p: int) -> bool:
@@ -393,7 +391,7 @@ def _levels(piv: _Pivots, n_cols: int) -> list:
     return levels
 
 
-def _sweep_columns(B, rows: list, ar):
+def _sweep_columns(B, rows: list, p: int):
     """Zero every pivot column of the uint64 block B in place, one column at a time.
 
     ``rows`` are the pivot rows (lead, cols, values) ascending by lead, so
@@ -401,7 +399,7 @@ def _sweep_columns(B, rows: list, ar):
     monic and leads at its column.  Only columns that hold a nonzero or
     that some update reached are inspected.
     """
-    p = ar.m._p_u64
+    p = np.uint64(p)
     queued = B.any(axis=0)
     for c, pc, pv in rows:
         if not queued[c]:
@@ -411,13 +409,13 @@ def _sweep_columns(B, rows: list, ar):
         if len(nz) == 0:
             continue
         coef = p - col[nz]
-        # a residue plus one lazy product stays within every backend's reduce_acc input
+        # a residue plus one product of residues stays below 2^63
         if len(nz) == 1:
             r = int(nz[0])
-            B[r, pc] = ar.reduce_acc(B[r, pc] + ar.mul_lazy(pv, coef[0]))
+            B[r, pc] = (B[r, pc] + pv * coef[0]) % p
         else:
             ix = (nz[:, None], pc)
-            B[ix] = ar.reduce_acc(B[ix] + ar.mul_lazy(coef[:, None], pv))
+            B[ix] = (B[ix] + coef[:, None] * pv) % p
         queued[pc] = True
 
 
@@ -426,8 +424,8 @@ class _Part:
     """One level of a sweep schedule, or one part of a level too wide for BLOCK_BYTES.
 
     P, once built, is ``shape`` float64 zeros with ``val`` at the flat
-    positions ``pos``: the part's pivot rows less their leads, in the
-    standard domain, on the columns ``support`` they touch.
+    positions ``pos``: the part's pivot rows less their leads, on the
+    columns ``support`` they touch.
     """
 
     leads: np.ndarray
@@ -437,7 +435,7 @@ class _Part:
     val: np.ndarray
 
 
-def _schedule(piv: _Pivots, levels: list, n_cols: int, ar) -> list:
+def _schedule(piv: _Pivots, levels: list, n_cols: int) -> list:
     """The levels as ``_Part``s, each P within BLOCK_BYTES, from a few numpy calls.
 
     A part holds at most ``_chunk_rows(n_cols)`` pivots, so its P, of at
@@ -461,7 +459,7 @@ def _schedule(piv: _Pivots, levels: list, n_cols: int, ar) -> list:
     widths = np.diff(sup_ptr)
     col_of -= sup_ptr[part_of]
     pos = row_of * widths[part_of] + col_of
-    val = ar.leave(piv.val[at]).astype(np.float64)
+    val = piv.val[at].astype(np.float64)
     ent_ptr = _ptr(np.bincount(part_of, minlength=len(parts))).tolist()
     sup_ptr = sup_ptr.tolist()
     support = keys % n_cols
@@ -492,8 +490,7 @@ def _sweep_levels(B, schedule: list, p: int):
     """Zero every pivot column of the float64 block B in place, one level at a time.
 
     Per level: X is the block's entries in the level's columns, mod p, and
-    B -= X P.  P is in the standard domain, so X P is in B's working
-    domain, and the level's columns end zero.  Partial sums stay exact
+    B -= X P, so the level's columns end zero.  Partial sums stay exact
     integers under ``_float_exact``; one reduction at the end finishes B.
     B is column-major, so each gather and update moves whole columns.
     """
@@ -508,7 +505,7 @@ def _sweep_levels(B, schedule: list, p: int):
     _mod_exact(B, p)
 
 
-def _sweep_plan(piv: _Pivots, levels, n_cols: int, ar):
+def _sweep_plan(piv: _Pivots, levels, n_cols: int):
     """How blocks are swept by the pivots: the block dtype and the plan.
 
     With ``levels``, float64 blocks and the level schedule; without, uint64
@@ -516,26 +513,26 @@ def _sweep_plan(piv: _Pivots, levels, n_cols: int, ar):
     """
     if levels is None:
         return np.uint64, sorted(piv.rows(), key=lambda row: row[0])
-    return np.float64, _schedule(piv, levels, n_cols, ar)
+    return np.float64, _schedule(piv, levels, n_cols)
 
 
-def _sweep(B, plan: list, ar):
+def _sweep(B, plan: list, p: int):
     """Zero every pivot column of the block B in place, by its ``_sweep_plan``.
 
-    B ends reduced, in the working domain.
+    B ends reduced.
     """
     if B.dtype == np.uint64:
-        _sweep_columns(B, plan, ar)
+        _sweep_columns(B, plan, p)
     else:
-        _sweep_levels(B, plan, ar.m.p)
+        _sweep_levels(B, plan, p)
 
 
-def _gauss_jordan(R, ar):
-    """Reduced row echelon form of a dense block, in place.
+def _gauss_jordan(R, p: int):
+    """Reduced row echelon form of a dense uint64 block, in place.
 
     Returns [(lead, row)], leads ascending; every other row of R ends zero.
     """
-    p = ar.m._p_u64
+    pp = np.uint64(p)
     alive = np.ones(R.shape[0], dtype=bool)
     found = []
     for j in range(R.shape[1]):
@@ -545,12 +542,12 @@ def _gauss_jordan(R, ar):
             continue
         # the pivot row is zero left of j, so updates start at column j
         r = int(cand[0])
-        R[r, j:] = ar.mul(R[r, j:], np.uint64(ar.inv(int(R[r, j]))))
+        R[r, j:] = R[r, j:] * np.uint64(pow(int(R[r, j]), p - 2, p)) % pp
         alive[r] = False
         others = nz[nz != r]
         if len(others):
-            coef = p - R[others, j]
-            R[others, j:] = ar.reduce_acc(R[others, j:] + ar.mul_lazy(coef[:, None], R[r, j:]))
+            coef = pp - R[others, j]
+            R[others, j:] = (R[others, j:] + coef[:, None] * R[r, j:]) % pp
         found.append((j, r))
         if not alive.any():
             break
@@ -616,10 +613,8 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     ``BLOCK_BYTES`` (a level is swept in parts when its P would not) or is
     refused with SizeCapError before it is allocated.
     """
-    ar = KernelArith(A.modulus)
     p = A.modulus.p
     chunk = _chunk_rows(A.n_cols)
-    vals = ar.enter(A.val)
     lens = np.diff(A.row_ptr)
     live = np.flatnonzero(lens)
     leads = A.col_ind[A.row_ptr[live]]
@@ -629,17 +624,17 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     rest = np.sort(live[order[~first]])
 
     # monic known pivots, ascending by lead
-    known = _Pivots.of_rows(A.row_ptr, A.col_ind, vals, live[order[first]])
-    invs = ar.inv_vec(known.val[known.ptr[:-1]])
-    known.val = ar.mul(known.val, np.repeat(invs, np.diff(known.ptr)))
+    known = _Pivots.of_rows(A.row_ptr, A.col_ind, A.val, live[order[first]])
+    invs = inv_vec(known.val[known.ptr[:-1]], A.modulus)
+    known.val = known.val * np.repeat(invs, np.diff(known.ptr)) % np.uint64(p)
     levels = _levels(known, A.n_cols) if _float_exact(len(known.leads), p) else None
-    dtype, plan = _sweep_plan(known, levels, A.n_cols, ar)
+    dtype, plan = _sweep_plan(known, levels, A.n_cols)
 
     # 1. sweep each chunk of remainder rows by the known pivots alone
     fill, swept = 0, []
     for k in range(0, len(rest), chunk):
-        B, local, cols = _dense_block(A.row_ptr, A.col_ind, vals, rest[k : k + chunk], A.n_cols, dtype)
-        _sweep(B, plan, ar)
+        B, local, cols = _dense_block(A.row_ptr, A.col_ind, A.val, rest[k : k + chunk], A.n_cols, dtype)
+        _sweep(B, plan, p)
         swept.append(_block_entries(B, k))
         fill += len(swept[-1][0]) - int(np.count_nonzero(B[local, cols]))
 
@@ -654,7 +649,7 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
             raise SizeCapError(f"remainder block {shape[0]} x {shape[1]} exceeds {BLOCK_BYTES} bytes")
         R = np.zeros(shape, dtype=np.uint64)
         R[at_row, at_col] = sv
-        found = np.array(_gauss_jordan(R, ar), dtype=np.int64).reshape(-1, 2)
+        found = np.array(_gauss_jordan(R, p), dtype=np.int64).reshape(-1, 2)
         r, c, v = _block_entries(R[found[:, 1]])
         new = _Pivots(support[found[:, 0]], _ptr(np.bincount(r, minlength=len(found))), support[c], v)
 
@@ -667,14 +662,14 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
         elif levels is not None:
             # a new row has no entry in another pivot column: its level comes last
             levels = levels + [np.arange(n_known, len(every.leads))]
-        dtype, plan = _sweep_plan(every, levels, A.n_cols, ar)
+        dtype, plan = _sweep_plan(every, levels, A.n_cols)
         done = []
         for k in range(0, n_known, chunk):
             part = np.arange(k, min(k + chunk, n_known))
             B = _dense_block(known.ptr, known.ind, known.val, part, A.n_cols, dtype)[0]
             lead = (np.arange(len(part)), known.leads[part])
             one, B[lead] = B[lead], 0
-            _sweep(B, plan, ar)
+            _sweep(B, plan, p)
             B[lead] = one
             done.append(_block_entries(B, k))
         r, c, v = (np.concatenate(x) for x in zip(*done))
@@ -684,8 +679,8 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     rank = len(pivot_cols)
     return EchelonResult(
         pivot_cols=pivot_cols,
-        pivot_rows=known.rows(ar.leave),
-        nonpivot_rows=new.rows(ar.leave),
+        pivot_rows=known.rows(),
+        nonpivot_rows=new.rows(),
         zero_row_count=A.n_rows - rank,
         rank=rank,
         fill_generated=fill,
@@ -905,26 +900,23 @@ def wiedemann_solve(
 
 
 def left_kernel(A: CsrMatrix, count: int, seed: int, block_width: int = 4) -> KernelBasis:
-    """Independent vectors v with v^T A = 0.
+    """Every independent v with v^T A = 0, by the dense oracle.
 
-    ``count`` is the nullity the caller expects.  Size-dispatched: the
-    dense oracle engine below the cap returns the whole exact left kernel
-    at every ``count``, 0 included, so a nullity above ``count`` shows as
-    more vectors than expected; above it, Wiedemann on the transpose
-    (``block_width`` probe vectors per round) returns exactly ``count`` or
-    raises ProbabilisticFailureError.  Every vector is re-verified by one
-    SpMV on A^T.
+    It returns the whole exact left kernel at every ``count`` (the nullity
+    the caller expects), 0 included, so a nullity above ``count`` shows as
+    more vectors than expected.  A matrix with more than ``DENSE_CAP`` rows
+    or columns raises SizeCapError before any dense array is allocated; its
+    left kernel is ``wiedemann_solve``'s on ``csr_transpose(A)``.  The
+    dense route draws nothing, so ``seed`` and ``block_width`` are accepted
+    and not read.  Every vector is re-verified by one SpMV on A^T.
     """
     if count < 0:
         raise PreconditionError("count must be >= 0")
+    if max(A.n_rows, A.n_cols) > DENSE_CAP:
+        raise SizeCapError(f"dense left kernel capped at {DENSE_CAP}, got {A.n_rows}x{A.n_cols}")
     At = csr_transpose(A)
-    if max(A.n_rows, A.n_cols) <= DENSE_CAP:
-        vectors = dense_right_nullspace(At.to_dense(), A.modulus)
-        trail = ()
-    else:
-        kb = wiedemann_solve(At, seed, count, block_width=block_width)
-        vectors, trail = kb.vectors, kb.seed_trail
+    vectors = dense_right_nullspace(At.to_dense(), A.modulus)
     for v in vectors:
         if (spmv(At, v) != 0).any():
             raise PropertyViolationError("left kernel candidate fails v^T A = 0")
-    return KernelBasis(vectors, len(vectors), trail)
+    return KernelBasis(vectors, len(vectors), ())

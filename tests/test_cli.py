@@ -26,7 +26,6 @@ from fpgb.errors import (
     PropertyViolationError,
     UncoverableTargetError,
 )
-from fpgb.fp import KernelArith
 from fpgb.groebner import buchberger_reference
 from fpgb.systems import format_system, gen_katsura, parse_system
 
@@ -113,22 +112,26 @@ def test_verify_instance_reruns_only_the_other_worker_counts(monkeypatch):
 def test_verify_wiedemann_computes_each_batch_kernel_once_per_engine(monkeypatch):
     from fpgb import groebner
 
-    calls = []
-    real_left_kernel = groebner.left_kernel
+    calls = {"dense": 0, "wiedemann": 0}
 
-    def spy(*args, **kwargs):
-        calls.append(args[0].n_rows)
-        return real_left_kernel(*args, **kwargs)
+    def spy(engine, real):
+        def counted(*args, **kwargs):
+            calls[engine] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "left_kernel", spy)
+        return counted
+
+    monkeypatch.setattr(groebner, "left_kernel", spy("dense", groebner.left_kernel))
+    monkeypatch.setattr(groebner, "wiedemann_solve", spy("wiedemann", groebner.wiedemann_solve))
     cfg = PipelineConfig(numeric="wiedemann")
     ring, polys, _ = make_instance("katsura", cfg, n=3, p=101, seed=0)
     checks = verify_instance(ring, polys, cfg)
     assert all(ok for _, ok, _ in checks)
     batches = sum(1 for name, _, _ in checks if name == "plan_structure")
-    # f4_step's kernel check and the dense check, per batch; the 2/4/8-lane
-    # reruns compare digests only and run psge alone
-    assert batches == 4 and len(calls) == 2 * batches
+    # per batch: the dense check once, and Wiedemann once for f4_step's
+    # kernel and once for its own check; the 2/4/8-lane reruns compare
+    # digests only and run psge alone
+    assert batches == 4 and calls == {"dense": batches, "wiedemann": 2 * batches}
 
 
 def test_verify_passes_the_block_width_to_every_wiedemann_solve(monkeypatch):
@@ -277,7 +280,7 @@ def test_microbench_rejects_a_duplicate_rate_outside_0_1(capsys, rate):
 @pytest.mark.parametrize("kind", ["dict_build", "row_assemble", "mod_fma"])
 def test_microbench_wrong_output_raises(monkeypatch, kind):
     # each checked primitive gives wrong output: unique drops a key, the
-    # join comes back reversed, the modular product is one factor
+    # join comes back reversed, the Montgomery product is one factor
     real_unique, real_join = bench.unique_sorted, bench.merge_join_index
 
     def unique_short(*args, **kwargs):
@@ -286,7 +289,7 @@ def test_microbench_wrong_output_raises(monkeypatch, kind):
 
     monkeypatch.setattr(bench, "unique_sorted", unique_short)
     monkeypatch.setattr(bench, "merge_join_index", lambda *a, **k: real_join(*a, **k)[::-1])
-    monkeypatch.setattr(KernelArith, "mul", lambda self, a, b: a)
+    monkeypatch.setattr(bench, "mont_mul_vec", lambda a, b, m: a)
     with pytest.raises(PropertyViolationError, match=kind):
         microbench(kind, 2000, seed=1)
     assert main(["microbench", "--kind", kind, "--size", "2000"]) == 4
@@ -336,7 +339,7 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    # --panel-width and --engine are no flags at all, and dense is no
+    # --panel-width, --engine and --backend are no flags at all, and dense is no
     # --numeric choice: each is a usage error
     "flags",
     [
@@ -344,8 +347,9 @@ def test_cli_exit_codes(tmp_path):
         ["--max-steps", "-1"],
         ["--engine", "buchberger"],
         ["--numeric", "dense"],
+        ["--backend", "montgomery"],
     ],
-    ids=["panel-width", "max-steps", "engine", "numeric-dense"],
+    ids=["panel-width", "max-steps", "engine", "numeric-dense", "backend"],
 )
 def test_cli_rejects_bad_config_before_any_batch(monkeypatch, flags):
     def no_batch(*args, **kwargs):

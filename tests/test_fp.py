@@ -7,9 +7,9 @@ from fpgb.errors import NonInvertibleError, PreconditionError
 from fpgb.fp import (
     Backend,
     FieldModulus,
-    KernelArith,
     add_vec,
     barrett_reduce_vec,
+    inv_vec,
     is_prime,
     matmul_mod,
     mont_enter_vec,
@@ -114,49 +114,33 @@ def test_backend_agreement_sampled():
         assert np.array_equal(add_vec(a, b, m), s % np.uint64(p))
 
 
-def test_kernel_arith_round_trip_all_backends():
-    rng = np.random.default_rng(5)
-    for backend in Backend:
-        for p in (7, 251, 65537, BIG_P):
-            m = FieldModulus(p, backend)
-            ar = KernelArith(m)
-            a = rng.integers(0, p, 2000, dtype=np.uint64)
-            b = rng.integers(0, p, 2000, dtype=np.uint64)
-            da, db = ar.enter(a), ar.enter(b)
-            prod = ar.leave(ar.mul(da, db))
-            assert np.array_equal(prod, a * b % np.uint64(p))
-            x = int(rng.integers(1, p))
-            xin = int(ar.enter(np.uint64(x)))
-            assert int(ar.leave(ar.mul(np.uint64(xin), np.uint64(ar.inv(xin))))) == 1
-            assert ar.window * (p - 1) ** 2 < (1 << 62 if backend is Backend.BARRETT else 1 << 64)
-
-
-def test_kernel_arith_inverse_all_backends():
-    for backend in Backend:
-        ar = KernelArith(FieldModulus(7, backend))
-        assert int(ar.leave(np.uint64(ar.inv(int(ar.enter(np.uint64(3))))))) == 5
-        ar = KernelArith(FieldModulus(251, backend))
-        units = ar.enter(np.arange(1, 251, dtype=np.uint64))
-        invs = [int(ar.leave(np.uint64(ar.inv(int(x))))) for x in units]
-        assert all(a * inv % 251 == 1 for a, inv in zip(range(1, 251), invs))
-        assert sorted(invs) == list(range(1, 251))
-        with pytest.raises(NonInvertibleError):
-            ar.inv(0)
+def test_inv_vec_inverts_every_unit():
+    assert inv_vec(np.array([3], dtype=np.uint64), M7).tolist() == [5]
+    invs = inv_vec(np.arange(1, 251, dtype=np.uint64), FieldModulus(251)).tolist()
+    assert all(a * inv % 251 == 1 for a, inv in zip(range(1, 251), invs))
+    assert sorted(invs) == list(range(1, 251))
 
 
 def test_batch_inversion_matches_one_pow_per_value():
     rng = np.random.default_rng(6)
-    for backend in Backend:
-        for p in (3, 251, 65537, BIG_P):
-            ar = KernelArith(FieldModulus(p, backend))
-            x = ar.enter(rng.integers(1, p, 300, dtype=np.uint64))
-            got = ar.inv_vec(x)
-            assert got.dtype == np.uint64
-            assert got.tolist() == [ar.inv(int(v)) for v in x.tolist()]
-            assert ar.inv_vec(x[:1]).tolist() == [ar.inv(int(x[0]))]
-            assert ar.inv_vec(x[:0]).tolist() == []
-            with pytest.raises(NonInvertibleError):
-                ar.inv_vec(np.concatenate([x[:5], ar.enter(np.zeros(1, dtype=np.uint64)), x[5:9]]))
+    for p in (3, 251, 65537, BIG_P):
+        m = FieldModulus(p)
+        x = rng.integers(1, p, 300, dtype=np.uint64)
+        got = inv_vec(x, m)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [pow(v, p - 2, p) for v in x.tolist()]
+        assert inv_vec(x[:1], m).tolist() == [pow(int(x[0]), p - 2, p)]
+        assert inv_vec(x[:0], m).tolist() == []
+        with pytest.raises(NonInvertibleError):
+            inv_vec(np.concatenate([x[:5], np.zeros(1, dtype=np.uint64), x[5:9]]), m)
+
+
+def test_field_modulus_rejects_an_unknown_backend():
+    # the loaders take a backend name, so a bad one is bad input (exit 2)
+    with pytest.raises(PreconditionError, match="unknown backend 'bogus'"):
+        FieldModulus(7, "bogus")
+    for backend in ("naive", "barrett", "montgomery"):
+        assert FieldModulus(7, backend).backend is Backend(backend)
 
 
 @pytest.mark.parametrize("m", [M7, FieldModulus(65537), MBIG])

@@ -425,13 +425,6 @@ def test_f4_groebner_rejects_unknown_numeric():
             f4_groebner([poly_parse("x^2 - y", R2)], R2, PipelineConfig(numeric=numeric))
 
 
-def test_pipeline_config_rejects_unknown_backend():
-    with pytest.raises(PreconditionError, match="unknown backend"):
-        PipelineConfig(backend="bogus")
-    for backend in ("naive", "barrett", "montgomery"):
-        assert PipelineConfig(backend=backend).backend == backend
-
-
 def test_oracle_equivalence_toy():
     f = poly_parse("x^2 - y", R2)
     g = poly_parse("x*y - 1", R2)

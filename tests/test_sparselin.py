@@ -694,14 +694,18 @@ def test_left_kernel_above_dense_cap_is_complete(monkeypatch):
         raise AssertionError("the dense route ran above DENSE_CAP")
 
     monkeypatch.setattr(sparselin, "dense_right_nullspace", no_dense)
-    kb = left_kernel(A, count=nullity, seed=3)
+    # the dense left kernel refuses it; Wiedemann on the transpose solves it
+    with pytest.raises(SizeCapError, match=f"capped at {sparselin.DENSE_CAP}, got 30x600"):
+        left_kernel(A, count=nullity, seed=3)
+    At = csr_transpose(A)
+    kb = wiedemann_solve(At, seed=3, max_vectors=nullity)
     assert kb.dimension_found == len(kb.vectors) == nullity
     assert kb.seed_trail
     dense = mat.astype(object)
     for v in kb.vectors:
         assert not any(x % MBIG.p for x in v.astype(object) @ dense)
     with pytest.raises(ProbabilisticFailureError):
-        left_kernel(A, count=nullity + 1, seed=3)
+        wiedemann_solve(At, seed=3, max_vectors=nullity + 1)
 
 
 def test_left_kernel_count_zero_and_negative():
