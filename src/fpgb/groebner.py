@@ -41,7 +41,6 @@ from .errors import (
     PreconditionError,
     ProbabilisticFailureError,
     PropertyViolationError,
-    SizeCapError,
 )
 from .fp import FieldModulus
 from .monomials import (
@@ -59,7 +58,6 @@ from .polynomials import (
     soa_pack,
     soa_polys,
 )
-from . import sparselin
 from .sparselin import (
     KernelBasis,
     csr_from_plan,
@@ -636,18 +634,16 @@ def groebner_kernel_checks(
     ``rank`` is the batch's rank from elimination, so both engines are held
     to the nullity ``n_rows - rank``: a report passes only if it found
     exactly that many vectors and every one recombines to zero.  The dense
-    check is the dense oracle, so a batch above ``sparselin.DENSE_CAP``
-    raises SizeCapError before any kernel is computed; Wiedemann probes
-    ``block_width`` vectors per round.  Each row's prebuilt ``shifted``
-    polynomial, when given, goes to the recombination.
+    check is the dense oracle and runs first, so a batch above
+    ``sparselin.DENSE_CAP`` raises its SizeCapError before any kernel is
+    computed; Wiedemann probes ``block_width`` vectors per round.  Each
+    row's prebuilt ``shifted`` polynomial, when given, goes to the
+    recombination.
     """
     A = csr_from_plan(plan, m)
-    cap = sparselin.DENSE_CAP  # read at call time, as left_kernel does
-    if max(A.n_rows, A.n_cols) > cap:
-        raise SizeCapError(f"dense kernel check capped at {cap}, got a {A.n_rows}x{A.n_cols} batch")
     nullity = A.n_rows - rank
     reports = []
-    dense_kb = left_kernel(A, count=nullity, seed=seed, block_width=block_width)
+    dense_kb = left_kernel(A, count=nullity)
     reports.append(("dense", _kernel_report(plan, basis, dense_kb, nullity, shifted), dense_kb))
     try:
         kb = wiedemann_solve(csr_transpose(A), seed, nullity, block_width=block_width)

@@ -899,7 +899,7 @@ def wiedemann_solve(
     return KernelBasis(vectors, len(vectors), tuple(trail), calls)
 
 
-def left_kernel(A: CsrMatrix, count: int, seed: int, block_width: int = 4) -> KernelBasis:
+def left_kernel(A: CsrMatrix, count: int, seed: int = 0) -> KernelBasis:
     """Every independent v with v^T A = 0, by the dense oracle.
 
     It returns the whole exact left kernel at every ``count`` (the nullity
@@ -907,13 +907,15 @@ def left_kernel(A: CsrMatrix, count: int, seed: int, block_width: int = 4) -> Ke
     more vectors than expected.  A matrix with more than ``DENSE_CAP`` rows
     or columns raises SizeCapError before any dense array is allocated; its
     left kernel is ``wiedemann_solve``'s on ``csr_transpose(A)``.  The
-    dense route draws nothing, so ``seed`` and ``block_width`` are accepted
-    and not read.  Every vector is re-verified by one SpMV on A^T.
+    dense route draws nothing: ``seed`` is kept for callers that pass it
+    and is not read.  Every vector is re-verified by one SpMV on A^T.
     """
     if count < 0:
         raise PreconditionError("count must be >= 0")
     if max(A.n_rows, A.n_cols) > DENSE_CAP:
-        raise SizeCapError(f"dense left kernel capped at {DENSE_CAP}, got {A.n_rows}x{A.n_cols}")
+        raise SizeCapError(
+            f"dense kernel check capped at {DENSE_CAP}, got a {A.n_rows}x{A.n_cols} matrix"
+        )
     At = csr_transpose(A)
     vectors = dense_right_nullspace(At.to_dense(), A.modulus)
     for v in vectors:

@@ -10,17 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PolyParseError, PreconditionError
-from .fp import Backend, FieldModulus
+from .fp import FieldModulus
 from .monomials import MAX_VARS, Ring, count_monomials
 from .polynomials import Poly, poly_format, poly_normalize, poly_parse
 
 
-def gen_cyclic(n: int, p: int, backend: Backend | str = Backend.NAIVE):
+def gen_cyclic(n: int, p: int):
     """Cyclic-n: for k < n the sum of all length-k products of consecutive
     variables (indices mod n), plus x_1...x_n - 1."""
     if not 2 <= n <= MAX_VARS:
         raise PreconditionError(f"cyclic needs 2 <= n <= {MAX_VARS}")
-    ring = Ring([f"x{i}" for i in range(n)], "grevlex", FieldModulus(p, backend))
+    ring = Ring([f"x{i}" for i in range(n)], "grevlex", FieldModulus(p))
     polys = []
     for k in range(1, n):
         terms = []
@@ -35,7 +35,7 @@ def gen_cyclic(n: int, p: int, backend: Backend | str = Backend.NAIVE):
     return ring, polys
 
 
-def gen_katsura(n: int, p: int, backend: Backend | str = Backend.NAIVE):
+def gen_katsura(n: int, p: int):
     """Katsura-n in variables x_0..x_n.
 
     One linear relation x_0 + 2(x_1 + ... + x_n) - 1 and, for k = 0..n-1,
@@ -43,7 +43,7 @@ def gen_katsura(n: int, p: int, backend: Backend | str = Backend.NAIVE):
     """
     if not 1 <= n < MAX_VARS:
         raise PreconditionError(f"katsura needs 1 <= n <= {MAX_VARS - 1} (n + 1 variables)")
-    ring = Ring([f"x{i}" for i in range(n + 1)], "grevlex", FieldModulus(p, backend))
+    ring = Ring([f"x{i}" for i in range(n + 1)], "grevlex", FieldModulus(p))
     nv = n + 1
     polys = []
     lin = [((tuple(1 if j == 0 else 0 for j in range(nv))), 1)]
@@ -87,8 +87,7 @@ def _degree_le2_monomials(nv: int):
 
 
 def gen_random_quadratic(
-    n: int, m: int, density: float, seed: int, p: int,
-    backend: Backend | str = Backend.NAIVE, max_redraws: int = 64,
+    n: int, m: int, density: float, seed: int, p: int, max_redraws: int = 64
 ):
     """m random polynomials of degree <= 2 in n variables.
 
@@ -100,7 +99,7 @@ def gen_random_quadratic(
         raise PreconditionError("density must be in (0, 1]")
     if not 1 <= n <= MAX_VARS or m < 1:
         raise PreconditionError(f"need 1 <= n <= {MAX_VARS} and m >= 1")
-    ring = Ring([f"x{i}" for i in range(n)], "grevlex", FieldModulus(p, backend))
+    ring = Ring([f"x{i}" for i in range(n)], "grevlex", FieldModulus(p))
     mons = _degree_le2_monomials(n)
     root = np.random.SeedSequence(seed)
     polys = []
@@ -132,7 +131,7 @@ def format_system(ring: Ring, polys) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_system(text: str, backend: Backend | str = Backend.NAIVE):
+def parse_system(text: str):
     """Parse a system file; returns (ring, polynomials)."""
     lines = text.split("\n")
     header = []
@@ -161,7 +160,7 @@ def parse_system(text: str, backend: Backend | str = Backend.NAIVE):
         raise PolyParseError("third header line must be 'order <name>'", line=ln_o)
     order = o_line.split()[1]
     try:
-        ring = Ring(names, order, FieldModulus(p, backend))
+        ring = Ring(names, order, FieldModulus(p))
     except (ValueError, PreconditionError) as exc:
         raise PolyParseError(f"bad system header: {exc}", line=ln_p)
     polys = []

@@ -448,6 +448,28 @@ def test_engine_variants_agree():
     assert gb_text(f4_groebner(polys, ring, PipelineConfig(numeric="wiedemann"))) == base
 
 
+@pytest.mark.parametrize("p", [3, 7])
+@pytest.mark.parametrize("gen,n", [(gen_katsura, 4), (gen_cyclic, 5)])
+def test_wiedemann_route_completes_at_small_primes(monkeypatch, gen, n, p):
+    # at p = 3 and 7 a random probe is often degenerate; each seed must
+    # still fill every batch's kernel and give psge's basis
+    nullities = []
+    real_solve = groebner.wiedemann_solve
+
+    def spy(At, seed, count, **kwargs):
+        nullities.append(count)
+        return real_solve(At, seed, count, **kwargs)
+
+    monkeypatch.setattr(groebner, "wiedemann_solve", spy)
+    ring, polys = gen(n, p)
+    base = gb_text(f4_groebner(polys, ring))
+    for seed in range(3):
+        nullities.clear()
+        got = f4_groebner(polys, ring, PipelineConfig(numeric="wiedemann", seed=seed))
+        assert gb_text(got) == base
+        assert sum(c > 0 for c in nullities) >= 2  # batches with a kernel to fill
+
+
 def test_idempotence_on_reduced_basis():
     ring, polys = gen_cyclic(3, 7)
     gb = f4_groebner(polys, ring)
@@ -717,8 +739,10 @@ def test_kernel_checks_refuse_a_batch_above_the_dense_cap(monkeypatch):
 
     monkeypatch.setattr(sparselin, "wiedemann_solve", no_solve)
     monkeypatch.setattr(groebner, "wiedemann_solve", no_solve)
-    monkeypatch.setattr(groebner, "left_kernel", no_solve)
-    with pytest.raises(SizeCapError, match=f"capped at {cap}, got a {plan.n_rows}x{plan.n_cols} batch"):
+    # the dense check runs first and refuses before it allocates a dense array
+    monkeypatch.setattr(sparselin.CsrMatrix, "to_dense", no_solve)
+    monkeypatch.setattr(sparselin, "dense_right_nullspace", no_solve)
+    with pytest.raises(SizeCapError, match=f"capped at {cap}, got a {plan.n_rows}x{plan.n_cols} matrix"):
         groebner_kernel_checks(plan, basis_before, ring.modulus, ech.rank, seed=3)
 
 

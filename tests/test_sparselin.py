@@ -695,7 +695,7 @@ def test_left_kernel_above_dense_cap_is_complete(monkeypatch):
 
     monkeypatch.setattr(sparselin, "dense_right_nullspace", no_dense)
     # the dense left kernel refuses it; Wiedemann on the transpose solves it
-    with pytest.raises(SizeCapError, match=f"capped at {sparselin.DENSE_CAP}, got 30x600"):
+    with pytest.raises(SizeCapError, match=f"capped at {sparselin.DENSE_CAP}, got a 30x600 matrix"):
         left_kernel(A, count=nullity, seed=3)
     At = csr_transpose(A)
     kb = wiedemann_solve(At, seed=3, max_vectors=nullity)
