@@ -425,8 +425,10 @@ def verify_instance(ring, polys, config: PipelineConfig):
     shift oracle, closure soundness, kernel-syzygy on both kernel engines
     (each held to the batch's nullity from elimination), key-count
     instrumentation, digest stability across worker counts, and engine
-    agreement (batched vs scalar oracle).
+    agreement (batched vs scalar oracle).  F4 runs with psge whatever
+    ``config.numeric`` says: the Wiedemann kernel check solves every batch.
     """
+    config = replace(config, numeric="psge")
     checks = []
 
     def record(name, ok, detail=""):
@@ -488,12 +490,10 @@ def verify_instance(ring, polys, config: PipelineConfig):
         [f.terms for f in gb_f4] == [f.terms for f in gb_oracle],
     )
     record("buchberger_criterion", is_groebner(gb_f4, ring).ok)
-    # the F4 run above already gives the digest for config.workers; the
-    # reruns check digests only, so they skip the per-batch kernel solve
-    # that numeric="wiedemann" adds (each batch's kernels are checked above)
+    # the F4 run above already gives the digest for config.workers
     digests = {basis_digest(format_system(ring, gb_f4))}
     for workers in sorted({1, 2, 4, 8} - {config.workers}):
-        rep, _, _ = run_pipeline(ring, polys, replace(config, workers=workers, numeric="psge"))
+        rep, _, _ = run_pipeline(ring, polys, replace(config, workers=workers))
         digests.add(rep.digest)
     record("digest_worker_stability", len(digests) == 1, f"{len(digests)} distinct digests")
     return checks

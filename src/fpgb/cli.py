@@ -40,8 +40,9 @@ EXIT_GUARD = 3
 EXIT_PROPERTY = 4
 
 
-def _add_config_flags(sp):
-    sp.add_argument("--numeric", choices=["psge", "wiedemann"], default="psge")
+def _add_config_flags(sp, numeric: bool = True):
+    if numeric:
+        sp.add_argument("--numeric", choices=["psge", "wiedemann"], default="psge")
     sp.add_argument("--block-width", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--workers", type=int, default=1)
@@ -91,12 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the invariant suites on an instance")
     v.add_argument("--input", help="system file path")
     _add_family_flags(v, required=False)
-    _add_config_flags(v)
+    # verify's own kernel checks solve every batch, so F4 runs psge there
+    _add_config_flags(v, numeric=False)
     return ap
 
 
 def _config_from_args(args) -> PipelineConfig:
-    return PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
+    """The config from the flags the command has; the others keep their defaults."""
+    names = [f.name for f in fields(PipelineConfig) if hasattr(args, f.name)]
+    return PipelineConfig(**{name: getattr(args, name) for name in names})
 
 
 def _load_instance(args, config: PipelineConfig):

@@ -94,9 +94,6 @@ class Ring:
             self._key_cache[u] = k
         return k
 
-    def one(self) -> Monomial:
-        return (0,) * self.n_vars
-
     def __repr__(self):
         return f"Ring(vars={self.var_names}, order={self.order}, p={self.modulus.p})"
 

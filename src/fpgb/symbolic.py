@@ -13,10 +13,12 @@ the write plan, fill flat key/value streams, canonicalize the dictionary by
 radix sort + unique, then join every row segment against the dictionary to
 produce column indices.  Optionally the dictionary is closed under one-step
 reductions: any dictionary monomial divisible by a basis leading monomial
-gains a reducer row, iterated to a fixed point over a frontier.  Round 1
-scans the monomials no row leads; each later round scans only the monomials
-the previous round's rows added, which are sorted and deduplicated once,
-looked up once and inserted into the dictionary in place.
+gains a reducer row, iterated to a fixed point over a frontier, one round
+at a time.  Round 0 is the batch's rows: their sorted unique keys are the
+dictionary, and its frontier is the keys no row leads.  Round k >= 1 is the
+reducer rows of round k - 1's frontier; their keys are sorted and
+deduplicated once, looked up once, and the ones the dictionary lacks are
+inserted in place and become the next frontier.
 
 Everything is deterministic: S-half rows are ordered by (provenance, shift
 key, basis index), closure rows append in discovery-round order, and
@@ -113,8 +115,8 @@ class PlanCounters:
     nnz: int = 0
     closure_rounds: int = 0
     keys_emitted: int = 0
-    # always equal to keys_emitted: both sites in compile_batch add the same
-    # len(keys), since every generated key is emitted into the plan; kept
+    # always equal to keys_emitted: compile_batch adds the same len(keys) to
+    # both, since every generated key is emitted into the plan; kept
     # because the counter-fidelity acceptance test reads it and plan_to_text
     # dumps it, so it is part of every plan digest
     keys_generated_total: int = 0
@@ -257,8 +259,8 @@ def closure_expand(keys_desc: np.ndarray, basis: SoaPolySet, round_id: int = 1) 
     For every given monomial (keys in descending order) pick the preferred
     basis divisor (smallest leading monomial, then lowest index) and emit
     the reducer row whose lead is exactly that monomial, in ascending key
-    order.  The caller passes only monomials that no row leads yet: the
-    uncovered dictionary in round 1, and afterwards the monomials the
+    order.  The caller passes only monomials that no row leads yet: round
+    0's keys that none of its rows leads, and afterwards the monomials the
     previous round's rows added.  The rows are empty when none has a divisor.
 
     The search is one ``first_divisor`` call against the leads in that order.
@@ -283,70 +285,56 @@ def compile_batch(
     """Compile a row table into a layout plan.
 
     ``rows`` must already be in the deterministic order produced by
-    select_rows; closure rows are appended per discovery round.  The output
-    is byte-identical for any ExecPolicy.
+    select_rows (an empty table may be a plain list); closure rows are
+    appended per discovery round.  KEY_CAP bounds the keys of all rounds
+    together, and DICT_CAP the dictionary after each closure round.  The
+    output is byte-identical for any ExecPolicy.
     """
     ring = basis.ring
     counters = PlanCounters()
-    timings = {"dict_build_ns": 0, "row_assemble_ns": 0}
-    if not rows:
-        plan = LayoutPlan(
-            ring,
-            np.zeros(1, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.uint64),
-            np.zeros((0, ring.n_key_words), dtype=np.uint64),
-            rows,
-            counters,
-            timings,
-        )
-        plan.validate()
-        return plan
+    timings = {}
+    given = np.asarray(getattr(rows, "rows", rows), dtype=np.int64)
+    rows = RowMeta(given.reshape(-1, ring.n_vars + 3))
 
+    # round 0 is the given rows; round k >= 1 is the closure rows of the
+    # monomials round k - 1 added, which no row can lead because every
+    # closure row leads at a monomial already present
     t0 = time.monotonic_ns()
-    lens, keys, vals, lead_keys = _materialize(rows, basis, policy)
-    row_parts, len_parts, key_parts, val_parts = [rows.rows], [lens], [keys], [vals]
-    counters.keys_emitted += len(keys)
-    counters.keys_generated_total += len(keys)
-    dict_asc, _ = unique_sorted(radix_sort(keys, policy)[0], policy, check=False)
-
-    if closure is Closure.ONE_STEP_REDUCTION:
-        # the frontier: round 1 scans the monomials no row leads; later rounds
-        # scan only what the previous round added, which no row can lead
-        # because every closure row leads at a monomial already present
-        uncovered = np.ones(len(dict_asc), dtype=bool)
-        uncovered[lower_bound(dict_asc, lead_keys)] = False
-        frontier = dict_asc[uncovered]
-        while True:
-            new_rows = closure_expand(frontier[::-1], basis, counters.closure_rounds + 1)
-            if not new_rows:
-                break
-            counters.closure_rounds += 1
-            nlens, nkeys, nvals, _ = _materialize(new_rows, basis, policy, counters.keys_emitted)
-            counters.keys_emitted += len(nkeys)
-            counters.keys_generated_total += len(nkeys)
-            row_parts.append(new_rows.rows)
-            len_parts.append(nlens)
-            key_parts.append(nkeys)
-            val_parts.append(nvals)
-            nuniq, _ = unique_sorted(radix_sort(nkeys, policy)[0], policy, check=False)
-            pos = lower_bound(dict_asc, nuniq)
+    parts, dict_asc = [], None
+    while True:
+        lens, keys, vals, lead_keys = _materialize(rows, basis, policy, counters.keys_emitted)
+        counters.keys_emitted += len(keys)
+        counters.keys_generated_total += len(keys)
+        parts.append((rows.rows, lens, keys, vals))
+        uniq, _ = unique_sorted(radix_sort(keys, policy)[0], policy, check=False)
+        if dict_asc is None:
+            # round 0's keys are the dictionary; its frontier is what no row leads
+            dict_asc = uniq
+            uncovered = np.ones(len(uniq), dtype=bool)
+            uncovered[lower_bound(uniq, lead_keys)] = False
+            frontier = uniq[uncovered]
+        else:
+            pos = lower_bound(dict_asc, uniq)
             present = pos < len(dict_asc)
-            present[present] = (dict_asc[pos[present]] == nuniq[present]).all(axis=1)
-            frontier = nuniq[~present]
+            present[present] = (dict_asc[pos[present]] == uniq[present]).all(axis=1)
+            frontier = uniq[~present]
             dict_asc = np.insert(dict_asc, pos[~present], frontier, axis=0)
             if len(dict_asc) > DICT_CAP:
                 raise SizeCapError(
                     f"dictionary exceeded {DICT_CAP} entries after "
                     f"{counters.closure_rounds} closure rounds"
                 )
+        if closure is not Closure.ONE_STEP_REDUCTION:
+            break
+        rows = closure_expand(frontier[::-1], basis, counters.closure_rounds + 1)
+        if not rows:
+            break
+        counters.closure_rounds += 1
     timings["dict_build_ns"] = time.monotonic_ns() - t0
 
     t1 = time.monotonic_ns()
-    row_meta = RowMeta(np.concatenate(row_parts))
-    all_lens = np.concatenate(len_parts)
-    flat_keys = np.vstack(key_parts)
-    flat_vals = np.concatenate(val_parts)
+    table, all_lens, flat_keys, flat_vals = (np.concatenate(p) for p in zip(*parts))
+    row_meta = RowMeta(table)
     row_ptr = exclusive_scan(all_lens, policy)
     n_dict = len(dict_asc)
     # dictionary join over the flat stream (sorted within each row segment);

@@ -128,10 +128,19 @@ def test_verify_wiedemann_computes_each_batch_kernel_once_per_engine(monkeypatch
     checks = verify_instance(ring, polys, cfg)
     assert all(ok for _, ok, _ in checks)
     batches = sum(1 for name, _, _ in checks if name == "plan_structure")
-    # per batch: the dense check once, and Wiedemann once for f4_step's
-    # kernel and once for its own check; the 2/4/8-lane reruns compare
-    # digests only and run psge alone
-    assert batches == 4 and calls == {"dense": batches, "wiedemann": 2 * batches}
+    # per batch: the dense check once and the Wiedemann check once; F4 and
+    # the 2/4/8-lane reruns run psge alone
+    assert batches == 4 and calls == {"dense": batches, "wiedemann": batches}
+
+
+def test_verify_has_no_numeric_flag(monkeypatch):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran on a usage error")
+
+    monkeypatch.setattr("fpgb.groebner.f4_step", no_batch)
+    argv = ["verify", "--family", "katsura", "--n", "3", "--p", "101"]
+    assert main(argv + ["--numeric", "wiedemann"]) == 2
+    assert main(argv + ["--numeric", "psge"]) == 2
 
 
 def test_verify_passes_the_block_width_to_every_wiedemann_solve(monkeypatch):
@@ -358,7 +367,9 @@ def test_cli_rejects_bad_config_before_any_batch(monkeypatch, flags):
     monkeypatch.setattr("fpgb.cli.run_pipeline", no_batch)
     monkeypatch.setattr("fpgb.groebner.f4_step", no_batch)
     for command in ("gb", "bench", "verify"):
-        argv = [command, "--family", "katsura", "--n", "3", "--p", "101", "--numeric", "psge"]
+        argv = [command, "--family", "katsura", "--n", "3", "--p", "101"]
+        if command != "verify":  # verify has no --numeric
+            argv += ["--numeric", "psge"]
         assert main(argv + flags) == 2
 
 

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fpgb import monomials, symbolic
+from fpgb import groebner, monomials, symbolic
 from fpgb.bench import PipelineConfig, basis_digest
 from fpgb.bulk import ExecPolicy, radix_sort, unique_sorted
 from fpgb.errors import PropertyViolationError, SizeCapError, UncoverableTargetError
@@ -161,6 +161,15 @@ def test_compile_empty_rows():
     assert plan.counters.N == 0 and plan.counters.M == 0
     assert plan.row_ptr.tolist() == [0]
     assert plan.counters.r == 0
+
+
+def test_empty_list_compiles_like_a_zero_row_table():
+    basis = two_poly_basis()
+    zero_rows = select_rows(np.zeros((0, 2), dtype=np.int64), [], [], basis)
+    text = plan_to_text(compile_batch([], basis))
+    assert text == plan_to_text(compile_batch(zero_rows, basis))
+    assert "counters r=0 N=0 M=0 " in text
+    assert text.endswith("\ndict_keys \nrow_meta \n")
 
 
 def test_one_step_closure_adds_reducer_row():
@@ -398,26 +407,28 @@ def test_plan_race_freedom_partition():
     assert (seen == 1).all()
 
 
-def test_dict_cap_guard():
+def test_dict_cap_guard(monkeypatch):
     rx = Ring(["x"], "grevlex", M7)
     gb = soa_pack([poly_parse("x - 1", rx)], rx)
-    # x^N closure walks down one monomial per round; keep N modest but
-    # patch the cap so the guard path is exercised
-    import fpgb.symbolic as sym
-
+    # x^50 (x - 1) has the keys x^51 and x^50; the closure then walks down one
+    # monomial per round, to 52 after 50 rounds
     seed_rows = rows_of(RowRole.SPOLY_HALF, 0, [0], [[50]])
-    old = sym.DICT_CAP
-    sym.DICT_CAP = 10
-    try:
-        with pytest.raises(SizeCapError):
+    plan = compile_batch(seed_rows, gb, Closure.ONE_STEP_REDUCTION)
+    assert (plan.counters.N, plan.counters.closure_rounds) == (52, 50)
+    monkeypatch.setattr(symbolic, "DICT_CAP", 52)
+    assert compile_batch(seed_rows, gb, Closure.ONE_STEP_REDUCTION).counters.N == 52
+    for cap, rounds in ((51, 50), (10, 9), (1, 1)):
+        monkeypatch.setattr(symbolic, "DICT_CAP", cap)
+        with pytest.raises(SizeCapError, match=f"exceeded {cap} entries after {rounds} closure rounds"):
             compile_batch(seed_rows, gb, Closure.ONE_STEP_REDUCTION)
-    finally:
-        sym.DICT_CAP = old
+        # the cap bounds what closure rounds add: round 0 alone compiles
+        assert compile_batch(seed_rows, gb, Closure.SUPPORT_ONLY).counters.N == 2
 
 
-# sha256 of plan_to_text for every batch, then of the reduced basis text:
-# pins the compiler's output bytes across code versions, not only across
-# worker counts within one version
+# sha256 of plan_to_text for every batch, then of the final interreduction's
+# plan (a round 0 of REDUCER rows, which never reaches on_batch), then of the
+# reduced basis text: pins the compiler's output bytes across code versions,
+# not only across worker counts within one version
 GOLDEN_PLANS = {
     ("cyclic", 5, 65537): (
         [
@@ -436,6 +447,7 @@ GOLDEN_PLANS = {
             "b4dc6597d3cee6d9ecf42e612534a3575851041d4adc3b20087e1c0c72cdfe0a",
             "432b405065d44aa1dd7f37e2dbd0776e62d305221c6fdc8d311a8f7b9e3c35ed",
         ],
+        "846266a78c60d00fe7365415453476d4182e87aaeed482cbb7b22887399dbe8c",
         "52d0ca1f26d2c4a993d9757686f11143b3aa5fdb7657d04986604b86f278f2f6",
     ),
     ("katsura", 4, 2147483629): (
@@ -446,6 +458,7 @@ GOLDEN_PLANS = {
             "de732c8bced8efeb5089df727d1c2eb2a3f1eb24343afd090d1222c312dd6052",
             "1b503e6a87e272f926f555990c32466162f5ac2b7afd6af0562b9c68f321a255",
         ],
+        "e2dc7de004412df85c7437477b02739538a8c9264720fae7a6da5c94d7f000d7",
         "ecc270704456c7842bea938f4e93f40485bdc83c6956a38c1942f888d8f46862",
     ),
     # many-small's systems: (order, seed, p); the pair queue's order depends
@@ -457,6 +470,7 @@ GOLDEN_PLANS = {
             "90219c5a61689077e41f400436baa6285b2071cf64b50488c6068d84feeb6942",
             "98cc76f4cf81927cca31ad1ceee21a960b9848ee0814eb5c00d92edb303c2af1",
         ],
+        "88f89b16dadfa74c1208c41aaf78f8badc38baa19aff865e9451cc6b7a2c9cc2",
         "7edc8dff2bcbece9d5dbb5bec97ba3d6c33720ba6f9f7f21a0383f62a19ba767",
     ),
     ("random-lex", 2, 2147483629): (
@@ -474,6 +488,7 @@ GOLDEN_PLANS = {
             "0fcfcc133fa0f94b8bb2d1ef5b9b4f6da4759088ee9130d05210871fa9f2942c",
             "0f6902332396f83d36dea1bd3f8687c4eb2db46907f8b258d5ff8376cf568eb2",
         ],
+        "1caf9d9cefd410fb606a09e4cb5374c2e1ca87db44f230d138cf7d547164559f",
         "3f14059ac6206f18e3e6053adfc4606061c8eeabb1bc2836864bb12e19899bb6",
     ),
 }
@@ -490,17 +505,20 @@ def golden_system(family, n, p):
 
 
 @pytest.mark.parametrize("instance", sorted(GOLDEN_PLANS))
-def test_golden_plan_and_basis_digests(instance):
+def test_golden_plan_and_basis_digests(instance, monkeypatch):
     ring, polys = golden_system(*instance)
     digests, rounds = [], []
 
-    def on_batch(basis_before, plan, ech, stats):
+    def compile_and_record(*args, **kwargs):
+        plan = compile_batch(*args, **kwargs)
         digests.append(hashlib.sha256(plan_to_text(plan).encode()).hexdigest())
         rounds.append(plan.counters.closure_rounds)
+        return plan
 
-    basis = f4_groebner(polys, ring, PipelineConfig(), on_batch)
-    want_plans, want_basis = GOLDEN_PLANS[instance]
-    assert digests == want_plans
+    monkeypatch.setattr(groebner, "compile_batch", compile_and_record)
+    basis = f4_groebner(polys, ring, PipelineConfig())
+    want_plans, want_interreduction, want_basis = GOLDEN_PLANS[instance]
+    assert digests == want_plans + [want_interreduction]
     assert basis_digest(format_system(ring, basis)) == want_basis
     assert max(rounds) >= 2  # the closure runs past its first round
 
