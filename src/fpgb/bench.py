@@ -158,7 +158,6 @@ def run_pipeline(ring, polys, config: PipelineConfig, instance: dict | None = No
         instance=dict(instance or {}),
         config={
             "numeric": config.numeric,
-            "block_width": config.block_width,
             "seed": config.seed,
             "workers": config.workers,
         },
@@ -170,7 +169,7 @@ def run_pipeline(ring, polys, config: PipelineConfig, instance: dict | None = No
     return report, basis_text, basis
 
 
-def make_instance(family: str, config: PipelineConfig, **params):
+def make_instance(family: str, **params):
     """Instantiate a named benchmark family."""
     if family == "cyclic":
         ring, polys = gen_cyclic(params["n"], params["p"])
@@ -473,9 +472,8 @@ def verify_instance(ring, polys, config: PipelineConfig):
                     break
         record_batch("closure_soundness", sound)
         # kernel syzygies via both engines, each held to the batch's nullity
-        for engine, report, _ in groebner_kernel_checks(
-            plan, basis, ring.modulus, ech.rank, config.seed, shifted, config.block_width
-        ):
+        checks = groebner_kernel_checks(plan, basis, ring.modulus, ech.rank, config.seed, shifted)
+        for engine, report, _ in checks:
             record_batch(f"kernel_syzygy_{engine}", report.ok, report.detail)
         record_batch(
             "key_instrumentation",

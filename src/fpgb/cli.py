@@ -43,7 +43,6 @@ EXIT_PROPERTY = 4
 def _add_config_flags(sp, numeric: bool = True):
     if numeric:
         sp.add_argument("--numeric", choices=["psge", "wiedemann"], default="psge")
-    sp.add_argument("--block-width", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--max-steps", type=int, default=10_000)
@@ -124,7 +123,7 @@ def _load_instance(args, config: PipelineConfig):
     missing = [k for k, v in params.items() if v is None]
     if missing:
         raise PolyParseError(f"missing flags for family {args.family}: {missing}")
-    return make_instance(args.family, config, **params)
+    return make_instance(args.family, **params)
 
 
 def _emit(text: str, path: str | None):

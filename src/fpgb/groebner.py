@@ -343,7 +343,6 @@ class PipelineConfig:
     """Every setting of an F4 run; checked once, when it is built.  Oracles take none."""
 
     numeric: str = "psge"  # psge | wiedemann (psge plus a kernel check per batch)
-    block_width: int = 4
     seed: int = 0
     workers: int = 1
     max_steps: int = MAX_STEPS_DEFAULT
@@ -353,8 +352,6 @@ class PipelineConfig:
             raise PreconditionError(f"unknown numeric engine {self.numeric!r}")
         if self.workers < 1:
             raise PreconditionError("workers must be >= 1")
-        if self.block_width < 1:
-            raise PreconditionError("block_width must be >= 1")
         if self.max_steps < 0:
             raise PreconditionError("max_steps must be >= 0")
 
@@ -402,7 +399,7 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
     kernel = None
     if config.numeric == "wiedemann":
         nullity = A.n_rows - ech.rank
-        kernel = wiedemann_solve(csr_transpose(A), config.seed, nullity, block_width=config.block_width)
+        kernel = wiedemann_solve(csr_transpose(A), config.seed, nullity)
         # the basis is still the one the batch was compiled from: _harvest runs below
         report = _kernel_report(plan, soa_polys(state.basis), kernel, nullity)
         if not report.ok:
@@ -627,7 +624,7 @@ def _kernel_report(plan: LayoutPlan, basis: list, kernel: KernelBasis, nullity: 
 
 
 def groebner_kernel_checks(
-    plan: LayoutPlan, basis: list, m: FieldModulus, rank: int, seed=0, shifted=None, block_width=4
+    plan: LayoutPlan, basis: list, m: FieldModulus, rank: int, seed=0, shifted=None
 ):
     """Left kernels via both engines, each recombined exactly; returns reports.
 
@@ -636,7 +633,7 @@ def groebner_kernel_checks(
     exactly that many vectors and every one recombines to zero.  The dense
     check is the dense oracle and runs first, so a batch above
     ``sparselin.DENSE_CAP`` raises its SizeCapError before any kernel is
-    computed; Wiedemann probes ``block_width`` vectors per round.  Each
+    computed; Wiedemann derives its block width from the nullity.  Each
     row's prebuilt ``shifted`` polynomial, when given, goes to the
     recombination.
     """
@@ -646,7 +643,7 @@ def groebner_kernel_checks(
     dense_kb = left_kernel(A, count=nullity)
     reports.append(("dense", _kernel_report(plan, basis, dense_kb, nullity, shifted), dense_kb))
     try:
-        kb = wiedemann_solve(csr_transpose(A), seed, nullity, block_width=block_width)
+        kb = wiedemann_solve(csr_transpose(A), seed, nullity)
         reports.append(("wiedemann", _kernel_report(plan, basis, kb, nullity, shifted), kb))
     except ProbabilisticFailureError as exc:  # reported, never hidden
         reports.append(("wiedemann", GroebnerReport(False, str(exc)), None))

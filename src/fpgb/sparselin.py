@@ -22,9 +22,9 @@ them:
   ``berlekamp_massey``), and turns it into up to b kernel vectors by one
   block Horner evaluation.  A rectangular A is framed through A^T A and
   every candidate is verified against A itself.  Every caller passes the
-  nullity it knows from elimination as the target: the solve stops once it
-  is reached and fails loudly when the round budget, sized from the
-  target, ends short of it.
+  nullity it knows from elimination as the target: b follows from it
+  (``_block_width``), the solve stops once it is reached and fails loudly
+  when the round budget, sized from the target, ends short of it.
 
 Every engine computes in the standard domain: products of residues,
 reduced with ``%`` once per lazy window (``FieldModulus.lazy_window_k``).
@@ -779,14 +779,19 @@ def _fold(w: np.ndarray, y: np.ndarray, strays: list, p: int):
     return None
 
 
+def _block_width(max_vectors: int) -> int:
+    """b near the target nullity takes one or two rounds; past 16 the sigma-basis costs more."""
+    return min(max(max_vectors, 4), 16)
+
+
 def wiedemann_solve(
-    A: CsrMatrix, seed: int, max_vectors: int, block_width: int = 4, max_rounds: int | None = None
+    A: CsrMatrix, seed: int, max_vectors: int, block_width: int | None = None, max_rounds: int | None = None
 ):
     """Verified right-kernel vectors of A by block Wiedemann (Coppersmith).
 
     A square A is its own operator B; a rectangular one is framed through
     B = A^T A, and every candidate is checked against A itself.  Each
-    seeded round draws b = ``block_width`` probes U and V, takes the
+    seeded round draws b probes U and V (see below), takes the
     L = 2 ceil(dim / b) + 2 projections S_k = U^T B^k V, and finds their
     minimal right generator F (``block_generator``), so F(B) V = 0 once
     L is long enough.  Each dependency among the columns of F(0) gives a
@@ -800,17 +805,17 @@ def wiedemann_solve(
     at most the dimension: the solve returns as soon as that many
     independent vectors are found, returns at once with an empty seed trail
     when it is 0, and raises ProbabilisticFailureError with the seed trail
-    when the round budget ends short of it.  The budget defaults to
-    ceil(max_vectors / b) + 12 rounds; an explicit ``max_rounds`` is the cap.
+    when the round budget ends short of it.  Unless given, b is
+    min(max(max_vectors, 4), 16) and the budget ceil(max_vectors / b) + 12 rounds.
     """
     if not 0 <= max_vectors <= A.n_cols:
         raise PreconditionError(f"max_vectors must be in 0..{A.n_cols}, got {max_vectors}")
-    if block_width < 1:
+    b = _block_width(max_vectors) if block_width is None else block_width
+    if b < 1:
         raise PreconditionError("block_width must be >= 1")
     dim = A.n_cols
     if dim == 0 or max_vectors == 0:
         return KernelBasis([], 0, ())
-    b = block_width
     if max_rounds is None:
         max_rounds = -(-max_vectors // b) + 12
     m = A.modulus

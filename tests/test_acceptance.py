@@ -381,7 +381,7 @@ def test_criterion_10_protocol_conformance():
     flat = None
     for workers in (1, 2, 4, 8):
         cfg = PipelineConfig(workers=workers)
-        ring, polys, desc = make_instance("cyclic", cfg, n=4, p=101, seed=0)
+        ring, polys, desc = make_instance("cyclic", n=4, p=101, seed=0)
         rep, _, _ = run_pipeline(ring, polys, cfg, desc)
         digests.add(rep.digest)
         flat = dict(rep.flat_items())

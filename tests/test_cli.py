@@ -32,7 +32,7 @@ from fpgb.systems import format_system, gen_katsura, parse_system
 
 def test_run_pipeline_engines_same_digest():
     cfg = PipelineConfig()
-    ring, polys, desc = make_instance("katsura", cfg, n=2, p=101, seed=0)
+    ring, polys, desc = make_instance("katsura", n=2, p=101, seed=0)
     rep1, text1, _ = run_pipeline(ring, polys, cfg, desc)
     text2 = format_system(ring, buchberger_reference(polys, ring))
     assert rep1.digest == basis_digest(text2)
@@ -44,7 +44,7 @@ def test_run_pipeline_engines_same_digest():
 
 def test_report_fields_and_m_crosscheck():
     cfg = PipelineConfig()
-    ring, polys, desc = make_instance("cyclic", cfg, n=4, p=101, seed=0)
+    ring, polys, desc = make_instance("cyclic", n=4, p=101, seed=0)
     report, _, _ = run_pipeline(ring, polys, cfg, desc)
     assert report.batches
     flat = dict(report.flat_items())
@@ -64,7 +64,7 @@ def test_digest_stable_across_worker_counts():
     digests = set()
     for workers in (1, 2, 4, 8):
         cfg = PipelineConfig(workers=workers)
-        ring, polys, desc = make_instance("cyclic", cfg, n=4, p=101, seed=0)
+        ring, polys, desc = make_instance("cyclic", n=4, p=101, seed=0)
         rep, _, _ = run_pipeline(ring, polys, cfg, desc)
         digests.add(rep.digest)
     assert len(digests) == 1
@@ -72,7 +72,7 @@ def test_digest_stable_across_worker_counts():
 
 def test_verify_instance_all_pass():
     cfg = PipelineConfig()
-    ring, polys, _ = make_instance("katsura", cfg, n=2, p=101, seed=0)
+    ring, polys, _ = make_instance("katsura", n=2, p=101, seed=0)
     checks = verify_instance(ring, polys, cfg)
     assert checks and all(ok for _, ok, _ in checks)
     names = {name for name, _, _ in checks}
@@ -86,7 +86,7 @@ def test_verify_instance_honours_max_steps(monkeypatch):
 
     monkeypatch.setattr("fpgb.bench.buchberger_reference", oracle_must_not_run)
     cfg = PipelineConfig(max_steps=1)
-    ring, polys, _ = make_instance("katsura", cfg, n=3, p=101, seed=0)
+    ring, polys, _ = make_instance("katsura", n=3, p=101, seed=0)
     with pytest.raises(NonterminationError, match="f4 exceeded 1 batches"):
         verify_instance(ring, polys, cfg)
 
@@ -103,7 +103,7 @@ def test_verify_instance_reruns_only_the_other_worker_counts(monkeypatch):
 
     monkeypatch.setattr("fpgb.bench.run_pipeline", counting_run)
     cfg = PipelineConfig(workers=2)
-    ring, polys, _ = make_instance("katsura", cfg, n=2, p=101, seed=0)
+    ring, polys, _ = make_instance("katsura", n=2, p=101, seed=0)
     checks = verify_instance(ring, polys, cfg)
     assert reruns == [1, 4, 8]
     assert ("digest_worker_stability", True, "1 distinct digests") in checks
@@ -124,7 +124,7 @@ def test_verify_wiedemann_computes_each_batch_kernel_once_per_engine(monkeypatch
     monkeypatch.setattr(groebner, "left_kernel", spy("dense", groebner.left_kernel))
     monkeypatch.setattr(groebner, "wiedemann_solve", spy("wiedemann", groebner.wiedemann_solve))
     cfg = PipelineConfig(numeric="wiedemann")
-    ring, polys, _ = make_instance("katsura", cfg, n=3, p=101, seed=0)
+    ring, polys, _ = make_instance("katsura", n=3, p=101, seed=0)
     checks = verify_instance(ring, polys, cfg)
     assert all(ok for _, ok, _ in checks)
     batches = sum(1 for name, _, _ in checks if name == "plan_structure")
@@ -143,23 +143,24 @@ def test_verify_has_no_numeric_flag(monkeypatch):
     assert main(argv + ["--numeric", "psge"]) == 2
 
 
-def test_verify_passes_the_block_width_to_every_wiedemann_solve(monkeypatch):
-    from fpgb import groebner, sparselin
+def test_f4_and_verify_leave_the_block_width_to_wiedemann_solve(monkeypatch):
+    from fpgb import groebner
 
-    widths = []
-    real_solve = sparselin.wiedemann_solve
+    passed = []
+    real_solve = groebner.wiedemann_solve
 
     def spy(*args, **kwargs):
-        widths.append(kwargs["block_width"])
+        passed.append(kwargs)
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(sparselin, "wiedemann_solve", spy)
     monkeypatch.setattr(groebner, "wiedemann_solve", spy)
-    cfg = PipelineConfig(block_width=7)
-    ring, polys, _ = make_instance("katsura", cfg, n=3, p=101, seed=0)
-    checks = verify_instance(ring, polys, cfg)
+    ring, polys, _ = make_instance("katsura", n=3, p=101, seed=0)
+    run_pipeline(ring, polys, PipelineConfig(numeric="wiedemann"))
+    f4_solves = len(passed)
+    checks = verify_instance(ring, polys, PipelineConfig())
     assert all(ok for _, ok, _ in checks)
-    assert widths and set(widths) == {7}
+    # every solve, F4's and verify's, runs at the width derived from its nullity
+    assert 0 < f4_solves < len(passed) and passed == [{}] * len(passed)
 
 
 def test_cli_verify_exits_3_above_the_dense_cap(monkeypatch, capsys):
@@ -187,7 +188,7 @@ def test_verify_names_the_batch_whose_kernel_came_up_short(monkeypatch):
 
     monkeypatch.setattr("fpgb.groebner.wiedemann_solve", solve)
     cfg = PipelineConfig()
-    ring, polys, _ = make_instance("katsura", cfg, n=3, p=65537, seed=0)
+    ring, polys, _ = make_instance("katsura", n=3, p=65537, seed=0)
     checks = verify_instance(ring, polys, cfg)
     assert short, "no batch with a kernel of two or more vectors"
     (batch, nullity), = short
@@ -341,15 +342,13 @@ def test_cli_exit_codes(tmp_path):
     assert main(["gen", "--family", "random", "--n", "3", "--p", "101"]) == 2  # missing --m
     assert main(["bench", "--family", "cyclic", "--n", "3", "--p", "101",
                  "--workers", "-3"]) == 2
-    assert main(["bench", "--family", "katsura", "--n", "2", "--p", "101",
-                 "--numeric", "wiedemann", "--block-width", "0"]) == 2
     assert main(["verify", "--family", "katsura", "--n", "2", "--p", "101",
                  "--engine", "buchberger"]) == 2
 
 
 @pytest.mark.parametrize(
-    # --panel-width, --engine and --backend are no flags at all, and dense is no
-    # --numeric choice: each is a usage error
+    # --panel-width, --engine, --backend and --block-width are no flags at all,
+    # and dense is no --numeric choice: each is a usage error
     "flags",
     [
         ["--panel-width", "8"],
@@ -357,8 +356,9 @@ def test_cli_exit_codes(tmp_path):
         ["--engine", "buchberger"],
         ["--numeric", "dense"],
         ["--backend", "montgomery"],
+        ["--block-width", "4"],
     ],
-    ids=["panel-width", "max-steps", "engine", "numeric-dense", "backend"],
+    ids=["panel-width", "max-steps", "engine", "numeric-dense", "backend", "block-width"],
 )
 def test_cli_rejects_bad_config_before_any_batch(monkeypatch, flags):
     def no_batch(*args, **kwargs):

@@ -432,7 +432,7 @@ def test_f4_mode_never_calls_dense_gauss(monkeypatch):
     mats = [random_sparse(rng, 40, 30, 0.1, M101) for _ in range(5)]
     want = [dense_rank(mat, M101) for mat in mats]
     cfg = PipelineConfig()
-    ring, polys, _ = make_instance("katsura", cfg, n=3, p=101, seed=0)
+    ring, polys, _ = make_instance("katsura", n=3, p=101, seed=0)
     monkeypatch.setattr(sparselin, "dense_gauss", forbidden)
     for mat, rank in zip(mats, want):
         assert psge_reduce(csr_from_dense(mat, M101), back_reduce=False).rank == rank
@@ -442,7 +442,7 @@ def test_f4_mode_never_calls_dense_gauss(monkeypatch):
 @pytest.mark.parametrize("family, n", [("cyclic", 5), ("katsura", 5)])
 def test_driver_digest_matches_back_reduced_engine(monkeypatch, family, n):
     cfg = PipelineConfig()
-    ring, polys, desc = make_instance(family, cfg, n=n, p=65537, seed=0)
+    ring, polys, desc = make_instance(family, n=n, p=65537, seed=0)
     f4_report, f4_text, _ = run_pipeline(ring, polys, cfg, desc)
 
     def full_rref(A, back_reduce=True):
@@ -587,9 +587,9 @@ def test_wiedemann_fills_a_kernel_above_twelve_rounds_of_four_probes():
     A = csr_from_dense(mat, MBIG)
     nullity = 64 - dense_rank(mat, MBIG)
     assert nullity == 54
-    kb = wiedemann_solve(A, seed=1, max_vectors=nullity)
+    kb = wiedemann_solve(A, seed=1, max_vectors=nullity, block_width=4)
     assert kb.dimension_found == len(kb.vectors) == nullity
-    assert len(kb.seed_trail) <= -(-nullity // 4) + 12  # the default budget
+    assert len(kb.seed_trail) <= -(-nullity // 4) + 12  # the default budget at b = 4
     assert all(not spmv(A, v).any() for v in kb.vectors)
     assert dense_rank(np.array(kb.vectors, dtype=np.uint64), MBIG) == nullity
 
@@ -677,8 +677,24 @@ def test_wiedemann_short_of_the_target_fails_loudly():
     nullity = 30 - dense_rank(mat, MBIG)
     with pytest.raises(ProbabilisticFailureError, match=f"found {nullity} of {nullity + 1} kernel vectors") as exc:
         wiedemann_solve(A, seed=4, max_vectors=nullity + 1)
-    # the default budget: ceil(target / block_width) + 12 rounds, every one on the trail
+    # target 4 gives b = 4: the default budget is ceil(4 / 4) + 12 rounds, every one on the trail
     assert len(exc.value.seed_trail) == 13
+
+
+@pytest.mark.parametrize("target, width", [(0, 4), (1, 4), (4, 4), (11, 11), (54, 16)])
+def test_wiedemann_derives_its_block_width_and_budget_from_the_target(monkeypatch, target, width):
+    assert sparselin._block_width(target) == width
+    if not target:
+        return
+    # full rank: no target above 0 is reached, so every round of the budget runs
+    A = csr_from_dense(rank_deficient(np.random.default_rng(60), 60, 60, MBIG), MBIG)
+    widths = []
+    real_spmm = sparselin.spmm
+    monkeypatch.setattr(sparselin, "spmm", lambda M, X: widths.append(X.shape[1]) or real_spmm(M, X))
+    with pytest.raises(ProbabilisticFailureError) as exc:
+        wiedemann_solve(A, seed=0, max_vectors=target)
+    assert len(exc.value.seed_trail) == -(-target // width) + 12
+    assert set(widths) == {width}
 
 
 def test_left_kernel_above_dense_cap_is_complete(monkeypatch):
