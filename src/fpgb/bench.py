@@ -272,8 +272,10 @@ def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0)
 
     The output is checked against an oracle first; a mismatch raises
     PropertyViolationError before any throughput number is reported.
-    ``dict_build`` times sort plus unique on the one-lane route that F4 runs
-    (a stable ``np.lexsort`` and a mask); its ``radix_passes`` and
+    ``dict_build`` times sort plus unique of packed keys at one lane (a stable
+    ``np.lexsort`` and a mask): the full-key route, which F4 takes for lex
+    rings and wherever ``symbolic``'s one-word key does not fit, and which
+    at more lanes is the lane oracle.  Its ``radix_passes`` and
     ``radix_passes_run`` describe the lane-split radix route that more lanes run.
     """
     if size < 1:

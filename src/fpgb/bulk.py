@@ -4,9 +4,10 @@ Every primitive is externally pure and schedule-independent: the same input
 produces byte-identical output for any worker-lane count and any lane
 processing order.  Each has two routes, chosen by ``ExecPolicy.lanes``:
 
-- one lane (the default, and what F4 runs) is a single numpy call: a stable
-  ``np.lexsort``, one ``np.cumsum``, boolean-mask indexing, one
-  ``lower_bound`` over the whole segment;
+- one lane (the default) is a single numpy call: a stable ``np.lexsort``,
+  one ``np.cumsum``, boolean-mask indexing, one ``lower_bound`` over the
+  whole segment (F4's graded batches sort one-word keys in ``symbolic``
+  itself; its lex batches and the wider ones come here);
 - more lanes run the work decomposed exactly as a data-parallel runtime
   would decompose it (per-lane counting, prefix-summed write plans,
   disjoint scatter regions, merge-path splits), with the lanes processed in

@@ -10,7 +10,7 @@ The compiler turns a batch's critical pairs (lcm, i, j) into three outputs:
 
 The pipeline is the canonical two-pass scheme: count row sizes, prefix-sum
 the write plan, fill flat key/value streams, canonicalize the dictionary by
-radix sort + unique, then join every row segment against the dictionary to
+sort + unique, then join every row segment against the dictionary to
 produce column indices.  Optionally the dictionary is closed under one-step
 reductions: any dictionary monomial divisible by a basis leading monomial
 gains a reducer row, iterated to a fixed point over a frontier, one round
@@ -20,10 +20,22 @@ reducer rows of round k - 1's frontier; their keys are sorted and
 deduplicated once, looked up once, and the ones the dictionary lacks are
 inserted in place and become the next frontier.
 
+The keys a batch sorts and joins are of one of two kinds.  A graded batch
+at one lane whose degrees stay below 2^16 uses one int64 order key per
+monomial (``_WordKeys``): narrow lanes in the packed key's layout, built as
+a basis term's key plus the row's shift key, a word addition, so the
+batch's exponent array is never built.  Packed keys are then built once,
+for the frontier the closure reads and for the dictionary.  Every other
+batch (lex rings, wider keys, more lanes) packs each shifted term into
+16-bit lanes (``_PackedKeys``) and sorts and joins with ``bulk``.  Both give
+the same plan bytes.
+
 Everything is deterministic: S-half rows are ordered by (provenance, shift
 key, basis index), closure rows append in discovery-round order, and
 all bulk steps are schedule-independent.  Compiling the same batch with any
-worker-lane count yields byte-identical plans.
+worker-lane count yields byte-identical plans; at more than one lane the
+batch takes the packed keys and ``bulk``'s lane-split route, so that
+comparison checks the one-word key as well.
 """
 
 from __future__ import annotations
@@ -44,7 +56,13 @@ from .bulk import (
     segment_defects,
     unique_sorted,
 )
-from .errors import DivisionError, PropertyViolationError, SizeCapError, UncoverableTargetError
+from .errors import (
+    DivisionError,
+    MissingKeyError,
+    PropertyViolationError,
+    SizeCapError,
+    UncoverableTargetError,
+)
 from .monomials import Ring, _tie_lanes, first_divisor, key_cmp_rows, key_pack_vec, key_unpack_vec
 from .polynomials import Poly, SoaPolySet
 
@@ -221,13 +239,11 @@ def select_rows(lcm, i, j, basis: SoaPolySet) -> RowMeta:
     return RowMeta.of(RowRole.SPOLY_HALF.value, pid[order], k[order], shift[order])
 
 
-def _materialize(rows: RowMeta, basis: SoaPolySet, policy: ExecPolicy, emitted: int = 0):
-    """Pass 1 + pass 2: per-row lengths, prefix plan, flat shifted streams.
+def _gather(rows: RowMeta, basis: SoaPolySet, policy: ExecPolicy, emitted: int):
+    """Pass 1: per-row lengths, their prefix plan, and each key's basis term.
 
-    Returns (lens, keys, vals, lead_keys) where keys descend within each
-    segment (shifting preserves the stored term order).  ``emitted`` is the
-    batch's key count so far: pass 1 raises SizeCapError before pass 2
-    when the running count would pass KEY_CAP.
+    Raises SizeCapError before anything is gathered when the batch's key
+    count so far, ``emitted``, plus these rows' keys would pass KEY_CAP.
     """
     ks = rows.basis_index
     lens = basis.length[ks]
@@ -237,14 +253,138 @@ def _materialize(rows: RowMeta, basis: SoaPolySet, policy: ExecPolicy, emitted: 
     total = int(off[-1])
     if emitted + total > KEY_CAP:
         raise SizeCapError(f"batch key volume M = {emitted + total} exceeds {KEY_CAP} keys")
-    gather = np.repeat(basis.offset[ks], lens) + (
-        np.arange(total, dtype=np.int64) - np.repeat(off[:-1], lens)
-    )
+    gather = np.repeat(basis.offset[ks] - off[:-1], lens) + np.arange(total, dtype=np.int64)
+    return lens, off, gather
+
+
+def _materialize(rows: RowMeta, basis: SoaPolySet, policy: ExecPolicy, emitted: int = 0):
+    """Pass 1 + pass 2: per-row lengths, prefix plan, flat shifted streams.
+
+    Returns (lens, keys, vals, lead_keys) where keys are packed and descend
+    within each segment (shifting preserves the stored term order).
+    ``emitted`` is the batch's key count so far: pass 1 raises SizeCapError
+    before pass 2 when the running count would pass KEY_CAP.
+    """
+    lens, off, gather = _gather(rows, basis, policy, emitted)
     exps = basis.exps[gather] + np.repeat(rows.shift, lens, axis=0)
     keys = key_pack_vec(exps, basis.ring)
-    vals = basis.coeff[gather].copy()
-    lead_keys = keys[off[:-1]]
-    return lens, keys, vals, lead_keys
+    return lens, keys, basis.coeff[gather], keys[off[:-1]]
+
+
+class _PackedKeys:
+    """Monomials as packed keys, one (W,) uint64 row each, sorted and joined by ``bulk``.
+
+    The route of lex rings, of batches the one-word key does not fit, and of
+    every batch at more than one lane, where ``bulk``'s lane-split route is
+    the determinism oracle.  A shift that overflows a lane raises
+    LaneOverflowError in ``key_pack_vec``.
+    """
+
+    def __init__(self, policy: ExecPolicy):
+        self.policy = policy
+
+    def materialize(self, rows: RowMeta, basis: SoaPolySet, emitted: int):
+        return _materialize(rows, basis, self.policy, emitted)
+
+    def unique(self, keys: np.ndarray) -> np.ndarray:
+        return unique_sorted(radix_sort(keys, self.policy)[0], self.policy, check=False)[0]
+
+    def search(self, sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        return lower_bound(sorted_keys, queries)
+
+    def join(self, keys: np.ndarray, dict_asc: np.ndarray) -> np.ndarray:
+        return merge_join_index(keys, dict_asc, self.policy, check=False)
+
+    def packed(self, keys: np.ndarray) -> np.ndarray:
+        return keys
+
+
+class _WordKeys:
+    """Monomials of one graded batch as one int64 order key each.
+
+    The key is ``exps @ w + c``: a b-bit degree lane, then n b-bit tie lanes
+    holding what the packed key's 16-bit lanes hold, (2^b - 1) - e in
+    reversed variable order under grevlex and e under deglex.  While every
+    degree in the batch is below 2^b it orders exactly like the packed key.
+    It is additive, so a shifted term's key is its basis term's key plus
+    ``shift @ w``, and no exponent array of the batch is built.  Packed keys
+    are built only for the frontier that ``closure_expand`` reads and for
+    the dictionary.
+    """
+
+    def __init__(self, basis: SoaPolySet, b: int):
+        ring = basis.ring
+        n = ring.n_vars
+        self.ring, self.b = ring, b
+        # shift of tie lane j, most significant first
+        self.lane_shift = b * np.arange(n - 1, -1, -1, dtype=np.int64)
+        degree = 1 << (n * b)
+        if ring.order == "grevlex":
+            # variable i sits, complemented, in lane n - 1 - i at shift b * i
+            self.w = degree - (1 << self.lane_shift[::-1])
+            self.c = degree - 1
+        else:
+            self.w = degree + (1 << self.lane_shift)
+            self.c = 0
+        self.term_key = basis.exps @ self.w
+
+    @classmethod
+    def fit(cls, rows: RowMeta, basis: SoaPolySet, policy: ExecPolicy) -> "_WordKeys | None":
+        """The batch's word keys, or None where the packed keys must decide.
+
+        In a graded ring a member's lead carries its largest degree, and a
+        closure row leads at a monomial already present, so no monomial of
+        the batch passes D = max(lead degree + shift degree) over the given
+        rows.  Lanes of b = bit_length(D) bits then never overflow.  Every
+        other batch keeps the packed keys: lex rings, D >= 2^16 (where
+        ``key_pack_vec`` decides on lane overflow), b * (n + 1) > 63,
+        negative shifts, bad or empty basis members, and ``lanes > 1``.
+        """
+        ring = basis.ring
+        ks = rows.basis_index
+        if policy.lanes > 1 or not ring.graded or len(rows) == 0:
+            return None
+        bad_index = ((ks < 0) | (ks >= len(basis))).any()
+        if bad_index or (basis.length[ks] < 1).any() or (rows.shift < 0).any():
+            return None
+        top = basis.exps[basis.offset[ks]].sum(axis=1) + rows.shift.sum(axis=1)
+        b = max(1, int(top.max()).bit_length())
+        if b > 16 or b * (ring.n_vars + 1) > 63:
+            return None
+        return cls(basis, b)
+
+    def materialize(self, rows: RowMeta, basis: SoaPolySet, emitted: int):
+        lens, off, gather = _gather(rows, basis, DEFAULT_POLICY, emitted)
+        keys = self.term_key[gather] + np.repeat(rows.shift @ self.w + self.c, lens)
+        return lens, keys, basis.coeff[gather], keys[off[:-1]]
+
+    def unique(self, keys: np.ndarray) -> np.ndarray:
+        # a sort and a mask: numpy 2's np.unique hashes first and is several
+        # times slower on a few hundred thousand keys
+        keys = np.sort(keys)
+        new = np.empty(len(keys), dtype=bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        return keys[new]
+
+    def search(self, sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        return np.searchsorted(sorted_keys, queries)
+
+    def join(self, keys: np.ndarray, dict_asc: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(dict_asc, keys)
+        hit = pos < len(dict_asc)
+        hit[hit] = dict_asc[pos[hit]] == keys[hit]
+        if not hit.all():
+            i = int(np.argmin(hit))
+            key = tuple(self.packed(keys[i : i + 1])[0].tolist())
+            raise MissingKeyError(f"key {key} absent from dictionary")
+        return pos
+
+    def packed(self, keys: np.ndarray) -> np.ndarray:
+        lanes = (keys[:, None] >> self.lane_shift) & ((1 << self.b) - 1)
+        if self.ring.order == "grevlex":
+            lanes = ((1 << self.b) - 1) - lanes[:, ::-1]
+        return key_pack_vec(lanes, self.ring)
 
 
 def _reducer_preference(basis: SoaPolySet) -> np.ndarray:
@@ -300,23 +440,25 @@ def compile_batch(
     # monomials round k - 1 added, which no row can lead because every
     # closure row leads at a monomial already present
     t0 = time.monotonic_ns()
+    keyer = _WordKeys.fit(rows, basis, policy) or _PackedKeys(policy)
     parts, dict_asc = [], None
     while True:
-        lens, keys, vals, lead_keys = _materialize(rows, basis, policy, counters.keys_emitted)
+        lens, keys, vals, lead_keys = keyer.materialize(rows, basis, counters.keys_emitted)
         counters.keys_emitted += len(keys)
         counters.keys_generated_total += len(keys)
         parts.append((rows.rows, lens, keys, vals))
-        uniq, _ = unique_sorted(radix_sort(keys, policy)[0], policy, check=False)
+        uniq = keyer.unique(keys)
         if dict_asc is None:
             # round 0's keys are the dictionary; its frontier is what no row leads
             dict_asc = uniq
             uncovered = np.ones(len(uniq), dtype=bool)
-            uncovered[lower_bound(uniq, lead_keys)] = False
+            uncovered[keyer.search(uniq, lead_keys)] = False
             frontier = uniq[uncovered]
         else:
-            pos = lower_bound(dict_asc, uniq)
+            pos = keyer.search(dict_asc, uniq)
             present = pos < len(dict_asc)
-            present[present] = (dict_asc[pos[present]] == uniq[present]).all(axis=1)
+            same = dict_asc[pos[present]] == uniq[present]
+            present[present] = same.all(axis=1) if same.ndim > 1 else same
             frontier = uniq[~present]
             dict_asc = np.insert(dict_asc, pos[~present], frontier, axis=0)
             if len(dict_asc) > DICT_CAP:
@@ -326,10 +468,11 @@ def compile_batch(
                 )
         if closure is not Closure.ONE_STEP_REDUCTION:
             break
-        rows = closure_expand(frontier[::-1], basis, counters.closure_rounds + 1)
+        rows = closure_expand(keyer.packed(frontier[::-1]), basis, counters.closure_rounds + 1)
         if not rows:
             break
         counters.closure_rounds += 1
+    dict_desc = np.ascontiguousarray(keyer.packed(dict_asc[::-1]))
     timings["dict_build_ns"] = time.monotonic_ns() - t0
 
     t1 = time.monotonic_ns()
@@ -339,9 +482,7 @@ def compile_batch(
     n_dict = len(dict_asc)
     # dictionary join over the flat stream (sorted within each row segment);
     # any miss is a closure defect, not an input error
-    col_asc = merge_join_index(flat_keys, dict_asc, policy, check=False)
-    col_ind = (n_dict - 1) - col_asc
-    dict_desc = dict_asc[::-1].copy()
+    col_ind = (n_dict - 1) - keyer.join(flat_keys, dict_asc)
     counters.r = len(row_meta)
     counters.N = n_dict
     counters.M = int(row_ptr[-1])

@@ -1,6 +1,7 @@
 """Batch compiler: worked micro-examples, closure fixed points, determinism."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ import pytest
 from fpgb import groebner, monomials, symbolic
 from fpgb.bench import PipelineConfig, basis_digest
 from fpgb.bulk import ExecPolicy, radix_sort, unique_sorted
-from fpgb.errors import PropertyViolationError, SizeCapError, UncoverableTargetError
+from fpgb.errors import (
+    LaneOverflowError,
+    MissingKeyError,
+    PropertyViolationError,
+    SizeCapError,
+    UncoverableTargetError,
+)
 from fpgb.fp import FieldModulus
 from fpgb.groebner import f4_groebner
 from fpgb.monomials import ORDERS, Ring, key_pack_vec, key_unpack_vec, mon_div, mon_key_pack
@@ -189,24 +196,162 @@ def test_one_step_closure_adds_reducer_row():
 
 
 def test_key_cap_is_checked_before_keys_are_packed(monkeypatch):
-    # the S-halves hold 4 keys and the closure row for y^2 - 1 two more: M = 6
-    basis = soa_pack([poly_parse(t, R2) for t in ("x^2 - y", "x*y - 1", "y^2 - 1")], R2)
-    packed = []
+    # the S-halves hold 4 keys and the closure row for y^2 - 1 two more: M = 6;
+    # grevlex at one lane takes the one-word key route, two lanes and a lex
+    # ring the packed-key route, and all three check the cap at one point
+    gathered, packed_route = [], []
+    gather, materialize = symbolic._gather, symbolic._materialize
 
-    def counting_pack(exps, ring):
-        packed.append(len(exps))
-        return key_pack_vec(exps, ring)
+    def counting_gather(rows, basis, policy, emitted):
+        out = gather(rows, basis, policy, emitted)
+        gathered.append(len(out[2]))
+        return out
 
-    monkeypatch.setattr(symbolic, "key_pack_vec", counting_pack)
-    monkeypatch.setattr(symbolic, "KEY_CAP", 6)
-    assert compile_batch(spoly_pair_rows(basis), basis).counters.M == 6
-    for cap, want_packed in ((5, [4]), (3, [])):
-        packed.clear()
-        monkeypatch.setattr(symbolic, "KEY_CAP", cap)
-        M = 6 if want_packed else 4
-        with pytest.raises(SizeCapError, match=f"M = {M} exceeds {cap} keys"):
-            compile_batch(spoly_pair_rows(basis), basis)
-        assert packed == want_packed  # the part over the cap is never packed
+    def spy_materialize(*args, **kwargs):
+        packed_route.append(True)
+        return materialize(*args, **kwargs)
+
+    monkeypatch.setattr(symbolic, "_gather", counting_gather)
+    monkeypatch.setattr(symbolic, "_materialize", spy_materialize)
+    for order, policy, word_route in (
+        ("grevlex", ExecPolicy(1), True),
+        ("grevlex", ExecPolicy(2), False),
+        ("lex", ExecPolicy(1), False),
+    ):
+        ring = Ring(["x", "y"], order, M7)
+        basis = soa_pack([poly_parse(t, ring) for t in ("x^2 - y", "x*y - 1", "y^2 - 1")], ring)
+        rows = spoly_pair_rows(basis)
+        gathered.clear()
+        packed_route.clear()
+        monkeypatch.setattr(symbolic, "KEY_CAP", 6)
+        assert compile_batch(rows, basis, policy=policy).counters.M == 6
+        assert gathered == [4, 2] and bool(packed_route) is not word_route
+        for cap, want_gathered in ((5, [4]), (3, [])):
+            gathered.clear()
+            monkeypatch.setattr(symbolic, "KEY_CAP", cap)
+            M = 6 if want_gathered else 4
+            with pytest.raises(SizeCapError, match=f"M = {M} exceeds {cap} keys"):
+                compile_batch(rows, basis, policy=policy)
+            assert gathered == want_gathered  # the part over the cap is never gathered
+
+
+def packed_key_plan(rows, basis, closure=Closure.ONE_STEP_REDUCTION):
+    """compile_batch at one lane on the packed-key route, the one-word key turned off."""
+    with mock.patch.object(symbolic._WordKeys, "fit", return_value=None):
+        return compile_batch(rows, basis, closure)
+
+
+def outcome(compile_, *args):
+    """The plan dump, or the cap or lane error a compile ends in."""
+    try:
+        return plan_to_text(compile_(*args))
+    except (SizeCapError, LaneOverflowError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_word_keys_match_packed_keys_on_random_row_tables():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 4),
+        order=st.sampled_from(("grevlex", "deglex")),
+        p=st.sampled_from((7, 65537, 2**31 - 19)),
+        closure=st.sampled_from(Closure),
+        data=st.data(),
+    )
+    def check(n, order, p, closure, data):
+        ring = Ring([f"x{v}" for v in range(n)], order, FieldModulus(p))
+        mono = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+        terms = st.dictionaries(mono, st.integers(1, p - 1), min_size=1, max_size=4)
+        polys = [poly_from_dict(t, ring) for t in data.draw(st.lists(terms, min_size=1, max_size=5))]
+        basis = soa_pack(polys, ring)
+        row = st.tuples(
+            st.sampled_from([r.value for r in RowRole]),
+            st.integers(0, 3),
+            st.integers(0, len(polys) - 1),
+            mono,
+        )
+        drawn = data.draw(st.lists(row, min_size=1, max_size=8))
+        role, provenance, ks, shifts = zip(*drawn)
+        rows = RowMeta.of(role, provenance, ks, np.array(shifts, dtype=np.int64))
+        assert symbolic._WordKeys.fit(rows, basis, ExecPolicy()) is not None
+        want = packed_key_plan(rows, basis, closure)
+        assert plan_to_text(compile_batch(rows, basis, closure)) == plan_to_text(want)
+        # the caps refuse exactly the same batches, with the same message;
+        # DICT_CAP bounds the dictionary only after a closure round
+        c = want.counters
+        for cap_name, size, checked in (("KEY_CAP", c.M, True), ("DICT_CAP", c.N, c.closure_rounds > 0)):
+            for cap in (size, size - 1):
+                with mock.patch.object(symbolic, cap_name, cap):
+                    got = outcome(compile_batch, rows, basis, closure)
+                    assert got == outcome(packed_key_plan, rows, basis, closure)
+                    assert got.startswith("SizeCapError") is (checked and cap < size)
+
+    check()
+
+
+@pytest.mark.parametrize("order", ["grevlex", "deglex"])
+@pytest.mark.parametrize("n, top, b", [(6, 300, 9), (7, 200, None), (20, 6, 3), (15, 12, None)])
+def test_word_key_width_edge(order, n, top, b):
+    # b * (n + 1) is 63 (a one-word key) or 64 (packed keys); x0^(top - 2) *
+    # (x0*x1 + x2) gives D = top, and its x2 term picks up a closure row
+    ring = Ring([f"x{v}" for v in range(n)], order, FieldModulus(65537))
+    basis = soa_pack([poly_parse(t, ring) for t in ("x0*x1 + 3*x2", "x2 - x3")], ring)
+    shift = np.zeros((1, n), dtype=np.int64)
+    shift[0, 0] = top - 2
+    rows = RowMeta.of(RowRole.SPOLY_HALF.value, 0, [0], shift)
+    fit = symbolic._WordKeys.fit(rows, basis, ExecPolicy())
+    assert (fit.b if fit else None) == b
+    plan = compile_batch(rows, basis)
+    assert plan.counters.closure_rounds == 1
+    assert plan_to_text(plan) == plan_to_text(packed_key_plan(rows, basis))
+
+
+@pytest.mark.parametrize("order", ["grevlex", "deglex"])
+def test_word_key_degree_edge(order):
+    # x^40000 + y^40000 times x^(D - 40000): at D = 2^16 - 1 the one-word key
+    # runs; at D = 2^16 the lead's x lane overflows and the packed route raises
+    ring = Ring(["x", "y"], order, FieldModulus(65537))
+    basis = soa_pack([poly_parse("x^40000 + y^40000", ring)], ring)
+    for top, b in ((2**16 - 1, 16), (2**16, None)):
+        rows = RowMeta.of(RowRole.SPOLY_HALF.value, 0, [0], np.array([[top - 40000, 0]]))
+        fit = symbolic._WordKeys.fit(rows, basis, ExecPolicy())
+        assert (fit.b if fit else None) == b
+        got = outcome(compile_batch, rows, basis)
+        assert got == outcome(packed_key_plan, rows, basis)
+        assert got.startswith("LaneOverflowError") is (b is None)
+
+
+def test_word_keys_leave_other_batches_to_packed_keys():
+    basis = two_poly_basis()
+    rows = spoly_pair_rows(basis)
+    assert symbolic._WordKeys.fit(rows, basis, ExecPolicy()) is not None
+    assert symbolic._WordKeys.fit(rows, basis, ExecPolicy(2)) is None
+    assert symbolic._WordKeys.fit(RowMeta(rows.rows[:0]), basis, ExecPolicy()) is None
+    lex = Ring(["x", "y"], "lex", M7)
+    lex_basis = soa_pack([poly_parse(t, lex) for t in ("x^2 - y", "x*y - 1")], lex)
+    assert symbolic._WordKeys.fit(spoly_pair_rows(lex_basis), lex_basis, ExecPolicy()) is None
+    # negative shifts and basis indices outside the basis stay on the packed
+    # route, which raises on them as it always has
+    for k, shift in ((1, [[2, -1]]), (0, [[0, -1]]), (2, [[0, 0]]), (-1, [[0, 0]])):
+        bad = rows_of(RowRole.SPOLY_HALF, 0, [k], shift)
+        assert symbolic._WordKeys.fit(bad, basis, ExecPolicy()) is None
+        with pytest.raises((LaneOverflowError, IndexError)):
+            compile_batch(bad, basis)
+
+
+def test_word_key_join_names_a_missing_key_by_its_packed_key():
+    basis = two_poly_basis()
+    rows = spoly_pair_rows(basis)
+    words = symbolic._WordKeys.fit(rows, basis, ExecPolicy())
+    keys = words.materialize(rows, basis, 0)[1]
+    dict_asc = words.unique(keys)
+    assert np.array_equal(dict_asc[words.join(keys, dict_asc)], keys)
+    # without x^2*y, the greatest key, every row's lead is missing
+    with pytest.raises(MissingKeyError, match=rf"key \({mon_key_pack((2, 1), R2)[0]},\) absent"):
+        words.join(keys, dict_asc[:-1])
 
 
 def test_closure_expand_fixed_point_example():
