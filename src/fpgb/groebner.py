@@ -14,15 +14,16 @@ the minimal members as rows, their tail reducers from the closure, and the
 fully back-substituted echelon form.
 ``PipelineConfig`` is the one config type, for F4 runs only, validated when it is built.
 
-The reference path is a textbook Buchberger loop (product criterion only,
-scalar normal-form reduction) that shares nothing with the batch machinery
-beyond the polynomial primitives; it interreduces with scalar normal forms
+The reference path is a textbook Buchberger loop (product and chain
+criteria, sugar selection, scalar normal-form reduction) written as plain
+tuple code that shares nothing with the batch machinery beyond the
+polynomial primitives; it interreduces with scalar normal forms
 (``reduce_basis``).  A reduced basis is canonical, so the two drivers must
 agree byte for byte, and that check covers both interreductions.
 ``normal_form`` keeps its work polynomial as a dict with a max-heap of its
 monomials, so a reduction step costs the reducer's length, not the work
-polynomial's.  ``is_groebner`` skips pairs with coprime leads (the product
-criterion), which leaves its verdict unchanged.
+polynomial's.  ``is_groebner`` skips the pairs that the product and chain
+criteria settle, which leaves its verdict unchanged.
 """
 
 from __future__ import annotations
@@ -432,8 +433,9 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
 def reduce_basis(polys: list, ring: Ring) -> list:
     """Canonical reduced basis: minimal, tail-reduced, monic, sorted by lead.
 
-    Scalar normal-form loops; only the Buchberger oracle uses it, so F4's
-    batch-engine interreduction is checked against an independent route.
+    One scalar normal form per minimal member; only the Buchberger oracle
+    uses it, so F4's batch-engine interreduction is checked against an
+    independent route.
     """
     work = [poly_monic(f) for f in polys if not f.is_zero()]
     work.sort(key=lambda f: ring.sort_key(f.lm()))
@@ -441,15 +443,11 @@ def reduce_basis(polys: list, ring: Ring) -> list:
     for f in work:
         if not any(mon_divides(g.lm(), f.lm()) for g in minimal):
             minimal.append(f)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1 :]
-            r = normal_form(minimal[i], others)
-            if r.terms != minimal[i].terms:
-                minimal[i] = poly_monic(r)
-                changed = True
+    # one pass: no other lead divides a member's lead, so every lead (and
+    # its coefficient 1) survives, and a member reduced against the others'
+    # leads stays reduced when they are reduced in turn
+    for i in range(len(minimal)):
+        minimal[i] = normal_form(minimal[i], minimal[:i] + minimal[i + 1 :])
     minimal.sort(key=lambda f: ring.sort_key(f.lm()), reverse=True)
     return minimal
 
@@ -510,45 +508,72 @@ def f4_groebner(
     return _interreduce(state.basis, config)
 
 
-def _coprime(u, v) -> bool:
-    """Buchberger's first criterion: the leading monomials u and v share no
-    variable, so the pair's S-polynomial reduces to zero."""
-    return mon_lcm(u, v) == tuple(map(add, u, v))
+def _chained(a: int, b: int, lcm: tuple, leads: list, treated) -> bool:
+    """Buchberger's chain criterion for the pair (a, b), a < b: some other
+    member c has a lead dividing lcm(a, b), and ``treated`` holds for both
+    (a, c) and (b, c), each written low index first.  Then S(a, b) is a
+    combination of S(a, c) and S(c, b) whose terms lie below the lcm."""
+    for c, w in enumerate(leads):
+        if c != a and c != b and all(map(le, w, lcm)):
+            if treated((min(a, c), max(a, c))) and treated((min(b, c), max(b, c))):
+                return True
+    return False
 
 
 def buchberger_reference(system: list, ring: Ring, max_steps: int = MAX_STEPS_DEFAULT) -> list:
-    """Textbook pair-and-reduce oracle: product criterion only.
+    """Textbook pair-and-reduce oracle with Buchberger's two criteria and sugar.
 
-    Intentionally independent of the batch pipeline; the only shared code is
-    the polynomial/monomial layer.
+    A pair (i, j), i < j, is queued unless its leads are coprime (the
+    product criterion).  A popped pair is skipped when some other member k
+    has a lead dividing lcm(i, j) and neither (i, k) nor (j, k) is still
+    queued (the chain criterion, Cox-Little-O'Shea's Criterion(i, j, B));
+    a coprime pair, never queued, counts as treated.  Pairs pop from a heap
+    by (sugar, term order of the lcm, i, j).  An input's sugar is its total
+    degree; a pair's is the larger of sugar_i + deg lcm - deg lm_i and
+    sugar_j + deg lcm - deg lm_j, and a new member keeps its pair's sugar
+    (Giovini, Mora, Niesi, Robbiano & Traverso, ISSAC 1991).  ``max_steps``
+    caps the reductions; a skipped pair costs none.
+
+    Intentionally independent of the batch pipeline: plain tuple code whose
+    only shared code is the polynomial/monomial layer.  It returns
+    ``reduce_basis`` of what it found, so the skipped pairs never show.
     """
     for f in system:
         if f.is_zero():
             raise PreconditionError("zero polynomial in input system")
-    basis = []
-    queue = []
+    basis, leads, sugar = [], [], []
+    heap = []
+    queued = set()
 
-    def push_pairs(t):
-        for i in range(t):
-            if _coprime(basis[i].lm(), basis[t].lm()):
-                continue
-            lcm = mon_lcm(basis[i].lm(), basis[t].lm())
-            queue.append((sum(lcm), ring.sort_key(lcm), i, t))
+    def enter(f, s):
+        t = len(basis)
+        u = f.lm()
+        for i, v in enumerate(leads):
+            lcm = mon_lcm(v, u)
+            if lcm == tuple(map(add, v, u)):
+                continue  # product criterion
+            d = sum(lcm)
+            pair_sugar = max(sugar[i] + d - sum(v), s + d - sum(u))
+            heappush(heap, (pair_sugar, ring.sort_key(lcm), i, t, lcm))
+            queued.add((i, t))
+        basis.append(f)
+        leads.append(u)
+        sugar.append(s)
 
     for f in system:
-        basis.append(poly_monic(f))
-        push_pairs(len(basis) - 1)
+        enter(poly_monic(f), max(sum(e) for e, _ in f.terms))
     steps = 0
-    while queue:
+    while heap:
+        s, _, i, j, lcm = heappop(heap)
+        queued.remove((i, j))
+        if _chained(i, j, lcm, leads, lambda pair: pair not in queued):
+            continue
         if steps >= max_steps:
             raise NonterminationError(f"buchberger exceeded {max_steps} reductions")
-        queue.sort()
-        _, _, i, j = queue.pop(0)
+        steps += 1
         h = normal_form(spoly(basis[i], basis[j]), basis)
         if not h.is_zero():
-            basis.append(poly_monic(h))
-            push_pairs(len(basis) - 1)
-        steps += 1
+            enter(poly_monic(h), s)
     return reduce_basis(basis, ring)
 
 
@@ -562,22 +587,35 @@ class GroebnerReport:
 def is_groebner(G: list, ring: Ring) -> GroebnerReport:
     """Buchberger criterion check: every S-polynomial reduces to zero.
 
-    Pairs with coprime leads are skipped (the product criterion).  That
-    leaves the verdict unchanged: such a pair always has a standard
-    representation, so when G is not a Groebner basis some pair with
-    non-coprime leads has a nonzero remainder, whatever reducers are
-    chosen.  The witness is the first such pair.
+    The pairs (a, b), a < b, of the nonzero members are visited in
+    ascending (lcm degree, term order of the lcm, a, b).  A pair is settled
+    without a reduction when its leads are coprime (the product criterion),
+    or when some other member c has a lead dividing lcm(a, b) and both
+    (a, c) and (b, c) were visited earlier (the chain criterion); every
+    other pair is reduced.  While every reduction ends in zero, each
+    visited pair has an lcm-representation, by induction (Cox, Little &
+    O'Shea, Ch. 2 Sec. 10, Thm. 6), so the verdict is exactly the
+    all-pairs verdict.  The witness is the first reduced pair in that
+    order whose S-polynomial has a nonzero remainder.
     """
     live = [g for g in G if not g.is_zero()]
-    for a in range(len(live)):
-        for b in range(a + 1, len(live)):
-            if _coprime(live[a].lm(), live[b].lm()):
-                continue
+    leads = [g.lm() for g in live]
+    pairs = []
+    for b, u in enumerate(leads):
+        for a in range(b):
+            lcm = mon_lcm(leads[a], u)
+            pairs.append((sum(lcm), ring.sort_key(lcm), a, b, lcm))
+    pairs.sort()
+    visited = set()
+    for _, _, a, b, lcm in pairs:
+        coprime = lcm == tuple(map(add, leads[a], leads[b]))
+        if not coprime and not _chained(a, b, lcm, leads, visited.__contains__):
             r = normal_form(spoly(live[a], live[b]), live)
             if not r.is_zero():
                 return GroebnerReport(
                     False, f"S-poly of members {a},{b} does not reduce to zero", (a, b)
                 )
+        visited.add((a, b))
     return GroebnerReport(True)
 
 

@@ -6,6 +6,7 @@ import pytest
 from fpgb.errors import (
     ArityMismatchError,
     LaneOverflowError,
+    NonterminationError,
     PreconditionError,
     ProbabilisticFailureError,
     SizeCapError,
@@ -317,19 +318,44 @@ def test_pair_queue_matches_scalar_update():
     check()
 
 
-def test_scalar_oracles_do_not_reach_first_divisor(monkeypatch):
-    ring, polys = gen_katsura(3, 101)
-    G = f4_groebner(polys, ring)
+def test_scalar_oracles_share_no_code_with_f4(monkeypatch):
+    named = [(gen_katsura, 3), (gen_katsura, 4), (gen_cyclic, 4)]
+    cases = []
+    for gen, n in named:
+        ring, polys = gen(n, 65537)
+        G = f4_groebner(polys, ring)
+        cases.append((ring, polys, G, [G, G[1:], G[:-1]]))
+    verdicts = [[is_groebner(H, ring).ok for H in sets] for ring, _, _, sets in cases]
+    assert all(v[0] for v in verdicts) and not all(v[1] for v in verdicts)
 
-    def forbidden(*args):
-        raise AssertionError("a scalar oracle reached first_divisor")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a scalar oracle reached the F4 machinery")
 
-    # minimal_rows reaches it through monomials
-    for module in (monomials, symbolic):
-        monkeypatch.setattr(module, "first_divisor", forbidden)
-    # buchberger_reference reduces with normal_form and ends in reduce_basis
-    assert [f.terms for f in buchberger_reference(polys, ring)] == [f.terms for f in G]
-    assert is_groebner(G, ring).ok
+    for name in ("update_pairs", "PairQueue", "minimal_rows", "compile_batch"):
+        monkeypatch.setattr(groebner, name, forbidden)
+    for module in (monomials, symbolic):  # minimal_rows reaches first_divisor through monomials
+        for name in ("first_divisor", "minimal_rows", "compile_batch"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for (ring, polys, G, sets), want in zip(cases, verdicts):
+        # buchberger_reference reduces with normal_form and ends in reduce_basis
+        assert [f.terms for f in buchberger_reference(polys, ring)] == [f.terms for f in G]
+        assert [is_groebner(H, ring).ok for H in sets] == want
+
+
+def test_buchberger_reference_guard_counts_reductions():
+    ring, polys = gen_katsura(4, 65537)
+    want = [f.terms for f in f4_groebner(polys, ring)]
+    # the product and chain criteria leave 28 reductions (49 with the product
+    # criterion alone), and only reductions count toward max_steps
+    assert [f.terms for f in buchberger_reference(polys, ring, max_steps=28)] == want
+    with pytest.raises(NonterminationError, match="^buchberger exceeded 27 reductions$"):
+        buchberger_reference(polys, ring, max_steps=27)
+    with pytest.raises(NonterminationError, match="^buchberger exceeded 0 reductions$"):
+        buchberger_reference(polys, ring, max_steps=0)
+    # coprime leads: no pair is queued, so no reduction is needed
+    f, g = poly_parse("x + 6", R2), poly_parse("y + 6", R2)
+    assert gb_text(buchberger_reference([f, g], R2, max_steps=0)) == ["x + 6", "y + 6"]
 
 
 def test_f4_step_worked_example():
@@ -502,7 +528,7 @@ def test_is_groebner_witness():
 
 
 def all_pairs_is_groebner(G):
-    """The verdict with every pair reduced, product criterion or not."""
+    """The verdict with every pair reduced, no criterion applied."""
     live = [g for g in G if not g.is_zero()]
     return all(
         normal_form(spoly(live[a], live[b]), live).is_zero()
@@ -512,19 +538,33 @@ def all_pairs_is_groebner(G):
 
 
 def test_is_groebner_product_criterion_keeps_the_verdict():
+    """Product and chain criteria: the verdict is the all-pairs verdict."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    @hypothesis.settings(max_examples=150, deadline=None)
-    @hypothesis.given(n=st.integers(1, 3), order=st.sampled_from(ORDERS), data=st.data())
-    def check(n, order, data):
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 3),
+        order=st.sampled_from(ORDERS),
+        mode=st.sampled_from(["random", "basis", "dropped", "tail"]),
+        data=st.data(),
+    )
+    def check(n, order, mode, data):
         ring = Ring([f"x{i}" for i in range(n)], order, M7)
         mon = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
         term = st.tuples(mon, st.integers(1, 6))
         G = [poly_normalize(data.draw(st.lists(term, min_size=1, max_size=3)), ring)
              for _ in range(data.draw(st.integers(1, 4)))]
-        if data.draw(st.booleans()) and not any(g.is_zero() for g in G):
-            G = f4_groebner(G, ring)  # a Groebner basis, with coprime leads common
+        if mode != "random" and not any(g.is_zero() for g in G):
+            G = f4_groebner(G, ring)  # a reduced Groebner basis, with coprime leads common
+            if mode == "dropped" and len(G) > 1:
+                del G[data.draw(st.integers(0, len(G) - 1))]
+            tails = [(k, t) for k, g in enumerate(G) for t in range(1, len(g.terms))]
+            if mode == "tail" and tails:
+                k, t = data.draw(st.sampled_from(tails))
+                e, c = G[k].terms[t]
+                c = data.draw(st.integers(1, M7.p - 1).filter(lambda v: v != c))
+                G[k] = Poly(ring, G[k].terms[:t] + ((e, c),) + G[k].terms[t + 1 :])
         rep = is_groebner(G, ring)
         assert rep.ok == all_pairs_is_groebner(G)
         if not rep.ok:
@@ -548,14 +588,32 @@ def test_is_groebner_reduces_only_non_coprime_pairs(monkeypatch):
 
     monkeypatch.setattr(groebner, "normal_form", spy)
     assert is_groebner(G, ring).ok
-    # 13 members make 78 pairs; 41 have leads that share a variable
-    assert len(G) == 13 and len(calls) == 41
+    # 13 members make 78 pairs; 41 have leads that share a variable, and the
+    # chain criterion settles 15 of those
+    assert len(G) == 13 and len(calls) == 26
 
 
 def test_reduce_basis_canonical():
     f = poly_parse("x^2 - y", R2)
     rb = reduce_basis([f, poly_parse("2*x^2 - 2*y", R2)], R2)
     assert gb_text(rb) == ["x^2 + 6*y"]
+
+
+def test_reduce_basis_one_normal_form_per_minimal_member(monkeypatch):
+    ring, polys = gen_katsura(3, 65537)
+    G = f4_groebner(polys, ring)
+    messy = perturbed(G, np.random.default_rng(3))
+    calls = []
+    real_normal_form = groebner.normal_form
+
+    def spy(f, basis):
+        calls.append(f)
+        return real_normal_form(f, basis)
+
+    monkeypatch.setattr(groebner, "normal_form", spy)
+    assert [f.terms for f in reduce_basis(messy, ring)] == [f.terms for f in G]
+    # perturbed adds a non-minimal member and a duplicate lead; neither is reduced
+    assert len(messy) == len(G) + 2 and len(calls) == len(G)
 
 
 def criterion7_named_instances():
