@@ -9,11 +9,17 @@ processing order.  Each has two routes, chosen by ``ExecPolicy.lanes``:
   whole segment (F4's graded batches sort one-word keys in ``symbolic``
   itself; its lex batches and the wider ones come here);
 - more lanes run the work decomposed exactly as a data-parallel runtime
-  would decompose it (per-lane counting, prefix-summed write plans,
-  disjoint scatter regions, merge-path splits), with the lanes processed in
-  shuffled order.  That route is the determinism oracle: its output must
-  equal the one-lane output byte for byte, which witnesses race-freedom of
-  the decomposition rather than of one code path checked against itself.
+  would decompose it, with every lane's lane-local work done in lockstep,
+  as a GPU radix sort does (Merrill & Grimshaw 2011): one ``bincount`` of
+  every lane's digits and one stable argsort keyed by (lane, digit) per
+  radix pass, one scan over the lanes as the rows of a zero-padded grid,
+  one ``add.reduceat`` counting every lane's kept items, then prefix-summed
+  write plans and merge-path splits.  Only the writes into each lane's
+  disjoint region go one lane at a time, in shuffled lane order.  That
+  route is the determinism oracle: it never calls the one-lane route's
+  whole-array ``lexsort`` or ``cumsum``, and its output must equal the
+  one-lane output byte for byte, which witnesses race-freedom of the
+  decomposition rather than of one code path checked against itself.
 
 Both routes run the same input checks.
 
@@ -106,16 +112,24 @@ def exclusive_scan(lengths, policy: ExecPolicy = DEFAULT_POLICY) -> np.ndarray:
     if lengths.size and int(lengths.max()) * lengths.size >= 1 << 63:
         if int(np.sum(lengths, dtype=object)) >= 1 << 63:
             raise PreconditionError("scan total overflows 64 bits")
-    out = np.zeros(len(lengths) + 1, dtype=np.int64)
+    n = len(lengths)
+    out = np.zeros(n + 1, dtype=np.int64)
     if policy.lanes <= 1:
         np.cumsum(lengths, out=out[1:])
         return out
-    bounds = _lane_bounds(len(lengths), policy.lanes)
-    lane_totals = np.array([int(lengths[lo:hi].sum()) for lo, hi in bounds], dtype=np.int64)
-    lane_base = np.cumsum(lane_totals) - lane_totals
+    if n == 0:
+        return out
+    # the lanes are the rows of one zero-padded (lanes x step) grid: one
+    # cumsum scans every lane, and one more over the lane totals bases them
+    bounds = _lane_bounds(n, policy.lanes)
+    grid = np.zeros(len(bounds) * bounds[0][1], dtype=np.int64)
+    grid[:n] = lengths
+    scan = np.cumsum(grid.reshape(len(bounds), -1), axis=1)
+    totals = scan[:, -1]
+    scan += (np.cumsum(totals) - totals)[:, None]
     for c in _lane_order(policy, len(bounds)):
         lo, hi = bounds[c]
-        out[lo + 1 : hi + 1] = lane_base[c] + np.cumsum(lengths[lo:hi])
+        out[lo + 1 : hi + 1] = scan[c, : hi - lo]
     return out
 
 
@@ -126,7 +140,8 @@ def radix_sort(keys: np.ndarray, policy: ExecPolicy = DEFAULT_POLICY):
     input positions to sorted order; apply it to any payload arrays.  One
     lane is a stable ``np.lexsort``; more lanes run one counting pass per
     digit of ``radix_digits(keys)``, so a byte every key shares costs
-    nothing.  Both give the same perm.
+    nothing, with tables only as wide as the pass's digit span.  Both give
+    the same perm.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     if keys.ndim != 2:
@@ -137,29 +152,35 @@ def radix_sort(keys: np.ndarray, policy: ExecPolicy = DEFAULT_POLICY):
     if policy.lanes <= 1:
         perm = np.lexsort(keys.T[::-1]).astype(np.int64, copy=False)
         return keys[perm], perm
-    perm = np.arange(n, dtype=np.int64)
+    digits = radix_digits(keys)
     bounds = _lane_bounds(n, policy.lanes)
     n_lanes = len(bounds)
-    # least-significant digit first; each pass is a stable counting sort
-    # with per-lane histograms and disjoint scatter regions
-    for word, byte in radix_digits(keys):
-        dig = ((keys[perm, word] >> np.uint64(8 * byte)) & np.uint64(0xFF)).astype(np.uint8)
-        counts = np.zeros((n_lanes, 256), dtype=np.int64)
-        for c in range(n_lanes):
-            lo, hi = bounds[c]
-            counts[c] = np.bincount(dig[lo:hi], minlength=256)
-        totals = counts.sum(axis=0)
-        digit_base = np.cumsum(totals) - totals
-        lane_prefix = np.cumsum(counts, axis=0) - counts
-        # slot of the k-th key of lane c's stable digit order: its digit's
-        # region start plus its rank among the lane's keys of that digit
-        shift = digit_base[None, :] + lane_prefix - (np.cumsum(counts, axis=1) - counts)
-        new_perm = np.empty_like(perm)
+    # every pass's digit of every key at once, less the pass's smallest
+    # digit: byte b of word w is column 8w + b of the little-endian bytes
+    cols = [8 * word + byte for word, byte in digits]
+    dig = np.ascontiguousarray(keys, dtype="<u8").view(np.uint8).reshape(n, -1)[:, cols]
+    dig -= dig.min(axis=0)
+    spans = dig.max(axis=0).astype(np.int64) + 1
+    # (lane, digit) fits 16 bits for up to 256 lanes; numpy sorts those by radix
+    lane_of = (np.arange(n) // bounds[0][1]).astype(np.uint16 if n_lanes <= 256 else np.int64)
+    rank = np.arange(n)
+    perm = np.arange(n, dtype=np.int64)
+    # least-significant digit first; each pass is a stable counting sort of
+    # every lane in lockstep, then one disjoint scatter per lane
+    for k, span in enumerate(spans.tolist()):
+        lane_digit = lane_of * lane_of.dtype.type(span) + dig[perm, k]
+        order = np.argsort(lane_digit, kind="stable")
+        counts = np.bincount(lane_digit, minlength=n_lanes * span)
+        # lane c's keys of digit d go after every key of a smaller digit and
+        # after lane c' < c's keys of digit d: the exclusive scan of the
+        # digit-major table; in ``order`` they start at the lane-major one
+        by_digit = counts.reshape(n_lanes, span).T.ravel()
+        dst = (np.cumsum(by_digit) - by_digit).reshape(span, n_lanes).T.ravel()
+        slot = np.repeat(dst - (np.cumsum(counts) - counts), counts) + rank
+        src = perm[order]
         for c in _lane_order(policy, n_lanes):
             lo, hi = bounds[c]
-            order = np.argsort(dig[lo:hi], kind="stable")
-            new_perm[shift[c, dig[lo:hi][order]] + np.arange(hi - lo)] = perm[lo:hi][order]
-        perm = new_perm
+            perm[slot[lo:hi]] = src[lo:hi]
     return keys[perm], perm
 
 
@@ -198,7 +219,10 @@ def stream_compact(items: np.ndarray, keep: np.ndarray, policy: ExecPolicy = DEF
     if policy.lanes <= 1:
         return items[keep]
     bounds = _lane_bounds(len(items), policy.lanes)
-    lane_counts = np.array([int(keep[lo:hi].sum()) for lo, hi in bounds], dtype=np.int64)
+    # an empty lane starts at len(items), where the padding counts nothing
+    lane_counts = np.add.reduceat(
+        np.append(keep, False), [lo for lo, _ in bounds], dtype=np.int64
+    )
     lane_base = np.cumsum(lane_counts) - lane_counts
     out = np.empty((int(lane_counts.sum()),) + items.shape[1:], dtype=items.dtype)
     for c in _lane_order(policy, len(bounds)):

@@ -21,10 +21,15 @@ them:
   sigma-basis (``sigma_basis.block_generator``, which at b = 1 is
   ``berlekamp_massey``), and turns it into up to b kernel vectors by one
   block Horner evaluation.  A rectangular A is framed through A^T A and
-  every candidate is verified against A itself.  Every caller passes the
-  nullity it knows from elimination as the target: b follows from it
-  (``_block_width``), the solve stops once it is reached and fails loudly
-  when the round budget, sized from the target, ends short of it.
+  every candidate is verified against A itself by SpMV.  The operator (A,
+  or A^T A formed once, exactly, mod p) is one float64 product with a
+  dense copy where ``_float_exact`` holds for each product's inner
+  dimension and each dense copy fits ``BLOCK_BYTES``; otherwise (31-bit
+  primes, large dimensions) it is ``spmm``, by A and then A^T.  Every
+  caller passes the nullity it knows from elimination as the target: b
+  follows from it (``_block_width``), the solve stops once it is reached
+  and fails loudly when the round budget, sized from the target, ends
+  short of it.
 
 Every engine computes in the standard domain: products of residues,
 reduced with ``%`` once per lazy window (``FieldModulus.lazy_window_k``).
@@ -51,7 +56,7 @@ from .sigma_basis import block_generator, column_dependencies
 from .symbolic import LayoutPlan
 
 DENSE_CAP = 512
-# bytes of the largest dense block psge_reduce allocates
+# bytes of the largest dense block psge_reduce, or wiedemann_solve's operator, allocates
 BLOCK_BYTES = 1 << 24
 
 
@@ -352,7 +357,8 @@ def _float_exact(n_pivots: int, p: int) -> bool:
     residues per pivot, so every partial sum a level's product or
     subtraction forms is an integer of magnitude at most n_pivots (p-1)^2.
     float64 holds every integer up to 2^53 exactly, and ``_mod_exact``
-    needs p more of headroom.
+    needs p more of headroom.  The same bound, with the inner dimension as
+    n_pivots, makes a product of two residue matrices exact.
     """
     return n_pivots * (p - 1) ** 2 + p < 1 << 53
 
@@ -736,7 +742,7 @@ class KernelBasis:
     vectors: list = field(default_factory=list)
     dimension_found: int = 0
     seed_trail: tuple = ()
-    spmm_calls: int = 0  # Wiedemann's own SpMM and SpMV calls
+    spmm_calls: int = 0  # operator applications, on either route, plus SpMV checks
 
 
 def _try_extend_basis(vec: np.ndarray, reduced: list, p: int) -> bool:
@@ -784,13 +790,40 @@ def _block_width(max_vectors: int) -> int:
     return min(max(max_vectors, 4), 16)
 
 
+def _operator(A: CsrMatrix):
+    """X -> B X mod p for block Wiedemann's operator: B = A when square, else A^T A.
+
+    One float64 product with a dense copy of B, reduced by ``_mod_exact``,
+    when every product is exact (``_float_exact`` on its inner dimension)
+    and every dense copy fits ``BLOCK_BYTES``; a rectangular B is formed
+    once, exactly, mod p.  Otherwise (31-bit primes, large dimensions)
+    ``spmm``, through A and then A^T.  Both give the same residues.
+    """
+    p, n = A.modulus.p, A.n_cols
+    square = A.n_rows == n
+    if not (
+        _float_exact(n, p)
+        and (square or _float_exact(A.n_rows, p))
+        and 8 * n * max(A.n_rows, n) <= BLOCK_BYTES
+    ):
+        if square:
+            return lambda X: spmm(A, X)
+        At = csr_transpose(A)
+        return lambda X: spmm(At, spmm(A, X))
+    B = _dense_block(A.row_ptr, A.col_ind, A.val, np.arange(A.n_rows), n, np.float64)[0]
+    if not square:
+        B = _mod_exact(B.T @ B, p)
+    return lambda X: _mod_exact(B @ X.astype(np.float64), p).astype(np.uint64)
+
+
 def wiedemann_solve(
     A: CsrMatrix, seed: int, max_vectors: int, block_width: int | None = None, max_rounds: int | None = None
 ):
     """Verified right-kernel vectors of A by block Wiedemann (Coppersmith).
 
     A square A is its own operator B; a rectangular one is framed through
-    B = A^T A, and every candidate is checked against A itself.  Each
+    B = A^T A, and every candidate is checked against A itself.  B is
+    applied by ``_operator``, through BLAS where that is exact.  Each
     seeded round draws b probes U and V (see below), takes the
     L = 2 ceil(dim / b) + 2 projections S_k = U^T B^k V, and finds their
     minimal right generator F (``block_generator``), so F(B) V = 0 once
@@ -821,17 +854,18 @@ def wiedemann_solve(
     m = A.modulus
     p = m.p
     calls = 0
+    operator = _operator(A)
 
-    def mul(M, X):
+    def apply_b(X):
         nonlocal calls
         calls += 1
-        return spmm(M, X)
+        return operator(X)
 
-    if A.n_rows == A.n_cols:
-        apply_b = lambda X: mul(A, X)
-    else:
-        At = csr_transpose(A)
-        apply_b = lambda X: mul(At, mul(A, X))
+    def check(w):
+        nonlocal calls
+        calls += 1
+        return spmv(A, w)
+
     L = 2 * -(-dim // b) + 2
 
     root = np.random.SeedSequence(seed)
@@ -886,10 +920,10 @@ def wiedemann_solve(
         for w in acc[:, acc.any(axis=0)].T:
             if len(vectors) >= max_vectors:
                 break
-            y = mul(A, w)
+            y = check(w)
             if y.any():  # an A^T A kernel vector outside ker(A), or a wrong generator
                 w = _fold(w, y, strays, p)
-                if w is None or mul(A, w).any():
+                if w is None or check(w).any():
                     continue
             if _try_extend_basis(w, reduced, p):
                 vectors.append(w.copy())

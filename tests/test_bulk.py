@@ -342,3 +342,71 @@ def test_radix_sort_and_lower_bound_property():
         assert_one_lane_matches_lane_split(keys, rng, ExecPolicy(lanes, lane_order_seed=lane_seed))
 
     check()
+
+
+# the lane-split route at every lane count 2-9, in index and in shuffled lane order
+LANE_SPLIT = [ExecPolicy(lanes, lane_order_seed=seed) for lanes in range(2, 10) for seed in (None, 3 * lanes)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 9, 17])
+def test_lane_split_route_with_empty_and_short_lanes(n):
+    # n < lanes leaves lanes with nothing; ceil(n / lanes) per lane can leave the last lanes empty
+    rng = np.random.default_rng(n)
+    keys = rand_keys(rng, n, 2, hi=4)
+    for policy in LANE_SPLIT:
+        assert_one_lane_matches_lane_split(keys, rng, policy)
+
+
+def test_lane_split_route_on_all_equal_keys():
+    keys = np.tile(np.array([[7, 1 << 40]], dtype=np.uint64), (61, 1))
+    assert radix_digits(keys) == []
+    rng = np.random.default_rng(61)
+    for policy in LANE_SPLIT:
+        srt, perm = radix_sort(keys, policy)
+        assert np.array_equal(perm, np.arange(61)) and np.array_equal(srt, keys)
+        assert_one_lane_matches_lane_split(keys, rng, policy)
+
+
+def test_lane_split_pass_over_every_byte_value():
+    # one pass whose digits span 0-255, each value several times, so every
+    # lane's histogram table is as wide as a byte
+    rng = np.random.default_rng(256)
+    low = rng.permutation(np.arange(700) % 256).astype(np.uint64)
+    keys = np.stack([np.full(700, 5, dtype=np.uint64), low | np.uint64(0xAB00)], axis=1)
+    assert radix_digits(keys) == [(1, 0)]
+    want = np.lexsort(keys.T[::-1])
+    for policy in LANE_SPLIT:
+        srt, perm = radix_sort(keys, policy)
+        assert np.array_equal(perm, want)
+        assert_one_lane_matches_lane_split(keys, rng, policy)
+
+
+def test_lane_split_route_matches_one_lane_at_every_lane_count():
+    rng = np.random.default_rng(29)
+    for n in (40, 333):
+        for words in (1, 2, 3):
+            keys = rand_keys(rng, n, words, hi=1 << 20)
+            keys[rng.integers(0, n, n // 3)] = keys[rng.integers(0, n, n // 3)]  # repeats
+            for policy in LANE_SPLIT:
+                assert_one_lane_matches_lane_split(keys, rng, policy)
+                # a column-major key matrix sorts the same
+                assert np.array_equal(radix_sort(np.asfortranarray(keys), policy)[1], radix_sort(keys)[1])
+
+
+def test_lane_split_sort_never_runs_the_whole_array_lexsort(monkeypatch):
+    keys = rand_keys(np.random.default_rng(4), 100, 2)
+    want = radix_sort(keys)[1]
+    monkeypatch.setattr(np, "lexsort", lambda *a: pytest.fail("lexsort on the lane-split route"))
+    for policy in LANE_SPLIT:
+        assert np.array_equal(radix_sort(keys, policy)[1], want)
+
+
+@pytest.mark.parametrize("lens", [[], [0], [5], [0, 0, 0], [2, 0, 5], [0] * 7 + [3], list(range(10))])
+def test_lane_split_scan_and_compact_with_empty_lanes(lens):
+    want = np.concatenate([[0], np.cumsum(np.array(lens, dtype=np.int64))]).astype(np.int64)
+    items = np.arange(len(lens), dtype=np.int64)
+    keep = np.array(lens, dtype=bool)
+    for policy in LANE_SPLIT:
+        got = exclusive_scan(lens, policy)
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+        assert stream_compact(items, keep, policy).tolist() == items[keep].tolist()

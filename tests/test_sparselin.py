@@ -16,6 +16,7 @@ from fpgb.monomials import Ring
 from fpgb.polynomials import poly_parse, soa_pack
 from fpgb.sigma_basis import block_generator
 from fpgb.sparselin import (
+    BLOCK_BYTES,
     CsrMatrix,
     berlekamp_massey,
     csr_from_dense,
@@ -610,11 +611,12 @@ def test_wiedemann_combines_normal_equation_vectors_outside_the_kernel():
 
 @pytest.mark.parametrize("shape", [(40, 40), (30, 40)])
 def test_wiedemann_builds_each_spmm_chunk_layout_once(monkeypatch, shape):
+    # at a 31-bit prime the float64 operator is not exact: the operator is spmm
     rng = np.random.default_rng(shape[0])
-    A = csr_from_dense(random_sparse(rng, *shape, 0.1, M101), M101)
-    nullity = A.n_cols - dense_rank(A.to_dense(), M101)
+    A = csr_from_dense(random_sparse(rng, *shape, 0.1, MBIG), MBIG)
+    nullity = A.n_cols - dense_rank(A.to_dense(), MBIG)
     want = wiedemann_solve(A, seed=2, max_vectors=nullity)
-    A = csr_from_dense(A.to_dense(), M101)  # a fresh matrix, no layout built yet
+    A = csr_from_dense(A.to_dense(), MBIG)  # a fresh matrix, no layout built yet
     scans = []
     real_scan = sparselin.exclusive_scan
     monkeypatch.setattr(sparselin, "exclusive_scan", lambda lens: scans.append(len(lens)) or real_scan(lens))
@@ -624,6 +626,56 @@ def test_wiedemann_builds_each_spmm_chunk_layout_once(monkeypatch, shape):
     # one layout per operator (A, and A^T when A is not square) and the
     # transpose's own row pointers, however many Krylov steps ran
     assert len(scans) == (1 if shape[0] == shape[1] else 3)
+
+
+def solve_outcome(A, seed, target):
+    """What wiedemann_solve returns or raises, as bytes to compare."""
+    try:
+        kb = wiedemann_solve(A, seed=seed, max_vectors=target)
+    except ProbabilisticFailureError as exc:
+        return ("short", str(exc), exc.seed_trail)
+    return ("ok", [v.tobytes() for v in kb.vectors], kb.seed_trail, kb.spmm_calls)
+
+
+@pytest.mark.parametrize("m", [M7, M101, FieldModulus(65537)], ids=lambda m: str(m.p))
+@pytest.mark.parametrize("shape", [(40, 40), (24, 40), (50, 40)])
+def test_wiedemann_dense_and_spmm_operators_agree(monkeypatch, m, shape):
+    rng = np.random.default_rng(shape[0] + m.p)
+    mat = random_sparse(rng, *shape, 0.15, m)
+    mat[rng.integers(0, shape[0], 4)] = 0  # a few empty rows
+    mat[:, rng.integers(0, shape[1], 6)] = mat[:, rng.integers(0, shape[1], 6)]  # repeated columns
+    A = csr_from_dense(mat, m)
+    nullity = A.n_cols - dense_rank(mat, m)
+    assert nullity > 0
+    widths = []
+    real_spmm = sparselin.spmm
+    monkeypatch.setattr(sparselin, "spmm", lambda M, X: widths.append(np.shape(X)[1:]) or real_spmm(M, X))
+    for seed in (0, 1):
+        widths.clear()
+        dense = solve_outcome(A, seed, nullity)
+        assert set(widths) <= {(), (1,)}  # the SpMV checks alone
+        # no dense copy fits, so the same solve applies its operator by spmm
+        monkeypatch.setattr(sparselin, "BLOCK_BYTES", 0)
+        by_spmm = solve_outcome(A, seed, nullity)
+        monkeypatch.setattr(sparselin, "BLOCK_BYTES", BLOCK_BYTES)
+        assert (sparselin._block_width(nullity),) in widths
+        assert dense == by_spmm
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (30, 40)])
+def test_wiedemann_takes_spmm_at_a_31_bit_prime(monkeypatch, shape):
+    rng = np.random.default_rng(29)
+    mat = random_sparse(rng, *shape, 0.15, MBIG)
+    mat[:, :3] = 0  # a kernel in the square case too
+    A = csr_from_dense(mat, MBIG)
+    nullity = A.n_cols - dense_rank(mat, MBIG)
+    widths = []
+    real_spmm = sparselin.spmm
+    monkeypatch.setattr(sparselin, "spmm", lambda M, X: widths.append(np.shape(X)[1:]) or real_spmm(M, X))
+    monkeypatch.setattr(sparselin, "_mod_exact", lambda *a: pytest.fail("float64 operator at a 31-bit prime"))
+    kb = wiedemann_solve(A, seed=3, max_vectors=nullity)
+    assert kb.dimension_found == nullity > 0
+    assert (sparselin._block_width(nullity),) in widths
 
 
 def test_wiedemann_zero_target_runs_no_round(monkeypatch):
