@@ -20,6 +20,7 @@ reduction; the window is chosen so the running sum never overflows 64 bits.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 
 import numpy as np
@@ -41,8 +42,13 @@ class Backend(enum.Enum):
     MONTGOMERY = "montgomery"
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the 64-bit range."""
+    """Deterministic Miller-Rabin for the 64-bit range.
+
+    The verdict is memoized for the 64 most recently used n, so a process
+    that builds many ``FieldModulus`` objects for one prime proves it once.
+    """
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

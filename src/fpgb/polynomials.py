@@ -18,6 +18,7 @@ Grammar accepted by the parser (no parentheses, no implicit products)::
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from operator import add
@@ -29,7 +30,14 @@ from .monomials import (
     _DEG_LIMIT, _EXP_LIMIT, Ring, key_cmp_rows, key_pack_vec, mon_format, mon_mul
 )
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^]))")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+# One token per match: an integer, a name, an operator, or any other
+# non-space character, which only ever ends the parse with an error.
+_TOKEN_RE = re.compile(rf"\d+|{_NAME}|[-+*^]|\S")
+# a character that begins no integer, name or operator token
+_STRAY_RE = re.compile(r"[^\s\dA-Za-z_*^+-]")
+_SIGNS = ("+", "-")
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ def poly_normalize(terms, ring: Ring) -> Poly:
     p = ring.modulus.p
     acc: dict = {}
     for exps, coeff in terms:
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(int, exps))
         c = (acc.get(exps, 0) + int(coeff)) % p
         if c:
             acc[exps] = c
@@ -81,78 +89,81 @@ def poly_from_dict(d: dict, ring: Ring) -> Poly:
     return poly_normalize(d.items(), ring)
 
 
+def _parse_error(text: str, at, message: str) -> PolyParseError:
+    """The error for ``message`` at token ``at`` (``None``: the end of the text).
+
+    A stray character anywhere in the text is reported instead, wherever
+    the grammar walk stopped.  Positions are computed here, only on failure.
+    """
+    stray = _STRAY_RE.search(text)
+    if stray is not None:
+        return PolyParseError(f"unexpected character {stray.group()!r}", position=stray.start())
+    if at is None:
+        return PolyParseError(message, position=len(text))
+    token = next(itertools.islice(_TOKEN_RE.finditer(text), at, None))
+    return PolyParseError(message, position=token.start())
+
+
 def poly_parse(text: str, ring: Ring) -> Poly:
-    """Parse one polynomial in the fixed grammar; errors carry positions."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        mt = _TOKEN_RE.match(text, pos)
-        if mt is None or mt.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise PolyParseError(f"unexpected character {text[bad]!r}", position=bad)
-        if mt.group(1) is not None:
-            tokens.append(("int", int(mt.group(1)), mt.start(1)))
-        elif mt.group(2) is not None:
-            tokens.append(("name", mt.group(2), mt.start(2)))
-        else:
-            tokens.append(("op", mt.group(3), mt.start(3)))
-        pos = mt.end()
+    """Parse one polynomial in the fixed grammar; errors carry positions.
+
+    One ``findall`` splits the text into token strings, and the grammar is
+    walked over them directly.
+    """
+    tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise PolyParseError("empty polynomial", position=0)
-
-    var_index = {name: i for i, name in enumerate(ring.var_names)}
+    # a variable whose name is not a name token can never be written
+    var_index = {v: i for i, v in enumerate(ring.var_names) if _NAME_RE.fullmatch(v)}
+    n = len(tokens)
     terms = []
     i = 0
-    n = len(tokens)
-
-    def expect_factor(i, exps, coeff):
-        kind, val, at = tokens[i]
-        if kind == "int":
-            return i + 1, exps, coeff * val
-        if kind == "name":
-            if val not in var_index:
-                raise PolyParseError(f"unknown variable {val!r}", position=at)
-            e = 1
-            i += 1
-            if i < n and tokens[i][0] == "op" and tokens[i][1] == "^":
-                i += 1
-                if i >= n or tokens[i][0] != "int":
-                    where = tokens[i][2] if i < n else len(tokens)
-                    raise PolyParseError("expected integer exponent after '^'", position=where)
-                e = tokens[i][1]
-                if e >= _EXP_LIMIT:
-                    raise PolyParseError(f"exponent {e} overflows 16-bit lane", position=tokens[i][2])
-                i += 1
-            exps = list(exps)
-            exps[var_index[val]] += e
-            if exps[var_index[val]] >= _EXP_LIMIT:
-                raise PolyParseError("accumulated exponent overflows 16-bit lane", position=at)
-            return i, tuple(exps), coeff
-        raise PolyParseError(f"expected a factor, found {val!r}", position=at)
-
     while i < n:
         sign = 1
-        # leading sign of the term
-        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
+        while tokens[i] in _SIGNS:
+            if tokens[i] == "-":
                 sign = -sign
             i += 1
-        if i >= n:
-            raise PolyParseError("dangling sign at end of input", position=len(text))
-        exps = (0,) * ring.n_vars
+            if i == n:
+                raise _parse_error(text, None, "dangling sign at end of input")
+        exps = [0] * ring.n_vars
         coeff = 1
-        i, exps, coeff = expect_factor(i, exps, coeff)
-        while i < n and tokens[i][0] == "op" and tokens[i][1] == "*":
+        while True:
+            tok = tokens[i]
+            v = var_index.get(tok)
+            if v is not None:
+                at = i
+                e = 1
+                i += 1
+                if i < n and tokens[i] == "^":
+                    i += 1
+                    if i == n or not tokens[i].isdecimal():
+                        where = i if i < n else None
+                        raise _parse_error(text, where, "expected integer exponent after '^'")
+                    e = int(tokens[i])
+                    if e >= _EXP_LIMIT:
+                        raise _parse_error(text, i, f"exponent {e} overflows 16-bit lane")
+                    i += 1
+                exps[v] += e
+                if exps[v] >= _EXP_LIMIT:
+                    raise _parse_error(text, at, "accumulated exponent overflows 16-bit lane")
+            elif tok.isdecimal():
+                coeff *= int(tok)
+                i += 1
+            elif _NAME_RE.match(tok):
+                raise _parse_error(text, i, f"unknown variable {tok!r}")
+            else:
+                raise _parse_error(text, i, f"expected a factor, found {tok!r}")
+            if i == n or tokens[i] != "*":
+                break
             i += 1
-            if i >= n:
-                raise PolyParseError("dangling '*' at end of input", position=len(text))
-            i, exps, coeff = expect_factor(i, exps, coeff)
-        terms.append((exps, sign * coeff))
-        if i < n and not (tokens[i][0] == "op" and tokens[i][1] in "+-"):
-            raise PolyParseError(f"expected '+' or '-', found {tokens[i][1]!r}", position=tokens[i][2])
+            if i == n:
+                raise _parse_error(text, None, "dangling '*' at end of input")
+        terms.append((tuple(exps), sign * coeff))
+        if i < n and tokens[i] not in _SIGNS:
+            tok = tokens[i]
+            found = int(tok) if tok.isdecimal() else tok
+            raise _parse_error(text, i, f"expected '+' or '-', found {found!r}")
     return poly_normalize(terms, ring)
 
 

@@ -7,6 +7,8 @@ line in the parser grammar.  Lines starting with ``#`` are comments.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import PolyParseError, PreconditionError
@@ -70,7 +72,10 @@ def gen_katsura(n: int, p: int):
     return ring, polys
 
 
+@functools.lru_cache(maxsize=MAX_VARS)
 def _degree_le2_monomials(nv: int):
+    """The monomials of degree <= 2 in ``nv`` variables, in the order the
+    draws index them, and those indices in descending grevlex order."""
     mons = [(0,) * nv]
     for i in range(nv):
         e = [0] * nv
@@ -83,7 +88,10 @@ def _degree_le2_monomials(nv: int):
             e[j] += 1
             mons.append(tuple(e))
     assert len(mons) == count_monomials(nv, 2)
-    return mons
+    # a term order does not depend on the field
+    grevlex = Ring([f"x{i}" for i in range(nv)], "grevlex", FieldModulus(3))
+    desc = sorted(range(len(mons)), key=lambda i: grevlex.sort_key(mons[i]), reverse=True)
+    return tuple(mons), tuple(desc)
 
 
 def gen_random_quadratic(
@@ -100,7 +108,9 @@ def gen_random_quadratic(
     if not 1 <= n <= MAX_VARS or m < 1:
         raise PreconditionError(f"need 1 <= n <= {MAX_VARS} and m >= 1")
     ring = Ring([f"x{i}" for i in range(n)], "grevlex", FieldModulus(p))
-    mons = _degree_le2_monomials(n)
+    # the monomials are distinct and every coefficient drawn is in [1, p), so
+    # a draw's canonical term list is its kept monomials in descending order
+    mons, desc = _degree_le2_monomials(n)
     root = np.random.SeedSequence(seed)
     polys = []
     for idx in range(m):
@@ -108,10 +118,9 @@ def gen_random_quadratic(
         poly = Poly(ring)
         for attempt in range(max_redraws):
             rng = np.random.default_rng(child)
-            keep = rng.random(len(mons)) < density
-            coeffs = rng.integers(1, p, len(mons))
-            terms = [(mon, int(c)) for mon, c, k in zip(mons, coeffs, keep) if k]
-            poly = poly_normalize(terms, ring)
+            keep = (rng.random(len(mons)) < density).tolist()
+            coeffs = rng.integers(1, p, len(mons)).tolist()
+            poly = Poly(ring, tuple((mons[i], coeffs[i]) for i in desc if keep[i]))
             if not poly.is_zero():
                 break
             child = child.spawn(1)[0]

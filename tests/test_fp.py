@@ -33,6 +33,30 @@ def test_modulus_rejects_non_primes():
             FieldModulus(bad)
 
 
+@pytest.fixture
+def primality_tests():
+    """Counts of is_prime calls from an empty memo: misses are Miller-Rabin runs."""
+    is_prime.cache_clear()
+    yield is_prime.cache_info
+    is_prime.cache_clear()
+
+
+def test_modulus_proves_a_prime_once(primality_tests):
+    for backend in list(Backend) * 100:
+        assert FieldModulus(BIG_P, backend).p == BIG_P
+    FieldModulus(65537)
+    info = primality_tests()
+    assert (info.misses, info.hits, info.maxsize) == (2, 299, 64)
+
+
+def test_composite_modulus_raises_on_every_construction(primality_tests):
+    for _ in range(5):
+        with pytest.raises(PreconditionError, match="odd prime"):
+            FieldModulus(65537 * 3)
+    info = primality_tests()
+    assert (info.misses, info.hits) == (1, 4)
+
+
 def test_modulus_constants():
     assert M7.barrett_mu == (1 << 62) // 7
     assert (M7.p * M7.mont_pprime) % (1 << 32) == (1 << 32) - 1

@@ -1,11 +1,13 @@
 """Benchmark family generators and the system file format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from fpgb.errors import PolyParseError, PreconditionError
 from fpgb.monomials import count_monomials
-from fpgb.polynomials import poly_format
+from fpgb.polynomials import poly_format, poly_normalize
 from fpgb.systems import (
     format_system,
     gen_cyclic,
@@ -101,6 +103,32 @@ def test_random_quadratic_determinism_and_seed_sensitivity():
     assert all(not f.is_zero() for f in a)
 
 
+def test_random_quadratic_many_small_inputs_are_pinned():
+    # the 384 systems the many-small benchmark workload draws at seed 1
+    seeds = np.random.SeedSequence(1).generate_state(384).tolist()
+    text = "".join(format_system(*gen_random_quadratic(3, 3, 0.5, s, 2147483629)) for s in seeds)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4ca5be710b0bf7305472d13f307d0e78f6a4acf7eb8be9d03fef32204396030c"
+    )
+
+
+def test_random_quadratic_redraws_are_pinned():
+    # at density 0.1 over three monomials most draws are empty: these four
+    # polynomials took 4, 2, 0 and 3 redraws
+    assert format_system(*gen_random_quadratic(1, 4, 0.1, 3, 7)) == (
+        "p 7\nvars x0\norder grevlex\n4*x0^2\n5*x0^2\n6*x0 + 4\nx0\n"
+    )
+    with pytest.raises(PreconditionError, match="degenerate draw persisted for polynomial 0"):
+        gen_random_quadratic(1, 1, 1e-9, 3, 7, max_redraws=3)
+
+
+def test_random_quadratic_term_lists_are_canonical():
+    # each term list is built in descending order without poly_normalize
+    for n in range(1, 9):
+        ring, polys = gen_random_quadratic(n, 3, 0.7, n, 65537)
+        assert [poly_normalize(f.terms, ring).terms for f in polys] == [f.terms for f in polys]
+
+
 def test_random_quadratic_validation():
     with pytest.raises(PreconditionError):
         gen_random_quadratic(2, 2, 0.0, 0, 7)
@@ -130,3 +158,10 @@ def test_system_comments_and_errors():
         parse_system("p 7\nvars x\norder grevlex\nx + q\n")  # unknown variable
     with pytest.raises(PolyParseError):
         parse_system("p 7\nvars x\norder sideways\nx\n")  # unknown order
+
+
+def test_system_composite_modulus_fails_every_parse():
+    # the primality verdict is memoized; the refusal is not
+    for _ in range(3):
+        with pytest.raises(PolyParseError, match="bad system header: modulus must be an odd prime, got 9"):
+            parse_system("p 9\nvars x\norder grevlex\nx\n")
