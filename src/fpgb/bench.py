@@ -249,10 +249,8 @@ def _check_numeric(A, m: FieldModulus):
     """Hold psge_reduce's F4 mode to back_reduce=True and, within DENSE_CAP, to dense_gauss."""
     got = psge_reduce(A, back_reduce=False)
     full = psge_reduce(A, back_reduce=True)
-    same_rows = len(got.nonpivot_rows) == len(full.nonpivot_rows) and all(
-        a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
-        for a, b in zip(got.nonpivot_rows, full.nonpivot_rows)
-    )
+    a, b = got.nonpivot_rows, full.nonpivot_rows
+    same_rows = all(map(np.array_equal, (a.ptr, a.ind, a.val), (b.ptr, b.ind, b.val)))
     if got.rank != full.rank or not same_rows:
         raise PropertyViolationError("F4 mode disagrees with the full RREF")
     if max(A.n_rows, A.n_cols) <= DENSE_CAP:

@@ -189,7 +189,7 @@ def main(argv=None) -> int:
                 return EXIT_PROPERTY
             sys.stdout.write(f"all {len(checks)} invariant checks passed\n")
             return EXIT_OK
-    except (PolyParseError, PreconditionError) as exc:
+    except (PolyParseError, PreconditionError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except (

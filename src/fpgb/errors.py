@@ -36,10 +36,12 @@ class DivisionError(FpgbError):
 class PolyParseError(FpgbError):
     """Polynomial or system text failed to parse.
 
-    Carries the character position of the offending token when known.
+    Carries the character position of the offending token when known, and
+    ``message``, the text without the position, for a caller to wrap.
     """
 
     def __init__(self, message, position=None, line=None):
+        self.message = message
         self.position = position
         self.line = line
         where = []

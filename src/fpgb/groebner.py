@@ -255,7 +255,7 @@ class PairQueue:
 
 @dataclass
 class GroebnerState:
-    """The F4 driver's state: the basis as one SoaPolySet, and the pair queue.
+    """The F4 driver's state: the ring, the basis as one SoaPolySet, and the pair queue.
 
     ``update_pairs`` is the only writer of ``basis``.  It appends by
     building a new set with ``soa_concat`` and never changes a set in
@@ -265,8 +265,6 @@ class GroebnerState:
 
     ring: Ring
     basis: SoaPolySet = field(init=False)
-    stats: list = field(default_factory=list)
-    zero_reductions: int = 0
     pairs: PairQueue = field(init=False)
 
     def __post_init__(self):
@@ -300,7 +298,7 @@ def update_pairs(state: GroebnerState, new: SoaPolySet) -> GroebnerState:
     well.  Each test is one array pass over the leading exponents or the
     queue.
     """
-    if (new.length == 0).any() or (new.coeff[new.offset[:-1]] != 1).any():
+    if (np.diff(new.offset) == 0).any() or (new.coeff[new.offset[:-1]] != 1).any():
         raise PreconditionError("basis members must be monic and nonzero")
     first = len(state.basis)
     state.basis = soa_concat(state.basis, new)
@@ -357,34 +355,30 @@ class PipelineConfig:
             raise PreconditionError("max_steps must be >= 0")
 
 
-def _decode_rows(plan: LayoutPlan, rows: list) -> SoaPolySet:
-    """Nonempty sparse rows (cols, vals) as one SoaPolySet, with one ``key_unpack_vec`` call."""
-    length = np.array([len(cols) for cols, _ in rows], dtype=np.int64)
-    keys = plan.dict_keys[np.concatenate([cols for cols, _ in rows])]
-    coeff = np.concatenate([vals for _, vals in rows]).astype(np.uint64)
-    offset = np.concatenate([[0], np.cumsum(length)])
-    return SoaPolySet(plan.ring, keys, coeff, offset, length, key_unpack_vec(keys, plan.ring))
+def _decode_rows(plan: LayoutPlan, rows) -> SoaPolySet:
+    """An echelon row set as one SoaPolySet, by one key gather and one ``key_unpack_vec``."""
+    exps = key_unpack_vec(plan.dict_keys[rows.ind], plan.ring)
+    return SoaPolySet(plan.ring, exps, rows.val, rows.ptr)
 
 
-def _harvest(state: GroebnerState, plan: LayoutPlan, rows: list) -> int:
+def _harvest(state: GroebnerState, plan: LayoutPlan, rows) -> int:
     """Add a batch's new echelon rows to the basis; returns how many.
 
-    The rows are monic.  They enter in ascending order of their leading
-    monomials (descending leading column), as one ``update_pairs`` call.
+    The rows are monic and ascend by lead column, so in reverse they enter in
+    ascending order of their leading monomials, as one ``update_pairs`` call.
     """
-    if not rows:
+    if not len(rows):
         return 0
-    rows = sorted(rows, key=lambda row: -row[0])
-    update_pairs(state, _decode_rows(plan, [(cols, vals) for _, cols, vals in rows]))
+    update_pairs(state, _decode_rows(plan, rows.take(np.arange(len(rows))[::-1])))
     return len(rows)
 
 
 def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
     """One batch: select, compile, eliminate, harvest new basis polynomials.
 
-    Returns (plan, echelon, kernel) for instrumentation; kernel is None
-    unless ``numeric="wiedemann"``, which solves every batch's left kernel,
-    whatever its size, by ``wiedemann_solve`` on the transpose.
+    Returns (plan, echelon, stats) for instrumentation.  With
+    ``numeric="wiedemann"`` it also solves every batch's left kernel,
+    whatever its size, by ``wiedemann_solve`` on the transpose, and checks it.
     """
     config = config or PipelineConfig()
     ring = state.ring
@@ -397,7 +391,6 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
     ech = psge_reduce(A, back_reduce=False)
     numeric_ns = time.monotonic_ns() - t0
 
-    kernel = None
     if config.numeric == "wiedemann":
         nullity = A.n_rows - ech.rank
         kernel = wiedemann_solve(csr_transpose(A), config.seed, nullity)
@@ -407,27 +400,24 @@ def f4_step(state: GroebnerState, config: PipelineConfig | None = None):
             raise PropertyViolationError(f"kernel syzygy violation: {report.detail}")
 
     new_polys = _harvest(state, plan, ech.nonpivot_rows)
-    state.zero_reductions += ech.zero_row_count
-    state.stats.append(
-        BatchStats(
-            degree=degree,
-            r=plan.counters.r,
-            N=plan.counters.N,
-            M=plan.counters.M,
-            nnz=plan.counters.nnz,
-            rank=ech.rank,
-            new_polys=new_polys,
-            zero_reductions=ech.zero_row_count,
-            closure_rounds=plan.counters.closure_rounds,
-            fill_generated=ech.fill_generated,
-            timings_ns={
-                "dict_build": plan.timings_ns["dict_build_ns"],
-                "row_assemble": plan.timings_ns["row_assemble_ns"],
-                "numeric_core": numeric_ns,
-            },
-        )
+    stats = BatchStats(
+        degree=degree,
+        r=plan.counters.r,
+        N=plan.counters.N,
+        M=plan.counters.M,
+        nnz=plan.counters.nnz,
+        rank=ech.rank,
+        new_polys=new_polys,
+        zero_reductions=ech.zero_row_count,
+        closure_rounds=plan.counters.closure_rounds,
+        fill_generated=ech.fill_generated,
+        timings_ns={
+            "dict_build": plan.timings_ns["dict_build_ns"],
+            "row_assemble": plan.timings_ns["row_assemble_ns"],
+            "numeric_core": numeric_ns,
+        },
     )
-    return plan, ech, kernel
+    return plan, ech, stats
 
 
 def reduce_basis(polys: list, ring: Ring) -> list:
@@ -474,10 +464,10 @@ def _interreduce(soa: SoaPolySet, config: PipelineConfig) -> list:
     plan = compile_batch(rows, soa, Closure.ONE_STEP_REDUCTION, ExecPolicy(config.workers))
     ech = psge_reduce(csr_from_plan(plan, ring.modulus), back_reduce=True)
     # every row leads its own column, so every row is a known pivot
-    rref = {c: (cols, vals) for c, cols, vals in ech.pivot_rows}
-    member_cols = row_lead_cols(plan)[: len(rows)].tolist()
+    member_cols = row_lead_cols(plan)[: len(rows)]
     # members ascend by lead; the reduced basis lists leads descending
-    return soa_polys(_decode_rows(plan, [rref[c] for c in reversed(member_cols)]))
+    at = np.searchsorted(ech.pivot_rows.leads, member_cols[::-1])
+    return soa_polys(_decode_rows(plan, ech.pivot_rows.take(at)))
 
 
 def f4_groebner(
@@ -501,10 +491,10 @@ def f4_groebner(
         if steps >= config.max_steps:
             raise NonterminationError(f"f4 exceeded {config.max_steps} batches")
         basis_before = state.basis
-        plan, ech, _ = f4_step(state, config)
+        plan, ech, stats = f4_step(state, config)
         steps += 1
         if on_batch is not None:
-            on_batch(basis_before, plan, ech, state.stats[-1])
+            on_batch(basis_before, plan, ech, stats)
     return _interreduce(state.basis, config)
 
 

@@ -109,6 +109,15 @@ def _tie_lanes(exps: np.ndarray, ring: Ring) -> np.ndarray:
     return exps
 
 
+def order_columns(exps: np.ndarray, ring: Ring) -> list:
+    """The ``np.lexsort`` keys that put exponent rows in ascending term order:
+    the packed key's fields, least significant first, so no key is packed."""
+    cols = list(_tie_lanes(exps, ring).T[::-1])
+    if ring.graded:
+        cols.append(exps.sum(axis=1))
+    return cols
+
+
 def key_pack_vec(exps: np.ndarray, ring: Ring) -> np.ndarray:
     """Pack an (N, n_vars) exponent matrix into (N, n_key_words) uint64 keys."""
     exps = np.asarray(exps)

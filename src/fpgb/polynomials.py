@@ -6,7 +6,7 @@ the ring's term order, all coefficients nonzero in [0, p).  The zero
 polynomial is the empty term list.
 
 ``SoaPolySet`` stores many polynomials as flat structure-of-arrays streams
-(packed keys, coefficients, per-polynomial offsets/lengths) for the bulk
+(exponent rows, coefficients, per-polynomial offsets) for the bulk
 compilation pipeline.  Coefficients are standard-domain residues.
 
 Grammar accepted by the parser (no parentheses, no implicit products)::
@@ -38,6 +38,7 @@ _TOKEN_RE = re.compile(rf"\d+|{_NAME}|[-+*^]|\S")
 # a character that begins no integer, name or operator token
 _STRAY_RE = re.compile(r"[^\s\dA-Za-z_*^+-]")
 _SIGNS = ("+", "-")
+_INT_DIGITS = 4300  # Python's default limit on the digits of an int read from text
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,14 @@ def _parse_error(text: str, at, message: str) -> PolyParseError:
     return PolyParseError(message, position=token.start())
 
 
+def _integer(text: str, tokens: list, at: int) -> int:
+    """Integer token ``at``; one of more than ``_INT_DIGITS`` digits is a parse error."""
+    tok = tokens[at]
+    if len(tok) > _INT_DIGITS:
+        raise _parse_error(text, at, f"integer of {len(tok)} digits exceeds {_INT_DIGITS}")
+    return int(tok)
+
+
 def poly_parse(text: str, ring: Ring) -> Poly:
     """Parse one polynomial in the fixed grammar; errors carry positions.
 
@@ -140,7 +149,7 @@ def poly_parse(text: str, ring: Ring) -> Poly:
                     if i == n or not tokens[i].isdecimal():
                         where = i if i < n else None
                         raise _parse_error(text, where, "expected integer exponent after '^'")
-                    e = int(tokens[i])
+                    e = _integer(text, tokens, i)
                     if e >= _EXP_LIMIT:
                         raise _parse_error(text, i, f"exponent {e} overflows 16-bit lane")
                     i += 1
@@ -148,7 +157,7 @@ def poly_parse(text: str, ring: Ring) -> Poly:
                 if exps[v] >= _EXP_LIMIT:
                     raise _parse_error(text, at, "accumulated exponent overflows 16-bit lane")
             elif tok.isdecimal():
-                coeff *= int(tok)
+                coeff *= _integer(text, tokens, i)
                 i += 1
             elif _NAME_RE.match(tok):
                 raise _parse_error(text, i, f"unknown variable {tok!r}")
@@ -162,7 +171,7 @@ def poly_parse(text: str, ring: Ring) -> Poly:
         terms.append((tuple(exps), sign * coeff))
         if i < n and tokens[i] not in _SIGNS:
             tok = tokens[i]
-            found = int(tok) if tok.isdecimal() else tok
+            found = _integer(text, tokens, i) if tok.isdecimal() else tok
             raise _parse_error(text, i, f"expected '+' or '-', found {found!r}")
     return poly_normalize(terms, ring)
 
@@ -269,66 +278,55 @@ def poly_monic(f: Poly) -> Poly:
 
 @dataclass
 class SoaPolySet:
-    """Flat key/coefficient streams with per-polynomial segment table.
+    """Flat exponent/coefficient streams with a per-polynomial segment table.
 
-    Within each segment keys descend strictly (leading term first), all
-    coefficients are nonzero standard residues, and ``offset`` is the
-    exclusive prefix sum of ``length`` (length n_polys + 1).  ``exps`` is
-    the unpacked exponent matrix kept alongside for shift kernels.
+    Member i is rows ``offset[i]:offset[i + 1]``, terms strictly descending
+    in the term order (leading term first), all coefficients nonzero
+    standard residues; ``offset`` starts at 0, and its ``np.diff`` is the
+    members' lengths.
     """
 
     ring: Ring
-    mon_key: np.ndarray  # (M, W) uint64
+    exps: np.ndarray  # (M, n_vars) int64
     coeff: np.ndarray  # (M,) uint64
     offset: np.ndarray  # (n+1,) int64
-    length: np.ndarray  # (n,) int64
-    exps: np.ndarray  # (M, n_vars) int64
 
     def __len__(self):
-        return len(self.length)
+        return len(self.offset) - 1
 
     def validate(self):
         if not (
             self.offset[0] == 0
-            and np.array_equal(np.diff(self.offset), self.length)
-            and self.offset[-1] == len(self.coeff) == len(self.mon_key)
+            and (np.diff(self.offset) >= 0).all()
+            and self.offset[-1] == len(self.coeff) == len(self.exps)
         ):
             raise PropertyViolationError("segment table disagrees with the streams")
         p = self.ring.modulus.p
         if len(self.coeff) and not (self.coeff.min() >= 1 and self.coeff.max() < p):
             raise PropertyViolationError("coefficient outside 1..p-1")
+        keys = key_pack_vec(self.exps, self.ring)
         for s, e in zip(self.offset[:-1], self.offset[1:]):
-            seg = self.mon_key[s:e]
+            seg = keys[s:e]
             if not (key_cmp_rows(seg[:-1], seg[1:]) == 1).all():
                 raise PropertyViolationError("segment keys not descending")
 
 
 def soa_pack(polys, ring: Ring) -> SoaPolySet:
     """Pack a list of Poly into one SOA set; ``soa_polys`` unpacks it."""
-    lengths = np.array([len(f.terms) for f in polys], dtype=np.int64)
-    offset = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    total = int(offset[-1])
-    exps = np.zeros((total, ring.n_vars), dtype=np.int64)
-    coeff = np.zeros(total, dtype=np.uint64)
-    at = 0
-    for f in polys:
-        for e, c in f.terms:
-            exps[at] = e
-            coeff[at] = c
-            at += 1
-    mon_key = key_pack_vec(exps, ring) if total else np.zeros((0, ring.n_key_words), dtype=np.uint64)
-    return SoaPolySet(ring, mon_key, coeff, offset, lengths, exps)
+    terms = [t for f in polys for t in f.terms]
+    exps = np.array([e for e, _ in terms], dtype=np.int64).reshape(len(terms), ring.n_vars)
+    coeff = np.array([c for _, c in terms], dtype=np.uint64)
+    offset = np.cumsum([0] + [len(f.terms) for f in polys], dtype=np.int64)
+    return SoaPolySet(ring, exps, coeff, offset)
 
 
 def soa_concat(a: SoaPolySet, b: SoaPolySet) -> SoaPolySet:
     """The polynomials of ``a`` followed by those of ``b``, as one set."""
     return SoaPolySet(
         a.ring,
-        np.concatenate([a.mon_key, b.mon_key]),
+        np.concatenate([a.exps, b.exps]),
         np.concatenate([a.coeff, b.coeff]),
         np.concatenate([a.offset, a.offset[-1] + b.offset[1:]]),
-        np.concatenate([a.length, b.length]),
-        np.concatenate([a.exps, b.exps]),
     )
 
 

@@ -256,7 +256,7 @@ def dense_right_nullspace(mat: np.ndarray, m: FieldModulus):
     mat = np.asarray(mat, dtype=np.uint64)
     rank, rref, pivots = dense_gauss(mat, m)
     n = mat.shape[1]
-    free = [j for j in range(n) if j not in set(pivots)]
+    free = sorted(set(range(n)) - set(pivots))
     p = m.p
     basis = []
     for j in free:
@@ -280,17 +280,18 @@ class EchelonResult:
     """Echelon form of a batch matrix, split by leading-column provenance.
 
     ``pivot_cols`` lists the leading columns of all rows of the reduced row
-    echelon form (ascending).  Rows are (lead_col, col_array, val_array) and
-    monic.  ``nonpivot_rows`` are the RREF rows whose leading columns no
-    input row led at; they are fully reduced in either mode.  ``pivot_rows``
-    hold one row per distinct input leading column: the RREF rows when the
-    engine ran with ``back_reduce=True``, otherwise the chosen known-pivot
-    input rows, only made monic.
+    echelon form (ascending).  Both row sets are CSR ``_Pivots`` of monic
+    rows ascending by lead; each iterates as (lead_col, col_array, val_array).
+    ``nonpivot_rows`` are the RREF rows whose leading columns no input row
+    led at; they are fully reduced in either mode.  ``pivot_rows`` hold one
+    row per distinct input leading column: the RREF rows when the engine ran
+    with ``back_reduce=True``, otherwise the chosen known-pivot input rows,
+    only made monic.
     """
 
     pivot_cols: list
-    pivot_rows: list
-    nonpivot_rows: list
+    pivot_rows: _Pivots
+    nonpivot_rows: _Pivots
     zero_row_count: int
     rank: int
     fill_generated: int
@@ -344,10 +345,17 @@ class _Pivots:
             np.concatenate([a.val, b.val]),
         )
 
-    def rows(self):
-        """[(lead, cols, values)], one per row."""
+    def take(self, rows):
+        """The given rows, in the given order."""
+        return _Pivots.of_rows(self.ptr, self.ind, self.val, rows)
+
+    def __len__(self):
+        return len(self.leads)
+
+    def __iter__(self):
+        """(lead, cols, values) per row."""
         bounds = zip(self.leads.tolist(), self.ptr[:-1].tolist(), self.ptr[1:].tolist())
-        return [(c, self.ind[s:e], self.val[s:e]) for c, s, e in bounds]
+        return ((c, self.ind[s:e], self.val[s:e]) for c, s, e in bounds)
 
 
 def _float_exact(n_pivots: int, p: int) -> bool:
@@ -511,26 +519,18 @@ def _sweep_levels(B, schedule: list, p: int):
     _mod_exact(B, p)
 
 
-def _sweep_plan(piv: _Pivots, levels, n_cols: int):
-    """How blocks are swept by the pivots: the block dtype and the plan.
+def _sweeper(piv: _Pivots, levels, n_cols: int, p: int):
+    """The route, chosen once per pivot set: the block dtype, and a callable
+    that zeroes every pivot column of such a block B in place; B ends reduced.
 
     With ``levels``, float64 blocks and the level schedule; without, uint64
     blocks and the column loop over the pivot rows in ascending lead order.
     """
     if levels is None:
-        return np.uint64, sorted(piv.rows(), key=lambda row: row[0])
-    return np.float64, _schedule(piv, levels, n_cols)
-
-
-def _sweep(B, plan: list, p: int):
-    """Zero every pivot column of the block B in place, by its ``_sweep_plan``.
-
-    B ends reduced.
-    """
-    if B.dtype == np.uint64:
-        _sweep_columns(B, plan, p)
-    else:
-        _sweep_levels(B, plan, p)
+        rows = list(piv.take(np.argsort(piv.leads)))
+        return np.uint64, lambda B: _sweep_columns(B, rows, p)
+    schedule = _schedule(piv, levels, n_cols)
+    return np.float64, lambda B: _sweep_levels(B, schedule, p)
 
 
 def _gauss_jordan(R, p: int):
@@ -634,13 +634,13 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     invs = inv_vec(known.val[known.ptr[:-1]], A.modulus)
     known.val = known.val * np.repeat(invs, np.diff(known.ptr)) % np.uint64(p)
     levels = _levels(known, A.n_cols) if _float_exact(len(known.leads), p) else None
-    dtype, plan = _sweep_plan(known, levels, A.n_cols)
+    dtype, sweep = _sweeper(known, levels, A.n_cols, p)
 
     # 1. sweep each chunk of remainder rows by the known pivots alone
     fill, swept = 0, []
     for k in range(0, len(rest), chunk):
         B, local, cols = _dense_block(A.row_ptr, A.col_ind, A.val, rest[k : k + chunk], A.n_cols, dtype)
-        _sweep(B, plan, p)
+        sweep(B)
         swept.append(_block_entries(B, k))
         fill += len(swept[-1][0]) - int(np.count_nonzero(B[local, cols]))
 
@@ -668,14 +668,14 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
         elif levels is not None:
             # a new row has no entry in another pivot column: its level comes last
             levels = levels + [np.arange(n_known, len(every.leads))]
-        dtype, plan = _sweep_plan(every, levels, A.n_cols)
+        dtype, sweep = _sweeper(every, levels, A.n_cols, p)
         done = []
         for k in range(0, n_known, chunk):
             part = np.arange(k, min(k + chunk, n_known))
             B = _dense_block(known.ptr, known.ind, known.val, part, A.n_cols, dtype)[0]
             lead = (np.arange(len(part)), known.leads[part])
             one, B[lead] = B[lead], 0
-            _sweep(B, plan, p)
+            sweep(B)
             B[lead] = one
             done.append(_block_entries(B, k))
         r, c, v = (np.concatenate(x) for x in zip(*done))
@@ -685,8 +685,8 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     rank = len(pivot_cols)
     return EchelonResult(
         pivot_cols=pivot_cols,
-        pivot_rows=known.rows(),
-        nonpivot_rows=new.rows(),
+        pivot_rows=known,
+        nonpivot_rows=new,
         zero_row_count=A.n_rows - rank,
         rank=rank,
         fill_generated=fill,

@@ -63,7 +63,7 @@ from .errors import (
     SizeCapError,
     UncoverableTargetError,
 )
-from .monomials import Ring, _tie_lanes, first_divisor, key_cmp_rows, key_pack_vec, key_unpack_vec
+from .monomials import Ring, first_divisor, key_cmp_rows, key_pack_vec, key_unpack_vec, order_columns
 from .polynomials import Poly, SoaPolySet
 
 DICT_CAP = 10**6
@@ -229,13 +229,8 @@ def select_rows(lcm, i, j, basis: SoaPolySet) -> RowMeta:
     short = (shift < 0).any(axis=1)
     if short.any():
         raise DivisionError(f"pair {int(np.argmax(short)) // 2}: a lead does not divide the lcm")
-    # a packed key holds the degree (graded orders) and then the tie lanes,
-    # so sorting by those columns is sorting by the shift's key without
-    # packing it; lexsort's last key is the primary one
-    keys = [k, *_tie_lanes(shift, ring).T[::-1]]
-    if ring.graded:
-        keys.append(shift.sum(axis=1))
-    order = np.lexsort((*keys, pid))
+    # lexsort's last key is the primary one
+    order = np.lexsort((k, *order_columns(shift, ring), pid))
     return RowMeta.of(RowRole.SPOLY_HALF.value, pid[order], k[order], shift[order])
 
 
@@ -246,7 +241,7 @@ def _gather(rows: RowMeta, basis: SoaPolySet, policy: ExecPolicy, emitted: int):
     count so far, ``emitted``, plus these rows' keys would pass KEY_CAP.
     """
     ks = rows.basis_index
-    lens = basis.length[ks]
+    lens = np.diff(basis.offset)[ks]
     if (lens < 1).any():
         raise PropertyViolationError("zero polynomial referenced as a reducer")
     off = exclusive_scan(lens, policy)
@@ -345,7 +340,7 @@ class _WordKeys:
         if policy.lanes > 1 or not ring.graded or len(rows) == 0:
             return None
         bad_index = ((ks < 0) | (ks >= len(basis))).any()
-        if bad_index or (basis.length[ks] < 1).any() or (rows.shift < 0).any():
+        if bad_index or (np.diff(basis.offset)[ks] < 1).any() or (rows.shift < 0).any():
             return None
         top = basis.exps[basis.offset[ks]].sum(axis=1) + rows.shift.sum(axis=1)
         b = max(1, int(top.max()).bit_length())
@@ -389,8 +384,7 @@ class _WordKeys:
 
 def _reducer_preference(basis: SoaPolySet) -> np.ndarray:
     """Closure reducer order: smallest leading monomial first, then lowest index."""
-    leads = basis.mon_key[basis.offset[:-1]]
-    return np.lexsort(leads.T[::-1])
+    return np.lexsort(order_columns(basis.exps[basis.offset[:-1]], basis.ring))
 
 
 def closure_expand(keys_desc: np.ndarray, basis: SoaPolySet, round_id: int = 1) -> RowMeta:

@@ -177,5 +177,5 @@ def parse_system(text: str):
         try:
             polys.append(poly_parse(line, ring))
         except PolyParseError as exc:
-            raise PolyParseError(f"line {ln}: {exc}", line=ln, position=exc.position)
+            raise PolyParseError(f"line {ln}: {exc.message}", line=ln, position=exc.position)
     return ring, polys

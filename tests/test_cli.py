@@ -236,8 +236,9 @@ def test_microbench_numeric_holds_new_rows_to_dense_gauss(monkeypatch):
 
     def one_wrong_row(A, back_reduce=True):
         ech = real_reduce(A, back_reduce)
-        c, cols, vals = ech.nonpivot_rows[0]
-        ech.nonpivot_rows[0] = (c, cols, np.roll(vals, 1))
+        rows = ech.nonpivot_rows
+        s, e = rows.ptr[:2]
+        rows.val[s:e] = np.roll(rows.val[s:e], 1)
         return ech
 
     monkeypatch.setattr(bench, "psge_reduce", one_wrong_row)
@@ -457,3 +458,56 @@ def test_cli_exits_3_at_the_key_cap_under_an_address_space_limit(tmp_path):
     assert "guard: batch key volume M = " in proc.stderr
     assert "exceeds 8388608 keys" in proc.stderr
     assert elapsed < 60
+
+
+def test_cli_gb_on_malformed_system_files_exits_with_its_code(tmp_path, capsys):
+    # exit 0 with nothing on stderr, or exit 2 (bad input) or 3 (a cap)
+    # with exactly one error: or guard: line; never a traceback
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    huge = b"9" * 5000
+    good_p = [b"p 7", b"p 65537", b"p 2147483629"]
+    good_vars = [b"vars x y", b"vars x y z"]
+    good_order = [b"order grevlex", b"order deglex", b"order lex"]
+    bad_p = [b"p 1", b"p 9", b"p 65535", b"p 2147483648", b"p -7", b"p x", b"p", b"q 7", b"p " + huge,
+             b"p " + b"7" * 4300, b"p 7 7"]
+    bad_vars = [b"vars x", b"vars x x", b"vars", b"vars 1x", b"var x y",
+                b"vars " + b" ".join(b"v%d" % i for i in range(33))]
+    bad_order = [b"order sideways", b"order", b"ord lex"]
+    # every line of a header intact, or each line good, bad or missing
+    header = st.tuples(*map(st.sampled_from, (good_p, good_vars, good_order))) | st.tuples(*(
+        st.sampled_from(ok) | st.sampled_from(no) | st.none()
+        for ok, no in ((good_p, bad_p), (good_vars, bad_vars), (good_order, bad_order))))
+    good = [b"x + y", b"x^2 - y", b"x*y - 1", b"3*x^2*y + 2", b"-x", b"0", b"y^3 + z",
+            b"7" * 4300 + b"*x + 1", b"# a comment", b""]
+    bad = [b"x + y^", b"x @ y", b"x + w", b"x ** y", b"2 3", b"x y", b"+", b"x^-1", b"*x", b"x^65536",
+           b"x^" + huge, huge + b"*x", b"x " + huge, "\u00e9".encode(), "x\u00b2".encode()]
+    # at most one broken line: a listed one, random characters or random bytes
+    broken = (st.none() | st.sampled_from(bad) | st.text("xyz+-*@ 012#", max_size=10).map(str.encode)
+              | st.binary(min_size=1, max_size=4))
+    valid = (b"p 65537", b"vars x y", b"order grevlex")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(header=header, body=st.lists(st.sampled_from(good), max_size=3), broken=broken,
+                      at=st.integers(0, 3))
+    @hypothesis.example(header=valid, body=[], broken=huge + b"*x", at=0)
+    @hypothesis.example(header=valid, body=[], broken=b"x^" + huge, at=0)
+    @hypothesis.example(header=valid, body=[b"x + y"], broken=b"\xff", at=1)
+    @hypothesis.example(header=valid, body=[], broken=b"x^65535", at=0)  # no pairs
+    @hypothesis.example(header=valid, body=[], broken=None, at=0)
+    def check(header, body, broken, at):
+        lines = [h for h in header if h is not None] + body
+        if broken is not None:
+            lines.insert(min(at, len(lines)), broken)
+        system = tmp_path / "system.txt"
+        system.write_bytes(b"\n".join(lines))
+        code = main(["gb", "--input", str(system)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+        else:
+            assert (code, err.count("\n")) in ((2, 1), (3, 1)), err
+            assert err.startswith("error: " if code == 2 else "guard: ")
+
+    check()

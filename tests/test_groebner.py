@@ -363,11 +363,10 @@ def test_f4_step_worked_example():
     update_pairs(state, soa_pack([poly_parse("x^2 + 6*y", R2)], R2))
     update_pairs(state, soa_pack([poly_parse("x*y + 6", R2)], R2))
     assert len(state.pairs) == 1
-    plan, ech, _ = f4_step(state)
+    plan, ech, st = f4_step(state)
     assert len(state.basis) == 3
     # the harvested polynomial is the monic normal form of the S-polynomial
     assert poly_format(soa_polys(state.basis)[2]) == "y^2 + 6*x"
-    st = state.stats[-1]
     assert st.rank == ech.rank and st.new_polys == 1
     assert st.zero_reductions + len(ech.pivot_rows) + len(ech.nonpivot_rows) == st.r
 
@@ -379,12 +378,13 @@ def test_f4_step_zero_reduction_batch():
     for f in gb:
         update_pairs(state, soa_pack([f], R2))
     assert state.pairs  # some pairs survive the criteria here
-    total_new = 0
+    total_new = zero_reductions = 0
     while state.pairs:
-        _, ech, _ = f4_step(state)
+        _, ech, st = f4_step(state)
         total_new += len(ech.nonpivot_rows)
+        zero_reductions += st.zero_reductions
     assert total_new == 0
-    assert state.zero_reductions > 0
+    assert zero_reductions > 0
     assert len(state.basis) == len(gb)
 
 
@@ -396,18 +396,17 @@ def test_f4_accounting_invariant_random():
         for f in polys:
             update_pairs(state, soa_pack([poly_monic(f)], ring))
         while state.pairs:
-            _, ech, _ = f4_step(state)
+            _, ech, st = f4_step(state)
             assert (
                 ech.zero_row_count + len(ech.pivot_rows) + len(ech.nonpivot_rows)
                 == ech.zero_row_count + ech.rank
             )
-            st = state.stats[-1]
             assert st.zero_reductions + ech.rank == st.r
 
 
 def test_on_batch_sees_one_growing_soa_set():
     ring, polys = gen_katsura(4, 65537)
-    streams = ("mon_key", "coeff", "offset", "length", "exps")
+    streams = ("exps", "coeff", "offset")
     seen = []
 
     def on_batch(basis_before, plan, ech, st):
@@ -427,10 +426,26 @@ def test_on_batch_sees_one_growing_soa_set():
             k, m = len(prev), int(prev.offset[-1])
             assert len(basis) >= k
             assert np.array_equal(basis.offset[: k + 1], prev.offset)
-            assert np.array_equal(basis.length[:k], prev.length)
-            for a in ("mon_key", "coeff", "exps"):
+            for a in ("coeff", "exps"):
                 assert np.array_equal(getattr(basis, a)[:m], getattr(prev, a))
         prev = basis
+
+
+def test_on_batch_receives_the_stats_f4_step_returns(monkeypatch):
+    returned = []
+
+    def f4_step_spy(state, config=None):
+        returned.append(f4_step(state, config))
+        return returned[-1]
+
+    monkeypatch.setattr(groebner, "f4_step", f4_step_spy)
+    seen = []
+    ring, polys = gen_katsura(4, 65537)
+    f4_groebner(polys, ring, PipelineConfig(), lambda basis, *batch: seen.append(batch))
+    assert len(seen) == len(returned) > 2
+    for got, want in zip(seen, returned):
+        assert all(a is b for a, b in zip(got, want))
+    assert [st.new_polys for _, _, st in seen] == [len(ech.nonpivot_rows) for _, ech, _ in seen]
 
 
 def test_f4_groebner_singleton():

@@ -159,7 +159,7 @@ def test_soa_round_trip():
     s.validate()
     for i, f in enumerate(polys):
         assert soa_polys(s)[i].terms == f.terms
-    assert np.array_equal(s.offset, np.concatenate([[0], np.cumsum(s.length)]))
+    assert np.array_equal(np.diff(s.offset), [len(f) for f in polys])
 
 
 def test_soa_single_and_empty():
@@ -181,9 +181,9 @@ def test_soa_validate_raises_property_violation():
         return SoaPolySet(**{**vars(s), **fields})
 
     bad = [
-        broken(length=s.length + 1),
+        broken(offset=np.array([0, 6, 5])),
         broken(coeff=np.where(s.coeff == 3, 0, s.coeff).astype(np.uint64)),
-        broken(mon_key=s.mon_key[[1, 0, 2, 3, 4]]),
+        broken(exps=s.exps[[1, 0, 2, 3, 4]]),
     ]
     for t, match in zip(bad, ("segment table", "coefficient", "descending")):
         with pytest.raises(PropertyViolationError, match=match):

@@ -161,7 +161,7 @@ def test_psge_worked_example(monkeypatch):
     assert res.zero_row_count == 0
     # the new row is the monic S-polynomial: y^2 + 6x -> cols [1, 2] vals [1, 6]
     assert len(res.nonpivot_rows) == 1
-    lead, cols, vals = res.nonpivot_rows[0]
+    ((lead, cols, vals),) = res.nonpivot_rows
     assert lead == 1 and cols.tolist() == [1, 2] and vals.tolist() == [1, 6]
 
 
@@ -181,7 +181,7 @@ def test_psge_zero_matrix():
 
 def assemble_rows(res, n_cols):
     rows = []
-    for lead, cols, vals in res.pivot_rows + res.nonpivot_rows:
+    for lead, cols, vals in [*res.pivot_rows, *res.nonpivot_rows]:
         v = np.zeros(n_cols, dtype=np.uint64)
         v[cols] = vals
         rows.append((lead, v))
@@ -374,6 +374,23 @@ def test_level_sweep_matches_column_loop(monkeypatch):
         assert keys[0] == keys[1]
 
     check()
+
+
+@pytest.mark.parametrize("p", [65537, 2147483629])
+@pytest.mark.parametrize("back_reduce", [False, True])
+def test_both_row_sets_ascend_by_lead(p, back_reduce):
+    # F4 harvests the new rows in reverse and the interreduction searches
+    # the pivot rows' leads, so each set must ascend; 65537 takes the
+    # level sweep, 2147483629 the column loop
+    rng = np.random.default_rng(p % 1000 + back_reduce)
+    for _ in range(4):
+        mat = f4_shaped_batch(rng, 60, 25, 30, p)
+        res = psge_reduce(csr_from_dense(mat, FieldModulus(p)), back_reduce=back_reduce)
+        assert len(res.pivot_rows) >= 25 and len(res.nonpivot_rows) > 0
+        for rows in (res.pivot_rows, res.nonpivot_rows):
+            leads = [lead for lead, _, _ in rows]
+            assert leads == rows.leads.tolist() == sorted(set(leads))
+            assert all(cols[0] == lead and vals[0] == 1 for lead, cols, vals in rows)
 
 
 @pytest.mark.parametrize("p", [3, 7, 101, 65537, 6710887, 2147483629])

@@ -165,3 +165,28 @@ def test_system_composite_modulus_fails_every_parse():
     for _ in range(3):
         with pytest.raises(PolyParseError, match="bad system header: modulus must be an odd prime, got 9"):
             parse_system("p 9\nvars x\norder grevlex\nx\n")
+
+
+@pytest.mark.parametrize(
+    "line, col",
+    [
+        ("x + " + "7" * 5000 + "*y", 4),  # a coefficient
+        ("x^" + "3" * 5000 + " + y", 2),  # an exponent
+        ("x " + "5" * 4301, 2),  # where an operator belongs
+    ],
+    ids=["coefficient", "exponent", "stray-integer"],
+)
+def test_system_integer_past_the_digit_limit_is_a_parse_error(line, col):
+    # Python refuses to read an int of more than 4,300 digits from text
+    with pytest.raises(PolyParseError, match=r"integer of \d+ digits exceeds 4300") as exc:
+        parse_system(f"p 7\nvars x y\norder grevlex\n{line}\n")
+    assert (exc.value.line, exc.value.position) == (4, col)
+    # 4,300 digits still read, as a coefficient reduced mod p
+    _, (f,) = parse_system("p 7\nvars x y\norder grevlex\n" + "7" * 4300 + "*x + y\n")
+    assert poly_format(f) == "y"
+
+
+def test_system_parse_error_names_its_column_once():
+    with pytest.raises(PolyParseError) as exc:
+        parse_system("p 7\nvars x y\norder grevlex\nx + y^\n")
+    assert str(exc.value) == "line 4: expected integer exponent after '^' (line 4, col 6)"
