@@ -213,18 +213,16 @@ def matmul_mod(X: np.ndarray, Y: np.ndarray, m: FieldModulus) -> np.ndarray:
     return out
 
 
-def inv_vec(x: np.ndarray, m: FieldModulus) -> np.ndarray:
-    """Inverses of standard residues by Montgomery's batch inversion.
+def inv_list(std: list, p: int) -> list:
+    """Inverses of standard residues (Python ints) by Montgomery's batch inversion.
 
-    One ``pow`` for the whole vector: the inverse of the product of all
+    One ``pow`` for the whole list: the inverse of the product of all
     values, unwound through the prefix products.  A zero raises.
     """
-    std = np.asarray(x, dtype=np.uint64).tolist()
     if 0 in std:
         raise NonInvertibleError("zero is not invertible")
     if not std:
-        return np.zeros(0, dtype=np.uint64)
-    p = m.p
+        return []
     prefix = list(itertools.accumulate(std, lambda a, b: a * b % p))
     inv = pow(prefix[-1], p - 2, p)
     out = [0] * len(std)
@@ -232,4 +230,9 @@ def inv_vec(x: np.ndarray, m: FieldModulus) -> np.ndarray:
         out[i] = inv * prefix[i - 1] % p
         inv = inv * std[i] % p
     out[0] = inv
-    return np.array(out, dtype=np.uint64)
+    return out
+
+
+def inv_vec(x: np.ndarray, m: FieldModulus) -> np.ndarray:
+    """``inv_list`` on a uint64 vector of standard residues."""
+    return np.array(inv_list(np.asarray(x, dtype=np.uint64).tolist(), m.p), dtype=np.uint64)

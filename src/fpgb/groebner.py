@@ -43,7 +43,7 @@ from .errors import (
     ProbabilisticFailureError,
     PropertyViolationError,
 )
-from .fp import FieldModulus
+from .fp import FieldModulus, matmul_mod
 from .monomials import (
     Ring, _tie_lanes, key_unpack_vec, minimal_rows, mon_div, mon_divides, mon_lcm, mon_mul
 )
@@ -60,7 +60,10 @@ from .polynomials import (
     soa_polys,
 )
 from .sparselin import (
+    BLOCK_BYTES,
     KernelBasis,
+    _float_exact,
+    _mod_exact,
     csr_from_plan,
     csr_transpose,
     left_kernel,
@@ -614,31 +617,57 @@ def verify_kernel_syzygy(
 ) -> GroebnerReport:
     """Exact recombination check: sum_i v_i (t_i g_{k_i}) must vanish.
 
-    Row i's shifted polynomial is ``shifted[i]`` when given, else built once
-    per call from the plan's row metadata and the basis (never the plan's
-    matrix); each vector sums its scaled rows into one dict keyed by
-    exponent tuple.  This is only guaranteed for support-closed plans; a
-    failure is a property violation, not an input error.
+    One pass per call.  The rows some vector uses give a term matrix T: row
+    i holds the coefficients of row i's shifted polynomial (``shifted[i]``
+    when given, else built from the plan's row metadata and the basis, never
+    the plan's matrix), on one column per exponent tuple.  One product V T
+    mod p checks every vector: in float64 while K (p-1)^2 + p < 2^53 for
+    the K used rows, else by ``matmul_mod``; T is formed in column slices
+    that fit ``BLOCK_BYTES``.  The first vector, in order, of the wrong
+    length or with a nonzero product is reported.  This is only guaranteed
+    for support-closed plans; a failure is a property violation, not an
+    input error.
     """
     ring = plan.ring
-    p = ring.modulus.p
-    shifts = plan.row_meta.shift.tolist()
-    ks = plan.row_meta.basis_index.tolist()
-    row_terms: dict = {} if shifted is None else {i: f.terms for i, f in enumerate(shifted)}
-    for n, v in enumerate(kernel.vectors):
-        if len(v) != plan.n_rows:
+    m = ring.modulus
+    p = m.p
+    fits = [len(v) == plan.n_rows for v in kernel.vectors]
+    V = np.array([v for v, ok in zip(kernel.vectors, fits) if ok], dtype=np.uint64)
+    V = V.reshape(sum(fits), plan.n_rows) % np.uint64(p)
+    used = np.flatnonzero(V.any(axis=0))
+    V = V[:, used]
+    col_of: dict = {}
+    at_row, at_col, coef = [], [], []
+    meta = zip(plan.row_meta.shift[used].tolist(), plan.row_meta.basis_index[used].tolist())
+    for r, (i, (t, k)) in enumerate(zip(used.tolist(), meta)):
+        terms = poly_mul_mon(tuple(t), basis[k]).terms if shifted is None else shifted[i].terms
+        for e, a in terms:
+            at_row.append(r)
+            at_col.append(col_of.setdefault(e, len(col_of)))
+            coef.append(a)
+    at_row, at_col = np.array(at_row, dtype=np.int64), np.array(at_col, dtype=np.int64)
+    coef = np.array(coef, dtype=np.uint64) % np.uint64(p)
+    exact = _float_exact(len(used), p)
+    if exact:
+        V = V.astype(np.float64)
+    # each vector's nonzero terms of V T, exponent -> residue, slice by slice
+    exps, nonzero = list(col_of), {}
+    step = max(1, BLOCK_BYTES // (8 * max(len(used), len(V), 1)))
+    for c0 in range(0, len(exps), step):
+        sel = (at_col >= c0) & (at_col < c0 + step)
+        T = np.zeros((len(used), min(step, len(exps) - c0)), dtype=V.dtype)
+        T[at_row[sel], at_col[sel] - c0] = coef[sel]
+        W = _mod_exact(V @ T, p) if exact else matmul_mod(V, T, m)
+        r, c = np.nonzero(W)
+        for j, x, y in zip(r.tolist(), (c + c0).tolist(), W[r, c].tolist()):
+            nonzero.setdefault(j, {})[exps[x]] = int(y)
+    j = 0
+    for n, ok in enumerate(fits):
+        if not ok:
             return GroebnerReport(False, f"kernel vector {n} has wrong length")
-        acc: dict = {}
-        for i in np.flatnonzero(v).tolist():
-            terms = row_terms.get(i)
-            if terms is None:
-                terms = row_terms[i] = poly_mul_mon(tuple(shifts[i]), basis[ks[i]]).terms
-            c = int(v[i])
-            for e, a in terms:
-                acc[e] = acc.get(e, 0) + c * a
-        if any(x % p for x in acc.values()):
-            total = poly_from_dict(acc, ring)
-            return GroebnerReport(False, f"kernel vector {n} recombines to {total}")
+        if j in nonzero:
+            return GroebnerReport(False, f"kernel vector {n} recombines to {poly_from_dict(nonzero[j], ring)}")
+        j += 1
     return GroebnerReport(True)
 
 

@@ -9,10 +9,14 @@ them:
   remainder is brought to reduced row echelon form (RREF) as one dense block
   by its own Gauss-Jordan code, every block within ``BLOCK_BYTES``.
   ``back_reduce=True`` also back-substitutes the known pivots: the whole RREF.
-  The sweeps run one dependency level of pivots at a time, as float64
-  products through BLAS with one reduction at the end, while
-  (pivots) (p-1)^2 + p < 2^53 keeps every partial sum exact; above that
-  bound (31-bit primes) they visit the pivot columns one at a time;
+  It has three routes, chosen once per batch by a fixed rule.  A batch of
+  at most ``SMALL_ENTRIES`` entries runs the same steps on Python ints over
+  each row's sparse entries.  On a larger batch the sweeps run one
+  dependency level of pivots at a time, as float64 products through BLAS
+  with one reduction at the end, while (pivots) (p-1)^2 + p < 2^53 keeps
+  every partial sum exact; above that bound (31-bit primes) they visit the
+  pivot columns one at a time.  A swept row and an RREF are unique, so the
+  three routes give the same bytes, and tests compare each with the others;
 - ``dense_gauss``: the brute-force oracle (size-capped) used to cross-check
   ranks, row spaces, and null spaces; ``left_kernel`` is its left kernel;
 - ``wiedemann_solve``: black-box right-kernel extraction by block
@@ -40,6 +44,7 @@ trail for replay.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,13 +56,18 @@ from .errors import (
     PropertyViolationError,
     SizeCapError,
 )
-from .fp import FieldModulus, inv_vec, matmul_mod
+from .fp import FieldModulus, inv_list, inv_vec, matmul_mod
 from .sigma_basis import block_generator, column_dependencies
 from .symbolic import LayoutPlan
 
 DENSE_CAP = 512
 # bytes of the largest dense block psge_reduce, or wiedemann_solve's operator, allocates
 BLOCK_BYTES = 1 << 24
+# psge_reduce takes its scalar route on a batch of at most this many entries.
+# On F4's batches the scalar route is faster up to about 450 entries at
+# p = 65537 and at p = 2147483629; on fully dense blocks at 31-bit primes
+# it breaks even near 256
+SMALL_ENTRIES = 256
 
 
 @dataclass
@@ -524,10 +534,10 @@ def _sweeper(piv: _Pivots, levels, n_cols: int, p: int):
     that zeroes every pivot column of such a block B in place; B ends reduced.
 
     With ``levels``, float64 blocks and the level schedule; without, uint64
-    blocks and the column loop over the pivot rows in ascending lead order.
+    blocks and the column loop over the pivot rows, which must ascend by lead.
     """
     if levels is None:
-        rows = list(piv.take(np.argsort(piv.leads)))
+        rows = list(piv)
         return np.uint64, lambda B: _sweep_columns(B, rows, p)
     schedule = _schedule(piv, levels, n_cols)
     return np.float64, lambda B: _sweep_levels(B, schedule, p)
@@ -591,6 +601,167 @@ def _block_entries(B, first_row: int = 0):
     return r + first_row, c, B[r, c].astype(np.uint64, copy=False)
 
 
+def _sweep_row(row: dict, tails: dict, p: int):
+    """Zero every pivot column of the sparse row ``row`` (column -> residue) in place.
+
+    ``tails`` maps each pivot's lead to its monic row less the lead, as
+    (column, value) pairs right of the lead.  The row's pivot columns are
+    visited in ascending order from a heap, so an update never reaches a
+    column already cleared; a column the sweep creates joins the heap.
+    """
+    heap = [c for c in row if c in tails]
+    heapq.heapify(heap)
+    pop, push, get = heapq.heappop, heapq.heappush, row.get
+    while heap:
+        c = pop(heap)
+        v = row.pop(c, 0)
+        if not v:
+            continue  # a column queued twice, already cleared
+        coef = p - v
+        for pc, pv in tails[c]:
+            old = get(pc)
+            if old is None:
+                row[pc] = coef * pv % p
+                if pc in tails:
+                    push(heap, pc)
+            elif (new := (old + coef * pv) % p):
+                row[pc] = new
+            else:
+                del row[pc]
+
+
+def _gauss_jordan_rows(rows: list, support: set, p: int) -> list:
+    """``_gauss_jordan`` on sparse rows (column -> residue dicts), in place.
+
+    ``support`` holds every column the rows touch.  Columns ascend; each
+    takes the first row still alive with an entry there as its pivot, made
+    monic, and every other row loses that column.  Returns [(lead, row)],
+    leads ascending.
+    """
+    alive = list(range(len(rows)))
+    found = []
+    for j in sorted(support):
+        r = next((i for i in alive if j in rows[i]), None)
+        if r is None:
+            continue
+        alive.remove(r)
+        row = rows[r]
+        inv = pow(row[j], p - 2, p)
+        for c in row:
+            row[c] = row[c] * inv % p
+        tail = [(c, v) for c, v in row.items() if c != j]
+        for i, other in enumerate(rows):
+            if i == r or j not in other:
+                continue
+            coef = p - other.pop(j)
+            for c, v in tail:
+                if (new := (other.get(c, 0) + coef * v) % p):
+                    other[c] = new
+                else:
+                    other.pop(c, None)
+        found.append((j, row))
+        if not alive:
+            break
+    return found
+
+
+def _pack(rows) -> _Pivots:
+    """(lead, tail) of monic rows, leads ascending, as CSR ``_Pivots``.
+
+    A tail is the row less its lead, as (column, residue) pairs ascending.
+    """
+    leads, ptr, ind, val = [], [0], [], []
+    for lead, tail in rows:
+        leads.append(lead)
+        ind.append(lead)
+        val.append(1)
+        if tail:
+            cols, vals = zip(*tail)
+            ind.extend(cols)
+            val.extend(vals)
+        ptr.append(len(ind))
+    return _Pivots(
+        np.array(leads, dtype=np.int64),
+        np.array(ptr, dtype=np.int64),
+        np.array(ind, dtype=np.int64),
+        np.array(val, dtype=np.uint64),
+    )
+
+
+def _psge_small(A: CsrMatrix, back_reduce: bool) -> EchelonResult:
+    """``psge_reduce`` by a scalar sparse sweep over Python ints.
+
+    The same steps as the numpy routes, on each row's column -> residue
+    dict: the same known pivots, made monic; each remainder row swept by
+    them in ascending lead order; Gauss-Jordan on the nonzero swept rows;
+    with ``back_reduce``, each known row swept by every other pivot.  A
+    swept row and an RREF are unique, so the bytes are the same.  The
+    remainder-block cap is checked as the numpy routes check it.
+    """
+    p = A.modulus.p
+    ptr, ind, val = A.row_ptr.tolist(), A.col_ind.tolist(), A.val.tolist()
+    chosen: dict = {}  # lead -> the row with the fewest entries, lowest index on ties
+    rest = []
+    for i in range(A.n_rows):
+        s, e = ptr[i], ptr[i + 1]
+        if s == e:
+            continue
+        k = chosen.get(ind[s])
+        if k is None:
+            chosen[ind[s]] = i
+        elif e - s < ptr[k + 1] - ptr[k]:
+            chosen[ind[s]] = i
+            rest.append(k)
+        else:
+            rest.append(i)
+    rest.sort()
+
+    # the known pivots' tails, made monic by one batch inversion, leads ascending
+    leads = sorted(chosen)
+    tails = {}
+    for lead, inv in zip(leads, inv_list([val[ptr[chosen[c]]] for c in leads], p)):
+        s, e = ptr[chosen[lead]] + 1, ptr[chosen[lead] + 1]
+        tails[lead] = [(c, v * inv % p) for c, v in zip(ind[s:e], val[s:e])]
+
+    # 1. sweep each remainder row by the known pivots alone
+    fill, swept = 0, []
+    for i in rest:
+        s, e = ptr[i], ptr[i + 1]
+        row = dict(zip(ind[s:e], val[s:e]))
+        _sweep_row(row, tails, p)
+        if row:
+            fill += len(row.keys() - ind[s:e])
+            swept.append(row)
+
+    # 2. one RREF of the nonzero swept rows
+    support = set().union(*swept)
+    if 8 * len(swept) * len(support) > BLOCK_BYTES:
+        raise SizeCapError(f"remainder block {len(swept)} x {len(support)} exceeds {BLOCK_BYTES} bytes")
+    found = _gauss_jordan_rows(swept, support, p)
+    new = [(j, sorted((c, v) for c, v in row.items() if c != j)) for j, row in found]
+    known = [(lead, tails[lead]) for lead in leads]
+
+    # 3. each known pivot row, its lead set aside, loses every other pivot column
+    if back_reduce:
+        tails.update(new)
+        for n, (lead, tail) in enumerate(known):
+            row = dict(tail)
+            _sweep_row(row, tails, p)
+            known[n] = (lead, sorted(row.items()))
+
+    known, new = _pack(known), _pack(new)
+    pivot_cols = sorted(known.leads.tolist() + new.leads.tolist())
+    rank = len(pivot_cols)
+    return EchelonResult(
+        pivot_cols=pivot_cols,
+        pivot_rows=known,
+        nonpivot_rows=new,
+        zero_row_count=A.n_rows - rank,
+        rank=rank,
+        fill_generated=fill,
+    )
+
+
 def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     """Known-pivot elimination of an F4 batch matrix (Faugere-Lachartre).
 
@@ -606,21 +777,33 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     3. Back-substitution, with ``back_reduce=True`` only: each known pivot
        row loses every other pivot column, for the full RREF.
 
-    Sweeps 1 and 3 run by dependency level (``_levels``, computed once per
-    batch): all pivot columns of a level are cleared at once by one float64
-    product B -= X P through BLAS, with one mod p at the end.  That is exact
-    while K (p-1)^2 + p < 2^53 for the K pivots of the sweep
-    (``_float_exact``): at p = 65537 up to 2^21 pivots, and for every small
-    prime.  Above it, which means the 31-bit primes, the sweep visits the
-    pivot columns one at a time in uint64.  A swept row is unique, so both
-    schedules give the same bytes.
+    Three routes, chosen once per batch by a fixed rule, give the same bytes:
+    a swept row and an RREF are unique, whatever order the updates take.
+
+    - Small (at most ``SMALL_ENTRIES`` entries): ``_psge_small`` runs the
+      three steps on Python ints over each row's sparse entries, with no
+      dense block; on such batches each numpy call costs more than the
+      arithmetic it does.
+    - Level sweep: sweeps 1 and 3 run by dependency level (``_levels``,
+      computed once per batch): all pivot columns of a level are cleared at
+      once by one float64 product B -= X P through BLAS, with one mod p at
+      the end.  That is exact while K (p-1)^2 + p < 2^53 for the K pivots
+      of the sweep (``_float_exact``): at p = 65537 up to 2^21 pivots, and
+      for every small prime.
+    - Column loop: above that bound, which means the 31-bit primes, the
+      sweep visits the pivot columns one at a time in uint64.
 
     Every dense block, float64 or uint64, and every level's P fits in
     ``BLOCK_BYTES`` (a level is swept in parts when its P would not) or is
-    refused with SizeCapError before it is allocated.
+    refused with SizeCapError before it is allocated.  The small route
+    allocates no block but refuses the same batches: a row wider than
+    ``BLOCK_BYTES`` before the route is chosen, and a remainder block over
+    it after its sweep.
     """
     p = A.modulus.p
-    chunk = _chunk_rows(A.n_cols)
+    chunk = _chunk_rows(A.n_cols)  # refuses a row wider than BLOCK_BYTES on every route
+    if A.nnz() <= SMALL_ENTRIES:
+        return _psge_small(A, back_reduce)
     lens = np.diff(A.row_ptr)
     live = np.flatnonzero(lens)
     leads = A.col_ind[A.row_ptr[live]]
@@ -668,6 +851,9 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
         elif levels is not None:
             # a new row has no entry in another pivot column: its level comes last
             levels = levels + [np.arange(n_known, len(every.leads))]
+        if levels is None:
+            # the column loop visits the pivots in ascending lead order
+            every = every.take(np.argsort(every.leads))
         dtype, sweep = _sweeper(every, levels, A.n_cols, p)
         done = []
         for k in range(0, n_known, chunk):

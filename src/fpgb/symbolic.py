@@ -387,7 +387,9 @@ def _reducer_preference(basis: SoaPolySet) -> np.ndarray:
     return np.lexsort(order_columns(basis.exps[basis.offset[:-1]], basis.ring))
 
 
-def closure_expand(keys_desc: np.ndarray, basis: SoaPolySet, round_id: int = 1) -> RowMeta:
+def closure_expand(
+    keys_desc: np.ndarray, basis: SoaPolySet, round_id: int = 1, pref: np.ndarray | None = None
+) -> RowMeta:
     """One round of one-step reduction closure over a frontier of monomials.
 
     For every given monomial (keys in descending order) pick the preferred
@@ -398,11 +400,14 @@ def closure_expand(keys_desc: np.ndarray, basis: SoaPolySet, round_id: int = 1) 
     previous round's rows added.  The rows are empty when none has a divisor.
 
     The search is one ``first_divisor`` call against the leads in that order.
+    ``pref`` is that order, ``_reducer_preference(basis)``, computed here
+    unless the caller passes it.
     """
     if len(keys_desc) == 0 or len(basis) == 0:
         return RowMeta(np.zeros((0, basis.ring.n_vars + 3), dtype=np.int64))
     exps = key_unpack_vec(keys_desc, basis.ring)
-    pref = _reducer_preference(basis)
+    if pref is None:
+        pref = _reducer_preference(basis)
     first = first_divisor(basis.exps[basis.offset[pref]], exps)
     hit = np.flatnonzero(first >= 0)[::-1]
     ks = pref[first[hit]]
@@ -435,7 +440,7 @@ def compile_batch(
     # closure row leads at a monomial already present
     t0 = time.monotonic_ns()
     keyer = _WordKeys.fit(rows, basis, policy) or _PackedKeys(policy)
-    parts, dict_asc = [], None
+    parts, dict_asc, pref = [], None, None
     while True:
         lens, keys, vals, lead_keys = keyer.materialize(rows, basis, counters.keys_emitted)
         counters.keys_emitted += len(keys)
@@ -462,7 +467,10 @@ def compile_batch(
                 )
         if closure is not Closure.ONE_STEP_REDUCTION:
             break
-        rows = closure_expand(keyer.packed(frontier[::-1]), basis, counters.closure_rounds + 1)
+        if pref is None and len(frontier) and len(basis):
+            # the basis is fixed within a batch: one reducer order for every round
+            pref = _reducer_preference(basis)
+        rows = closure_expand(keyer.packed(frontier[::-1]), basis, counters.closure_rounds + 1, pref)
         if not rows:
             break
         counters.closure_rounds += 1

@@ -201,11 +201,14 @@ def test_psge_matches_dense_rref(monkeypatch, p, density):
         mat = random_sparse(rng, r, c, density, m)
         A = csr_from_dense(mat, m)
         sweep_chunk(monkeypatch, int(rng.integers(1, 17)))
-        res = psge_reduce(A)
         rank, rref, _ = dense_gauss(mat, m)
-        assert res.rank == rank
-        got = assemble_rows(res, c)
-        assert np.array_equal(got, rref[:rank])  # full reduction = RREF rows
+        for route in routes_at(p):
+            with monkeypatch.context() as mp:
+                sweep_route(mp, route)
+                res = psge_reduce(A)
+            assert res.rank == rank
+            got = assemble_rows(res, c)
+            assert np.array_equal(got, rref[:rank])  # full reduction = RREF rows
 
 
 def test_psge_row_space_preserved():
@@ -233,6 +236,8 @@ def test_psge_chunk_size_does_not_change_result(monkeypatch):
     # 975 zero columns change no row; with 1000 columns a one-row chunk's
     # budget (8 kB) also holds the whole remainder block (at most 30 x 25)
     A = csr_from_dense(np.hstack([mat, np.zeros((30, 975), dtype=np.uint64)]), M101)
+    # chunks exist only on the numpy routes; a batch this small would take the small one
+    sweep_route(monkeypatch, "levels")
     for back_reduce in (False, True):
         keys = []
         for rows in (1, 2, 3, 30):
@@ -247,13 +252,25 @@ def test_psge_refuses_a_remainder_block_over_the_budget(monkeypatch):
     # [1 0 0] is the known pivot; the other rows sweep to a 3 x 2 block of 48 bytes
     mat = np.array([[1, 1, 0], [1, 0, 1], [1, 1, 1], [1, 0, 0]], dtype=np.uint64)
     A = csr_from_dense(mat, M101)
-    monkeypatch.setattr(sparselin, "BLOCK_BYTES", 48)
-    assert psge_reduce(A).rank == 3
-    monkeypatch.setattr(sparselin, "BLOCK_BYTES", 47)
-    with pytest.raises(SizeCapError, match="remainder block 3 x 2 exceeds 47 bytes"):
-        psge_reduce(A)
-    monkeypatch.setattr(sparselin, "BLOCK_BYTES", 23)  # not even one 24-byte row
-    with pytest.raises(SizeCapError, match="one row of 3 columns"):
+    for route in routes_at(101):
+        with monkeypatch.context() as mp:
+            sweep_route(mp, route)
+            mp.setattr(sparselin, "BLOCK_BYTES", 48)
+            assert psge_reduce(A).rank == 3
+            mp.setattr(sparselin, "BLOCK_BYTES", 47)
+            with pytest.raises(SizeCapError, match="remainder block 3 x 2 exceeds 47 bytes"):
+                psge_reduce(A)
+            mp.setattr(sparselin, "BLOCK_BYTES", 23)  # not even one 24-byte row
+            with pytest.raises(SizeCapError, match="one row of 3 columns"):
+                psge_reduce(A)
+
+
+def test_psge_refuses_a_row_over_the_budget_whatever_the_entry_count():
+    # three entries, far under SMALL_ENTRIES, on more columns than one block row holds
+    n_cols = BLOCK_BYTES // 8 + 1
+    A = sparselin.csr_from_arrays(2, n_cols, [0, 2, 3], [0, n_cols - 1, 0], [1, 2, 3], M101)
+    assert A.nnz() <= sparselin.SMALL_ENTRIES
+    with pytest.raises(SizeCapError, match=f"one row of {n_cols} columns"):
         psge_reduce(A)
 
 
@@ -289,20 +306,23 @@ def test_f4_mode_matches_back_reduced_engine(monkeypatch, p, density, chunk_rows
         # repeat some rows so leading columns are shared, as F4 batches share them
         mat = np.vstack([mat, mat[rng.integers(0, r, r // 3)]])
         A = csr_from_dense(mat, m)
-        f4 = psge_reduce(A, back_reduce=False)
-        full = psge_reduce(A, back_reduce=True)
         rank, rref, pivots = dense_gauss(mat, m)
-        assert f4.rank == full.rank == rank
-        assert f4.zero_row_count == full.zero_row_count
-        assert f4.pivot_cols == full.pivot_cols
-        assert f4.fill_generated == full.fill_generated
-        assert same_rows(f4.nonpivot_rows, full.nonpivot_rows)
-        # both modes build the new rows by the same steps, so hold them to
-        # the oracle too: each is the dense RREF row with the same lead
         lead_row = dict(zip(pivots, rref))
-        for c, cols, vals in f4.nonpivot_rows:
-            assert np.array_equal(np.flatnonzero(lead_row[c]), cols)
-            assert np.array_equal(lead_row[c][cols], vals)
+        for route in routes_at(p):
+            with monkeypatch.context() as mp:
+                sweep_route(mp, route)
+                f4 = psge_reduce(A, back_reduce=False)
+                full = psge_reduce(A, back_reduce=True)
+            assert f4.rank == full.rank == rank
+            assert f4.zero_row_count == full.zero_row_count
+            assert f4.pivot_cols == full.pivot_cols
+            assert f4.fill_generated == full.fill_generated
+            assert same_rows(f4.nonpivot_rows, full.nonpivot_rows)
+            # both modes build the new rows by the same steps, so hold them to
+            # the oracle too: each is the dense RREF row with the same lead
+            for c, cols, vals in f4.nonpivot_rows:
+                assert np.array_equal(np.flatnonzero(lead_row[c]), cols)
+                assert np.array_equal(lead_row[c][cols], vals)
 
 
 def f4_shaped_batch(rng, n_cols, n_known, n_rest, p):
@@ -336,15 +356,30 @@ def f4_shaped_batch(rng, n_cols, n_known, n_rest, p):
 
 
 def sweep_route(monkeypatch, route):
-    """Forbid the other sweep route; ``columns`` also makes psge_reduce take it."""
+    """Make psge_reduce take ``route`` (small, levels or columns) and forbid the others.
+
+    ``levels`` needs a prime at which the level sweep is exact (``routes_at``).
+    """
     def forbidden(*args):
         raise AssertionError(f"psge_reduce left the {route} route")
 
+    if route == "small":
+        monkeypatch.setattr(sparselin, "SMALL_ENTRIES", 1 << 62)
+        monkeypatch.setattr(sparselin, "_sweep_levels", forbidden)
+        monkeypatch.setattr(sparselin, "_sweep_columns", forbidden)
+        return
+    monkeypatch.setattr(sparselin, "SMALL_ENTRIES", -1)
+    monkeypatch.setattr(sparselin, "_psge_small", forbidden)
     if route == "levels":
         monkeypatch.setattr(sparselin, "_sweep_columns", forbidden)
     else:
         monkeypatch.setattr(sparselin, "_float_exact", lambda n_pivots, p: False)
         monkeypatch.setattr(sparselin, "_sweep_levels", forbidden)
+
+
+def routes_at(p):
+    """The routes psge_reduce can take at p: the level sweep only where float64 is exact."""
+    return ("small", "levels", "columns") if sparselin._float_exact(1, p) else ("small", "columns")
 
 
 def test_level_sweep_matches_column_loop(monkeypatch):
@@ -353,7 +388,7 @@ def test_level_sweep_matches_column_loop(monkeypatch):
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(
-        p=st.sampled_from([3, 7, 101, 65537]),
+        p=st.sampled_from([3, 7, 101, 65537, 2147483629]),
         backend=st.sampled_from(list(Backend)),
         back_reduce=st.booleans(),
         chunk_rows=st.sampled_from([1, 3, 256]),
@@ -366,31 +401,129 @@ def test_level_sweep_matches_column_loop(monkeypatch):
         mat = f4_shaped_batch(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n_cols, n_known, n_rest, p)
         A = csr_from_dense(mat, FieldModulus(p, backend))
         keys = []
-        for route in ("levels", "columns"):
+        for route in routes_at(p):
             with monkeypatch.context() as mp:
                 sweep_chunk(mp, chunk_rows)
                 sweep_route(mp, route)
                 keys.append(echelon_key(psge_reduce(A, back_reduce=back_reduce)))
-        assert keys[0] == keys[1]
+        assert all(k == keys[0] for k in keys[1:])
+
+    check()
+
+
+@pytest.mark.parametrize("p", [65537, 2147483629])
+def test_small_route_rule_switches_at_its_limit(monkeypatch, p):
+    # a batch of exactly SMALL_ENTRIES entries takes the small route, one
+    # more entry the level sweep (65537) or the column loop (2147483629);
+    # each side runs with every other route patched to raise
+    def forbidden(*args):
+        raise AssertionError("psge_reduce took a route the rule does not choose")
+
+    m = FieldModulus(p)
+    rng = np.random.default_rng(p % 1000)
+    limit = sparselin.SMALL_ENTRIES
+    for nnz, small in ((limit, True), (limit + 1, False)):
+        mat = np.zeros((40, 30), dtype=np.uint64)
+        mat.flat[rng.choice(mat.size, nnz, replace=False)] = rng.integers(1, p, nnz)
+        A = csr_from_dense(mat, m)
+        assert A.nnz() == nnz
+        rank, rref, _ = dense_gauss(mat, m)
+        with monkeypatch.context() as mp:
+            if small:
+                mp.setattr(sparselin, "_sweep_levels", forbidden)
+                mp.setattr(sparselin, "_sweep_columns", forbidden)
+            else:
+                mp.setattr(sparselin, "_psge_small", forbidden)
+                mp.setattr(sparselin, "_sweep_columns" if p == 65537 else "_sweep_levels", forbidden)
+            res = psge_reduce(A)
+        assert res.rank == rank
+        assert np.array_equal(assemble_rows(res, 30), rref[:rank])
+
+
+def test_small_route_matches_dense_gauss(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        p=st.sampled_from([3, 7, 65537, 2147483629]),
+        back_reduce=st.booleans(),
+        n_cols=st.integers(1, 14),
+        data=st.data(),
+    )
+    def check(p, back_reduce, n_cols, data):
+        # rows are empty, random, or an earlier row scaled with noise right
+        # of its lead, which repeats that row's lead
+        value = st.integers(0, p - 1)
+        mat = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            kind = data.draw(st.sampled_from(["empty", "random", "repeat"]))
+            row = [0] * n_cols
+            if kind == "random" or (kind == "repeat" and not any(map(any, mat))):
+                row = data.draw(st.lists(st.sampled_from([0, 0, 1]).flatmap(
+                    lambda z: st.just(0) if z == 0 else value), min_size=n_cols, max_size=n_cols))
+            elif kind == "repeat":
+                src = data.draw(st.sampled_from([r for r in mat if any(r)]))
+                lead = next(j for j, x in enumerate(src) if x)
+                c = data.draw(st.integers(1, p - 1))
+                row = [x * c % p for x in src]
+                for j in range(lead + 1, n_cols):
+                    if data.draw(st.booleans()):
+                        row[j] = data.draw(value)
+            mat.append(row)
+        mat = np.array(mat, dtype=np.uint64).reshape(len(mat), n_cols)
+        m = FieldModulus(p)
+        A = csr_from_dense(mat, m)
+        with monkeypatch.context() as mp:
+            sweep_route(mp, "small")
+            res = psge_reduce(A, back_reduce=back_reduce)
+        rank, rref, pivots = dense_gauss(mat, m)
+        assert res.rank == rank and res.zero_row_count == len(mat) - rank
+        assert res.pivot_cols == pivots
+        lead_row = dict(zip(pivots, rref))
+        for c, cols, vals in res.nonpivot_rows:
+            assert np.array_equal(np.flatnonzero(lead_row[c]), cols)
+            assert np.array_equal(lead_row[c][cols], vals)
+        if back_reduce:
+            assert np.array_equal(assemble_rows(res, n_cols), rref[:rank])
+        else:
+            # the known pivots: per input lead, the row with the fewest
+            # entries (lowest index on ties), made monic
+            sizes = [(np.flatnonzero(r)[0], np.count_nonzero(r), i) for i, r in enumerate(mat) if r.any()]
+            chosen = {}
+            for lead, size, i in sorted(sizes, reverse=True):
+                chosen[lead] = i
+            assert res.pivot_rows.leads.tolist() == sorted(chosen)
+            for c, cols, vals in res.pivot_rows:
+                row = mat[chosen[c]]
+                monic = row * np.uint64(pow(int(row[c]), p - 2, p)) % np.uint64(p)
+                assert np.array_equal(np.flatnonzero(row), cols)
+                assert np.array_equal(monic[cols], vals)
 
     check()
 
 
 @pytest.mark.parametrize("p", [65537, 2147483629])
 @pytest.mark.parametrize("back_reduce", [False, True])
-def test_both_row_sets_ascend_by_lead(p, back_reduce):
+def test_both_row_sets_ascend_by_lead(monkeypatch, p, back_reduce):
     # F4 harvests the new rows in reverse and the interreduction searches
-    # the pivot rows' leads, so each set must ascend; 65537 takes the
-    # level sweep, 2147483629 the column loop
+    # the pivot rows' leads, so each set must ascend.  These batches have
+    # more than SMALL_ENTRIES entries: 65537 takes the level sweep,
+    # 2147483629 the column loop; each is also run through the small route
     rng = np.random.default_rng(p % 1000 + back_reduce)
     for _ in range(4):
         mat = f4_shaped_batch(rng, 60, 25, 30, p)
-        res = psge_reduce(csr_from_dense(mat, FieldModulus(p)), back_reduce=back_reduce)
-        assert len(res.pivot_rows) >= 25 and len(res.nonpivot_rows) > 0
-        for rows in (res.pivot_rows, res.nonpivot_rows):
-            leads = [lead for lead, _, _ in rows]
-            assert leads == rows.leads.tolist() == sorted(set(leads))
-            assert all(cols[0] == lead and vals[0] == 1 for lead, cols, vals in rows)
+        A = csr_from_dense(mat, FieldModulus(p))
+        assert A.nnz() > sparselin.SMALL_ENTRIES
+        for route in ("levels" if p == 65537 else "columns", "small"):
+            with monkeypatch.context() as mp:
+                sweep_route(mp, route)
+                res = psge_reduce(A, back_reduce=back_reduce)
+            assert len(res.pivot_rows) >= 25 and len(res.nonpivot_rows) > 0
+            for rows in (res.pivot_rows, res.nonpivot_rows):
+                leads = [lead for lead, _, _ in rows]
+                assert leads == rows.leads.tolist() == sorted(set(leads))
+                assert all(cols[0] == lead and vals[0] == 1 for lead, cols, vals in rows)
 
 
 @pytest.mark.parametrize("p", [3, 7, 101, 65537, 6710887, 2147483629])
