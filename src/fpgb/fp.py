@@ -15,6 +15,8 @@ also bounds the Barrett input regime.  The numeric engines compute in the
 standard domain: products of residues, reduced with ``%``.  Inner loops may
 accumulate up to ``lazy_window_k`` unreduced products before a single
 reduction; the window is chosen so the running sum never overflows 64 bits.
+Exact dense products mod p are ``matmul_mod``'s alone, and ``float_exact``
+is the one float64 bound, which psge's level sweep also reads.
 """
 
 from __future__ import annotations
@@ -194,15 +196,45 @@ def mul_vec(a: np.ndarray, b: np.ndarray, m: FieldModulus) -> np.ndarray:
     return mont_leave_vec(mont_mul_vec(mont_enter_vec(a, m), mont_enter_vec(b, m), m), m)
 
 
-def matmul_mod(X: np.ndarray, Y: np.ndarray, m: FieldModulus) -> np.ndarray:
-    """Exact standard-domain X @ Y mod p, broadcast like ``@``.
+def float_exact(k: int, p: int) -> bool:
+    """Whether float64 sums k products of two residues exactly, with room for ``mod_exact``.
 
-    One uint64 product is exact while every K-term sum stays below 2^64,
-    K (p-1)^2 < 2^64.  Past that (31-bit primes once K > 3) Y is split into
-    16-bit halves: a product with a half is below 2^47, so slices of 2^15
-    terms sum exactly.
+    Each partial sum is an integer of magnitude at most k (p-1)^2; float64
+    holds every integer up to 2^53, and ``mod_exact`` needs p more of headroom.
+    """
+    return k * (p - 1) ** 2 + p < 1 << 53
+
+
+def mod_exact(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for float64 integers with |x| + p <= 2^53.
+
+    The rounded quotient is within 2/p of x/p, so its floor q is off by at
+    most one.  Then |q p| <= |x| + p, so q p and x - q p are exact, the
+    latter in [-p, 2p), and one correction each way brings it to [0, p).
+    Several times faster than ``np.mod``, which divides exactly.
+    """
+    q = np.floor(x * (1.0 / p))
+    q *= p
+    x -= q
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
+    return x
+
+
+def matmul_mod(X: np.ndarray, Y: np.ndarray, m: FieldModulus) -> np.ndarray:
+    """Exact standard-domain X @ Y mod p as uint64, broadcast like ``@``.
+
+    X and Y hold residues, as uint64 or float64.  The tier follows from the
+    inner dimension K and p: one float64 product through BLAS while
+    ``float_exact(K, p)``; one uint64 product while K (p-1)^2 < 2^64; past
+    that (31-bit primes once K > 3) Y split into 16-bit halves: a product
+    with a half is below 2^47, so slices of 2^15 terms sum exactly.
     """
     K, p, pp = X.shape[-1], m.p, m._p_u64
+    if float_exact(K, p):
+        W = X.astype(np.float64, copy=False) @ Y.astype(np.float64, copy=False)
+        return mod_exact(W, p).astype(np.uint64)
+    X, Y = X.astype(np.uint64, copy=False), Y.astype(np.uint64, copy=False)
     if K * (p - 1) ** 2 < 1 << 64:
         return (X @ Y) % pp
     lo, hi = Y & np.uint64(0xFFFF), Y >> np.uint64(16)

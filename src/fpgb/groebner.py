@@ -62,8 +62,6 @@ from .polynomials import (
 from .sparselin import (
     BLOCK_BYTES,
     KernelBasis,
-    _float_exact,
-    _mod_exact,
     csr_from_plan,
     csr_transpose,
     left_kernel,
@@ -621,9 +619,9 @@ def verify_kernel_syzygy(
     i holds the coefficients of row i's shifted polynomial (``shifted[i]``
     when given, else built from the plan's row metadata and the basis, never
     the plan's matrix), on one column per exponent tuple.  One product V T
-    mod p checks every vector: in float64 while K (p-1)^2 + p < 2^53 for
-    the K used rows, else by ``matmul_mod``; T is formed in column slices
-    that fit ``BLOCK_BYTES``.  The first vector, in order, of the wrong
+    mod p by ``fp.matmul_mod`` checks every vector, its exact tier chosen
+    from the K used rows and p; T is formed in column slices that fit
+    ``BLOCK_BYTES``.  The first vector, in order, of the wrong
     length or with a nonzero product is reported.  This is only guaranteed
     for support-closed plans; a failure is a property violation, not an
     input error.
@@ -647,17 +645,14 @@ def verify_kernel_syzygy(
             coef.append(a)
     at_row, at_col = np.array(at_row, dtype=np.int64), np.array(at_col, dtype=np.int64)
     coef = np.array(coef, dtype=np.uint64) % np.uint64(p)
-    exact = _float_exact(len(used), p)
-    if exact:
-        V = V.astype(np.float64)
     # each vector's nonzero terms of V T, exponent -> residue, slice by slice
     exps, nonzero = list(col_of), {}
     step = max(1, BLOCK_BYTES // (8 * max(len(used), len(V), 1)))
     for c0 in range(0, len(exps), step):
         sel = (at_col >= c0) & (at_col < c0 + step)
-        T = np.zeros((len(used), min(step, len(exps) - c0)), dtype=V.dtype)
+        T = np.zeros((len(used), min(step, len(exps) - c0)), dtype=np.uint64)
         T[at_row[sel], at_col[sel] - c0] = coef[sel]
-        W = _mod_exact(V @ T, p) if exact else matmul_mod(V, T, m)
+        W = matmul_mod(V, T, m)
         r, c = np.nonzero(W)
         for j, x, y in zip(r.tolist(), (c + c0).tolist(), W[r, c].tolist()):
             nonzero.setdefault(j, {})[exps[x]] = int(y)

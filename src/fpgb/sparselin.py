@@ -9,12 +9,13 @@ them:
   remainder is brought to reduced row echelon form (RREF) as one dense block
   by its own Gauss-Jordan code, every block within ``BLOCK_BYTES``.
   ``back_reduce=True`` also back-substitutes the known pivots: the whole RREF.
-  It has three routes, chosen once per batch by a fixed rule.  A batch of
-  at most ``SMALL_ENTRIES`` entries runs the same steps on Python ints over
-  each row's sparse entries.  On a larger batch the sweeps run one
-  dependency level of pivots at a time, as float64 products through BLAS
-  with one reduction at the end, while (pivots) (p-1)^2 + p < 2^53 keeps
-  every partial sum exact; above that bound (31-bit primes) they visit the
+  It has three routes.  A batch of at most ``SMALL_ENTRIES`` entries, by a
+  fixed rule, runs the same steps on Python ints over each row's sparse
+  entries.  On a larger batch the known-pivot sweep and the
+  back-substitution call one sweep routine, which picks its route once per
+  pivot set: one dependency level of pivots at a time, as float64 products
+  through BLAS with one reduction at the end, while ``fp.float_exact``
+  keeps every partial sum exact; above that bound (31-bit primes) the
   pivot columns one at a time.  A swept row and an RREF are unique, so the
   three routes give the same bytes, and tests compare each with the others;
 - ``dense_gauss``: the brute-force oracle (size-capped) used to cross-check
@@ -26,17 +27,17 @@ them:
   ``berlekamp_massey``), and turns it into up to b kernel vectors by one
   block Horner evaluation.  A rectangular A is framed through A^T A and
   every candidate is verified against A itself by SpMV.  The operator (A,
-  or A^T A formed once, exactly, mod p) is one float64 product with a
-  dense copy where ``_float_exact`` holds for each product's inner
-  dimension and each dense copy fits ``BLOCK_BYTES``; otherwise (31-bit
-  primes, large dimensions) it is ``spmm``, by A and then A^T.  Every
-  caller passes the nullity it knows from elimination as the target: b
-  follows from it (``_block_width``), the solve stops once it is reached
-  and fails loudly when the round budget, sized from the target, ends
-  short of it.
+  or A^T A formed once, exactly, mod p) is ``fp.matmul_mod`` on a float64
+  dense copy where that product takes its float64 tier and each dense copy
+  fits ``BLOCK_BYTES``; otherwise (31-bit primes, large dimensions) it is
+  ``spmm``, by A and then A^T.  Every caller passes the nullity it knows
+  from elimination as the target: b follows from it (``_block_width``),
+  the solve stops once it is reached and fails loudly when the round
+  budget, sized from the target, ends short of it.
 
 Every engine computes in the standard domain: products of residues,
-reduced with ``%`` once per lazy window (``FieldModulus.lazy_window_k``).
+reduced with ``%`` once per lazy window (``FieldModulus.lazy_window_k``),
+or in float64 with one reduction where ``fp.float_exact`` holds.
 
 All randomness is seeded and every probabilistic result carries its seed
 trail for replay.
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from .errors import (
     PropertyViolationError,
     SizeCapError,
 )
-from .fp import FieldModulus, inv_list, inv_vec, matmul_mod
+from .fp import FieldModulus, float_exact, inv_list, inv_vec, matmul_mod, mod_exact
 from .sigma_basis import block_generator, column_dependencies
 from .symbolic import LayoutPlan
 
@@ -289,22 +291,33 @@ def dense_right_nullspace(mat: np.ndarray, m: FieldModulus):
 class EchelonResult:
     """Echelon form of a batch matrix, split by leading-column provenance.
 
-    ``pivot_cols`` lists the leading columns of all rows of the reduced row
-    echelon form (ascending).  Both row sets are CSR ``_Pivots`` of monic
-    rows ascending by lead; each iterates as (lead_col, col_array, val_array).
-    ``nonpivot_rows`` are the RREF rows whose leading columns no input row
-    led at; they are fully reduced in either mode.  ``pivot_rows`` hold one
-    row per distinct input leading column: the RREF rows when the engine ran
-    with ``back_reduce=True``, otherwise the chosen known-pivot input rows,
-    only made monic.
+    Both row sets are CSR ``_Pivots`` of monic rows ascending by lead; each
+    iterates as (lead_col, col_array, val_array).  ``nonpivot_rows`` are the
+    RREF rows whose leading columns no input row led at; they are fully
+    reduced in either mode.  ``pivot_rows`` hold one row per distinct input
+    leading column: the RREF rows when the engine ran with
+    ``back_reduce=True``, otherwise the chosen known-pivot input rows, only
+    made monic.  ``n_rows`` is the input's row count.  The rank, the zero
+    row count and the pivot columns follow from these and are properties.
     """
 
-    pivot_cols: list
     pivot_rows: _Pivots
     nonpivot_rows: _Pivots
-    zero_row_count: int
-    rank: int
+    n_rows: int
     fill_generated: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows) + len(self.nonpivot_rows)
+
+    @property
+    def zero_row_count(self) -> int:
+        return self.n_rows - self.rank
+
+    @property
+    def pivot_cols(self) -> list:
+        """The leading columns of all rows of the reduced row echelon form, ascending."""
+        return sorted(self.pivot_rows.leads.tolist() + self.nonpivot_rows.leads.tolist())
 
 
 def _ptr(lens: np.ndarray) -> np.ndarray:
@@ -366,19 +379,6 @@ class _Pivots:
         """(lead, cols, values) per row."""
         bounds = zip(self.leads.tolist(), self.ptr[:-1].tolist(), self.ptr[1:].tolist())
         return ((c, self.ind[s:e], self.val[s:e]) for c, s, e in bounds)
-
-
-def _float_exact(n_pivots: int, p: int) -> bool:
-    """Whether a level sweep by ``n_pivots`` pivots is exact in float64.
-
-    A swept entry starts in [0, p) and loses at most one product of two
-    residues per pivot, so every partial sum a level's product or
-    subtraction forms is an integer of magnitude at most n_pivots (p-1)^2.
-    float64 holds every integer up to 2^53 exactly, and ``_mod_exact``
-    needs p more of headroom.  The same bound, with the inner dimension as
-    n_pivots, makes a product of two residue matrices exact.
-    """
-    return n_pivots * (p - 1) ** 2 + p < 1 << 53
 
 
 def _levels(piv: _Pivots, n_cols: int) -> list:
@@ -494,28 +494,12 @@ def _schedule(piv: _Pivots, levels: list, n_cols: int) -> list:
     ]
 
 
-def _mod_exact(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, for float64 integers with |x| + p <= 2^53.
-
-    The rounded quotient is within 2/p of x/p, so its floor q is off by at
-    most one.  Then |q p| <= |x| + p, so q p and x - q p are exact, the
-    latter in [-p, 2p), and one correction each way brings it to [0, p).
-    Several times faster than ``np.mod``, which divides exactly.
-    """
-    q = np.floor(x * (1.0 / p))
-    q *= p
-    x -= q
-    np.add(x, p, out=x, where=x < 0)
-    np.subtract(x, p, out=x, where=x >= p)
-    return x
-
-
 def _sweep_levels(B, schedule: list, p: int):
     """Zero every pivot column of the float64 block B in place, one level at a time.
 
     Per level: X is the block's entries in the level's columns, mod p, and
     B -= X P, so the level's columns end zero.  Partial sums stay exact
-    integers under ``_float_exact``; one reduction at the end finishes B.
+    integers under ``float_exact``; one reduction at the end finishes B.
     B is column-major, so each gather and update moves whole columns.
     """
     for part in schedule:
@@ -525,22 +509,8 @@ def _sweep_levels(B, schedule: list, p: int):
         P = np.zeros(part.shape)
         P.flat[part.pos] = part.val
         B[:, part.leads] = 0
-        B[:, part.support] -= _mod_exact(X, p) @ P
-    _mod_exact(B, p)
-
-
-def _sweeper(piv: _Pivots, levels, n_cols: int, p: int):
-    """The route, chosen once per pivot set: the block dtype, and a callable
-    that zeroes every pivot column of such a block B in place; B ends reduced.
-
-    With ``levels``, float64 blocks and the level schedule; without, uint64
-    blocks and the column loop over the pivot rows, which must ascend by lead.
-    """
-    if levels is None:
-        rows = list(piv)
-        return np.uint64, lambda B: _sweep_columns(B, rows, p)
-    schedule = _schedule(piv, levels, n_cols)
-    return np.float64, lambda B: _sweep_levels(B, schedule, p)
+        B[:, part.support] -= mod_exact(X, p) @ P
+    mod_exact(B, p)
 
 
 def _gauss_jordan(R, p: int):
@@ -599,6 +569,40 @@ def _block_entries(B, first_row: int = 0):
         order = np.argsort(r, kind="stable")
         r, c = r[order], c[order]
     return r + first_row, c, B[r, c].astype(np.uint64, copy=False)
+
+
+def _sweep(piv: _Pivots, ptr, ind, val, rows, n_cols: int, p: int, aside: bool = False):
+    """The CSR rows ``rows`` of (ptr, ind, val), each less every pivot column of ``piv``.
+
+    The route is chosen once for the pivot set: while ``float_exact`` holds
+    for its size, float64 blocks and the level sweep; otherwise uint64
+    blocks and the column loop, pivots in ascending lead order.  Each chunk
+    of ``_chunk_rows(n_cols)`` rows is one dense block.  With ``aside``,
+    each row's lead is set aside during its sweep.  Returns the swept rows'
+    nonzeros (row by place in ``rows``, column, uint64 value), row-major,
+    and the number of entries the sweep created.
+    """
+    if float_exact(len(piv.leads), p):
+        dtype, schedule = np.float64, _schedule(piv, _levels(piv, n_cols), n_cols)
+        sweep = lambda B: _sweep_levels(B, schedule, p)
+    else:
+        dtype, pivots = np.uint64, sorted(piv, key=itemgetter(0))
+        sweep = lambda B: _sweep_columns(B, pivots, p)
+    chunk = _chunk_rows(n_cols)
+    fill, out = 0, []
+    for k in range(0, len(rows), chunk):
+        part = rows[k : k + chunk]
+        B, local, cols = _dense_block(ptr, ind, val, part, n_cols, dtype)
+        if aside:
+            lead = (np.arange(len(part)), ind[ptr[part]])
+            one, B[lead] = B[lead], 0
+        sweep(B)
+        if aside:
+            B[lead] = one
+        out.append(_block_entries(B, k))
+        fill += len(out[-1][0]) - int(np.count_nonzero(B[local, cols]))
+    r, c, v = (np.concatenate(x) for x in zip(*out))
+    return r, c, v, fill
 
 
 def _sweep_row(row: dict, tails: dict, p: int):
@@ -749,17 +753,7 @@ def _psge_small(A: CsrMatrix, back_reduce: bool) -> EchelonResult:
             _sweep_row(row, tails, p)
             known[n] = (lead, sorted(row.items()))
 
-    known, new = _pack(known), _pack(new)
-    pivot_cols = sorted(known.leads.tolist() + new.leads.tolist())
-    rank = len(pivot_cols)
-    return EchelonResult(
-        pivot_cols=pivot_cols,
-        pivot_rows=known,
-        nonpivot_rows=new,
-        zero_row_count=A.n_rows - rank,
-        rank=rank,
-        fill_generated=fill,
-    )
+    return EchelonResult(_pack(known), _pack(new), A.n_rows, fill)
 
 
 def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
@@ -777,19 +771,20 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     3. Back-substitution, with ``back_reduce=True`` only: each known pivot
        row loses every other pivot column, for the full RREF.
 
-    Three routes, chosen once per batch by a fixed rule, give the same bytes:
-    a swept row and an RREF are unique, whatever order the updates take.
+    Three routes give the same bytes: a swept row and an RREF are unique,
+    whatever order the updates take.  A fixed rule picks the small route per
+    batch; otherwise steps 1 and 3 each call ``_sweep``, which picks the
+    level sweep or the column loop for its own pivot set.
 
     - Small (at most ``SMALL_ENTRIES`` entries): ``_psge_small`` runs the
       three steps on Python ints over each row's sparse entries, with no
       dense block; on such batches each numpy call costs more than the
       arithmetic it does.
-    - Level sweep: sweeps 1 and 3 run by dependency level (``_levels``,
-      computed once per batch): all pivot columns of a level are cleared at
-      once by one float64 product B -= X P through BLAS, with one mod p at
-      the end.  That is exact while K (p-1)^2 + p < 2^53 for the K pivots
-      of the sweep (``_float_exact``): at p = 65537 up to 2^21 pivots, and
-      for every small prime.
+    - Level sweep: by dependency level (``_levels``): all pivot columns of
+      a level are cleared at once by one float64 product B -= X P through
+      BLAS, with one mod p at the end.  That is exact while K (p-1)^2 + p <
+      2^53 for the K pivots of the sweep (``fp.float_exact``): at p = 65537
+      up to 2^21 pivots, and for every small prime.
     - Column loop: above that bound, which means the 31-bit primes, the
       sweep visits the pivot columns one at a time in uint64.
 
@@ -801,7 +796,7 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     it after its sweep.
     """
     p = A.modulus.p
-    chunk = _chunk_rows(A.n_cols)  # refuses a row wider than BLOCK_BYTES on every route
+    _chunk_rows(A.n_cols)  # refuses a row wider than BLOCK_BYTES on every route
     if A.nnz() <= SMALL_ENTRIES:
         return _psge_small(A, back_reduce)
     lens = np.diff(A.row_ptr)
@@ -816,21 +811,13 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     known = _Pivots.of_rows(A.row_ptr, A.col_ind, A.val, live[order[first]])
     invs = inv_vec(known.val[known.ptr[:-1]], A.modulus)
     known.val = known.val * np.repeat(invs, np.diff(known.ptr)) % np.uint64(p)
-    levels = _levels(known, A.n_cols) if _float_exact(len(known.leads), p) else None
-    dtype, sweep = _sweeper(known, levels, A.n_cols, p)
 
-    # 1. sweep each chunk of remainder rows by the known pivots alone
-    fill, swept = 0, []
-    for k in range(0, len(rest), chunk):
-        B, local, cols = _dense_block(A.row_ptr, A.col_ind, A.val, rest[k : k + chunk], A.n_cols, dtype)
-        sweep(B)
-        swept.append(_block_entries(B, k))
-        fill += len(swept[-1][0]) - int(np.count_nonzero(B[local, cols]))
+    fill, new = 0, _Pivots.empty()
+    if len(rest):
+        # 1. sweep the remainder rows by the known pivots alone
+        rows, cols, sv, fill = _sweep(known, A.row_ptr, A.col_ind, A.val, rest, A.n_cols, p)
 
-    # 2. one RREF of the nonzero swept rows on the columns they still touch
-    new = _Pivots.empty()
-    if swept:
-        rows, cols, sv = (np.concatenate(x) for x in zip(*swept))
+        # 2. one RREF of the nonzero swept rows on the columns they still touch
         live_rows, at_row = np.unique(rows, return_inverse=True)
         support, at_col = np.unique(cols, return_inverse=True)
         shape = (len(live_rows), len(support))
@@ -844,39 +831,12 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
 
     # 3. each known pivot row, its lead set aside, loses every other pivot column
     if back_reduce and len(known.leads):
-        every = _Pivots.concat(known, new)
         n_known = len(known.leads)
-        if not _float_exact(len(every.leads), p):
-            levels = None
-        elif levels is not None:
-            # a new row has no entry in another pivot column: its level comes last
-            levels = levels + [np.arange(n_known, len(every.leads))]
-        if levels is None:
-            # the column loop visits the pivots in ascending lead order
-            every = every.take(np.argsort(every.leads))
-        dtype, sweep = _sweeper(every, levels, A.n_cols, p)
-        done = []
-        for k in range(0, n_known, chunk):
-            part = np.arange(k, min(k + chunk, n_known))
-            B = _dense_block(known.ptr, known.ind, known.val, part, A.n_cols, dtype)[0]
-            lead = (np.arange(len(part)), known.leads[part])
-            one, B[lead] = B[lead], 0
-            sweep(B)
-            B[lead] = one
-            done.append(_block_entries(B, k))
-        r, c, v = (np.concatenate(x) for x in zip(*done))
+        every = _Pivots.concat(known, new)
+        r, c, v, _ = _sweep(every, known.ptr, known.ind, known.val, np.arange(n_known), A.n_cols, p, aside=True)
         known = _Pivots(known.leads, _ptr(np.bincount(r, minlength=n_known)), c, v)
 
-    pivot_cols = sorted(known.leads.tolist() + new.leads.tolist())
-    rank = len(pivot_cols)
-    return EchelonResult(
-        pivot_cols=pivot_cols,
-        pivot_rows=known,
-        nonpivot_rows=new,
-        zero_row_count=A.n_rows - rank,
-        rank=rank,
-        fill_generated=fill,
-    )
+    return EchelonResult(known, new, A.n_rows, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -979,17 +939,18 @@ def _block_width(max_vectors: int) -> int:
 def _operator(A: CsrMatrix):
     """X -> B X mod p for block Wiedemann's operator: B = A when square, else A^T A.
 
-    One float64 product with a dense copy of B, reduced by ``_mod_exact``,
-    when every product is exact (``_float_exact`` on its inner dimension)
-    and every dense copy fits ``BLOCK_BYTES``; a rectangular B is formed
-    once, exactly, mod p.  Otherwise (31-bit primes, large dimensions)
-    ``spmm``, through A and then A^T.  Both give the same residues.
+    ``fp.matmul_mod`` with a float64 dense copy of B, when that product
+    takes its float64 tier (``float_exact`` on its inner dimension) and
+    every dense copy fits ``BLOCK_BYTES``; a rectangular B is formed once,
+    exactly, by ``matmul_mod`` too.  Otherwise (31-bit primes, large
+    dimensions) ``spmm``, through A and then A^T.  Both give the same
+    residues.
     """
     p, n = A.modulus.p, A.n_cols
     square = A.n_rows == n
     if not (
-        _float_exact(n, p)
-        and (square or _float_exact(A.n_rows, p))
+        float_exact(n, p)
+        and (square or float_exact(A.n_rows, p))
         and 8 * n * max(A.n_rows, n) <= BLOCK_BYTES
     ):
         if square:
@@ -998,8 +959,8 @@ def _operator(A: CsrMatrix):
         return lambda X: spmm(At, spmm(A, X))
     B = _dense_block(A.row_ptr, A.col_ind, A.val, np.arange(A.n_rows), n, np.float64)[0]
     if not square:
-        B = _mod_exact(B.T @ B, p)
-    return lambda X: _mod_exact(B @ X.astype(np.float64), p).astype(np.uint64)
+        B = matmul_mod(B.T, B, A.modulus).astype(np.float64)
+    return lambda X: matmul_mod(B, X, A.modulus)
 
 
 def wiedemann_solve(

@@ -60,6 +60,15 @@ def test_report_fields_and_m_crosscheck():
     assert "digest" in flat
 
 
+def test_total_time_includes_the_basis_text(monkeypatch):
+    # fpgb gb prints the basis text, so building it is part of the run's time
+    real = bench.format_system
+    monkeypatch.setattr(bench, "format_system", lambda ring, polys: time.sleep(0.2) or real(ring, polys))
+    ring, polys, desc = make_instance("katsura", n=2, p=101, seed=0)
+    report, _, _ = run_pipeline(ring, polys, PipelineConfig(), desc)
+    assert report.totals["time_total_ns"] >= 200_000_000
+
+
 def test_digest_stable_across_worker_counts():
     digests = set()
     for workers in (1, 2, 4, 8):

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from fpgb import fp
 from fpgb.errors import NonInvertibleError, PreconditionError
 from fpgb.fp import (
     Backend,
     FieldModulus,
     add_vec,
     barrett_reduce_vec,
+    float_exact,
     inv_vec,
     is_prime,
     matmul_mod,
@@ -167,15 +169,27 @@ def test_field_modulus_rejects_an_unknown_backend():
         assert FieldModulus(7, backend).backend is Backend(backend)
 
 
-@pytest.mark.parametrize("m", [M7, FieldModulus(65537), MBIG])
-@pytest.mark.parametrize("K", [1, 3, 4, 40_000])
-def test_matmul_mod_matches_integer_products(m, K):
+@pytest.mark.parametrize("m", [M7, FieldModulus(65537), MBIG, FieldModulus(6710887)])
+@pytest.mark.parametrize("K", [1, 3, 4, 40_000, 200, 201])
+def test_matmul_mod_matches_integer_products(monkeypatch, m, K):
     # at the 31-bit prime K = 4 needs the 16-bit split, and 40,000 terms
-    # need more than one 2^15-term slice; values p - 1 give the largest sums
+    # need more than one 2^15-term slice; at 6710887 K = 200 is the last
+    # float64 product and 201 takes the uint64 one.  Values p - 1 give the
+    # largest sums.  X is stacked as the sigma-basis stacks its coefficients.
+    # The operands also come as float64, as block Wiedemann's dense operator
+    # passes them: its column-major copy of B times a uint64 block, and B^T B
     rng = np.random.default_rng(K)
     X = rng.integers(0, m.p, (2, 3, K), dtype=np.uint64)
     Y = rng.integers(0, m.p, (K, 2), dtype=np.uint64)
     X[0, 0], Y[:, 0] = m.p - 1, m.p - 1
     want = np.array(X.astype(object) @ Y.astype(object) % m.p, dtype=np.uint64)
-    got = matmul_mod(X, Y, m)
-    assert got.dtype == np.uint64 and np.array_equal(got, want)
+    real = fp.mod_exact
+    floats = []
+    monkeypatch.setattr(fp, "mod_exact", lambda x, p: floats.append(1) or real(x, p))
+    for x, y in ((X, Y), (np.asfortranarray(X, dtype=np.float64), Y), (X.astype(np.float64), Y.astype(np.float64))):
+        floats.clear()
+        got = matmul_mod(x, y, m)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+        assert bool(floats) == float_exact(K, m.p)
+    if m.p == 6710887:
+        assert float_exact(K, m.p) == (K <= 200)

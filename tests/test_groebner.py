@@ -949,43 +949,45 @@ def test_dict_recombination_matches_merge_loop():
 
 
 def test_verify_kernel_syzygy_catches_each_mutation():
-    # every katsura-4/65537 batch with a kernel passes as computed and fails
-    # with one kernel entry changed, one row's shift moved by x0, or one
-    # row's basis index pointing at another member
-    ring, polys = gen_katsura(4, 65537)
-    p = ring.modulus.p
-    batches = []
+    # every katsura-4 batch with a kernel passes as computed and fails with
+    # one kernel entry changed, one row's shift moved by x0, or one row's
+    # basis index pointing at another member.  The batches use 43 to 56
+    # rows, so matmul_mod's product is float64 at 65537 and the 16-bit
+    # split at 2147483629
+    for p in (65537, 2147483629):
+        ring, polys = gen_katsura(4, p)
+        batches = []
 
-    def on_batch(basis_before, plan, ech, st):
-        if plan.n_rows > ech.rank:
-            A = csr_from_plan(plan, ring.modulus)
-            batches.append((soa_polys(basis_before), plan, left_kernel(A, A.n_rows - ech.rank).vectors))
+        def on_batch(basis_before, plan, ech, st):
+            if plan.n_rows > ech.rank:
+                A = csr_from_plan(plan, ring.modulus)
+                batches.append((soa_polys(basis_before), plan, left_kernel(A, A.n_rows - ech.rank).vectors))
 
-    f4_groebner(polys, ring, PipelineConfig(), on_batch)
-    assert len(batches) >= 3
-    for basis, plan, vectors in batches:
-        kb = KernelBasis(vectors, len(vectors), ())
-        assert verify_kernel_syzygy(plan, basis, kb).ok
-        n = len(vectors) - 1
-        v = vectors[n]
-        i = int(np.flatnonzero(v)[0])
-        flipped = v.copy()
-        flipped[i] = (int(v[i]) + 1) % p
-        meta = plan.row_meta.rows.copy()
-        meta[i, 3] += 1  # the shift's first exponent
-        moved = dataclasses.replace(plan, row_meta=RowMeta(meta))
-        meta = plan.row_meta.rows.copy()
-        meta[i, 2] = (meta[i, 2] + 1) % len(basis)
-        other = dataclasses.replace(plan, row_meta=RowMeta(meta))
-        # a changed row fails the first vector that uses it
-        first = next(k for k, w in enumerate(vectors) if w[i])
-        for got, bad in (
-            (verify_kernel_syzygy(plan, basis, KernelBasis([*vectors[:n], flipped], n + 1, ())), n),
-            (verify_kernel_syzygy(moved, basis, kb), first),
-            (verify_kernel_syzygy(other, basis, kb), first),
-        ):
-            assert not got.ok
-            assert got.detail.startswith(f"kernel vector {bad} recombines to ")
+        f4_groebner(polys, ring, PipelineConfig(), on_batch)
+        assert len(batches) >= 3
+        for basis, plan, vectors in batches:
+            kb = KernelBasis(vectors, len(vectors), ())
+            assert verify_kernel_syzygy(plan, basis, kb).ok
+            n = len(vectors) - 1
+            v = vectors[n]
+            i = int(np.flatnonzero(v)[0])
+            flipped = v.copy()
+            flipped[i] = (int(v[i]) + 1) % p
+            meta = plan.row_meta.rows.copy()
+            meta[i, 3] += 1  # the shift's first exponent
+            moved = dataclasses.replace(plan, row_meta=RowMeta(meta))
+            meta = plan.row_meta.rows.copy()
+            meta[i, 2] = (meta[i, 2] + 1) % len(basis)
+            other = dataclasses.replace(plan, row_meta=RowMeta(meta))
+            # a changed row fails the first vector that uses it
+            first = next(k for k, w in enumerate(vectors) if w[i])
+            for got, bad in (
+                (verify_kernel_syzygy(plan, basis, KernelBasis([*vectors[:n], flipped], n + 1, ())), n),
+                (verify_kernel_syzygy(moved, basis, kb), first),
+                (verify_kernel_syzygy(other, basis, kb), first),
+            ):
+                assert not got.ok
+                assert got.detail.startswith(f"kernel vector {bad} recombines to ")
 
 
 def test_random_quadratic_oracle_sample():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fpgb import groebner, sparselin
+from fpgb import fp, groebner, sparselin
 from fpgb.bench import PipelineConfig, make_instance, run_pipeline
 from fpgb.errors import (
     PreconditionError,
@@ -373,13 +373,13 @@ def sweep_route(monkeypatch, route):
     if route == "levels":
         monkeypatch.setattr(sparselin, "_sweep_columns", forbidden)
     else:
-        monkeypatch.setattr(sparselin, "_float_exact", lambda n_pivots, p: False)
+        monkeypatch.setattr(sparselin, "float_exact", lambda k, p: False)
         monkeypatch.setattr(sparselin, "_sweep_levels", forbidden)
 
 
 def routes_at(p):
     """The routes psge_reduce can take at p: the level sweep only where float64 is exact."""
-    return ("small", "levels", "columns") if sparselin._float_exact(1, p) else ("small", "columns")
+    return ("small", "levels", "columns") if sparselin.float_exact(1, p) else ("small", "columns")
 
 
 def test_level_sweep_matches_column_loop(monkeypatch):
@@ -529,24 +529,27 @@ def test_both_row_sets_ascend_by_lead(monkeypatch, p, back_reduce):
 @pytest.mark.parametrize("p", [3, 7, 101, 65537, 6710887, 2147483629])
 def test_mod_exact_matches_integer_mod_up_to_2_53(p):
     # multiples of p and their neighbours up to 2^53 - p, the largest
-    # magnitude _float_exact lets the level sweep reach: there the rounded
+    # magnitude float_exact lets a product or sweep reach: there the rounded
     # quotient's floor is one off either way, for small and large primes alike
     rng = np.random.default_rng(p)
     kmax = ((1 << 53) - p - 1) // p
     ks = np.concatenate([np.arange(0, 500), kmax - np.arange(500), rng.integers(0, kmax, 20000)])
     x = (ks[:, None] * p + np.array([-1, 0, 1])).ravel()
     x = np.concatenate([x, -x])
-    got = sparselin._mod_exact(x.astype(np.float64), p)
+    got = fp.mod_exact(x.astype(np.float64), p)
     assert got.tolist() == [int(v) % p for v in x.tolist()]
 
 
 def test_exactness_bound_flips_between_two_batch_sizes(monkeypatch):
     # the largest prime at which a 200-pivot sweep is exact in float64;
-    # 201 pivots are not, so the same shape of batch takes the column loop
+    # 201 pivots are not, so the same shape of batch takes the column loop.
+    # Each step picks its route for its own pivot set: at 200 known pivots
+    # step 1 takes the level sweep, and step 3, by the known pivots and the
+    # new rows together, the column loop
     p = 6710887
-    assert sparselin._float_exact(200, p) and not sparselin._float_exact(201, p)
+    assert sparselin.float_exact(200, p) and not sparselin.float_exact(201, p)
     m = FieldModulus(p)
-    for n_known, route in ((200, "levels"), (201, "columns")):
+    for n_known, step1 in ((200, "_sweep_levels"), (201, "_sweep_columns")):
         # the known pivots are one dense chain: a lead of 1 and p-1 at every
         # column to its right, so each row depends on all the ones above it.
         # The remainder rows repeat lead 0 and hold p-1 almost everywhere:
@@ -560,19 +563,41 @@ def test_exactness_bound_flips_between_two_batch_sizes(monkeypatch):
         rank, rref, pivots = dense_gauss(mat, m)
         lead_row = dict(zip(pivots, rref))
         A = csr_from_dense(mat, m)
-        sweeps = []
         with monkeypatch.context() as mp:
-            real = sparselin._sweep_levels
-            mp.setattr(sparselin, "_sweep_levels", lambda *a: sweeps.append(1) or real(*a))
+            taken = record_sweep_routes(mp)
             f4 = psge_reduce(A, back_reduce=False)
+            assert taken == [("step 1", {step1})]
+            taken.clear()
             full = psge_reduce(A, back_reduce=True)
-        assert bool(sweeps) == (route == "levels")
+            assert taken == [("step 1", {step1}), ("step 3", {"_sweep_columns"})]
         assert f4.rank == full.rank == rank
         assert f4.nonpivot_rows
         for c, cols, vals in f4.nonpivot_rows:
             assert np.array_equal(np.flatnonzero(lead_row[c]), cols)
             assert np.array_equal(lead_row[c][cols], vals)
         assert np.array_equal(assemble_rows(full, n_cols), rref[:rank])
+
+
+def record_sweep_routes(monkeypatch):
+    """A list that gets, per ``_sweep`` call, its step and the sweep kernels it ran.
+
+    Step 3 is the call that sets each row's lead aside.
+    """
+    taken = []
+    real_sweep = sparselin._sweep
+
+    def sweep(*args, aside=False):
+        taken.append(("step 3" if aside else "step 1", set()))
+        return real_sweep(*args, aside=aside)
+
+    monkeypatch.setattr(sparselin, "_sweep", sweep)
+    for name in ("_sweep_levels", "_sweep_columns"):
+        def kernel(*args, name=name, real=getattr(sparselin, name)):
+            taken[-1][1].add(name)
+            return real(*args)
+
+        monkeypatch.setattr(sparselin, name, kernel)
+    return taken
 
 
 def test_f4_mode_never_calls_dense_gauss(monkeypatch):
@@ -822,7 +847,7 @@ def test_wiedemann_takes_spmm_at_a_31_bit_prime(monkeypatch, shape):
     widths = []
     real_spmm = sparselin.spmm
     monkeypatch.setattr(sparselin, "spmm", lambda M, X: widths.append(np.shape(X)[1:]) or real_spmm(M, X))
-    monkeypatch.setattr(sparselin, "_mod_exact", lambda *a: pytest.fail("float64 operator at a 31-bit prime"))
+    monkeypatch.setattr(fp, "mod_exact", lambda *a: pytest.fail("float64 product at a 31-bit prime"))
     kb = wiedemann_solve(A, seed=3, max_vectors=nullity)
     assert kb.dimension_found == nullity > 0
     assert (sparselin._block_width(nullity),) in widths
