@@ -6,8 +6,8 @@ processing order.  Each has two routes, chosen by ``ExecPolicy.lanes``:
 
 - one lane (the default) is a single numpy call: a stable ``np.lexsort``,
   one ``np.cumsum``, boolean-mask indexing, one ``lower_bound`` over the
-  whole segment (F4's graded batches sort one-word keys in ``symbolic``
-  itself; its lex batches and the wider ones come here);
+  whole segment (F4's batches sort one-word keys in ``symbolic`` itself,
+  lex ones included; only those whose key does not fit one word come here);
 - more lanes run the work decomposed exactly as a data-parallel runtime
   would decompose it, with every lane's lane-local work done in lockstep,
   as a GPU radix sort does (Merrill & Grimshaw 2011): one ``bincount`` of

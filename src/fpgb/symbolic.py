@@ -20,15 +20,16 @@ reducer rows of round k - 1's frontier; their keys are sorted and
 deduplicated once, looked up once, and the ones the dictionary lacks are
 inserted in place and become the next frontier.
 
-The keys a batch sorts and joins are of one of two kinds.  A graded batch
-at one lane whose degrees stay below 2^16 uses one int64 order key per
+The keys a batch sorts and joins are of one of two kinds.  A batch at one
+lane whose key fits one int64 word, lex included, uses one order key per
 monomial (``_WordKeys``): narrow lanes in the packed key's layout, built as
 a basis term's key plus the row's shift key, a word addition, so the
-batch's exponent array is never built.  Packed keys are then built once,
-for the frontier the closure reads and for the dictionary.  Every other
-batch (lex rings, wider keys, more lanes) packs each shifted term into
-16-bit lanes (``_PackedKeys``) and sorts and joins with ``bulk``.  Both give
-the same plan bytes.
+batch's exponent array is never built.  The closure reads the frontier's
+exponents straight off those lanes, and packed keys are built once, for
+the dictionary.  A lex closure round that would pass its lanes sends the
+batch back to the start on packed keys.  Every other batch (wider keys,
+more lanes) packs each shifted term into 16-bit lanes (``_PackedKeys``) and
+sorts and joins with ``bulk``.  Both give the same plan bytes.
 
 Everything is deterministic: S-half rows are ordered by (provenance, shift
 key, basis index), closure rows append in discovery-round order, and
@@ -269,14 +270,17 @@ def _materialize(rows: RowMeta, basis: SoaPolySet, policy: ExecPolicy, emitted: 
 class _PackedKeys:
     """Monomials as packed keys, one (W,) uint64 row each, sorted and joined by ``bulk``.
 
-    The route of lex rings, of batches the one-word key does not fit, and of
-    every batch at more than one lane, where ``bulk``'s lane-split route is
-    the determinism oracle.  A shift that overflows a lane raises
-    LaneOverflowError in ``key_pack_vec``.
+    The route of batches the one-word key does not fit and of every batch
+    at more than one lane, where ``bulk``'s lane-split route is the
+    determinism oracle.  A shift that overflows a lane raises
+    LaneOverflowError in ``key_pack_vec``, so every row fits here.
     """
 
     def __init__(self, policy: ExecPolicy):
         self.policy = policy
+
+    def fits(self, rows: RowMeta) -> bool:
+        return True
 
     def materialize(self, rows: RowMeta, basis: SoaPolySet, emitted: int):
         return _materialize(rows, basis, self.policy, emitted)
@@ -290,30 +294,35 @@ class _PackedKeys:
     def join(self, keys: np.ndarray, dict_asc: np.ndarray) -> np.ndarray:
         return merge_join_index(keys, dict_asc, self.policy, check=False)
 
+    def exponents(self, keys: np.ndarray) -> None:
+        # closure_expand unpacks packed keys itself
+        return None
+
     def packed(self, keys: np.ndarray) -> np.ndarray:
         return keys
 
 
 class _WordKeys:
-    """Monomials of one graded batch as one int64 order key each.
+    """Monomials of one batch at one lane as one int64 order key each.
 
-    The key is ``exps @ w + c``: a b-bit degree lane, then n b-bit tie lanes
-    holding what the packed key's 16-bit lanes hold, (2^b - 1) - e in
-    reversed variable order under grevlex and e under deglex.  While every
-    degree in the batch is below 2^b it orders exactly like the packed key.
-    It is additive, so a shifted term's key is its basis term's key plus
-    ``shift @ w``, and no exponent array of the batch is built.  Packed keys
-    are built only for the frontier that ``closure_expand`` reads and for
-    the dictionary.
+    The key is ``exps @ w + c``: under a graded order a b-bit degree lane,
+    then n b-bit lanes holding what the packed key's 16-bit lanes hold,
+    (2^b - 1) - e in reversed variable order under grevlex and e under
+    deglex and lex; lex has no degree lane.  While every lane's value is
+    below 2^b it orders exactly like the packed key.  It is additive, so a
+    shifted term's key is its basis term's key plus ``shift @ w``, and no
+    exponent array of the batch is built.  The closure reads its frontier's
+    exponents straight off the lanes; packed keys are built only for the
+    dictionary.
     """
 
     def __init__(self, basis: SoaPolySet, b: int):
         ring = basis.ring
         n = ring.n_vars
-        self.ring, self.b = ring, b
-        # shift of tie lane j, most significant first
+        self.ring, self.b, self.mask = ring, b, (1 << b) - 1
+        # shift of lane j, most significant first
         self.lane_shift = b * np.arange(n - 1, -1, -1, dtype=np.int64)
-        degree = 1 << (n * b)
+        degree = 1 << (n * b) if ring.graded else 0
         if ring.order == "grevlex":
             # variable i sits, complemented, in lane n - 1 - i at shift b * i
             self.w = degree - (1 << self.lane_shift[::-1])
@@ -322,6 +331,12 @@ class _WordKeys:
             self.w = degree + (1 << self.lane_shift)
             self.c = 0
         self.term_key = basis.exps @ self.w
+        # lex: each member's largest exponent of every variable, which a
+        # row's shift must keep within its lanes (graded batches are bounded
+        # by their degree lane in ``fit``)
+        self.member_top = None
+        if not ring.graded:
+            self.member_top = np.maximum.reduceat(basis.exps, basis.offset[:-1], axis=0)
 
     @classmethod
     def fit(cls, rows: RowMeta, basis: SoaPolySet, policy: ExecPolicy) -> "_WordKeys | None":
@@ -330,23 +345,37 @@ class _WordKeys:
         In a graded ring a member's lead carries its largest degree, and a
         closure row leads at a monomial already present, so no monomial of
         the batch passes D = max(lead degree + shift degree) over the given
-        rows.  Lanes of b = bit_length(D) bits then never overflow.  Every
-        other batch keeps the packed keys: lex rings, D >= 2^16 (where
-        ``key_pack_vec`` decides on lane overflow), b * (n + 1) > 63,
-        negative shifts, bad or empty basis members, and ``lanes > 1``.
+        rows.  Lanes of b = bit_length(D) bits then never overflow.  Lex
+        lanes are b = min(16, 63 // n) bits wide, and the given rows fit
+        when every member's largest exponent of each variable plus the row's
+        shift stays below 2^b; ``fits`` checks each closure round the same
+        way.  Every other batch keeps the packed keys: graded D >= 2^16
+        (where ``key_pack_vec`` decides on lane overflow), b * (n + 1) > 63,
+        lex rows past their lanes, negative shifts, bad or empty basis
+        members, and ``lanes > 1``.
         """
         ring = basis.ring
         ks = rows.basis_index
-        if policy.lanes > 1 or not ring.graded or len(rows) == 0:
+        if policy.lanes > 1 or len(rows) == 0:
             return None
-        bad_index = ((ks < 0) | (ks >= len(basis))).any()
-        if bad_index or (np.diff(basis.offset)[ks] < 1).any() or (rows.shift < 0).any():
+        if ks.min() < 0 or ks.max() >= len(basis) or rows.shift.min() < 0:
             return None
+        if (np.diff(basis.offset) < 1).any():
+            return None
+        if not ring.graded:
+            keys = cls(basis, min(16, 63 // ring.n_vars))
+            return keys if keys.fits(rows) else None
         top = basis.exps[basis.offset[ks]].sum(axis=1) + rows.shift.sum(axis=1)
         b = max(1, int(top.max()).bit_length())
         if b > 16 or b * (ring.n_vars + 1) > 63:
             return None
         return cls(basis, b)
+
+    def fits(self, rows: RowMeta) -> bool:
+        """Whether every term of these rows keeps each exponent within its lane."""
+        if self.member_top is None:
+            return True
+        return int((self.member_top[rows.basis_index] + rows.shift).max()) <= self.mask
 
     def materialize(self, rows: RowMeta, basis: SoaPolySet, emitted: int):
         lens, off, gather = _gather(rows, basis, DEFAULT_POLICY, emitted)
@@ -375,11 +404,15 @@ class _WordKeys:
             raise MissingKeyError(f"key {key} absent from dictionary")
         return pos
 
-    def packed(self, keys: np.ndarray) -> np.ndarray:
-        lanes = (keys[:, None] >> self.lane_shift) & ((1 << self.b) - 1)
+    def exponents(self, keys: np.ndarray) -> np.ndarray:
+        """The (N, n_vars) int64 exponent rows of these keys, read off their lanes."""
+        lanes = (keys[:, None] >> self.lane_shift) & self.mask
         if self.ring.order == "grevlex":
-            lanes = ((1 << self.b) - 1) - lanes[:, ::-1]
-        return key_pack_vec(lanes, self.ring)
+            return self.mask - lanes[:, ::-1]
+        return lanes
+
+    def packed(self, keys: np.ndarray) -> np.ndarray:
+        return key_pack_vec(self.exponents(keys), self.ring)
 
 
 def _reducer_preference(basis: SoaPolySet) -> np.ndarray:
@@ -388,7 +421,11 @@ def _reducer_preference(basis: SoaPolySet) -> np.ndarray:
 
 
 def closure_expand(
-    keys_desc: np.ndarray, basis: SoaPolySet, round_id: int = 1, pref: np.ndarray | None = None
+    keys_desc: np.ndarray,
+    basis: SoaPolySet,
+    round_id: int = 1,
+    pref: np.ndarray | None = None,
+    exps: np.ndarray | None = None,
 ) -> RowMeta:
     """One round of one-step reduction closure over a frontier of monomials.
 
@@ -401,11 +438,14 @@ def closure_expand(
 
     The search is one ``first_divisor`` call against the leads in that order.
     ``pref`` is that order, ``_reducer_preference(basis)``, computed here
-    unless the caller passes it.
+    unless the caller passes it.  ``exps`` are the exponent rows of
+    ``keys_desc`` when the caller has them, as the word keys do; packed
+    keys are unpacked here otherwise.
     """
     if len(keys_desc) == 0 or len(basis) == 0:
         return RowMeta(np.zeros((0, basis.ring.n_vars + 3), dtype=np.int64))
-    exps = key_unpack_vec(keys_desc, basis.ring)
+    if exps is None:
+        exps = key_unpack_vec(keys_desc, basis.ring)
     if pref is None:
         pref = _reducer_preference(basis)
     first = first_divisor(basis.exps[basis.offset[pref]], exps)
@@ -415,31 +455,15 @@ def closure_expand(
     return RowMeta.of(RowRole.REDUCER.value, round_id, ks, shifts)
 
 
-def compile_batch(
-    rows: RowMeta,
-    basis: SoaPolySet,
-    closure: Closure = Closure.ONE_STEP_REDUCTION,
-    policy: ExecPolicy = DEFAULT_POLICY,
-) -> LayoutPlan:
-    """Compile a row table into a layout plan.
+def _closed_dictionary(rows: RowMeta, basis: SoaPolySet, closure: Closure, keyer):
+    """The rounds of ``compile_batch`` on one kind of key.
 
-    ``rows`` must already be in the deterministic order produced by
-    select_rows (an empty table may be a plain list); closure rows are
-    appended per discovery round.  KEY_CAP bounds the keys of all rounds
-    together, and DICT_CAP the dictionary after each closure round.  The
-    output is byte-identical for any ExecPolicy.
+    Returns (parts, dict_asc, counters): each round's rows, row lengths,
+    keys and values, the ascending dictionary, and the counters so far.
+    Returns None when a closure round's rows do not fit the keyer's lanes;
+    the caller then starts again on packed keys.
     """
-    ring = basis.ring
     counters = PlanCounters()
-    timings = {}
-    given = np.asarray(getattr(rows, "rows", rows), dtype=np.int64)
-    rows = RowMeta(given.reshape(-1, ring.n_vars + 3))
-
-    # round 0 is the given rows; round k >= 1 is the closure rows of the
-    # monomials round k - 1 added, which no row can lead because every
-    # closure row leads at a monomial already present
-    t0 = time.monotonic_ns()
-    keyer = _WordKeys.fit(rows, basis, policy) or _PackedKeys(policy)
     parts, dict_asc, pref = [], None, None
     while True:
         lens, keys, vals, lead_keys = keyer.materialize(rows, basis, counters.keys_emitted)
@@ -470,10 +494,50 @@ def compile_batch(
         if pref is None and len(frontier) and len(basis):
             # the basis is fixed within a batch: one reducer order for every round
             pref = _reducer_preference(basis)
-        rows = closure_expand(keyer.packed(frontier[::-1]), basis, counters.closure_rounds + 1, pref)
+        frontier = frontier[::-1]
+        rows = closure_expand(
+            frontier, basis, counters.closure_rounds + 1, pref, keyer.exponents(frontier)
+        )
         if not rows:
             break
+        if not keyer.fits(rows):
+            return None
         counters.closure_rounds += 1
+    return parts, dict_asc, counters
+
+
+def compile_batch(
+    rows: RowMeta,
+    basis: SoaPolySet,
+    closure: Closure = Closure.ONE_STEP_REDUCTION,
+    policy: ExecPolicy = DEFAULT_POLICY,
+) -> LayoutPlan:
+    """Compile a row table into a layout plan.
+
+    ``rows`` must already be in the deterministic order produced by
+    select_rows (an empty table may be a plain list); closure rows are
+    appended per discovery round.  KEY_CAP bounds the keys of all rounds
+    together, and DICT_CAP the dictionary after each closure round.  A
+    batch on word keys whose closure reaches past their lanes is compiled
+    again from the start on packed keys, which raise LaneOverflowError
+    where a key does not fit them.  The output is byte-identical for any
+    ExecPolicy.
+    """
+    ring = basis.ring
+    timings = {}
+    given = np.asarray(getattr(rows, "rows", rows), dtype=np.int64)
+    rows = RowMeta(given.reshape(-1, ring.n_vars + 3))
+
+    # round 0 is the given rows; round k >= 1 is the closure rows of the
+    # monomials round k - 1 added, which no row can lead because every
+    # closure row leads at a monomial already present
+    t0 = time.monotonic_ns()
+    keyer = _WordKeys.fit(rows, basis, policy)
+    built = keyer and _closed_dictionary(rows, basis, closure, keyer)
+    if not built:
+        keyer = _PackedKeys(policy)
+        built = _closed_dictionary(rows, basis, closure, keyer)
+    parts, dict_asc, counters = built
     dict_desc = np.ascontiguousarray(keyer.packed(dict_asc[::-1]))
     timings["dict_build_ns"] = time.monotonic_ns() - t0
 

@@ -1,6 +1,7 @@
 """Driver-level tests: S-polys, criteria, F4 batches, oracle equivalence."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fpgb.polynomials import (
     SoaPolySet,
     poly_add_scaled,
     poly_format,
+    poly_from_dict,
     poly_monic,
     poly_mul_mon,
     poly_normalize,
@@ -997,3 +999,51 @@ def test_random_quadratic_oracle_sample():
         gb_b = buchberger_reference(polys, ring)
         assert gb_text(gb_f4) == gb_text(gb_b)
         assert is_groebner(gb_f4, ring).ok
+
+
+def test_f4_word_and_packed_keys_agree_on_random_lex_and_deglex_systems():
+    """F4 at one worker, on word keys, and at two, on packed keys: the same
+    plan for every batch and the same basis, or the same cap error."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 3),
+        order=st.sampled_from(("lex", "deglex")),
+        p=st.sampled_from((7, 65537)),
+        data=st.data(),
+    )
+    def check(n, order, p, data):
+        ring = Ring([f"x{i}" for i in range(n)], order, FieldModulus(p))
+        mon = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+        poly = st.dictionaries(mon, st.integers(1, p - 1), min_size=1, max_size=3)
+        system = [poly_from_dict(d, ring) for d in data.draw(st.lists(poly, min_size=1, max_size=3))]
+
+        def run(workers):
+            plans = []
+
+            def on_batch(basis, plan, echelon, stats):
+                plans.append(symbolic.plan_to_text(plan))
+
+            try:
+                basis = f4_groebner(system, ring, PipelineConfig(workers=workers), on_batch)
+            except SizeCapError as e:
+                return plans, f"SizeCapError: {e}"
+            return plans, gb_text(basis)
+
+        assert run(1) == run(2)
+
+    # a small key cap keeps the lex blow-ups cheap; they stay in the draws
+    with mock.patch.object(symbolic, "KEY_CAP", 1 << 14):
+        check()
+
+
+def test_f4_lex_refusal_is_a_size_cap_error():
+    # F4 refuses this tiny lex system: the reduced lex basis has three members
+    # of degree at most 8, but one batch's closure passes KEY_CAP
+    ring = Ring(["x0", "x1", "x2"], "lex", M7)
+    system = [poly_parse(t, ring) for t in ("x0^2 + x1^2*x2", "x0*x1^2 + 2", "x0*x2 + x0*x1 + 1")]
+    with pytest.raises(SizeCapError) as e:
+        f4_groebner(system, ring)
+    assert str(e.value) == "batch key volume M = 10165682 exceeds 8388608 keys"

@@ -197,8 +197,8 @@ def test_one_step_closure_adds_reducer_row():
 
 def test_key_cap_is_checked_before_keys_are_packed(monkeypatch):
     # the S-halves hold 4 keys and the closure row for y^2 - 1 two more: M = 6;
-    # grevlex at one lane takes the one-word key route, two lanes and a lex
-    # ring the packed-key route, and all three check the cap at one point
+    # grevlex and lex at one lane take the one-word key route, two lanes the
+    # packed-key route, and all four check the cap at one point
     gathered, packed_route = [], []
     gather, materialize = symbolic._gather, symbolic._materialize
 
@@ -216,7 +216,8 @@ def test_key_cap_is_checked_before_keys_are_packed(monkeypatch):
     for order, policy, word_route in (
         ("grevlex", ExecPolicy(1), True),
         ("grevlex", ExecPolicy(2), False),
-        ("lex", ExecPolicy(1), False),
+        ("lex", ExecPolicy(1), True),
+        ("lex", ExecPolicy(2), False),
     ):
         ring = Ring(["x", "y"], order, M7)
         basis = soa_pack([poly_parse(t, ring) for t in ("x^2 - y", "x*y - 1", "y^2 - 1")], ring)
@@ -249,24 +250,39 @@ def outcome(compile_, *args):
         return f"{type(e).__name__}: {e}"
 
 
+def lex_rows_fit(polys, ks, shifts, b):
+    """Whether every term of every row keeps each exponent below 2^b."""
+    return all(
+        e + t < 1 << b for k, shift in zip(ks, shifts) for m, _ in polys[k].terms for e, t in zip(m, shift)
+    )
+
+
 def test_word_keys_match_packed_keys_on_random_row_tables():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(
         n=st.integers(1, 4),
-        order=st.sampled_from(("grevlex", "deglex")),
+        order=st.sampled_from(ORDERS),
         p=st.sampled_from((7, 65537, 2**31 - 19)),
         closure=st.sampled_from(Closure),
+        lanes=st.sampled_from(("small", "wide", "reach")),
         data=st.data(),
     )
-    def check(n, order, p, closure, data):
+    def check(n, order, p, closure, lanes, data):
         ring = Ring([f"x{v}" for v in range(n)], order, FieldModulus(p))
-        mono = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
-        terms = st.dictionaries(mono, st.integers(1, p - 1), min_size=1, max_size=4)
+        lex = order == "lex"
+        # lex word lanes are b bits wide; its wide draws reach up to and past
+        # 2^b - 1, with basis exponents kept within the packed key's lanes
+        b = min(16, 63 // n)
+        small = st.integers(0, 3)
+        big = st.integers((1 << b) - 3, 1 << b)
+        exp = st.one_of(small, big) if lex and lanes == "wide" else small
+        mono = st.lists(exp, min_size=n, max_size=n).map(tuple)
+        term_mono = mono.map(lambda m: tuple(min(e, 2**16 - 1) for e in m))
+        terms = st.dictionaries(term_mono, st.integers(1, p - 1), min_size=1, max_size=4)
         polys = [poly_from_dict(t, ring) for t in data.draw(st.lists(terms, min_size=1, max_size=5))]
-        basis = soa_pack(polys, ring)
         row = st.tuples(
             st.sampled_from([r.value for r in RowRole]),
             st.integers(0, 3),
@@ -274,11 +290,29 @@ def test_word_keys_match_packed_keys_on_random_row_tables():
             mono,
         )
         drawn = data.draw(st.lists(row, min_size=1, max_size=8))
+        if lex and lanes == "reach" and n > 1:
+            # x0^2 + x0*x1 as a given row; x0 + x1^K's closure row for x0*x1
+            # has the tail x1^(K + 1), at or past the lanes' last value
+            closure = Closure.ONE_STEP_REDUCTION
+            K = data.draw(st.sampled_from(((1 << b) - 2, (1 << b) - 1)))
+            polys += [poly_parse("x0^2 + x0*x1", ring), poly_parse(f"x0 + x1^{K}", ring)]
+            drawn.append((RowRole.SPOLY_HALF.value, 0, len(polys) - 2, (0,) * n))
+        basis = soa_pack(polys, ring)
         role, provenance, ks, shifts = zip(*drawn)
         rows = RowMeta.of(role, provenance, ks, np.array(shifts, dtype=np.int64))
-        assert symbolic._WordKeys.fit(rows, basis, ExecPolicy()) is not None
-        want = packed_key_plan(rows, basis, closure)
-        assert plan_to_text(compile_batch(rows, basis, closure)) == plan_to_text(want)
+        fit = symbolic._WordKeys.fit(rows, basis, ExecPolicy())
+        assert (fit is not None) is (not lex or lex_rows_fit(polys, ks, shifts, b))
+        # under lex a closure can step down a power of 2^16 one variable at a
+        # time; a small DICT_CAP stops those chains early on both routes
+        with mock.patch.object(symbolic, "DICT_CAP", 256 if lex else symbolic.DICT_CAP):
+            try:
+                want = packed_key_plan(rows, basis, closure)
+            except (SizeCapError, LaneOverflowError):
+                assert outcome(compile_batch, rows, basis, closure) == outcome(
+                    packed_key_plan, rows, basis, closure
+                )
+                return
+            assert plan_to_text(compile_batch(rows, basis, closure)) == plan_to_text(want)
         # the caps refuse exactly the same batches, with the same message;
         # DICT_CAP bounds the dictionary only after a closure round
         c = want.counters
@@ -290,6 +324,39 @@ def test_word_keys_match_packed_keys_on_random_row_tables():
                     assert got.startswith("SizeCapError") is (checked and cap < size)
 
     check()
+
+
+@pytest.mark.parametrize("n, b, packed_overflows", [(2, 16, True), (4, 15, False)])
+def test_lex_closure_past_the_word_lanes_restarts_on_packed_keys(n, b, packed_overflows, monkeypatch):
+    # the given row x0^2 + x0*x1 fits b-bit lanes; the closure row for x0*x1
+    # is (x0 + x1^K) * x1, whose tail x1^(K + 1) passes them at K = 2^b - 1.
+    # That round is never materialized on word keys: the batch starts again
+    # on packed keys, whose 16-bit lanes hold x1^(2^15) at n = 4 but not
+    # x1^(2^16) at n = 2, where they raise LaneOverflowError as before
+    ring = Ring([f"x{v}" for v in range(n)], "lex", FieldModulus(65537))
+    rows = rows_of(RowRole.SPOLY_HALF, 0, [0], [[0] * n])
+    packed_route = []
+    materialize = symbolic._materialize
+
+    def spy_materialize(*args, **kwargs):
+        packed_route.append(True)
+        return materialize(*args, **kwargs)
+
+    monkeypatch.setattr(symbolic, "_materialize", spy_materialize)
+    for K, restart in (((1 << b) - 2, False), ((1 << b) - 1, True)):
+        basis = soa_pack([poly_parse(t, ring) for t in ("x0^2 + x0*x1", f"x0 + x1^{K}")], ring)
+        assert symbolic._WordKeys.fit(rows, basis, ExecPolicy()).b == b
+        packed_route.clear()
+        got = outcome(compile_batch, rows, basis)
+        assert bool(packed_route) is restart
+        assert got == outcome(packed_key_plan, rows, basis)
+        assert got.startswith("LaneOverflowError") is (restart and packed_overflows)
+        # M = 4 keys and N = 3 monomials; every cap below them refuses the
+        # batch on both routes with one message
+        for cap_name in ("KEY_CAP", "DICT_CAP"):
+            for cap in range(1, 5):
+                with mock.patch.object(symbolic, cap_name, cap):
+                    assert outcome(compile_batch, rows, basis) == outcome(packed_key_plan, rows, basis)
 
 
 @pytest.mark.parametrize("order", ["grevlex", "deglex"])
@@ -330,9 +397,17 @@ def test_word_keys_leave_other_batches_to_packed_keys():
     assert symbolic._WordKeys.fit(rows, basis, ExecPolicy()) is not None
     assert symbolic._WordKeys.fit(rows, basis, ExecPolicy(2)) is None
     assert symbolic._WordKeys.fit(RowMeta(rows.rows[:0]), basis, ExecPolicy()) is None
+    # lex at one lane takes 16-bit word lanes while every row fits them;
+    # at two lanes it keeps the packed keys
     lex = Ring(["x", "y"], "lex", M7)
     lex_basis = soa_pack([poly_parse(t, lex) for t in ("x^2 - y", "x*y - 1")], lex)
-    assert symbolic._WordKeys.fit(spoly_pair_rows(lex_basis), lex_basis, ExecPolicy()) is None
+    lex_rows = spoly_pair_rows(lex_basis)
+    assert symbolic._WordKeys.fit(lex_rows, lex_basis, ExecPolicy()).b == 16
+    assert symbolic._WordKeys.fit(lex_rows, lex_basis, ExecPolicy(2)) is None
+    # x*y - 1 times y^65534 keeps y's lane at 2^16 - 1; one more y passes it
+    for top, fits in ((2**16 - 2, True), (2**16 - 1, False)):
+        wide = rows_of(RowRole.SPOLY_HALF, 0, [1], [[0, top]])
+        assert (symbolic._WordKeys.fit(wide, lex_basis, ExecPolicy()) is not None) is fits
     # negative shifts and basis indices outside the basis stay on the packed
     # route, which raises on them as it always has
     for k, shift in ((1, [[2, -1]]), (0, [[0, -1]]), (2, [[0, 0]]), (-1, [[0, 0]])):
@@ -359,7 +434,7 @@ def test_closure_expand_fixed_point_example():
     rows = spoly_pair_rows(basis)
     plan = compile_batch(rows, basis, Closure.SUPPORT_ONLY)
     # x^2 y leads an existing row; y^2 and x have no divisor among {x^2, x y}
-    assert len(closure_expand(plan.dict_keys[1:], basis)) == 0
+    assert len(assert_same_with_word_exponents(plan.dict_keys[1:], basis)) == 0
 
 
 def test_closure_expand_chain_example():
@@ -367,7 +442,7 @@ def test_closure_expand_chain_example():
     rx = Ring(["x"], "grevlex", M7)
     gb = soa_pack([poly_parse("x - 1", rx)], rx)
     dict_keys = np.asarray([mon_key_pack((3,), rx)], dtype=np.uint64)
-    rows = closure_expand(dict_keys, gb)
+    rows = assert_same_with_word_exponents(dict_keys, gb)
     assert rows.shift.tolist() == [[2]] and rows.basis_index.tolist() == [0]
     # driving the same rule through compile_batch reaches the full fixed point
     seed_rows = rows_of(RowRole.SPOLY_HALF, 0, [0], [[2]])
@@ -412,22 +487,34 @@ def assert_same_rows(got, want):
     assert np.array_equal(got.rows, want.rows)
 
 
+def assert_same_with_word_exponents(frontier, basis, round_id=1):
+    """closure_expand given the frontier's exponent rows, read off word keys,
+    gives the rows it gives when it unpacks the packed keys itself."""
+    want = closure_expand(frontier, basis, round_id)
+    words = symbolic._WordKeys(basis, 8)
+    word_keys = key_unpack_vec(frontier, basis.ring) @ words.w + words.c
+    exps = words.exponents(word_keys)
+    assert_same_rows(closure_expand(word_keys, basis, round_id, None, exps), want)
+    assert_same_rows(closure_expand(frontier, basis, round_id, None, exps), want)
+    return want
+
+
 def test_closure_expand_matches_per_member_search_small_cases():
     basis = two_poly_basis()
     empty = np.zeros((0, R2.n_key_words), dtype=np.uint64)
     assert_same_rows(closure_expand(empty, basis), closure_expand_per_member(empty, basis))
-    assert len(closure_expand(empty, basis)) == 0
+    assert len(assert_same_with_word_exponents(empty, basis)) == 0
     # no divisor: y^2, x and 1 are all outside the ideal of {x^2, x*y}
     none = descending_keys([(0, 2), (1, 0), (0, 0)], R2)
     assert_same_rows(closure_expand(none, basis), closure_expand_per_member(none, basis))
-    assert len(closure_expand(none, basis)) == 0
+    assert len(assert_same_with_word_exponents(none, basis)) == 0
     # equal leads at different indices: the lowest index wins the tie, and
     # x^2*y prefers x*y (smaller lead) over x^2
     tied = soa_pack(
         [poly_parse(t, R2) for t in ("x^2 - y", "x*y - 1", "3*x*y + y", "x*y + x")], R2
     )
     frontier = descending_keys([(3, 1), (2, 1), (1, 1), (2, 0), (0, 3)], R2)
-    rows = closure_expand(frontier, tied, 4)
+    rows = assert_same_with_word_exponents(frontier, tied, 4)
     assert_same_rows(rows, closure_expand_per_member(frontier, tied, 4))
     assert rows.role.tolist() == [RowRole.REDUCER.value] * 4
     assert np.column_stack([rows.shift, rows.basis_index, rows.provenance]).tolist() == [
@@ -453,7 +540,7 @@ def test_closure_expand_matches_per_member_search_across_chunks():
     frontier = descending_keys(exps, ring)
     chunk = monomials._DIVISOR_CELLS // (len(polys) * ring.n_vars)
     assert len(frontier) > 2 * chunk
-    rows = closure_expand(frontier, basis, 2)
+    rows = assert_same_with_word_exponents(frontier, basis, 2)
     assert len(rows) > chunk
     assert_same_rows(rows, closure_expand_per_member(frontier, basis, 2))
 
