@@ -238,10 +238,10 @@ def segment_defects(row_ptr: np.ndarray, col_ind: np.ndarray, n_cols: int):
     ``outside`` those whose first or last column lies outside [0, n_cols);
     ``row_ptr`` must be non-decreasing and end at ``len(col_ind)``.
     """
-    lens = np.diff(row_ptr)
+    lens = row_ptr[1:] - row_ptr[:-1]
     empty = lens < 1
     row_of = np.repeat(np.arange(len(lens)), lens)
-    step_bad = np.diff(col_ind) <= 0
+    step_bad = col_ind[1:] <= col_ind[:-1]
     same_row = row_of[1:] == row_of[:-1]
     unordered = np.zeros(len(lens), dtype=bool)
     unordered[row_of[1:][step_bad & same_row]] = True

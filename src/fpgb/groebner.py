@@ -35,7 +35,7 @@ from operator import add, le, neg, sub
 
 import numpy as np
 
-from .bulk import ExecPolicy
+from .bulk import ExecPolicy, radix_sort
 from .errors import (
     ArityMismatchError,
     NonterminationError,
@@ -281,9 +281,10 @@ def _chain_or_repeat(cand: np.ndarray, cdeg: np.ndarray) -> np.ndarray:
     or an earlier new pair has the same lcm.  Both read "lcm_b divides
     lcm_a and (deg_b, b) < (deg_a, a)", as a divisor of equal degree is
     equal.  So in (degree, index) order the pairs that go are exactly the
-    rows that are not minimal.
+    rows that are not minimal; that order is ``bulk``'s stable sort of the
+    degrees, one word a pair.
     """
-    order = np.argsort(cdeg, kind="stable")
+    _, order = radix_sort(cdeg.view(np.uint64).reshape(-1, 1))
     out = np.empty(len(cand), dtype=bool)
     out[order] = ~minimal_rows(cand[order])
     return out

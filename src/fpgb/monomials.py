@@ -51,6 +51,7 @@ class Ring:
         "graded",
         "_lane_word",
         "_lane_shift",
+        "_word_lane",
         "_lane_mask",
         "_key_cache",
     )
@@ -76,6 +77,8 @@ class Ring:
         offs = [head + _EXP_BITS * i for i in range(self.n_vars)]
         self._lane_word = np.array([o // 64 for o in offs], dtype=np.int64)
         self._lane_shift = np.array([64 - (o % 64) - _EXP_BITS for o in offs], dtype=np.uint64)
+        # the first lane of every word: each word starts with a lane at its bit 0
+        self._word_lane = np.searchsorted(self._lane_word, np.arange(self.n_key_words))
         # every bit a well-formed key may set: the degree lane and the
         # exponent lanes; the padding after the last lane stays zero
         mask = [0] * self.n_key_words
@@ -126,15 +129,13 @@ def key_pack_vec(exps: np.ndarray, ring: Ring) -> np.ndarray:
     if exps.size and (exps.min() < 0 or exps.max() >= _EXP_LIMIT):
         raise LaneOverflowError("exponent does not fit a 16-bit lane")
     e = exps.astype(np.uint64)
-    deg = e.sum(axis=1)
-    if e.size and deg.max() >= _DEG_LIMIT:
-        raise LaneOverflowError("total degree does not fit the 32-bit degree lane")
-    words = np.zeros((e.shape[0], ring.n_key_words), dtype=np.uint64)
+    # lanes hold disjoint bits, so summing a word's shifted lanes places them
+    words = np.add.reduceat(_tie_lanes(e, ring) << ring._lane_shift, ring._word_lane, axis=1)
     if ring.graded:
-        words[:, 0] |= deg << np.uint64(32)
-    lanes = _tie_lanes(e, ring).astype(np.uint64)
-    for i in range(ring.n_vars):
-        words[:, ring._lane_word[i]] |= lanes[:, i] << ring._lane_shift[i]
+        deg = e.sum(axis=1)
+        if e.size and deg.max() >= _DEG_LIMIT:
+            raise LaneOverflowError("total degree does not fit the 32-bit degree lane")
+        words[:, 0] += deg << np.uint64(32)
     return words
 
 
@@ -271,18 +272,19 @@ def count_monomials(n: int, d: int):
 
 
 def key_cmp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lexicographic comparison of aligned key-word rows: -1/0/+1 per row."""
+    """Lexicographic comparison of aligned key-word rows: -1/0/+1 per row.
+
+    Each pair of rows is decided by its first differing word.
+    """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
-    out = np.zeros(a.shape[0], dtype=np.int8)
-    for w in range(a.shape[1]):
-        undecided = out == 0
-        if not undecided.any():
-            break
-        aw, bw = a[:, w], b[:, w]
-        out = np.where(undecided & (aw < bw), np.int8(-1), out)
-        out = np.where(undecided & (aw > bw), np.int8(1), out)
-    return out
+    if a.shape[1] == 1:
+        aw, bw = a[:, 0], b[:, 0]
+    else:
+        rows = np.arange(a.shape[0])
+        first = (a != b).argmax(axis=1)
+        aw, bw = a[rows, first], b[rows, first]
+    return (aw > bw).view(np.int8) - (aw < bw).view(np.int8)
 
 
 def mon_format(u: Monomial, ring: Ring) -> str:

@@ -178,8 +178,7 @@ class LayoutPlan:
         ok = self.row_ptr[0] == 0 and self.row_ptr[-1] == len(self.col_ind) == len(self.val)
         if not ok:
             raise PropertyViolationError("row_ptr does not tile the value stream")
-        seg_len = np.diff(self.row_ptr)
-        if (seg_len < 0).any():
+        if (self.row_ptr[1:] < self.row_ptr[:-1]).any():
             raise PropertyViolationError("negative row segment length")
         if len(self.row_meta) != self.n_rows:
             raise PropertyViolationError("row_meta length mismatch")
@@ -242,7 +241,7 @@ def _gather(rows: RowMeta, basis: SoaPolySet, policy: ExecPolicy, emitted: int):
     count so far, ``emitted``, plus these rows' keys would pass KEY_CAP.
     """
     ks = rows.basis_index
-    lens = np.diff(basis.offset)[ks]
+    lens = (basis.offset[1:] - basis.offset[:-1])[ks]
     if (lens < 1).any():
         raise PropertyViolationError("zero polynomial referenced as a reducer")
     off = exclusive_scan(lens, policy)
@@ -276,10 +275,11 @@ class _PackedKeys:
     LaneOverflowError in ``key_pack_vec``, so every row fits here.
     """
 
-    def __init__(self, policy: ExecPolicy):
-        self.policy = policy
+    def __init__(self, ring: Ring, policy: ExecPolicy):
+        self.ring, self.policy = ring, policy
 
     def fits(self, rows: RowMeta) -> bool:
+        # a lane overflow raises in ``materialize`` instead
         return True
 
     def materialize(self, rows: RowMeta, basis: SoaPolySet, emitted: int):
@@ -294,9 +294,8 @@ class _PackedKeys:
     def join(self, keys: np.ndarray, dict_asc: np.ndarray) -> np.ndarray:
         return merge_join_index(keys, dict_asc, self.policy, check=False)
 
-    def exponents(self, keys: np.ndarray) -> None:
-        # closure_expand unpacks packed keys itself
-        return None
+    def exponents(self, keys: np.ndarray) -> np.ndarray:
+        return key_unpack_vec(keys, self.ring)
 
     def packed(self, keys: np.ndarray) -> np.ndarray:
         return keys
@@ -360,7 +359,7 @@ class _WordKeys:
             return None
         if ks.min() < 0 or ks.max() >= len(basis) or rows.shift.min() < 0:
             return None
-        if (np.diff(basis.offset) < 1).any():
+        if (basis.offset[1:] <= basis.offset[:-1]).any():
             return None
         if not ring.graded:
             keys = cls(basis, min(16, 63 // ring.n_vars))
@@ -396,8 +395,7 @@ class _WordKeys:
 
     def join(self, keys: np.ndarray, dict_asc: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(dict_asc, keys)
-        hit = pos < len(dict_asc)
-        hit[hit] = dict_asc[pos[hit]] == keys[hit]
+        hit = dict_asc[np.minimum(pos, len(dict_asc) - 1)] == keys
         if not hit.all():
             i = int(np.argmin(hit))
             key = tuple(self.packed(keys[i : i + 1])[0].tolist())
@@ -438,9 +436,11 @@ def closure_expand(
 
     The search is one ``first_divisor`` call against the leads in that order.
     ``pref`` is that order, ``_reducer_preference(basis)``, computed here
-    unless the caller passes it.  ``exps`` are the exponent rows of
-    ``keys_desc`` when the caller has them, as the word keys do; packed
-    keys are unpacked here otherwise.
+    unless the caller passes it.  Without ``exps`` the keys are packed keys
+    and are unpacked here.  With ``exps``, the exponent rows of the given
+    monomials in the same order, the keys are only counted, so they may be
+    of any kind: ``compile_batch`` passes each keyer's own keys with the
+    exponents it reads off them.
     """
     if len(keys_desc) == 0 or len(basis) == 0:
         return RowMeta(np.zeros((0, basis.ring.n_vars + 3), dtype=np.int64))
@@ -453,6 +453,21 @@ def closure_expand(
     ks = pref[first[hit]]
     shifts = exps[hit] - basis.exps[basis.offset[ks]]
     return RowMeta.of(RowRole.REDUCER.value, round_id, ks, shifts)
+
+
+def _insert_sorted(dict_asc: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``dict_asc`` with ``new[j]`` placed before its entry ``at[j]``; both ascend.
+
+    What ``np.insert`` does along axis 0, without its argument handling,
+    which costs more than the copy on a batch's few hundred keys.
+    """
+    out = np.empty((len(dict_asc) + len(new),) + dict_asc.shape[1:], dtype=dict_asc.dtype)
+    slot = at + np.arange(len(new))
+    old = np.ones(len(out), dtype=bool)
+    old[slot] = False
+    out[slot] = new
+    out[old] = dict_asc
+    return out
 
 
 def _closed_dictionary(rows: RowMeta, basis: SoaPolySet, closure: Closure, keyer):
@@ -483,7 +498,7 @@ def _closed_dictionary(rows: RowMeta, basis: SoaPolySet, closure: Closure, keyer
             same = dict_asc[pos[present]] == uniq[present]
             present[present] = same.all(axis=1) if same.ndim > 1 else same
             frontier = uniq[~present]
-            dict_asc = np.insert(dict_asc, pos[~present], frontier, axis=0)
+            dict_asc = _insert_sorted(dict_asc, pos[~present], frontier)
             if len(dict_asc) > DICT_CAP:
                 raise SizeCapError(
                     f"dictionary exceeded {DICT_CAP} entries after "
@@ -495,9 +510,8 @@ def _closed_dictionary(rows: RowMeta, basis: SoaPolySet, closure: Closure, keyer
             # the basis is fixed within a batch: one reducer order for every round
             pref = _reducer_preference(basis)
         frontier = frontier[::-1]
-        rows = closure_expand(
-            frontier, basis, counters.closure_rounds + 1, pref, keyer.exponents(frontier)
-        )
+        exps = keyer.exponents(frontier) if len(frontier) else None
+        rows = closure_expand(frontier, basis, counters.closure_rounds + 1, pref, exps)
         if not rows:
             break
         if not keyer.fits(rows):
@@ -535,7 +549,7 @@ def compile_batch(
     keyer = _WordKeys.fit(rows, basis, policy)
     built = keyer and _closed_dictionary(rows, basis, closure, keyer)
     if not built:
-        keyer = _PackedKeys(policy)
+        keyer = _PackedKeys(ring, policy)
         built = _closed_dictionary(rows, basis, closure, keyer)
     parts, dict_asc, counters = built
     dict_desc = np.ascontiguousarray(keyer.packed(dict_asc[::-1]))
