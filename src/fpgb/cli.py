@@ -102,7 +102,7 @@ def _config_from_args(args) -> PipelineConfig:
     return PipelineConfig(**{name: getattr(args, name) for name in names})
 
 
-def _load_instance(args, config: PipelineConfig):
+def _load_instance(args):
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             ring, polys = parse_system(fh.read())
@@ -111,7 +111,7 @@ def _load_instance(args, config: PipelineConfig):
             "path": args.input,
             "p": ring.modulus.p,
             "order": ring.order,
-            "seed": config.seed,
+            "seed": args.seed,
         }
         return ring, polys, desc
     if not args.family:
@@ -149,14 +149,13 @@ def main(argv=None) -> int:
         return exc.code
     try:
         if args.command == "gen":
-            config = PipelineConfig(seed=args.seed)
-            ring, polys, _ = _load_instance(args, config)
+            ring, polys, _ = _load_instance(args)
             _emit(format_system(ring, polys), args.out)
             return EXIT_OK
 
         if args.command in ("gb", "bench"):
             config = _config_from_args(args)
-            ring, polys, desc = _load_instance(args, config)
+            ring, polys, desc = _load_instance(args)
             report, basis_text, _ = run_pipeline(ring, polys, config, desc)
             if args.command == "gb":
                 _emit(basis_text, args.basis_out)
@@ -176,7 +175,7 @@ def main(argv=None) -> int:
 
         if args.command == "verify":
             config = _config_from_args(args)
-            ring, polys, desc = _load_instance(args, config)
+            ring, polys, desc = _load_instance(args)
             checks = verify_instance(ring, polys, config)
             failed = 0
             for name, ok, detail in checks:

@@ -307,6 +307,7 @@ def update_pairs(state: GroebnerState, new: SoaPolySet) -> GroebnerState:
     leads = state.basis.exps[state.basis.offset[:-1]]
     deg = leads.sum(axis=1)
     q = state.pairs
+    grew = False
     for t in range(max(first, 1), len(leads)):
         lm = leads[t]
         cand = np.maximum(leads[:t], lm)  # lcm(lead_i, lm) for every member i < t
@@ -320,8 +321,11 @@ def update_pairs(state: GroebnerState, new: SoaPolySet) -> GroebnerState:
         kept = np.flatnonzero(~_chain_or_repeat(cand, cdeg) & (cdeg != deg[:t] + deg[t]))
         if len(kept):
             add = PairQueue.of(kept, t, cand[kept], cdeg[kept], state.ring)
-            q = PairQueue(np.concatenate([q.rows, add.rows]), q.n).sorted()
-    state.pairs = q
+            q = PairQueue(np.concatenate([q.rows, add.rows]), q.n)
+            grew = True
+    # only select_batch reads the order; the sort key (degree, tie lanes, i, j)
+    # is total, so one sort gives the queue that a sort per newcomer gave
+    state.pairs = q.sorted() if grew else q
     return state
 
 

@@ -119,15 +119,9 @@ class CsrMatrix:
             self._chunks = (nchunks, chunk_base, self.row_ptr[row_of_chunk] + k * within)
         return self._chunks
 
-    def row(self, i: int):
-        s, e = int(self.row_ptr[i]), int(self.row_ptr[i + 1])
-        return self.col_ind[s:e], self.val[s:e]
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), dtype=np.uint64)
-        for i in range(self.n_rows):
-            cols, vals = self.row(i)
-            out[i, cols] = vals
+        out[np.repeat(np.arange(self.n_rows), np.diff(self.row_ptr)), self.col_ind] = self.val
         return out
 
 
@@ -170,18 +164,10 @@ def csr_transpose(A: CsrMatrix) -> CsrMatrix:
     not changed once it is made.
     """
     if A._transpose is None:
-        if A.nnz() == 0:
-            T = csr_from_arrays(
-                A.n_cols, A.n_rows, np.zeros(A.n_cols + 1, dtype=np.int64),
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64), A.modulus,
-            )
-        else:
-            _, perm = radix_sort(A.col_ind.astype(np.uint64).reshape(-1, 1))
-            row_of = np.repeat(np.arange(A.n_rows, dtype=np.int64), np.diff(A.row_ptr))
-            t_row_ptr = exclusive_scan(np.bincount(A.col_ind, minlength=A.n_cols))
-            T = csr_from_arrays(
-                A.n_cols, A.n_rows, t_row_ptr, row_of[perm], A.val[perm], A.modulus
-            )
+        _, perm = radix_sort(A.col_ind.astype(np.uint64).reshape(-1, 1))
+        row_of = np.repeat(np.arange(A.n_rows, dtype=np.int64), np.diff(A.row_ptr))
+        t_row_ptr = exclusive_scan(np.bincount(A.col_ind, minlength=A.n_cols))
+        T = csr_from_arrays(A.n_cols, A.n_rows, t_row_ptr, row_of[perm], A.val[perm], A.modulus)
         A._transpose, T._transpose = T, A
     return A._transpose
 
@@ -264,22 +250,19 @@ def dense_rank(mat: np.ndarray, m: FieldModulus) -> int:
 
 
 def dense_right_nullspace(mat: np.ndarray, m: FieldModulus):
-    """Basis of {v : mat v = 0} from the RREF free columns."""
+    """Basis of {v : mat v = 0}, one vector per RREF free column, ascending.
+
+    The vector of free column j is 1 at j and, at each pivot column, minus
+    that pivot row's entry in column j.
+    """
     mat = np.asarray(mat, dtype=np.uint64)
     rank, rref, pivots = dense_gauss(mat, m)
     n = mat.shape[1]
-    free = sorted(set(range(n)) - set(pivots))
-    p = m.p
-    basis = []
-    for j in free:
-        v = np.zeros(n, dtype=np.uint64)
-        v[j] = 1
-        for i, pc in enumerate(pivots):
-            coef = int(rref[i, j])
-            if coef:
-                v[pc] = p - coef
-        basis.append(v)
-    return basis
+    free = np.setdiff1d(np.arange(n), pivots)
+    basis = np.zeros((len(free), n), dtype=np.uint64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (m.p - rref[:rank, free].T) % np.uint64(m.p)
+    return list(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -891,44 +874,28 @@ class KernelBasis:
     spmm_calls: int = 0  # operator applications, on either route, plus SpMV checks
 
 
-def _try_extend_basis(vec: np.ndarray, reduced: list, p: int) -> bool:
-    """Incremental reduction; appends vec to the basis iff independent."""
-    v = vec.copy() % np.uint64(p)
-    for lead, bvec in reduced:
-        c = int(v[lead])
-        if c:
-            v = (v + (p - c) * bvec) % np.uint64(p)
-    nz = np.flatnonzero(v)
-    if len(nz) == 0:
-        return False
-    lead = int(nz[0])
-    v = v * np.uint64(pow(int(v[lead]), p - 2, p)) % np.uint64(p)
-    reduced.append((lead, v))
-    return True
+def _echelon_step(v: np.ndarray, rows: list, p: int, w: np.ndarray | None = None):
+    """Reduce v by the echelon ``rows``; unless it ends zero, append it to them.
 
-
-def _fold(w: np.ndarray, y: np.ndarray, strays: list, p: int):
-    """A combination of w and the strays in ker(A), from y = A w != 0.
-
-    ``strays`` are earlier candidates outside ker(A), each (lead, A s, s)
-    scaled so that A s is 1 at its lead, in echelon form on A s.  When y
-    reduces to zero by them, w less the same combination of strays is in
-    ker(A) and is returned; otherwise w joins the strays and the result is
-    None.  Over a small field A^T A often has kernel vectors outside ker(A);
-    their images under A span few dimensions, so a few strays combine.
+    ``rows`` are (lead, r, s), r in echelon form and 1 at its lead.  Each
+    row whose lead v holds clears it, v -= c r; a companion w, when given,
+    takes the same update by s.  A nonzero v is appended scaled to 1 at its
+    first nonzero, its companion scaled with it.  Returns whether v was
+    appended, and the reduced companion.
     """
     pp = np.uint64(p)
-    for lead, sy, sw in strays:
-        c = int(y[lead])
+    for lead, r, s in rows:
+        c = int(v[lead])
         if c:
-            y = (y + (p - c) * sy) % pp
-            w = (w + (p - c) * sw) % pp
-    nz = np.flatnonzero(y)
+            v = (v + (p - c) * r) % pp
+            if w is not None:
+                w = (w + (p - c) * s) % pp
+    nz = np.flatnonzero(v)
     if len(nz) == 0:
-        return w
-    inv = np.uint64(pow(int(y[nz[0]]), p - 2, p))
-    strays.append((int(nz[0]), y * inv % pp, w * inv % pp))
-    return None
+        return False, w
+    inv = np.uint64(pow(int(v[nz[0]]), p - 2, p))
+    rows.append((int(nz[0]), v * inv % pp, None if w is None else w * inv % pp))
+    return True, w
 
 
 def _block_width(max_vectors: int) -> int:
@@ -978,8 +945,12 @@ def wiedemann_solve(
     combination of F's columns x^t g(x), t > 0; then w = g(B) V, all of
     them in one block Horner, with B applied while the image stays
     nonzero, is a kernel vector candidate.  So a round yields up to b
-    vectors.  A candidate outside ker(A) is kept (``_fold``) until such
-    candidates combine into one inside it.
+    vectors.  A candidate outside ker(A) is kept as a stray, its image
+    under A in echelon form (``_echelon_step`` with the candidate as
+    companion), until strays combine into a vector inside it: over a small
+    field A^T A often has kernel vectors outside ker(A), and their images
+    span few dimensions.  Kernel vectors join the result while they are
+    independent (``_echelon_step`` again).
 
     ``max_vectors`` is the nullity the caller expects (from elimination),
     at most the dimension: the solve returns as soon as that many
@@ -1069,10 +1040,12 @@ def wiedemann_solve(
                 break
             y = check(w)
             if y.any():  # an A^T A kernel vector outside ker(A), or a wrong generator
-                w = _fold(w, y, strays, p)
-                if w is None or check(w).any():
+                # unless y joins the strays' images, w less the strays that
+                # reduce y to zero is in ker(A)
+                stray, w = _echelon_step(y, strays, p, w)
+                if stray or check(w).any():
                     continue
-            if _try_extend_basis(w, reduced, p):
+            if _echelon_step(w, reduced, p)[0]:
                 vectors.append(w.copy())
         if len(vectors) >= max_vectors:
             break

@@ -487,6 +487,31 @@ def test_oracle_equivalence_cyclic4():
     assert is_groebner(gb_f4, ring).ok
 
 
+# F4 refuses katsura-4 and cyclic-5 under lex with SizeCapError (the CI pin and
+# test_f4_lex_refusal_is_a_size_cap_error), so lex stops at katsura-3 and cyclic-4;
+# "random" is gen_random_quadratic(3, 3, 0.5, seed n, p)
+ORACLE_INSTANCES = [
+    ("deglex", "katsura", 3, 65537),
+    ("deglex", "katsura", 4, 65537),
+    ("deglex", "cyclic", 4, 101),
+    ("deglex", "cyclic", 5, 65537),
+    ("lex", "katsura", 3, 65537),
+    ("lex", "cyclic", 4, 101),
+] + [(order, "random", seed, 101) for order in ("deglex", "lex") for seed in range(4)]
+
+
+@pytest.mark.parametrize("order,family,n,p", ORACLE_INSTANCES)
+def test_f4_matches_buchberger_under_deglex_and_lex(order, family, n, p):
+    if family == "random":
+        system = gen_random_quadratic(3, 3, 0.5, n, p)
+    else:
+        system = {"katsura": gen_katsura, "cyclic": gen_cyclic}[family](n, p)
+    ring, polys = in_order(*system, order)
+    gb_f4 = f4_groebner(polys, ring)
+    assert format_system(ring, gb_f4) == format_system(ring, buchberger_reference(polys, ring))
+    assert is_groebner(gb_f4, ring).ok
+
+
 def test_engine_variants_agree():
     ring, polys = gen_katsura(2, 101)
     base = gb_text(f4_groebner(polys, ring))

@@ -147,6 +147,44 @@ def test_dense_rank_invariant_under_row_shuffles():
         assert dense_rank(mat[perm], M101) == r0
 
 
+def loop_right_nullspace(mat, m):
+    """The loop over free columns and pivots that dense_right_nullspace replaced, kept as its oracle."""
+    rank, rref, pivots = dense_gauss(mat, m)
+    n = mat.shape[1]
+    basis = []
+    for j in sorted(set(range(n)) - set(pivots)):
+        v = np.zeros(n, dtype=np.uint64)
+        v[j] = 1
+        for i, pc in enumerate(pivots):
+            coef = int(rref[i, j])
+            if coef:
+                v[pc] = m.p - coef
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("m", [M7, FieldModulus(65537), MBIG])
+def test_dense_right_nullspace_matches_the_loop(m):
+    rng = np.random.default_rng(m.p % 1000)
+    zero_cols = random_sparse(rng, 6, 9, 0.6, m)
+    zero_cols[:, [0, 4, 8]] = 0
+    full_rank = np.triu(random_sparse(rng, 7, 7, 0.5, m), 1) + np.eye(7, dtype=np.uint64)
+    mats = [np.zeros((5, 7), dtype=np.uint64), full_rank, zero_cols]
+    for r, k, c in ((8, 3, 10), (10, 4, 6), (5, 5, 12), (12, 2, 12)):
+        # a product through k inner columns has rank at most k
+        left, right = (rng.integers(0, m.p, shape, dtype=np.uint64).astype(object) for shape in ((r, k), (k, c)))
+        mats.append(((left @ right) % m.p).astype(np.uint64))
+    for mat in mats:
+        basis = sparselin.dense_right_nullspace(mat, m)
+        want = loop_right_nullspace(mat, m)
+        assert len(basis) == len(want) == mat.shape[1] - dense_rank(mat, m)
+        for v, w in zip(basis, want):
+            assert v.dtype == w.dtype and np.array_equal(v, w)
+            assert not ((mat.astype(object) @ v.astype(object)) % m.p).any()
+    assert len(sparselin.dense_right_nullspace(full_rank, m)) == 0
+    assert len(sparselin.dense_right_nullspace(mats[0], m)) == 7
+
+
 def sweep_chunk(monkeypatch, rows):
     """Make psge_reduce sweep ``rows`` rows per dense block, whatever the width."""
     monkeypatch.setattr(sparselin, "_chunk_rows", lambda n_cols: rows)
