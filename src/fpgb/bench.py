@@ -138,8 +138,6 @@ def run_pipeline(ring, polys, config: PipelineConfig, instance: dict | None = No
     batches = []
 
     def on_batch(basis_before, plan, ech, st):
-        if st.M != int(plan.row_ptr[-1]) or st.M != plan.counters.keys_emitted:
-            raise PropertyViolationError("batch M disagrees with instrumented key count")
         batches.append({**vars(st), "timings_ns": dict(st.timings_ns)})
 
     basis = f4_groebner(polys, ring, config, on_batch)

@@ -236,11 +236,15 @@ def mon_divides(u: Monomial, v: Monomial) -> bool:
 def first_divisor(divisors: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per target row, the index of the first ``divisors`` row that divides
     it, or -1; both are exponent matrices, one monomial per row.  The mask
-    is built over chunks of the targets of at most ``_DIVISOR_CELLS`` entries.
+    is built over chunks of the targets of at most ``_DIVISOR_CELLS`` entries,
+    from variable-major targets: the mask is then variable-major too, and its
+    reduction over the variables runs over whole (chunk x divisors) planes,
+    not over one run of n elements per cell, numpy's slow case.
     """
     out = np.full(len(targets), -1, dtype=np.int64)
     if len(divisors) == 0:
         return out
+    targets = np.asfortranarray(targets)
     step = max(1, _DIVISOR_CELLS // divisors.size)
     for s in range(0, len(targets), step):
         divides = (divisors[None, :, :] <= targets[s : s + step, None, :]).all(axis=2)

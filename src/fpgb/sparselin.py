@@ -1,7 +1,11 @@
 """Sparse exact linear algebra over F_p on compiled batch matrices.
 
-CSR matrices materialize directly from layout plans.  Three engines work on
-them:
+CSR matrices materialize directly from layout plans.  A batch matrix is
+checked structurally once, by ``LayoutPlan.validate`` when ``compile_batch``
+builds its plan; ``csr_from_plan`` and ``csr_transpose`` build matrices
+without checking them again.  ``csr_from_arrays`` and ``csr_from_dense``,
+whose arrays come from elsewhere, run ``CsrMatrix.validate``.  Three engines
+work on them:
 
 - ``psge_reduce``: known-pivot elimination in the style of Faugere-Lachartre.
   One sparsest row per distinct input leading column is a known pivot; each
@@ -148,26 +152,31 @@ def csr_from_dense(mat: np.ndarray, m: FieldModulus) -> CsrMatrix:
 def csr_from_plan(plan: LayoutPlan, m: FieldModulus) -> CsrMatrix:
     """Reinterpret a layout plan as its batch matrix (no copies of substance).
 
-    The plan was validated when ``compile_batch`` built it; the matrix
-    checks of ``csr_from_arrays`` still run.
+    The arrays are not checked again: ``LayoutPlan.validate``, which
+    ``compile_batch`` runs on every plan, is the batch matrix's one
+    structural check and covers every invariant ``CsrMatrix.validate``
+    does.  ``m`` must be the plan's field.
     """
-    return csr_from_arrays(
-        plan.n_rows, plan.n_cols, plan.row_ptr, plan.col_ind, plan.val, m
-    )
+    if m.p != plan.ring.modulus.p:
+        raise PreconditionError(f"plan is over F_{plan.ring.modulus.p}, not F_{m.p}")
+    return CsrMatrix(plan.n_rows, plan.n_cols, plan.row_ptr, plan.col_ind, plan.val, m)
 
 
 def csr_transpose(A: CsrMatrix) -> CsrMatrix:
     """Transpose by stable counting sort on column indices.
 
-    Built on first use and kept on both matrices, each linked to the other,
-    so ``csr_transpose(csr_transpose(A))`` is ``A`` itself; a CsrMatrix is
-    not changed once it is made.
+    The result is not checked: a stable counting sort of a valid matrix
+    (one ``csr_from_arrays`` or ``LayoutPlan.validate`` checked) is a valid
+    transpose, its columns ascending within each row.  Built on first use
+    and kept on both matrices, each linked to the other, so
+    ``csr_transpose(csr_transpose(A))`` is ``A`` itself; a CsrMatrix is not
+    changed once it is made.
     """
     if A._transpose is None:
         _, perm = radix_sort(A.col_ind.astype(np.uint64).reshape(-1, 1))
         row_of = np.repeat(np.arange(A.n_rows, dtype=np.int64), np.diff(A.row_ptr))
         t_row_ptr = exclusive_scan(np.bincount(A.col_ind, minlength=A.n_cols))
-        T = csr_from_arrays(A.n_cols, A.n_rows, t_row_ptr, row_of[perm], A.val[perm], A.modulus)
+        T = CsrMatrix(A.n_cols, A.n_rows, t_row_ptr, row_of[perm], A.val[perm], A.modulus)
         A._transpose, T._transpose = T, A
     return A._transpose
 

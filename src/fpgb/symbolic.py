@@ -171,8 +171,11 @@ class LayoutPlan:
         """Structural invariants; raises PropertyViolationError on any failure.
 
         Checks the race-freedom partition (row segments tile [0, M)), strict
-        column ascent per segment, nonzero values, descending dictionary,
-        and counter consistency.
+        column ascent per segment, values in [1, p), descending dictionary,
+        and counter consistency.  ``compile_batch`` runs it on every plan it
+        builds, and it is the one structural check of the batch matrix:
+        ``sparselin.csr_from_plan`` builds the matrix from these arrays
+        without checking them again.
         """
         c = self.counters
         ok = self.row_ptr[0] == 0 and self.row_ptr[-1] == len(self.col_ind) == len(self.val)
@@ -193,6 +196,8 @@ class LayoutPlan:
             raise PropertyViolationError(f"row {i} column out of range")
         if len(self.val) and (self.val == 0).any():
             raise PropertyViolationError("zero value stored in plan")
+        if len(self.val) and self.val.max() >= self.ring.modulus.p:
+            raise PropertyViolationError("value not below p stored in plan")
         if len(self.dict_keys) > 1:
             if not (key_cmp_rows(self.dict_keys[:-1], self.dict_keys[1:]) == 1).all():
                 raise PropertyViolationError("dictionary keys not strictly descending")
@@ -585,9 +590,8 @@ def decode_row(plan: LayoutPlan, i: int) -> Poly:
 
 
 def row_lead_cols(plan: LayoutPlan) -> np.ndarray:
-    """Leading (first) column of every row."""
-    if plan.n_rows == 0:
-        return np.zeros(0, dtype=np.int64)
+    """Leading (first) column of every row; ``validate`` admits no empty row,
+    and a plan with no rows gives an empty int64 array."""
     return plan.col_ind[plan.row_ptr[:-1]]
 
 

@@ -1,5 +1,6 @@
 """Driver-level tests: S-polys, criteria, F4 batches, oracle equivalence."""
 
+import contextlib
 import dataclasses
 from unittest import mock
 
@@ -600,7 +601,12 @@ def test_is_groebner_product_criterion_keeps_the_verdict():
         G = [poly_normalize(data.draw(st.lists(term, min_size=1, max_size=3)), ring)
              for _ in range(data.draw(st.integers(1, 4)))]
         if mode != "random" and not any(g.is_zero() for g in G):
-            G = f4_groebner(G, ring)  # a reduced Groebner basis, with coprime leads common
+            # a reduced Groebner basis, with coprime leads common.  Neither
+            # engine finishes some tiny lex systems within minutes (remainders
+            # reach degree 100 and thousands of terms), so the scalar oracle
+            # gets a step budget, and a draw past it is checked as drawn
+            with contextlib.suppress(NonterminationError):
+                G = buchberger_reference(G, ring, max_steps=10)
             if mode == "dropped" and len(G) > 1:
                 del G[data.draw(st.integers(0, len(G) - 1))]
             tails = [(k, t) for k, g in enumerate(G) for t in range(1, len(g.terms))]
@@ -801,6 +807,37 @@ def test_kernel_checks_report_only_probabilistic_failures(monkeypatch):
     monkeypatch.setattr("fpgb.groebner.wiedemann_solve", failing(ValueError("bug")))
     with pytest.raises(ValueError, match="bug"):
         groebner_kernel_checks(plan, [f, g], R2.modulus, rank)
+
+
+def test_f4_checks_each_batch_matrix_once(monkeypatch):
+    """``LayoutPlan.validate`` is the one structural check of a batch matrix."""
+    built, checked = [], []
+    real_compile, real_validate = groebner.compile_batch, symbolic.LayoutPlan.validate
+
+    def compile_spy(*args, **kwargs):
+        built.append(real_compile(*args, **kwargs))
+        return built[-1]
+
+    def validate_spy(plan):
+        checked.append(plan)
+        real_validate(plan)
+
+    def forbidden(A):
+        raise AssertionError("a batch matrix was checked a second time")
+
+    monkeypatch.setattr(groebner, "compile_batch", compile_spy)
+    monkeypatch.setattr(symbolic.LayoutPlan, "validate", validate_spy)
+    monkeypatch.setattr(sparselin.CsrMatrix, "validate", forbidden)
+    ring, polys = gen_katsura(5, 65537)
+    want = [f.terms for f in f4_groebner(polys, ring)]
+    # every batch and the interreduction's batch, each checked once
+    assert len(built) > 1 and [id(p) for p in checked] == [id(p) for p in built]
+    # the Wiedemann route's transposes are built unchecked too
+    built.clear()
+    checked.clear()
+    got = f4_groebner(polys, ring, PipelineConfig(numeric="wiedemann"))
+    assert [f.terms for f in got] == want
+    assert len(built) > 1 and [id(p) for p in checked] == [id(p) for p in built]
 
 
 def katsura3_batches():

@@ -1,5 +1,7 @@
 """Term orders and the packed key encoding (order refinement, round trips)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,43 @@ def test_first_divisor_matches_scalar_loop(monkeypatch):
         monkeypatch.undo()
     # misses, and hits past the first divisor, both occur
     assert -1 in seen and max(seen) > 0
+
+
+def laid_out(x, layout):
+    """``x`` as a C-ordered, an F-ordered, or a strided view of a larger array."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "sliced":
+        wide = np.zeros((2 * x.shape[0], 2 * x.shape[1]), dtype=x.dtype)
+        wide[::2, 1::2] = x
+        return wide[::2, 1::2]
+    return np.ascontiguousarray(x)
+
+
+def test_first_divisor_matches_scalar_loop_in_any_layout():
+    """The mask's layout never changes the answer, empty divisor sets included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    layouts = st.sampled_from(["C", "F", "sliced"])
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(n=st.integers(1, 11), data=st.data())
+    def check(n, data):
+        mons = st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), max_size=12)
+        divisors = np.array(data.draw(mons), dtype=np.int64).reshape(-1, n)
+        targets = np.array(data.draw(mons), dtype=np.int64).reshape(-1, n)
+        want = first_divisor_scalar(divisors, targets)
+        divisors = laid_out(divisors, data.draw(layouts))
+        targets = laid_out(targets, data.draw(layouts))
+        # one target a chunk crosses every chunk boundary
+        cells = data.draw(st.sampled_from([1, monomials._DIVISOR_CELLS]))
+        with mock.patch.object(monomials, "_DIVISOR_CELLS", cells):
+            assert first_divisor(divisors, targets).tolist() == want
+        rows = targets.tolist()
+        minimal = [not any(mon_divides(tuple(d), tuple(t)) for d in rows[:k]) for k, t in enumerate(rows)]
+        assert minimal_rows(targets).tolist() == minimal
+
+    check()
 
 
 def test_first_divisor_empty_sets():

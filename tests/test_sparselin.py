@@ -19,6 +19,7 @@ from fpgb.sparselin import (
     BLOCK_BYTES,
     CsrMatrix,
     berlekamp_massey,
+    csr_from_arrays,
     csr_from_dense,
     csr_from_plan,
     csr_transpose,
@@ -57,6 +58,9 @@ def test_csr_from_plan_example():
     assert A.row_ptr.tolist() == [0, 2, 4]
     assert A.n_rows == 2 and A.n_cols == 3
     assert A.to_dense().tolist() == [[1, 6, 0], [1, 0, 6]]
+    # the plan's arrays are trusted only over the plan's own field
+    with pytest.raises(PreconditionError, match="plan is over F_7, not F_101"):
+        csr_from_plan(plan, M101)
 
 
 def test_csr_from_empty_plan():
@@ -76,6 +80,7 @@ def test_transpose_round_trip():
         A = csr_from_dense(mat, M101)
         assert np.array_equal(csr_transpose(csr_transpose(A)).to_dense(), mat)
         assert np.array_equal(csr_transpose(A).to_dense(), mat.T)
+        csr_transpose(A).validate()  # built unchecked: a valid matrix's transpose is valid
     rowvec = csr_from_dense(np.array([[1, 2, 3]], dtype=np.uint64), M7)
     t = csr_transpose(rowvec)
     assert t.n_rows == 3 and t.n_cols == 1
@@ -1030,24 +1035,32 @@ def test_csr_validate_accepts_empty_rows():
     hand_csr([[], []]).validate()
 
 
-@pytest.mark.parametrize(
-    "row_cols, vals, message",
-    [
-        ([[0, 2], [3, 1]], None, "row 1 columns not strictly ascending"),
-        ([[0], [], [2, 2]], None, "row 2 columns not strictly ascending"),
-        ([[0, 2], [1, 4]], None, "column out of range in row 1"),
-        ([[0], [-1, 3]], None, "column out of range in row 1"),
-        # several bad rows: the first one is named, by its own defect
-        ([[0], [], [3, 1], [0, 7]], None, "row 2 columns not strictly ascending"),
-        ([[0], [0, 7], [3, 1]], None, "column out of range in row 1"),
-        ([[0, 2], [1, 3]], [1, 0, 1, 1], r"CSR values outside \[1, p\)"),
-        ([[0, 2], [1, 3]], [1, 7, 1, 1], r"CSR values outside \[1, p\)"),
-    ],
-)
+CSR_DEFECTS = [
+    ([[0, 2], [3, 1]], None, "row 1 columns not strictly ascending"),
+    ([[0], [], [2, 2]], None, "row 2 columns not strictly ascending"),
+    ([[0, 2], [1, 4]], None, "column out of range in row 1"),
+    ([[0], [-1, 3]], None, "column out of range in row 1"),
+    # several bad rows: the first one is named, by its own defect
+    ([[0], [], [3, 1], [0, 7]], None, "row 2 columns not strictly ascending"),
+    ([[0], [0, 7], [3, 1]], None, "column out of range in row 1"),
+    ([[0, 2], [1, 3]], [1, 0, 1, 1], r"CSR values outside \[1, p\)"),
+    ([[0, 2], [1, 3]], [1, 7, 1, 1], r"CSR values outside \[1, p\)"),
+]
+
+
+@pytest.mark.parametrize("row_cols, vals, message", CSR_DEFECTS)
 def test_csr_validate_rejects_one_broken_invariant(row_cols, vals, message):
     A = hand_csr(row_cols, vals=vals)
     with pytest.raises(PropertyViolationError, match=message):
         A.validate()
+
+
+@pytest.mark.parametrize("row_cols, vals, message", CSR_DEFECTS)
+def test_csr_from_arrays_rejects_one_broken_invariant(row_cols, vals, message):
+    # arrays that come from no plan are checked when the matrix is built
+    A = hand_csr(row_cols, vals=vals)
+    with pytest.raises(PropertyViolationError, match=message):
+        csr_from_arrays(A.n_rows, A.n_cols, A.row_ptr, A.col_ind, A.val, M7)
 
 
 def test_csr_validate_rejects_bad_pointers():

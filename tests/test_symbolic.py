@@ -840,3 +840,14 @@ def test_layout_plan_validate_rejects_one_broken_invariant(row_cols, breaker, me
         breaker(plan)
     with pytest.raises(PropertyViolationError, match=message):
         plan.validate()
+
+
+@pytest.mark.parametrize("value", [7, 8, 2**64 - 1])
+def test_layout_plan_validate_rejects_value_not_below_p(value):
+    # the plan check is the batch matrix's only one, so it bounds values by p
+    plan = hand_plan([[0, 2], [1, 3]])
+    plan.val[1] = 6
+    plan.validate()
+    plan.val[1] = value
+    with pytest.raises(PropertyViolationError, match="value not below p stored in plan"):
+        plan.validate()
