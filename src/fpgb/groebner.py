@@ -496,11 +496,14 @@ def f4_groebner(
     while state.pairs:
         if steps >= config.max_steps:
             raise NonterminationError(f"f4 exceeded {config.max_steps} batches")
-        basis_before = state.basis
-        plan, ech, stats = f4_step(state, config)
         steps += 1
-        if on_batch is not None:
-            on_batch(basis_before, plan, ech, stats)
+        # no local holds a batch past its callback: the traceback of an error
+        # that the next batch raises would keep it alive through this frame
+        if on_batch is None:
+            f4_step(state, config)
+        else:
+            basis_before = state.basis
+            on_batch(basis_before, *f4_step(state, config))
     return _interreduce(state.basis, config)
 
 

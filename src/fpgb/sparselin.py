@@ -319,6 +319,16 @@ def _ptr(lens: np.ndarray) -> np.ndarray:
     return out
 
 
+def _renumber(x: np.ndarray, n: int):
+    """The distinct values of x, all in [0, n), ascending, and each entry's place among them.
+
+    ``np.unique(x, return_inverse=True)`` by a mask and a running count, without a sort.
+    """
+    seen = np.zeros(n, dtype=bool)
+    seen[x] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[x]
+
+
 def _entry_positions(row_ptr: np.ndarray, rows: np.ndarray):
     """Positions of the entries of the given CSR rows, row by row, and the row lengths."""
     starts = row_ptr[rows]
@@ -492,16 +502,19 @@ def _sweep_levels(B, schedule: list, p: int):
     Per level: X is the block's entries in the level's columns, mod p, and
     B -= X P, so the level's columns end zero.  Partial sums stay exact
     integers under ``float_exact``; one reduction at the end finishes B.
-    B is column-major, so each gather and update moves whole columns.
+    B is column-major, so the sweep works on Bt = B.T, which is
+    C-contiguous: Bt[support] -= P^T X^T gathers and scatters whole
+    contiguous rows, and the product lands row-major.
     """
+    Bt = B.T
     for part in schedule:
-        X = B[:, part.leads]
-        if not X.any():
+        Xt = Bt[part.leads]
+        if not Xt.any():
             continue
         P = np.zeros(part.shape)
         P.flat[part.pos] = part.val
-        B[:, part.leads] = 0
-        B[:, part.support] -= mod_exact(X, p) @ P
+        Bt[part.leads] = 0
+        Bt[part.support] -= P.T @ mod_exact(Xt, p)
     mod_exact(B, p)
 
 
@@ -535,8 +548,8 @@ def _gauss_jordan(R, p: int):
 def _dense_block(row_ptr, col_ind, val, rows, n_cols: int, dtype):
     """The given CSR rows as a dense block; also each entry's block row and column.
 
-    A float64 block, which the level sweep works on column by column, is
-    column-major.
+    A float64 block is column-major, so that its transpose, on which the
+    level sweep works, is C-contiguous.
     """
     at, lens = _entry_positions(row_ptr, rows)
     local = np.repeat(np.arange(len(rows)), lens)
@@ -553,13 +566,12 @@ def _chunk_rows(n_cols: int) -> int:
 
 
 def _block_entries(B, first_row: int = 0):
-    """Row, column and uint64 value of every nonzero of B, row-major."""
-    if B.flags.c_contiguous:
-        r, c = np.nonzero(B)
-    else:
-        c, r = np.nonzero(B.T)
-        order = np.argsort(r, kind="stable")
-        r, c = r[order], c[order]
+    """Row, column and uint64 value of every nonzero of B, row-major.
+
+    ``np.nonzero`` yields row-major order whatever B's memory layout, so a
+    column-major block needs no sort.
+    """
+    r, c = np.nonzero(B)
     return r + first_row, c, B[r, c].astype(np.uint64, copy=False)
 
 
@@ -810,8 +822,8 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
         rows, cols, sv, fill = _sweep(known, A.row_ptr, A.col_ind, A.val, rest, A.n_cols, p)
 
         # 2. one RREF of the nonzero swept rows on the columns they still touch
-        live_rows, at_row = np.unique(rows, return_inverse=True)
-        support, at_col = np.unique(cols, return_inverse=True)
+        live_rows, at_row = _renumber(rows, len(rest))
+        support, at_col = _renumber(cols, A.n_cols)
         shape = (len(live_rows), len(support))
         if 8 * shape[0] * shape[1] > BLOCK_BYTES:
             raise SizeCapError(f"remainder block {shape[0]} x {shape[1]} exceeds {BLOCK_BYTES} bytes")

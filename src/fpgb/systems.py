@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import PolyParseError, PreconditionError
 from .fp import FieldModulus
-from .monomials import MAX_VARS, Ring, count_monomials
-from .polynomials import Poly, poly_format, poly_normalize, poly_parse
+from .monomials import MAX_VARS, Ring, count_monomials, mon_format
+from .polynomials import Poly, poly_normalize, poly_parse
 
 
 def gen_cyclic(n: int, p: int):
@@ -131,12 +131,25 @@ def gen_random_quadratic(
 
 
 def format_system(ring: Ring, polys) -> str:
+    """The system file text of ``polys``, polynomials over ``ring``.
+
+    Each polynomial's line is ``poly_format``'s text; each distinct monomial
+    is formatted once per call, since a basis repeats its monomials often.
+    """
     lines = [
         f"p {ring.modulus.p}",
         "vars " + " ".join(ring.var_names),
         f"order {ring.order}",
     ]
-    lines.extend(poly_format(f) for f in polys)
+    mons: dict = {}
+    for f in polys:
+        terms = []
+        for exps, coeff in f.terms:
+            mon = mons.get(exps)
+            if mon is None:
+                mon = mons[exps] = mon_format(exps, ring)
+            terms.append(str(coeff) if mon == "1" else mon if coeff == 1 else f"{coeff}*{mon}")
+        lines.append(" + ".join(terms) if terms else "0")
     return "\n".join(lines) + "\n"
 
 

@@ -1109,3 +1109,24 @@ def test_f4_lex_refusal_is_a_size_cap_error():
     with pytest.raises(SizeCapError) as e:
         f4_groebner(system, ring)
     assert str(e.value) == "batch key volume M = 10165682 exceeds 8388608 keys"
+
+
+def test_kept_size_cap_error_pins_no_batch():
+    # a caller that keeps F4's refusal, as hypothesis keeps a failing
+    # example's error, must not keep the refused batch's arrays alive: they
+    # take about 170 MB here, and each kept refusal once held all of them
+    import gc
+    import tracemalloc
+
+    ring = Ring(["x0", "x1", "x2"], "lex", M7)
+    system = [poly_parse(t, ring) for t in ("x0*x1^2 + 1", "x1*x2^2 + x0^2", "x0^2*x2 + x0*x1 + 1")]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="batch key volume M = 9509929 exceeds") as kept:
+            f4_groebner(system, ring)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept.value.__context__ is None
+    assert held < 4 << 20, f"a kept SizeCapError holds {held} bytes"

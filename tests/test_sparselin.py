@@ -454,6 +454,116 @@ def test_level_sweep_matches_column_loop(monkeypatch):
     check()
 
 
+def monic_pivots(mat, p):
+    """The rows of ``mat``, each nonzero with its own lead, made monic as ``_Pivots``."""
+    rows = []
+    for row in mat.tolist():
+        nz = [c for c, v in enumerate(row) if v]
+        inv = pow(row[nz[0]], p - 2, p)
+        rows.append((nz[0], [(c, row[c] * inv % p) for c in nz[1:]]))
+    return sparselin._pack(sorted(rows))
+
+
+def test_level_sweep_matches_column_loop_over_several_blocks(monkeypatch):
+    # _sweep on its own, with the real chunk rule: BLOCK_BYTES holds a few
+    # rows, so each job spans several dense blocks and each wide level
+    # several parts. Step 1 sweeps the remainder rows; step 3 sweeps the
+    # pivots themselves, each with its lead set aside
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        p=st.sampled_from([7, 101, 65537]),
+        block_rows=st.integers(1, 4),
+        n_cols=st.integers(1, 30),
+        data=st.data(),
+    )
+    def check(p, block_rows, n_cols, data):
+        n_known = data.draw(st.integers(1, n_cols))
+        n_rest = data.draw(st.integers(1, 20))
+        mat = f4_shaped_batch(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n_cols, n_known, n_rest, p)
+        piv = monic_pivots(mat[:n_known], p)
+        rest = csr_from_dense(mat[n_known:], FieldModulus(p))
+        small = 8 * n_cols * block_rows
+        for ptr, ind, val, rows, aside in (
+            (rest.row_ptr, rest.col_ind, rest.val, np.arange(n_rest), False),
+            (piv.ptr, piv.ind, piv.val, np.arange(n_known), True),
+        ):
+            got = []
+            for route, budget in (("levels", small), ("columns", small), ("levels", BLOCK_BYTES)):
+                with monkeypatch.context() as mp:
+                    sweep_route(mp, route)
+                    mp.setattr(sparselin, "BLOCK_BYTES", budget)
+                    got.append(sparselin._sweep(piv, ptr, ind, val, rows, n_cols, p, aside=aside))
+            want = got[0]
+            for r, c, v, fill in got[1:]:
+                assert np.array_equal(r, want[0]) and np.array_equal(c, want[1])
+                assert np.array_equal(v, want[2]) and fill == want[3]
+
+    check()
+
+
+def test_block_entries_match_argwhere_in_any_layout():
+    rng = np.random.default_rng(5507)
+    for shape in ((0, 0), (0, 4), (3, 0), (1, 1), (6, 9), (13, 5)):
+        for dtype in (np.float64, np.uint64):
+            mat = np.zeros(shape, dtype=dtype)
+            live = rng.random(shape) < 0.4
+            mat[live] = rng.integers(1, 101, int(live.sum()))
+            blocks = [mat, np.asfortranarray(mat), mat[::2, 1:], np.asfortranarray(mat)[1::2, ::3]]
+            for B in blocks:
+                for first_row in (0, 7):
+                    r, c, v = sparselin._block_entries(B, first_row)
+                    want = np.argwhere(B)  # row-major: sorted by (row, column)
+                    assert np.array_equal(r, want[:, 0] + first_row)
+                    assert np.array_equal(c, want[:, 1])
+                    assert v.dtype == np.uint64
+                    assert v.tolist() == [int(x) for x in B[want[:, 0], want[:, 1]]]
+
+
+def test_renumber_matches_unique_with_gaps():
+    rng = np.random.default_rng(3301)
+    for n, k in ((1, 0), (1, 5), (10, 3), (50, 200), (1000, 40)):
+        x = rng.integers(0, n, k)
+        got, at = sparselin._renumber(x, n)
+        want, inv = np.unique(x, return_inverse=True)
+        assert np.array_equal(got, want) and np.array_equal(at, inv)
+
+
+@pytest.mark.parametrize("p", [101, 2147483629])
+def test_psge_step_two_on_swept_rows_and_columns_left_empty(monkeypatch, p):
+    # the known pivots lead at columns 0, 3 and 6; of the remainder rows,
+    # the 1st, 3rd and 5th sweep to zero, and the others end on columns
+    # 5, 8 and 11 only, so step 2's block skips both rows and columns
+    m = FieldModulus(p)
+    known = np.zeros((3, 12), dtype=np.uint64)
+    known[0, [0, 1, 5]] = [2, 3, 4]
+    known[1, [3, 4, 8]] = [5, 1, 1]
+    known[2, [6, 7, 11]] = [1, 6, 2]
+    rest = np.zeros((6, 12), dtype=np.uint64)
+    rest[0] = known[0] * 3 % p
+    rest[1] = known[0]
+    rest[1, 5] = (rest[1, 5] + 1) % p
+    rest[2] = (known[1] + known[2]) % p
+    rest[3] = known[1]
+    rest[3, [8, 11]] = [2, 9]
+    rest[4] = known[2] * 5 % p
+    rest[5] = known[2]
+    rest[5, 11] = 1
+    mat = np.vstack([known, rest])
+    rank, rref, pivots = dense_gauss(mat, m)
+    assert rank == 6 and pivots == [0, 3, 5, 6, 8, 11]
+    A = csr_from_dense(mat, m)
+    for route in routes_at(p):
+        with monkeypatch.context() as mp:
+            sweep_route(mp, route)
+            res = psge_reduce(A)
+        assert res.pivot_cols == pivots
+        assert res.nonpivot_rows.leads.tolist() == [5, 8, 11]
+        assert np.array_equal(assemble_rows(res, 12), rref[:rank])
+
+
 @pytest.mark.parametrize("p", [65537, 2147483629])
 def test_small_route_rule_switches_at_its_limit(monkeypatch, p):
     # a batch of exactly SMALL_ENTRIES entries takes the small route, one

@@ -146,6 +146,29 @@ def test_system_round_trip():
     assert [f.terms for f in polys2] == [f.terms for f in polys]
 
 
+def test_format_system_matches_per_term_poly_format():
+    # format_system formats each distinct monomial once per call; its text
+    # must be the header and poly_format's line per polynomial, zero included
+    from fpgb.fp import FieldModulus
+    from fpgb.monomials import Ring
+
+    rng = np.random.default_rng(2718)
+    for order in ("grevlex", "deglex", "lex"):
+        for p in (3, 7, 65537):
+            ring = Ring(["x", "y", "z"], order, FieldModulus(p))
+            # few monomials, so the polynomials share them; coefficients of
+            # 0 and 1 and the unit monomial (a constant term) are frequent
+            mons = [tuple(int(e) for e in rng.integers(0, 3, 3)) for _ in range(6)] + [(0, 0, 0)]
+            polys = [poly_normalize([], ring), poly_normalize([((0, 0, 0), 1)], ring)]
+            for _ in range(8):
+                k = int(rng.integers(0, 6))
+                picks = rng.integers(0, len(mons), k)
+                coeffs = rng.choice([0, 1, 1, 2, p - 1, int(rng.integers(0, p))], k)
+                polys.append(poly_normalize([(mons[i], int(c)) for i, c in zip(picks, coeffs)], ring))
+            want = f"p {p}\nvars x y z\norder {order}\n" + "".join(poly_format(f) + "\n" for f in polys)
+            assert format_system(ring, polys) == want
+
+
 def test_system_comments_and_errors():
     text = "# a comment\np 7\nvars x y\norder grevlex\n# another\nx + y\n"
     ring, polys = parse_system(text)
