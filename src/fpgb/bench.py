@@ -351,7 +351,7 @@ def microbench(kind: str, size: int, duplicate_rate: float = 0.5, seed: int = 0)
             out[f"updates_per_s.{name}"] = size / max(dt, 1) * 1e9
             out[f"elapsed_ns.{name}"] = dt
     elif kind == "numeric":
-        # 65537 takes psge's level sweep, the 31-bit prime its column loop;
+        # 65537 takes psge's exact level sweep, the 31-bit prime its limb tier;
         # a batch of at most sparselin.SMALL_ENTRIES entries, the small route
         for p in (65537, 2147483629):
             m = FieldModulus(p)

@@ -42,6 +42,7 @@ from .errors import (
     PreconditionError,
     ProbabilisticFailureError,
     PropertyViolationError,
+    SizeCapError,
 )
 from .fp import FieldModulus, matmul_mod
 from .monomials import (
@@ -484,9 +485,18 @@ def f4_groebner(
     ``on_batch(basis_before, plan, echelon, stats)``, when given, is called
     after every batch with the basis the batch was compiled from (the
     driver's SoaPolySet, which later batches never change), its plan, its
-    elimination result and its BatchStats.
+    elimination result and its BatchStats.  A SizeCapError is raised afresh,
+    with no context and no frame of the run: keeping it keeps no batch alive.
     """
-    config = config or PipelineConfig()
+    refused = None
+    try:
+        return _f4_loop(system, ring, config or PipelineConfig(), on_batch)
+    except SizeCapError as e:
+        refused = str(e)
+    raise SizeCapError(refused)
+
+
+def _f4_loop(system: list, ring: Ring, config: PipelineConfig, on_batch) -> list:
     state = GroebnerState(ring)
     for f in system:
         if f.is_zero():

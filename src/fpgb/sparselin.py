@@ -13,15 +13,15 @@ work on them:
   remainder is brought to reduced row echelon form (RREF) as one dense block
   by its own Gauss-Jordan code, every block within ``BLOCK_BYTES``.
   ``back_reduce=True`` also back-substitutes the known pivots: the whole RREF.
-  It has three routes.  A batch of at most ``SMALL_ENTRIES`` entries, by a
+  It has two routes.  A batch of at most ``SMALL_ENTRIES`` entries, by a
   fixed rule, runs the same steps on Python ints over each row's sparse
   entries.  On a larger batch the known-pivot sweep and the
-  back-substitution call one sweep routine, which picks its route once per
-  pivot set: one dependency level of pivots at a time, as float64 products
-  through BLAS with one reduction at the end, while ``fp.float_exact``
-  keeps every partial sum exact; above that bound (31-bit primes) the
-  pivot columns one at a time.  A swept row and an RREF are unique, so the
-  three routes give the same bytes, and tests compare each with the others;
+  back-substitution run one sweep kernel at every prime: one dependency
+  level of pivots at a time, as float64 products through BLAS, with one
+  reduction at the end while ``fp.float_exact`` keeps every partial sum
+  exact, or else (31-bit primes) on balanced 16-bit limbs, reduced per
+  part.  A swept row and an RREF are unique, so the routes give the same
+  bytes, and tests compare each with the others and with a column loop;
 - ``dense_gauss``: the brute-force oracle (size-capped) used to cross-check
   ranks, row spaces, and null spaces; ``left_kernel`` is its left kernel;
 - ``wiedemann_solve``: black-box right-kernel extraction by block
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -70,10 +69,16 @@ DENSE_CAP = 512
 # bytes of the largest dense block psge_reduce, or wiedemann_solve's operator, allocates
 BLOCK_BYTES = 1 << 24
 # psge_reduce takes its scalar route on a batch of at most this many entries.
-# On F4's batches the scalar route is faster up to about 450 entries at
-# p = 65537 and at p = 2147483629; on fully dense blocks at 31-bit primes
-# it breaks even near 256
-SMALL_ENTRIES = 256
+# Against the level sweep on F4's batches (katsura-4 to 7, cyclic-5 and 6)
+# it takes 0.3-1.0x the time up to 527 entries and 1.0-2.9x from 547 up, at
+# p = 65537 and at 2147483629; 450 keeps katsura-4's 475-entry batch on the
+# sweep.  Fully dense blocks break even sooner: 16 x 16 takes 0.6-1.0x,
+# 20 x 20 1.0-1.6x
+SMALL_ENTRIES = 450
+# pivots per part in the limb tier of _sweep_levels: each adds at most
+# 3 * 2^44 to a partial sum, so 127 give at most 381 * 2^44, and a balanced
+# entry (within 2^30 + 2) less that stays below 2^53 (the bound admits 170)
+_LIMB_PIVOTS = 127
 
 
 @dataclass
@@ -417,41 +422,14 @@ def _levels(piv: _Pivots, n_cols: int) -> list:
     return levels
 
 
-def _sweep_columns(B, rows: list, p: int):
-    """Zero every pivot column of the uint64 block B in place, one column at a time.
-
-    ``rows`` are the pivot rows (lead, cols, values) ascending by lead, so
-    an update never touches a column already visited: each pivot row is
-    monic and leads at its column.  Only columns that hold a nonzero or
-    that some update reached are inspected.
-    """
-    p = np.uint64(p)
-    queued = B.any(axis=0)
-    for c, pc, pv in rows:
-        if not queued[c]:
-            continue
-        col = B[:, c]
-        nz = col.nonzero()[0]
-        if len(nz) == 0:
-            continue
-        coef = p - col[nz]
-        # a residue plus one product of residues stays below 2^63
-        if len(nz) == 1:
-            r = int(nz[0])
-            B[r, pc] = (B[r, pc] + pv * coef[0]) % p
-        else:
-            ix = (nz[:, None], pc)
-            B[ix] = (B[ix] + coef[:, None] * pv) % p
-        queued[pc] = True
-
-
 @dataclass
 class _Part:
-    """One level of a sweep schedule, or one part of a level too wide for BLOCK_BYTES.
+    """One level of a sweep schedule, or one part of a level.
 
     P, once built, is ``shape`` float64 zeros with ``val`` at the flat
     positions ``pos``: the part's pivot rows less their leads, on the
-    columns ``support`` they touch.
+    columns ``support`` they touch; in the limb tier, over those rows times
+    2^16 mod p, both balanced.
     """
 
     leads: np.ndarray
@@ -461,14 +439,13 @@ class _Part:
     val: np.ndarray
 
 
-def _schedule(piv: _Pivots, levels: list, n_cols: int) -> list:
-    """The levels as ``_Part``s, each P within BLOCK_BYTES, from a few numpy calls.
+def _schedule(piv: _Pivots, levels: list, n_cols: int, step: int, p: int, limbs: bool) -> list:
+    """The levels as ``_Part``s of at most ``step`` pivots, from a few numpy calls.
 
-    A part holds at most ``_chunk_rows(n_cols)`` pivots, so its P, of at
-    most n_cols columns, fits.  Splitting a level changes nothing: no row of
-    a level has an entry in another column of it.
+    Splitting a level changes nothing: no row of a level has an entry in
+    another column of it.  With ``limbs`` each part's P is the limb tier's
+    [P; P16] (``_sweep_levels``).
     """
-    step = _chunk_rows(n_cols)
     parts = [lv[k : k + step] for lv in levels for k in range(0, len(lv), step)]
     if not parts:
         return []
@@ -486,35 +463,56 @@ def _schedule(piv: _Pivots, levels: list, n_cols: int) -> list:
     col_of -= sup_ptr[part_of]
     pos = row_of * widths[part_of] + col_of
     val = piv.val[at].astype(np.float64)
+    if limbs:
+        # P's entries, then P16's one P further on, both balanced; 2^16 P < 2^47 is exact
+        pos = np.stack([pos, pos + (heights * widths)[part_of]])
+        val = np.stack([val, mod_exact(val * 65536.0, p)])
+        np.subtract(val, p, out=val, where=val > p // 2)
     ent_ptr = _ptr(np.bincount(part_of, minlength=len(parts))).tolist()
     sup_ptr = sup_ptr.tolist()
     support = keys % n_cols
     return [
-        _Part(piv.leads[part], support[sup_ptr[i] : sup_ptr[i + 1]], (len(part), sup_ptr[i + 1] - sup_ptr[i]),
-              pos[ent_ptr[i] : ent_ptr[i + 1]], val[ent_ptr[i] : ent_ptr[i + 1]])
+        _Part(piv.leads[part], support[sup_ptr[i] : sup_ptr[i + 1]], ((1 + limbs) * len(part), sup_ptr[i + 1] - sup_ptr[i]),
+              pos[..., ent_ptr[i] : ent_ptr[i + 1]], val[..., ent_ptr[i] : ent_ptr[i + 1]])
         for i, part in enumerate(parts)
     ]
 
 
-def _sweep_levels(B, schedule: list, p: int):
-    """Zero every pivot column of the float64 block B in place, one level at a time.
+def _sweep_levels(B, schedule: list, p: int, limbs: bool):
+    """Zero every pivot column of the float64 block B in place, one part of a level at a time.
 
-    Per level: X is the block's entries in the level's columns, mod p, and
-    B -= X P, so the level's columns end zero.  Partial sums stay exact
-    integers under ``float_exact``; one reduction at the end finishes B.
-    B is column-major, so the sweep works on Bt = B.T, which is
-    C-contiguous: Bt[support] -= P^T X^T gathers and scatters whole
-    contiguous rows, and the product lands row-major.
+    Per part: X is the block's entries in the part's columns, and B -= X P,
+    so those columns end zero.  B is column-major, so the sweep works on its
+    C-contiguous transpose Bt: every gather and scatter moves whole rows.
+
+    - Exact tier (``float_exact`` holds for the sweep's K pivots): partial
+      sums stay exact integers, and one ``mod_exact`` at the end finishes B.
+    - Limb tier: B is kept balanced, each entry within p/2 + 2 of zero.
+      X = X0 + 2^16 X1 with X1 = rint(X / 2^16), so |X0| <= 2^15 and
+      |X1| <= 2^14, and P is [P; P16], P16 = 2^16 P mod p, both balanced,
+      below 2^30: each pivot adds at most 3 * 2^44 to a partial sum of
+      Y = [P; P16]^T [X0; X1], which is P^T X mod p.  Z = Bt[support] - Y,
+      below 2^53 and Z / p below 2^22, becomes Z - rint(Z / p) p, within
+      p/2 + 2 of zero, and ``mod_exact`` at the end finishes B.
     """
     Bt = B.T
+    if limbs:
+        np.subtract(B, p, out=B, where=B > p // 2)
     for part in schedule:
         Xt = Bt[part.leads]
         if not Xt.any():
             continue
         P = np.zeros(part.shape)
-        P.flat[part.pos] = part.val
+        P.reshape(-1)[part.pos] = part.val
         Bt[part.leads] = 0
-        Bt[part.support] -= P.T @ mod_exact(Xt, p)
+        if not limbs:
+            Bt[part.support] -= P.T @ mod_exact(Xt, p)
+            continue
+        X1 = np.rint(Xt * 2.0**-16)
+        Z = Bt[part.support]
+        Z -= P.T @ np.concatenate([Xt - 65536.0 * X1, X1])
+        Z -= np.rint(Z * (1.0 / p)) * p
+        Bt[part.support] = Z
     mod_exact(B, p)
 
 
@@ -545,15 +543,15 @@ def _gauss_jordan(R, p: int):
     return found
 
 
-def _dense_block(row_ptr, col_ind, val, rows, n_cols: int, dtype):
-    """The given CSR rows as a dense block; also each entry's block row and column.
+def _dense_block(row_ptr, col_ind, val, rows, n_cols: int):
+    """The given CSR rows as a float64 block; also each entry's block row and column.
 
-    A float64 block is column-major, so that its transpose, on which the
-    level sweep works, is C-contiguous.
+    The block is column-major, so that its transpose, on which the level
+    sweep works, is C-contiguous.
     """
     at, lens = _entry_positions(row_ptr, rows)
     local = np.repeat(np.arange(len(rows)), lens)
-    B = np.zeros((len(rows), n_cols), dtype=dtype, order="F" if dtype == np.float64 else "C")
+    B = np.zeros((len(rows), n_cols), order="F")
     B[local, col_ind[at]] = val[at]
     return B, local, col_ind[at]
 
@@ -578,29 +576,29 @@ def _block_entries(B, first_row: int = 0):
 def _sweep(piv: _Pivots, ptr, ind, val, rows, n_cols: int, p: int, aside: bool = False):
     """The CSR rows ``rows`` of (ptr, ind, val), each less every pivot column of ``piv``.
 
-    The route is chosen once for the pivot set: while ``float_exact`` holds
-    for its size, float64 blocks and the level sweep; otherwise uint64
-    blocks and the column loop, pivots in ascending lead order.  Each chunk
-    of ``_chunk_rows(n_cols)`` rows is one dense block.  With ``aside``,
+    Each chunk of ``_chunk_rows(n_cols)`` rows is one float64 block for
+    ``_sweep_levels``, in its exact tier while ``float_exact`` holds for the
+    pivot set's size, else in its limb tier, whose parts of h pivots have
+    arrays of 2h rows of up to n_cols or block-row words: h keeps them in
+    ``BLOCK_BYTES``, or is 1 where not even two rows fit.  With ``aside``,
     each row's lead is set aside during its sweep.  Returns the swept rows'
     nonzeros (row by place in ``rows``, column, uint64 value), row-major,
     and the number of entries the sweep created.
     """
-    if float_exact(len(piv.leads), p):
-        dtype, schedule = np.float64, _schedule(piv, _levels(piv, n_cols), n_cols)
-        sweep = lambda B: _sweep_levels(B, schedule, p)
-    else:
-        dtype, pivots = np.uint64, sorted(piv, key=itemgetter(0))
-        sweep = lambda B: _sweep_columns(B, pivots, p)
     chunk = _chunk_rows(n_cols)
+    limbs = not float_exact(len(piv.leads), p)
+    step = chunk
+    if limbs:
+        step = max(1, min(_LIMB_PIVOTS, _chunk_rows(max(n_cols, min(len(rows), chunk))) // 2))
+    schedule = _schedule(piv, _levels(piv, n_cols), n_cols, step, p, limbs)
     fill, out = 0, []
     for k in range(0, len(rows), chunk):
         part = rows[k : k + chunk]
-        B, local, cols = _dense_block(ptr, ind, val, part, n_cols, dtype)
+        B, local, cols = _dense_block(ptr, ind, val, part, n_cols)
         if aside:
             lead = (np.arange(len(part)), ind[ptr[part]])
             one, B[lead] = B[lead], 0
-        sweep(B)
+        _sweep_levels(B, schedule, p, limbs)
         if aside:
             B[lead] = one
         out.append(_block_entries(B, k))
@@ -775,29 +773,27 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     3. Back-substitution, with ``back_reduce=True`` only: each known pivot
        row loses every other pivot column, for the full RREF.
 
-    Three routes give the same bytes: a swept row and an RREF are unique,
+    Both routes give the same bytes: a swept row and an RREF are unique,
     whatever order the updates take.  A fixed rule picks the small route per
-    batch; otherwise steps 1 and 3 each call ``_sweep``, which picks the
-    level sweep or the column loop for its own pivot set.
+    batch; otherwise steps 1 and 3 each call ``_sweep``.
 
     - Small (at most ``SMALL_ENTRIES`` entries): ``_psge_small`` runs the
       three steps on Python ints over each row's sparse entries, with no
       dense block; on such batches each numpy call costs more than the
       arithmetic it does.
-    - Level sweep: by dependency level (``_levels``): all pivot columns of
-      a level are cleared at once by one float64 product B -= X P through
-      BLAS, with one mod p at the end.  That is exact while K (p-1)^2 + p <
-      2^53 for the K pivots of the sweep (``fp.float_exact``): at p = 65537
-      up to 2^21 pivots, and for every small prime.
-    - Column loop: above that bound, which means the 31-bit primes, the
-      sweep visits the pivot columns one at a time in uint64.
+    - Level sweep, at every prime: by dependency level (``_levels``): all
+      pivot columns of a level are cleared at once by a float64 product
+      B -= X P through BLAS.  While K (p-1)^2 + p < 2^53 for the K pivots
+      of the sweep (``fp.float_exact``: at p = 65537 up to 2^21 pivots, and
+      for every small prime) one mod p ends the sweep; above it (31-bit
+      primes) each part of a level multiplies balanced 16-bit limbs.
 
-    Every dense block, float64 or uint64, and every level's P fits in
-    ``BLOCK_BYTES`` (a level is swept in parts when its P would not) or is
-    refused with SizeCapError before it is allocated.  The small route
-    allocates no block but refuses the same batches: a row wider than
-    ``BLOCK_BYTES`` before the route is chosen, and a remainder block over
-    it after its sweep.
+    Every dense block and every level's P fits in ``BLOCK_BYTES`` (a level
+    is swept in parts when its P would not) or is refused with SizeCapError
+    before it is allocated (``_sweep`` has the limb tier's one exception).
+    The small route allocates no block but refuses the same batches: a row
+    wider than ``BLOCK_BYTES`` before the route is chosen, and a remainder
+    block over it after its sweep.
     """
     p = A.modulus.p
     _chunk_rows(A.n_cols)  # refuses a row wider than BLOCK_BYTES on every route
@@ -945,7 +941,7 @@ def _operator(A: CsrMatrix):
             return lambda X: spmm(A, X)
         At = csr_transpose(A)
         return lambda X: spmm(At, spmm(A, X))
-    B = _dense_block(A.row_ptr, A.col_ind, A.val, np.arange(A.n_rows), n, np.float64)[0]
+    B = _dense_block(A.row_ptr, A.col_ind, A.val, np.arange(A.n_rows), n)[0]
     if not square:
         B = matmul_mod(B.T, B, A.modulus).astype(np.float64)
     return lambda X: matmul_mod(B, X, A.modulus)

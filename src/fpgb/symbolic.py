@@ -540,7 +540,8 @@ def compile_batch(
     batch on word keys whose closure reaches past their lanes is compiled
     again from the start on packed keys, which raise LaneOverflowError
     where a key does not fit them.  The output is byte-identical for any
-    ExecPolicy.  A SizeCapError carries only its message.
+    ExecPolicy.  A SizeCapError raised here holds the rounds' frames in its
+    traceback; ``f4_groebner`` raises a fresh one for its callers.
     """
     ring = basis.ring
     timings = {}
@@ -551,20 +552,11 @@ def compile_batch(
     # monomials round k - 1 added, which no row can lead because every
     # closure row leads at a monomial already present
     t0 = time.monotonic_ns()
-    refused = None
-    try:
-        keyer = _WordKeys.fit(rows, basis, policy)
-        built = keyer and _closed_dictionary(rows, basis, closure, keyer)
-        if not built:
-            keyer = _PackedKeys(ring, policy)
-            built = _closed_dictionary(rows, basis, closure, keyer)
-    except SizeCapError as e:
-        refused = str(e)
-    if refused is not None:
-        # raised afresh outside the handler, so the error has no context and
-        # its traceback no frame of the rounds: a caller that keeps it does
-        # not keep their arrays alive
-        raise SizeCapError(refused)
+    keyer = _WordKeys.fit(rows, basis, policy)
+    built = keyer and _closed_dictionary(rows, basis, closure, keyer)
+    if not built:
+        keyer = _PackedKeys(ring, policy)
+        built = _closed_dictionary(rows, basis, closure, keyer)
     parts, dict_asc, counters = built
     dict_desc = np.ascontiguousarray(keyer.packed(dict_asc[::-1]))
     timings["dict_build_ns"] = time.monotonic_ns() - t0

@@ -230,7 +230,7 @@ def test_microbench_numeric():
     small = microbench("numeric", 300, seed=5)  # within DENSE_CAP: also checked by dense_gauss
     assert small["rows"] > small["rank"] > 0
     assert small["fill_generated"] > 0 and small["elapsed_ns"] > 0
-    # the same seeded batch at a 31-bit prime times the column loop
+    # the same seeded batch at a 31-bit prime times the limb tier
     assert small["elapsed_ns.2147483629"] > 0
     times = ("elapsed_ns", "elapsed_ns.2147483629")
     assert small == {**microbench("numeric", 300, seed=5), **{k: small[k] for k in times}}

@@ -1130,3 +1130,24 @@ def test_kept_size_cap_error_pins_no_batch():
         tracemalloc.stop()
     assert kept.value.__context__ is None
     assert held < 4 << 20, f"a kept SizeCapError holds {held} bytes"
+
+
+def test_kept_psge_refusal_pins_no_batch(monkeypatch):
+    # psge refuses katsura-7's remainder block inside psge_reduce, whose
+    # frames hold the batch matrix and f4_step's plan; a kept refusal once
+    # held 2 MB of them
+    import gc
+    import tracemalloc
+
+    ring, system = gen_katsura(7, 65537)
+    monkeypatch.setattr(sparselin, "BLOCK_BYTES", 1 << 17)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="remainder block 119 x 141 exceeds 131072 bytes") as kept:
+            f4_groebner(system, ring)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept.value.__context__ is None
+    assert held < 1 << 20, f"a kept SizeCapError holds {held} bytes"

@@ -399,9 +399,12 @@ def f4_shaped_batch(rng, n_cols, n_known, n_rest, p):
 
 
 def sweep_route(monkeypatch, route):
-    """Make psge_reduce take ``route`` (small, levels or columns) and forbid the others.
+    """Make psge_reduce take ``route`` and forbid the others.
 
-    ``levels`` needs a prime at which the level sweep is exact (``routes_at``).
+    ``small``, ``levels`` (the level sweep's exact tier) and ``limbs`` (its
+    limb tier, forced at any prime) are psge_reduce's own routes; ``levels``
+    needs a prime at which the exact tier holds (``routes_at``).  ``columns``
+    puts the column-loop oracle (``column_loop_sweep``) in place of ``_sweep``.
     """
     def forbidden(*args):
         raise AssertionError(f"psge_reduce left the {route} route")
@@ -409,20 +412,87 @@ def sweep_route(monkeypatch, route):
     if route == "small":
         monkeypatch.setattr(sparselin, "SMALL_ENTRIES", 1 << 62)
         monkeypatch.setattr(sparselin, "_sweep_levels", forbidden)
-        monkeypatch.setattr(sparselin, "_sweep_columns", forbidden)
         return
     monkeypatch.setattr(sparselin, "SMALL_ENTRIES", -1)
     monkeypatch.setattr(sparselin, "_psge_small", forbidden)
-    if route == "levels":
-        monkeypatch.setattr(sparselin, "_sweep_columns", forbidden)
-    else:
-        monkeypatch.setattr(sparselin, "float_exact", lambda k, p: False)
+    if route == "columns":
+        monkeypatch.setattr(sparselin, "_sweep", column_loop_sweep)
         monkeypatch.setattr(sparselin, "_sweep_levels", forbidden)
+        return
+    real = sparselin._sweep_levels
+
+    def tier(B, schedule, p, limbs):
+        if limbs != (route == "limbs"):
+            forbidden()
+        return real(B, schedule, p, limbs)
+
+    monkeypatch.setattr(sparselin, "_sweep_levels", tier)
+    if route == "limbs":
+        monkeypatch.setattr(sparselin, "float_exact", lambda k, p: False)
 
 
 def routes_at(p):
-    """The routes psge_reduce can take at p: the level sweep only where float64 is exact."""
-    return ("small", "levels", "columns") if sparselin.float_exact(1, p) else ("small", "columns")
+    """The routes psge_reduce can be made to take at p, the column-loop oracle last.
+
+    The level sweep's exact tier only where float64 is exact.
+    """
+    return ("small", "levels", "limbs", "columns") if sparselin.float_exact(1, p) else ("small", "limbs", "columns")
+
+
+def _sweep_columns(B, rows: list, p: int):
+    """Zero every pivot column of the uint64 block B in place, one column at a time.
+
+    ``rows`` are the pivot rows (lead, cols, values) ascending by lead, so
+    an update never touches a column already visited: each pivot row is
+    monic and leads at its column.  Only columns that hold a nonzero or
+    that some update reached are inspected.
+    """
+    p = np.uint64(p)
+    queued = B.any(axis=0)
+    for c, pc, pv in rows:
+        if not queued[c]:
+            continue
+        col = B[:, c]
+        nz = col.nonzero()[0]
+        if len(nz) == 0:
+            continue
+        coef = p - col[nz]
+        # a residue plus one product of residues stays below 2^63
+        if len(nz) == 1:
+            r = int(nz[0])
+            B[r, pc] = (B[r, pc] + pv * coef[0]) % p
+        else:
+            ix = (nz[:, None], pc)
+            B[ix] = (B[ix] + coef[:, None] * pv) % p
+        queued[pc] = True
+
+
+def column_loop_sweep(piv, ptr, ind, val, rows, n_cols, p, aside=False):
+    """``sparselin._sweep`` on uint64 blocks by ``_sweep_columns``, pivots in ascending lead order.
+
+    The column loop that swept psge's batches wherever float64 was not
+    exact, kept as the level sweep's oracle: the same chunks, the same
+    lead-aside rule and the same return value.
+    """
+    pivots = sorted(piv, key=lambda row: row[0])
+    chunk = sparselin._chunk_rows(n_cols)
+    fill, out = 0, []
+    for k in range(0, len(rows), chunk):
+        part = rows[k : k + chunk]
+        at, lens = sparselin._entry_positions(ptr, part)
+        local, cols = np.repeat(np.arange(len(part)), lens), ind[at]
+        B = np.zeros((len(part), n_cols), dtype=np.uint64)
+        B[local, cols] = val[at]
+        if aside:
+            lead = (np.arange(len(part)), ind[ptr[part]])
+            one, B[lead] = B[lead], 0
+        _sweep_columns(B, pivots, p)
+        if aside:
+            B[lead] = one
+        out.append(sparselin._block_entries(B, k))
+        fill += len(out[-1][0]) - int(np.count_nonzero(B[local, cols]))
+    r, c, v = (np.concatenate(x) for x in zip(*out))
+    return r, c, v, fill
 
 
 def test_level_sweep_matches_column_loop(monkeypatch):
@@ -431,14 +501,15 @@ def test_level_sweep_matches_column_loop(monkeypatch):
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(
-        p=st.sampled_from([3, 7, 101, 65537, 2147483629]),
+        p=st.sampled_from([3, 7, 101, 65537, 6710887, 2147483629]),
         backend=st.sampled_from(list(Backend)),
         back_reduce=st.booleans(),
         chunk_rows=st.sampled_from([1, 3, 256]),
+        limb_pivots=st.sampled_from([1, 2, sparselin._LIMB_PIVOTS]),
         n_cols=st.integers(1, 40),
         data=st.data(),
     )
-    def check(p, backend, back_reduce, chunk_rows, n_cols, data):
+    def check(p, backend, back_reduce, chunk_rows, limb_pivots, n_cols, data):
         n_known = data.draw(st.integers(1, n_cols))
         n_rest = data.draw(st.integers(0, 30))
         mat = f4_shaped_batch(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n_cols, n_known, n_rest, p)
@@ -448,8 +519,9 @@ def test_level_sweep_matches_column_loop(monkeypatch):
             with monkeypatch.context() as mp:
                 sweep_chunk(mp, chunk_rows)
                 sweep_route(mp, route)
+                mp.setattr(sparselin, "_LIMB_PIVOTS", limb_pivots)
                 keys.append(echelon_key(psge_reduce(A, back_reduce=back_reduce)))
-        assert all(k == keys[0] for k in keys[1:])
+        assert all(k == keys[-1] for k in keys[:-1])
 
     check()
 
@@ -464,44 +536,117 @@ def monic_pivots(mat, p):
     return sparselin._pack(sorted(rows))
 
 
+def assert_sweeps_match_column_loop(monkeypatch, mat, n_known, p, budgets, limb_pivots=sparselin._LIMB_PIVOTS):
+    """``_sweep`` on each of psge's routes, at each ``BLOCK_BYTES`` budget, against the column loop.
+
+    The first ``n_known`` rows of ``mat`` are the pivots; the exact tier
+    runs only where it holds for them.  Step 1 sweeps the other rows; step 3
+    sweeps the pivots themselves, each with its lead set aside.
+    """
+    n_cols = mat.shape[1]
+    piv = monic_pivots(mat[:n_known], p)
+    rest = csr_from_dense(mat[n_known:], FieldModulus(p))
+    routes = [r for r in routes_at(p)[1:] if r != "levels" or sparselin.float_exact(n_known, p)]
+    for ptr, ind, val, rows, aside in (
+        (rest.row_ptr, rest.col_ind, rest.val, np.arange(rest.n_rows), False),
+        (piv.ptr, piv.ind, piv.val, np.arange(n_known), True),
+    ):
+        got = []
+        for route in routes:
+            for budget in budgets:
+                with monkeypatch.context() as mp:
+                    sweep_route(mp, route)
+                    mp.setattr(sparselin, "BLOCK_BYTES", budget)
+                    mp.setattr(sparselin, "_LIMB_PIVOTS", limb_pivots)
+                    got.append(sparselin._sweep(piv, ptr, ind, val, rows, n_cols, p, aside=aside))
+        want = got[-1]
+        for r, c, v, fill in got[:-1]:
+            assert np.array_equal(r, want[0]) and np.array_equal(c, want[1])
+            assert np.array_equal(v, want[2]) and fill == want[3]
+
+
 def test_level_sweep_matches_column_loop_over_several_blocks(monkeypatch):
     # _sweep on its own, with the real chunk rule: BLOCK_BYTES holds a few
     # rows, so each job spans several dense blocks and each wide level
-    # several parts. Step 1 sweeps the remainder rows; step 3 sweeps the
-    # pivots themselves, each with its lead set aside
+    # several parts, down to parts of one pivot in the limb tier
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(
-        p=st.sampled_from([7, 101, 65537]),
+        p=st.sampled_from([7, 101, 65537, 6710887, 2147483629]),
         block_rows=st.integers(1, 4),
+        limb_pivots=st.sampled_from([1, 2, sparselin._LIMB_PIVOTS]),
         n_cols=st.integers(1, 30),
         data=st.data(),
     )
-    def check(p, block_rows, n_cols, data):
+    def check(p, block_rows, limb_pivots, n_cols, data):
         n_known = data.draw(st.integers(1, n_cols))
         n_rest = data.draw(st.integers(1, 20))
         mat = f4_shaped_batch(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n_cols, n_known, n_rest, p)
-        piv = monic_pivots(mat[:n_known], p)
-        rest = csr_from_dense(mat[n_known:], FieldModulus(p))
-        small = 8 * n_cols * block_rows
-        for ptr, ind, val, rows, aside in (
-            (rest.row_ptr, rest.col_ind, rest.val, np.arange(n_rest), False),
-            (piv.ptr, piv.ind, piv.val, np.arange(n_known), True),
-        ):
-            got = []
-            for route, budget in (("levels", small), ("columns", small), ("levels", BLOCK_BYTES)):
-                with monkeypatch.context() as mp:
-                    sweep_route(mp, route)
-                    mp.setattr(sparselin, "BLOCK_BYTES", budget)
-                    got.append(sparselin._sweep(piv, ptr, ind, val, rows, n_cols, p, aside=aside))
-            want = got[0]
-            for r, c, v, fill in got[1:]:
-                assert np.array_equal(r, want[0]) and np.array_equal(c, want[1])
-                assert np.array_equal(v, want[2]) and fill == want[3]
+        assert_sweeps_match_column_loop(monkeypatch, mat, n_known, p, (8 * n_cols * block_rows, BLOCK_BYTES), limb_pivots)
 
     check()
+
+
+@pytest.mark.parametrize("p", [6710887, 2147483629])
+def test_limb_parts_at_the_cap_match_the_column_loop(monkeypatch, p):
+    # 300 pivots that touch no other pivot's lead are one level, which the
+    # limb tier sweeps in parts of 127, 127 and 46 pivots
+    rng = np.random.default_rng(p % 1000)
+    n_known, n_cols = 300, 340
+    mat = np.zeros((n_known + 40, n_cols), dtype=np.uint64)
+    mat[np.arange(n_known), np.arange(n_known)] = rng.integers(1, p, n_known)
+    tails = rng.random((n_known, n_cols - n_known)) < 0.3
+    mat[:n_known, n_known:][tails] = rng.integers(1, p, int(tails.sum()))
+    live = rng.random((40, n_cols)) < 0.5
+    mat[n_known:][live] = rng.integers(1, p, int(live.sum()))
+    piv = monic_pivots(mat[:n_known], p)
+    parts = sparselin._schedule(piv, sparselin._levels(piv, n_cols), n_cols, sparselin._LIMB_PIVOTS, p, True)
+    assert [len(part.leads) for part in parts] == [127, 127, 46]
+    assert_sweeps_match_column_loop(monkeypatch, mat, n_known, p, (8 * n_cols * 7, BLOCK_BYTES))
+
+
+@pytest.mark.parametrize("p", [2147483629, 2147483647])
+@pytest.mark.parametrize("kind", ["opposite", "same", "minus_one"])
+def test_limb_tier_at_its_bound(p, kind):
+    # one part of _LIMB_PIVOTS pivots whose residues all sit within 2^16 of
+    # +-(p-1)/2 and of -1, so X1 reaches +-2^14, against integer arithmetic.
+    # Every pivot entry is one v: near -(p-1)/2 or near +(p-1)/2 with
+    # 2^16 v mod p near +(p-1)/2 ("opposite", "same"), or p - 1.  X = 2^30 -
+    # 2^15 splits as -2^15 + 2^16 * 2^14 and X = 2^30 - 2^15 - 1 as
+    # (2^15 - 1) + 2^16 (2^14 - 1), so in one of the rows each pivot adds
+    # nearly 3 * 2^44 to the limb product, all of one sign
+    h, half = sparselin._LIMB_PIVOTS, (p - 1) // 2
+    bal = lambda v: v - p if v > half else v
+    near = {"opposite": range(half + 1, p), "same": range(half, 0, -1), "minus_one": [p - 1]}[kind]
+    v = next(v for v in near if kind == "minus_one" or bal(v * 65536 % p) > half - 65536)
+    xs = ((1 << 30) - (1 << 15), (1 << 30) - (1 << 15) - 1, half)
+    split = lambda x: (x - 65536 * round(x / 65536), round(x / 65536))
+    assert [split(x) for x in xs[:2]] == [(-(1 << 15), 1 << 14), ((1 << 15) - 1, (1 << 14) - 1)]
+    if kind != "minus_one":
+        worst = max(abs(bal(v) * x0 + bal(v * 65536 % p) * x1) for x0, x1 in map(split, xs))
+        assert h * worst > 380 << 44
+    leads = [*xs, *(p - x for x in xs)]
+    n_cols = h + 6
+    mat = np.zeros((h + len(leads), n_cols), dtype=np.uint64)
+    mat[np.arange(h), np.arange(h)] = 1
+    mat[:h, h:] = v
+    for i, x in enumerate(leads):
+        mat[h + i, :h] = x
+        mat[h + i, h:] = half if i % 2 else p - half
+    piv = monic_pivots(mat[:h], p)
+    rest = csr_from_dense(mat[h:], FieldModulus(p))
+    parts = sparselin._schedule(piv, sparselin._levels(piv, n_cols), n_cols, h, p, True)
+    assert [len(part.leads) for part in parts] == [h]
+    r, c, val, _ = sparselin._sweep(piv, rest.row_ptr, rest.col_ind, rest.val, np.arange(len(leads)), n_cols, p)
+    got = np.zeros((len(leads), n_cols), dtype=object)
+    got[r, c] = val.tolist()
+    # each row less its lead-column entries times the pivot rows
+    want = mat[h:].astype(object)
+    want = (want - want[:, :h] @ mat[:h].astype(object)) % p
+    assert not want[:, :h].any()
+    assert (got == want).all()
 
 
 def test_block_entries_match_argwhere_in_any_layout():
@@ -567,8 +712,8 @@ def test_psge_step_two_on_swept_rows_and_columns_left_empty(monkeypatch, p):
 @pytest.mark.parametrize("p", [65537, 2147483629])
 def test_small_route_rule_switches_at_its_limit(monkeypatch, p):
     # a batch of exactly SMALL_ENTRIES entries takes the small route, one
-    # more entry the level sweep (65537) or the column loop (2147483629);
-    # each side runs with every other route patched to raise
+    # more entry the level sweep, in its exact tier (65537) or its limb tier
+    # (2147483629); each side runs with the other route patched to raise
     def forbidden(*args):
         raise AssertionError("psge_reduce took a route the rule does not choose")
 
@@ -584,10 +729,8 @@ def test_small_route_rule_switches_at_its_limit(monkeypatch, p):
         with monkeypatch.context() as mp:
             if small:
                 mp.setattr(sparselin, "_sweep_levels", forbidden)
-                mp.setattr(sparselin, "_sweep_columns", forbidden)
             else:
                 mp.setattr(sparselin, "_psge_small", forbidden)
-                mp.setattr(sparselin, "_sweep_columns" if p == 65537 else "_sweep_levels", forbidden)
             res = psge_reduce(A)
         assert res.rank == rank
         assert np.array_equal(assemble_rows(res, 30), rref[:rank])
@@ -661,14 +804,14 @@ def test_small_route_matches_dense_gauss(monkeypatch):
 def test_both_row_sets_ascend_by_lead(monkeypatch, p, back_reduce):
     # F4 harvests the new rows in reverse and the interreduction searches
     # the pivot rows' leads, so each set must ascend.  These batches have
-    # more than SMALL_ENTRIES entries: 65537 takes the level sweep,
-    # 2147483629 the column loop; each is also run through the small route
+    # more than SMALL_ENTRIES entries: 65537 takes the level sweep's exact
+    # tier, 2147483629 its limb tier; each is also run through the small route
     rng = np.random.default_rng(p % 1000 + back_reduce)
     for _ in range(4):
         mat = f4_shaped_batch(rng, 60, 25, 30, p)
         A = csr_from_dense(mat, FieldModulus(p))
         assert A.nnz() > sparselin.SMALL_ENTRIES
-        for route in ("levels" if p == 65537 else "columns", "small"):
+        for route in ("levels" if p == 65537 else "limbs", "small"):
             with monkeypatch.context() as mp:
                 sweep_route(mp, route)
                 res = psge_reduce(A, back_reduce=back_reduce)
@@ -695,14 +838,14 @@ def test_mod_exact_matches_integer_mod_up_to_2_53(p):
 
 def test_exactness_bound_flips_between_two_batch_sizes(monkeypatch):
     # the largest prime at which a 200-pivot sweep is exact in float64;
-    # 201 pivots are not, so the same shape of batch takes the column loop.
-    # Each step picks its route for its own pivot set: at 200 known pivots
-    # step 1 takes the level sweep, and step 3, by the known pivots and the
-    # new rows together, the column loop
+    # 201 pivots are not, so the same shape of batch takes the limb tier.
+    # Each step picks its tier for its own pivot set: at 200 known pivots
+    # step 1 takes the exact tier, and step 3, by the known pivots and the
+    # new rows together, the limb tier
     p = 6710887
     assert sparselin.float_exact(200, p) and not sparselin.float_exact(201, p)
     m = FieldModulus(p)
-    for n_known, step1 in ((200, "_sweep_levels"), (201, "_sweep_columns")):
+    for n_known, step1 in ((200, "exact"), (201, "limbs")):
         # the known pivots are one dense chain: a lead of 1 and p-1 at every
         # column to its right, so each row depends on all the ones above it.
         # The remainder rows repeat lead 0 and hold p-1 almost everywhere:
@@ -722,7 +865,7 @@ def test_exactness_bound_flips_between_two_batch_sizes(monkeypatch):
             assert taken == [("step 1", {step1})]
             taken.clear()
             full = psge_reduce(A, back_reduce=True)
-            assert taken == [("step 1", {step1}), ("step 3", {"_sweep_columns"})]
+            assert taken == [("step 1", {step1}), ("step 3", {"limbs"})]
         assert f4.rank == full.rank == rank
         assert f4.nonpivot_rows
         for c, cols, vals in f4.nonpivot_rows:
@@ -732,7 +875,7 @@ def test_exactness_bound_flips_between_two_batch_sizes(monkeypatch):
 
 
 def record_sweep_routes(monkeypatch):
-    """A list that gets, per ``_sweep`` call, its step and the sweep kernels it ran.
+    """A list that gets, per ``_sweep`` call, its step and the tiers of the level sweep it ran.
 
     Step 3 is the call that sets each row's lead aside.
     """
@@ -743,13 +886,14 @@ def record_sweep_routes(monkeypatch):
         taken.append(("step 3" if aside else "step 1", set()))
         return real_sweep(*args, aside=aside)
 
-    monkeypatch.setattr(sparselin, "_sweep", sweep)
-    for name in ("_sweep_levels", "_sweep_columns"):
-        def kernel(*args, name=name, real=getattr(sparselin, name)):
-            taken[-1][1].add(name)
-            return real(*args)
+    real_levels = sparselin._sweep_levels
 
-        monkeypatch.setattr(sparselin, name, kernel)
+    def levels(B, schedule, p, limbs):
+        taken[-1][1].add("limbs" if limbs else "exact")
+        return real_levels(B, schedule, p, limbs)
+
+    monkeypatch.setattr(sparselin, "_sweep", sweep)
+    monkeypatch.setattr(sparselin, "_sweep_levels", levels)
     return taken
 
 
