@@ -10,18 +10,21 @@ work on them:
 - ``psge_reduce``: known-pivot elimination in the style of Faugere-Lachartre.
   One sparsest row per distinct input leading column is a known pivot; each
   other row has the known pivot columns swept out on its own, and the swept
-  remainder is brought to reduced row echelon form (RREF) as one dense block
-  by its own Gauss-Jordan code, every block within ``BLOCK_BYTES``.
+  remainder is brought to reduced row echelon form (RREF), the new pivots.
   ``back_reduce=True`` also back-substitutes the known pivots: the whole RREF.
   It has two routes.  A batch of at most ``SMALL_ENTRIES`` entries, by a
-  fixed rule, runs the same steps on Python ints over each row's sparse
-  entries.  On a larger batch the known-pivot sweep and the
-  back-substitution run one sweep kernel at every prime: one dependency
-  level of pivots at a time, as float64 products through BLAS, with one
-  reduction at the end while ``fp.float_exact`` keeps every partial sum
-  exact, or else (31-bit primes) on balanced 16-bit limbs, reduced per
-  part.  A swept row and an RREF are unique, so the routes give the same
-  bytes, and tests compare each with the others and with a column loop;
+  fixed rule, runs on Python ints over each row's sparse entries and
+  eliminates by one row sweep alone: each remainder row is swept by the
+  known pivots, then by the new pivots found so far, and joins them if
+  anything is left; one last pass back-substitutes.  On a larger batch the
+  known-pivot sweep and the back-substitution run one sweep kernel at every
+  prime: one dependency level of pivots at a time, as float64 products
+  through BLAS, with one reduction at the end while ``fp.float_exact``
+  keeps every partial sum exact, or else (31-bit primes) on balanced 16-bit
+  limbs, reduced per part; the swept remainder is one dense block for its
+  own Gauss-Jordan code, every block within ``BLOCK_BYTES``.  A swept row
+  and an RREF are unique, so the routes give the same bytes, and tests
+  compare each with the others and with a column loop;
 - ``dense_gauss``: the brute-force oracle (size-capped) used to cross-check
   ranks, row spaces, and null spaces; ``left_kernel`` is its left kernel;
 - ``wiedemann_solve``: black-box right-kernel extraction by block
@@ -636,41 +639,6 @@ def _sweep_row(row: dict, tails: dict, p: int):
                 del row[pc]
 
 
-def _gauss_jordan_rows(rows: list, support: set, p: int) -> list:
-    """``_gauss_jordan`` on sparse rows (column -> residue dicts), in place.
-
-    ``support`` holds every column the rows touch.  Columns ascend; each
-    takes the first row still alive with an entry there as its pivot, made
-    monic, and every other row loses that column.  Returns [(lead, row)],
-    leads ascending.
-    """
-    alive = list(range(len(rows)))
-    found = []
-    for j in sorted(support):
-        r = next((i for i in alive if j in rows[i]), None)
-        if r is None:
-            continue
-        alive.remove(r)
-        row = rows[r]
-        inv = pow(row[j], p - 2, p)
-        for c in row:
-            row[c] = row[c] * inv % p
-        tail = [(c, v) for c, v in row.items() if c != j]
-        for i, other in enumerate(rows):
-            if i == r or j not in other:
-                continue
-            coef = p - other.pop(j)
-            for c, v in tail:
-                if (new := (other.get(c, 0) + coef * v) % p):
-                    other[c] = new
-                else:
-                    other.pop(c, None)
-        found.append((j, row))
-        if not alive:
-            break
-    return found
-
-
 def _pack(rows) -> _Pivots:
     """(lead, tail) of monic rows, leads ascending, as CSR ``_Pivots``.
 
@@ -695,14 +663,16 @@ def _pack(rows) -> _Pivots:
 
 
 def _psge_small(A: CsrMatrix, back_reduce: bool) -> EchelonResult:
-    """``psge_reduce`` by a scalar sparse sweep over Python ints.
+    """``psge_reduce`` by scalar sparse sweeps (``_sweep_row``) over Python ints.
 
     The same steps as the numpy routes, on each row's column -> residue
     dict: the same known pivots, made monic; each remainder row swept by
-    them in ascending lead order; Gauss-Jordan on the nonzero swept rows;
-    with ``back_reduce``, each known row swept by every other pivot.  A
-    swept row and an RREF are unique, so the bytes are the same.  The
-    remainder-block cap is checked as the numpy routes check it.
+    them, then by the new pivots found so far, and made monic as the next
+    new pivot if anything is left; one last pass sweeps every new pivot's
+    tail by every pivot, and with ``back_reduce`` every known pivot's too.
+    A swept row and an RREF are unique, so the bytes are the same.  The
+    remainder-block cap is checked as the numpy routes check it, on the
+    rows and columns left by the known pivots.
     """
     p = A.modulus.p
     ptr, ind, val = A.row_ptr.tolist(), A.col_ind.tolist(), A.val.tolist()
@@ -729,33 +699,36 @@ def _psge_small(A: CsrMatrix, back_reduce: bool) -> EchelonResult:
         s, e = ptr[chosen[lead]] + 1, ptr[chosen[lead] + 1]
         tails[lead] = [(c, v * inv % p) for c, v in zip(ind[s:e], val[s:e])]
 
-    # 1. sweep each remainder row by the known pivots alone
-    fill, swept = 0, []
+    # 1 and 2. each remainder row loses the known pivot columns, then those
+    # of the new pivots so far; what is left, made monic, is the next new pivot
+    fill, n_swept, support, new = 0, 0, set(), {}
     for i in rest:
         s, e = ptr[i], ptr[i + 1]
         row = dict(zip(ind[s:e], val[s:e]))
         _sweep_row(row, tails, p)
+        if not row:
+            continue
+        fill += len(row.keys() - ind[s:e])
+        n_swept += 1
+        support.update(row)
+        _sweep_row(row, new, p)
         if row:
-            fill += len(row.keys() - ind[s:e])
-            swept.append(row)
+            lead = min(row)
+            inv = pow(row.pop(lead), p - 2, p)
+            new[lead] = [(c, v * inv % p) for c, v in row.items()]
+    if 8 * n_swept * len(support) > BLOCK_BYTES:
+        raise SizeCapError(f"remainder block {n_swept} x {len(support)} exceeds {BLOCK_BYTES} bytes")
 
-    # 2. one RREF of the nonzero swept rows
-    support = set().union(*swept)
-    if 8 * len(swept) * len(support) > BLOCK_BYTES:
-        raise SizeCapError(f"remainder block {len(swept)} x {len(support)} exceeds {BLOCK_BYTES} bytes")
-    found = _gauss_jordan_rows(swept, support, p)
-    new = [(j, sorted((c, v) for c, v in row.items() if c != j)) for j, row in found]
-    known = [(lead, tails[lead]) for lead in leads]
-
-    # 3. each known pivot row, its lead set aside, loses every other pivot column
-    if back_reduce:
-        tails.update(new)
-        for n, (lead, tail) in enumerate(known):
-            row = dict(tail)
-            _sweep_row(row, tails, p)
-            known[n] = (lead, sorted(row.items()))
-
-    return EchelonResult(_pack(known), _pack(new), A.n_rows, fill)
+    # 3. back-substitution, highest lead first, so each tail is swept by
+    # tails already reduced: every new pivot, and with back_reduce every known one
+    every = tails | new
+    for lead in sorted(every if back_reduce else new, reverse=True):
+        row = dict(every[lead])
+        _sweep_row(row, every, p)
+        every[lead] = sorted(row.items())
+    known = [(lead, every[lead]) for lead in leads]
+    found = [(lead, every[lead]) for lead in sorted(new)]
+    return EchelonResult(_pack(known), _pack(found), A.n_rows, fill)
 
 
 def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
@@ -767,9 +740,11 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     1. Sweep: every other row loses every known pivot column, independently
        of the rest, so the chunk size changes no output.  The entries this
        sweep creates are ``fill_generated``.
-    2. One RREF: the nonzero swept rows, on the columns they still touch,
-       form one dense block; Gauss-Jordan makes it the new pivot rows
-       (``nonpivot_rows``, which F4 reads), fully reduced.
+    2. One RREF of the nonzero swept rows: the new pivot rows
+       (``nonpivot_rows``, which F4 reads), fully reduced.  The numpy route
+       puts them, on the columns they still touch, in one dense block for
+       Gauss-Jordan; the small route sweeps each by the new pivots found
+       before it.
     3. Back-substitution, with ``back_reduce=True`` only: each known pivot
        row loses every other pivot column, for the full RREF.
 
@@ -777,10 +752,13 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     whatever order the updates take.  A fixed rule picks the small route per
     batch; otherwise steps 1 and 3 each call ``_sweep``.
 
-    - Small (at most ``SMALL_ENTRIES`` entries): ``_psge_small`` runs the
-      three steps on Python ints over each row's sparse entries, with no
-      dense block; on such batches each numpy call costs more than the
-      arithmetic it does.
+    - Small (at most ``SMALL_ENTRIES`` entries): ``_psge_small`` runs on
+      Python ints over each row's sparse entries, with no dense block; on
+      such batches each numpy call costs more than the arithmetic it does.
+      Its one kernel is ``_sweep_row``: steps 1 and 2 are one loop, each
+      remainder row swept by the known pivots and then by the new ones
+      found so far, and one last pass over the new pivots (and, with
+      ``back_reduce``, the known ones) is step 3.
     - Level sweep, at every prime: by dependency level (``_levels``): all
       pivot columns of a level are cleared at once by a float64 product
       B -= X P through BLAS.  While K (p-1)^2 + p < 2^53 for the K pivots
@@ -793,7 +771,7 @@ def psge_reduce(A: CsrMatrix, back_reduce: bool = True) -> EchelonResult:
     before it is allocated (``_sweep`` has the limb tier's one exception).
     The small route allocates no block but refuses the same batches: a row
     wider than ``BLOCK_BYTES`` before the route is chosen, and a remainder
-    block over it after its sweep.
+    block over it, counted after the known-pivot sweep.
     """
     p = A.modulus.p
     _chunk_rows(A.n_cols)  # refuses a row wider than BLOCK_BYTES on every route

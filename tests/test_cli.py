@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fpgb
-from fpgb import bench
+from fpgb import bench, sparselin
 from fpgb.bench import (
     PipelineConfig,
     basis_digest,
@@ -236,6 +236,10 @@ def test_microbench_numeric():
     assert small == {**microbench("numeric", 300, seed=5), **{k: small[k] for k in times}}
     big = microbench("numeric", 1200, seed=6)  # past DENSE_CAP: checked by back_reduce only
     assert big["cols"] == 1200 and big["rank"] > 0 and big["elapsed_ns.2147483629"] > 0
+    # at most SMALL_ENTRIES entries: the small route, checked the same way at both primes
+    tiny = microbench("numeric", 48, seed=0)
+    assert tiny["nnz"] <= sparselin.SMALL_ENTRIES
+    assert tiny["rank"] > 0 and tiny["fill_generated"] > 0 and tiny["elapsed_ns.2147483629"] > 0
 
 
 def test_microbench_numeric_holds_new_rows_to_dense_gauss(monkeypatch):

@@ -709,6 +709,54 @@ def test_psge_step_two_on_swept_rows_and_columns_left_empty(monkeypatch, p):
         assert np.array_equal(assemble_rows(res, 12), rref[:rank])
 
 
+@pytest.mark.parametrize("p", [7, 65537, 2147483629])
+def test_small_route_sweeps_by_new_pivots_after_the_known_ones(monkeypatch, p):
+    # known pivots K0 (lead 0) and K1 (lead 1); the remainder rows R1..R4
+    # sweep by them to nonzero rows, and then by the new pivots found before
+    # them: N1 (lead 2) from R1, N2 (lead 4) from R2, R3 = K0 + N1 + N2 to
+    # zero, and R4 = K1 + N2 + e6 + e7 to N3 (lead 6).  N1's tail holds the
+    # leads of N2 and N3, N2's tail that of N3.  The known-pivot sweep
+    # creates column 6 in R1 and column 8 in R2 and R4: a fill of 3.  The
+    # new pivots clear R4's column 8 again, and R3 vanishes only against them
+    m = FieldModulus(p)
+    rows = [
+        {0: 1, 6: 1},
+        {1: 1, 8: 1},
+        {0: 1, 2: 1, 4: 1},
+        {1: 1, 4: 1, 5: 1, 6: 1},
+        {0: 1, 2: 1, 4: 2, 5: 1, 6: 1, 8: p - 1},
+        {1: 1, 4: 1, 5: 1, 6: 2, 7: 1},
+    ]
+    mat = np.zeros((len(rows), 9), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        mat[i, list(row)] = list(row.values())
+    rank, rref, pivots = dense_gauss(mat, m)
+    assert rank == 5 and pivots == [0, 1, 2, 4, 6]
+    lead_row = dict(zip(pivots, rref))
+    A = csr_from_dense(mat, m)
+    for back_reduce in (False, True):
+        keys = []
+        for route in routes_at(p):
+            with monkeypatch.context() as mp:
+                sweep_route(mp, route)
+                res = psge_reduce(A, back_reduce=back_reduce)
+            assert res.fill_generated == 3
+            assert res.nonpivot_rows.leads.tolist() == [2, 4, 6]
+            for c, cols, vals in res.nonpivot_rows:
+                assert np.array_equal(np.flatnonzero(lead_row[c]), cols)
+                assert np.array_equal(lead_row[c][cols], vals)
+            if back_reduce:
+                assert np.array_equal(assemble_rows(res, 9), rref[:rank])
+            keys.append(echelon_key(res))
+        assert all(k == keys[-1] for k in keys[:-1])
+    # the remainder block the cap counts: all four rows, on columns 2 and 4 to 8
+    with monkeypatch.context() as mp:
+        sweep_route(mp, "small")
+        mp.setattr(sparselin, "BLOCK_BYTES", 8 * 4 * 6 - 1)
+        with pytest.raises(SizeCapError, match="remainder block 4 x 6 exceeds"):
+            psge_reduce(A)
+
+
 @pytest.mark.parametrize("p", [65537, 2147483629])
 def test_small_route_rule_switches_at_its_limit(monkeypatch, p):
     # a batch of exactly SMALL_ENTRIES entries takes the small route, one
