@@ -14,14 +14,16 @@ processing order.  Each has two routes, chosen by ``ExecPolicy.lanes``:
   every lane's digits and one stable argsort keyed by (lane, digit) per
   radix pass, one scan over the lanes as the rows of a zero-padded grid,
   one ``add.reduceat`` counting every lane's kept items, then prefix-summed
-  write plans and merge-path splits.  Only the writes into each lane's
-  disjoint region go one lane at a time, in shuffled lane order.  That
-  route is the determinism oracle: it never calls the one-lane route's
-  whole-array ``lexsort`` or ``cumsum``, and its output must equal the
-  one-lane output byte for byte, which witnesses race-freedom of the
-  decomposition rather than of one code path checked against itself.
+  write plans; the join gives each lane a contiguous slice of the segment.
+  Only the writes into each lane's disjoint region go one lane at a time,
+  in shuffled lane order.  That route is the determinism oracle: it never
+  calls the one-lane route's whole-array ``lexsort`` or ``cumsum``, and its
+  output must equal the one-lane output byte for byte, which witnesses
+  race-freedom of the decomposition rather than of one code path checked
+  against itself.
 
-Both routes run the same input checks.
+Both routes run the same input checks; every key argument must be a 2-D
+word matrix.
 
 Keys are rows of fixed-width uint64 word vectors compared lexicographically
 most-significant word first.  The lane-split sort is a stable byte-wise
@@ -39,9 +41,6 @@ import numpy as np
 
 from .errors import MissingKeyError, PreconditionError
 from .monomials import key_cmp_rows
-
-MERGE_GRAIN = 4096
-_RADIX_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -77,6 +76,13 @@ def _lane_order(policy: ExecPolicy, n_lanes: int):
     if policy.lane_order_seed is None:
         return range(n_lanes)
     return np.random.default_rng(policy.lane_order_seed).permutation(n_lanes)
+
+
+def _word_matrix(keys) -> np.ndarray:
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.ndim != 2:
+        raise PreconditionError("keys must be a 2-D word matrix")
+    return keys
 
 
 def radix_pass_count(n_words: int) -> int:
@@ -143,9 +149,7 @@ def radix_sort(keys: np.ndarray, policy: ExecPolicy = DEFAULT_POLICY):
     nothing, with tables only as wide as the pass's digit span.  Both give
     the same perm.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    if keys.ndim != 2:
-        raise PreconditionError("keys must be a 2-D word matrix")
+    keys = _word_matrix(keys)
     n = len(keys)
     if n <= 1:
         return keys.copy(), np.arange(n, dtype=np.int64)
@@ -198,7 +202,7 @@ def unique_sorted(keys: np.ndarray, policy: ExecPolicy = DEFAULT_POLICY, check: 
     Returns (uniques, first_index) with uniques strictly ascending and
     first_index[j] the position of the first occurrence in the input.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
+    keys = _word_matrix(keys)
     if check and not is_sorted_ascending(keys):
         raise PreconditionError("unique_sorted requires ascending keys")
     if len(keys) == 0:
@@ -253,33 +257,13 @@ def segment_defects(row_ptr: np.ndarray, col_ind: np.ndarray, n_cols: int):
 
 def _byte_view(keys: np.ndarray) -> np.ndarray:
     """One opaque big-endian byte string per key; compares like the words."""
-    keys = np.asarray(keys, dtype=np.uint64)
     return np.ascontiguousarray(keys, dtype=">u8").view(f"V{8 * keys.shape[1]}")[:, 0]
 
 
 def lower_bound(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """First position at which each query could be inserted, keeping order."""
+    sorted_keys, queries = _word_matrix(sorted_keys), _word_matrix(queries)
     return np.searchsorted(_byte_view(sorted_keys), _byte_view(queries)).astype(np.int64)
-
-
-def _merge_path_splits(seg: np.ndarray, dic: np.ndarray, grain: int):
-    """Diagonal splits of the (segment x dict) merge grid at fixed grain."""
-    s, d = len(seg), len(dic)
-    diags = list(range(0, s + d, grain)) + [s + d]
-    splits = []
-    for diag in diags:
-        lo, hi = max(0, diag - d), min(diag, s)
-        # find smallest i with seg[i] > dic[diag - i - 1] (dict side consumed first)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            j = diag - mid - 1
-            if j >= d or (j >= 0 and key_cmp_rows(seg[mid : mid + 1], dic[j : j + 1])[0] > 0):
-                hi = mid
-            else:
-                lo = mid + 1
-        splits.append(lo)
-    # monotone tiling of [0, len(seg)] even for per-segment-sorted streams
-    return np.maximum.accumulate(np.array(splits, dtype=np.int64))
 
 
 def merge_join_index(
@@ -291,13 +275,13 @@ def merge_join_index(
     """Position of every segment key inside a strictly ascending dictionary.
 
     One lane runs one ``lower_bound`` over the whole segment.  More lanes
-    partition the merge grid along diagonals of fixed grain so lanes
-    receive balanced contiguous slices; within a slice positions come from
-    a vectorized segmented binary search.  Absent keys indicate an upstream
-    closure defect and raise MissingKeyError.
+    split the segment into one contiguous slice per lane, as
+    ``stream_compact`` does, and each nonempty lane runs one ``lower_bound``
+    of its slice and writes its own region of the output.  A key's position
+    does not depend on the split.  Absent keys, an empty dictionary
+    included, indicate an upstream closure defect and raise MissingKeyError.
     """
-    segment = np.asarray(segment, dtype=np.uint64)
-    dict_keys = np.asarray(dict_keys, dtype=np.uint64)
+    segment, dict_keys = _word_matrix(segment), _word_matrix(dict_keys)
     if check and not is_sorted_ascending(segment):
         raise PreconditionError("segment keys must be ascending")
     if check and not is_sorted_ascending(dict_keys, strict=True):
@@ -308,15 +292,14 @@ def merge_join_index(
         out = lower_bound(dict_keys, segment)
     else:
         out = np.empty(len(segment), dtype=np.int64)
-        splits = _merge_path_splits(segment, dict_keys, MERGE_GRAIN)
-        parts = [(splits[k], splits[k + 1]) for k in range(len(splits) - 1)]
-        for k in _lane_order(policy, len(parts)):
-            lo, hi = parts[k]
+        bounds = _lane_bounds(len(segment), policy.lanes)
+        for c in _lane_order(policy, len(bounds)):
+            lo, hi = bounds[c]
             if lo < hi:
                 out[lo:hi] = lower_bound(dict_keys, segment[lo:hi])
-    bad = (out >= len(dict_keys)) | (
-        (dict_keys[np.minimum(out, len(dict_keys) - 1)] != segment).any(axis=1)
-    )
+    found = out < len(dict_keys)
+    bad = ~found
+    bad[found] = (dict_keys[out[found]] != segment[found]).any(axis=1)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise MissingKeyError(f"key {tuple(segment[i].tolist())} absent from dictionary")

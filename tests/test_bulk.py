@@ -5,8 +5,8 @@ import bisect
 import numpy as np
 import pytest
 
+from fpgb import bulk
 from fpgb.bulk import (
-    MERGE_GRAIN,
     ExecPolicy,
     exclusive_scan,
     is_sorted_ascending,
@@ -61,11 +61,24 @@ def test_exclusive_scan_rejects_negative():
 
 
 def test_shape_checks_hold_on_every_route():
+    flat = np.arange(4, dtype=np.uint64)
+    keys = flat.reshape(-1, 1)
     for policy in POLICIES:
         with pytest.raises(PreconditionError, match="2-D"):
-            radix_sort(np.arange(4, dtype=np.uint64), policy)
+            radix_sort(flat, policy)
         with pytest.raises(PreconditionError, match="equal length"):
             stream_compact(np.arange(4), np.ones(3, dtype=bool), policy)
+        for check in (True, False):
+            with pytest.raises(PreconditionError, match="2-D"):
+                unique_sorted(flat, policy, check=check)
+            with pytest.raises(PreconditionError, match="2-D"):
+                merge_join_index(flat, keys, policy, check=check)
+            with pytest.raises(PreconditionError, match="2-D"):
+                merge_join_index(keys, flat, policy, check=check)
+    with pytest.raises(PreconditionError, match="2-D"):
+        lower_bound(flat, keys)
+    with pytest.raises(PreconditionError, match="2-D"):
+        lower_bound(keys, flat)
 
 
 def test_radix_sort_fixed_point_and_oracle():
@@ -163,7 +176,9 @@ def test_merge_join_example():
     dic = np.array([[1], [5], [7], [9]], dtype=np.uint64)
     seg = np.array([[5], [9]], dtype=np.uint64)
     assert merge_join_index(seg, dic).tolist() == [1, 3]
-    assert merge_join_index(np.zeros((0, 1), dtype=np.uint64), dic).tolist() == []
+    empty = np.zeros((0, 1), dtype=np.uint64)
+    assert merge_join_index(empty, dic).tolist() == []
+    assert merge_join_index(empty, empty).tolist() == []
 
 
 def test_merge_join_random_vs_binary_search_oracle():
@@ -185,8 +200,6 @@ def test_merge_join_large_grain_crossing():
     dic, _ = radix_sort(dic)
     idx = np.sort(rng.integers(0, len(dic), 20_000))
     seg = dic[idx]
-    # lanes > 1 split the merge grid at MERGE_GRAIN; this one spans many grains
-    assert len(seg) + len(dic) > 4 * MERGE_GRAIN
     for policy in POLICIES:
         got = merge_join_index(seg, dic, policy)
         assert np.array_equal(dic[got], seg)
@@ -194,6 +207,7 @@ def test_merge_join_large_grain_crossing():
 
 def test_merge_join_missing_key():
     dic = np.array([[2], [4]], dtype=np.uint64)
+    empty = np.zeros((0, 1), dtype=np.uint64)
     seg = np.array([[3]], dtype=np.uint64)
     seg_hi = np.array([[9]], dtype=np.uint64)
     for policy in POLICIES:
@@ -201,6 +215,30 @@ def test_merge_join_missing_key():
             merge_join_index(seg, dic, policy)
         with pytest.raises(MissingKeyError):
             merge_join_index(seg_hi, dic, policy)
+        for check in (True, False):
+            with pytest.raises(MissingKeyError):
+                merge_join_index(seg, empty, policy, check=check)
+
+
+@pytest.mark.parametrize("policy", [ExecPolicy(4), ExecPolicy(8, lane_order_seed=1)])
+def test_lane_split_join_runs_one_lower_bound_per_lane(monkeypatch, policy):
+    rng = np.random.default_rng(40)
+    dic = np.unique(rng.integers(0, 1 << 30, 100)).astype(np.uint64).reshape(-1, 1)
+    seg = dic[np.sort(rng.integers(0, len(dic), 40))]
+    want = merge_join_index(seg, dic, ExecPolicy(1))
+    calls = []
+
+    def spy(sorted_keys, queries, real=bulk.lower_bound):
+        calls.append(queries.copy())
+        return real(sorted_keys, queries)
+
+    monkeypatch.setattr(bulk, "lower_bound", spy)
+    got = merge_join_index(seg, dic, policy)
+    # 40 keys over 4 or 8 lanes: every lane holds 10 or 5 contiguous keys
+    step = 40 // policy.lanes
+    lanes = list(bulk._lane_order(policy, policy.lanes))
+    assert [q.tobytes() for q in calls] == [seg[c * step : (c + 1) * step].tobytes() for c in lanes]
+    assert got.tobytes() == want.tobytes()
 
 
 def test_all_primitives_schedule_independent():
@@ -406,7 +444,12 @@ def test_lane_split_scan_and_compact_with_empty_lanes(lens):
     want = np.concatenate([[0], np.cumsum(np.array(lens, dtype=np.int64))]).astype(np.int64)
     items = np.arange(len(lens), dtype=np.int64)
     keep = np.array(lens, dtype=bool)
+    # the join of the kept items' keys: at most 10 keys over 2-9 lanes, so
+    # many lanes hold no key or only one
+    dic = (3 * items + 1).astype(np.uint64).reshape(-1, 1)
     for policy in LANE_SPLIT:
         got = exclusive_scan(lens, policy)
         assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
         assert stream_compact(items, keep, policy).tolist() == items[keep].tolist()
+        joined = merge_join_index(dic[keep], dic, policy)
+        assert joined.dtype == np.int64 and joined.tolist() == items[keep].tolist()

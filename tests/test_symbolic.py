@@ -606,8 +606,8 @@ def test_compile_deterministic_across_policies():
 def test_one_lane_compile_runs_no_lane_split_code(monkeypatch):
     """ExecPolicy(1) compiles without the lane-split route, to the same bytes.
 
-    The largest katsura-6 batch spans several merge grains, so ExecPolicy(4)
-    splits its merge path; the one-lane compile must not touch either helper.
+    ExecPolicy(4) splits the sorts, scans and joins of katsura-6's largest
+    batch over four lanes; the one-lane compile must not split anything.
     """
     from fpgb import bulk
 
@@ -615,7 +615,6 @@ def test_one_lane_compile_runs_no_lane_split_code(monkeypatch):
     batches = []
     f4_groebner(polys, ring, PipelineConfig(), lambda b, plan, e, s: batches.append((b, plan)))
     basis, driver_plan = max(batches, key=lambda bp: bp[1].counters.M)
-    assert driver_plan.counters.M > bulk.MERGE_GRAIN
     meta = driver_plan.row_meta
     rows = RowMeta(meta.rows[meta.role == RowRole.SPOLY_HALF.value])
     lane_split = plan_to_text(compile_batch(rows, basis, Closure.ONE_STEP_REDUCTION, ExecPolicy(4)))
@@ -624,7 +623,6 @@ def test_one_lane_compile_runs_no_lane_split_code(monkeypatch):
         raise AssertionError("lane-split helper reached at one lane")
 
     monkeypatch.setattr(bulk, "_lane_bounds", forbidden)
-    monkeypatch.setattr(bulk, "_merge_path_splits", forbidden)
     one_lane = plan_to_text(compile_batch(rows, basis, Closure.ONE_STEP_REDUCTION, ExecPolicy(1)))
     assert one_lane == lane_split == plan_to_text(driver_plan)
 
